@@ -84,10 +84,10 @@ class TailQuery:
     side: Side
 
     def __post_init__(self) -> None:
-        if self.M < 1:
-            raise DomainError(f"M must be >= 1, got {self.M}")
-        if not self.t > 0.0:
-            raise InvalidT(f"t must be > 0, got {self.t!r}")
+        _check_m(self.M)
+        _check_t(self.t)
+        if not math.isfinite(self.t):
+            raise InvalidT(f"t must be finite, got {self.t!r}")
 
 
 @dataclass(frozen=True)
@@ -127,11 +127,24 @@ def _check_mu(mu_tilde: float) -> None:
         raise DomainError(f"mu_tilde must lie in (0,1), got {mu_tilde!r}")
 
 
+def _check_t(t: float) -> None:
+    if not t > 0.0:
+        raise InvalidT(f"t must be > 0, got {t!r}")
+
+
+def _check_window(mu_tilde: float, t: float) -> None:
+    """0 < mu_tilde < 1 and 0 < t < 1 - mu_tilde."""
+    _check_mu(mu_tilde)
+    if not (0.0 < t < 1.0 - mu_tilde):
+        raise OutOfValidityRange(
+            f"t={t!r} outside (0, {1.0 - mu_tilde!r}) for mu_tilde={mu_tilde!r}"
+        )
+
+
 def hoeffding_tail_bound(M: int, t: float) -> float:
     """The sub-Gaussian tail value exp(-2 M t^2)."""
     _check_m(M)
-    if not t > 0.0:
-        raise InvalidT(f"t must be > 0, got {t!r}")
+    _check_t(t)
     return math.exp(-2.0 * M * t * t)
 
 
@@ -143,8 +156,7 @@ def chernoff_curve(mu_tilde: float, t: float, M: int, h: float) -> float:
     """
     _check_mu(mu_tilde)
     _check_m(M)
-    if not t > 0.0:
-        raise InvalidT(f"t must be > 0, got {t!r}")
+    _check_t(t)
     if not h > 0.0:
         raise InvalidH(f"h must be > 0, got {h!r}")
     log_factor = (-mu_tilde - t) * h + np.logaddexp(
@@ -162,11 +174,7 @@ def optimal_h(mu_tilde: float, t: float) -> float:
     h0 = ln((1 - mu)(t + mu) / ((1 - mu - t) mu)), strictly positive for
     0 < t < 1 - mu.
     """
-    _check_mu(mu_tilde)
-    if not (0.0 < t < 1.0 - mu_tilde):
-        raise OutOfValidityRange(
-            f"t={t!r} outside (0, {1.0 - mu_tilde!r}) for mu_tilde={mu_tilde!r}"
-        )
+    _check_window(mu_tilde, t)
     return math.log(
         (1.0 - mu_tilde) * (t + mu_tilde) / ((1.0 - mu_tilde - t) * mu_tilde)
     )
@@ -178,12 +186,8 @@ def kl_form_bound(mu_tilde: float, t: float, M: int) -> float:
     Equals ``chernoff_curve`` at ``optimal_h`` and never exceeds
     exp(-2 M t^2) on the validity window.  Evaluated in log space.
     """
-    _check_mu(mu_tilde)
     _check_m(M)
-    if not (0.0 < t < 1.0 - mu_tilde):
-        raise OutOfValidityRange(
-            f"t={t!r} outside (0, {1.0 - mu_tilde!r}) for mu_tilde={mu_tilde!r}"
-        )
+    _check_window(mu_tilde, t)
     a = mu_tilde + t
     b = 1.0 - mu_tilde - t
     log_value = a * math.log(mu_tilde / a) + b * math.log((1.0 - mu_tilde) / b)
@@ -195,11 +199,7 @@ def big_g(t: float, mu_tilde: float) -> float:
 
     Uses log1p so the 1/t^2 amplification stays accurate for small t.
     """
-    _check_mu(mu_tilde)
-    if not (0.0 < t < 1.0 - mu_tilde):
-        raise OutOfValidityRange(
-            f"t={t!r} outside (0, {1.0 - mu_tilde!r}) for mu_tilde={mu_tilde!r}"
-        )
+    _check_window(mu_tilde, t)
     t2 = t * t
     term1 = ((t + mu_tilde) / t2) * math.log1p(t / mu_tilde)
     term2 = ((1.0 - mu_tilde - t) / t2) * math.log1p(-t / (1.0 - mu_tilde))
@@ -260,8 +260,7 @@ def lower_tail_bound_by_flip(model_summary: ModelSummary, M: int, t: float) -> f
     window t < 1 - (1 - mu_minus) = mu_minus is checked here.
     """
     _check_m(M)
-    if not t > 0.0:
-        raise InvalidT(f"t must be > 0, got {t!r}")
+    _check_t(t)
     if not t < model_summary.mu_minus:
         raise OutOfValidityRange(
             f"t={t!r} outside (0, {model_summary.mu_minus!r}) for the lower tail"
@@ -289,8 +288,7 @@ def tail_bound_report(mu_tilde: float, M: int, t: float) -> BoundReport:
     None and only the raw exp(-2Mt^2) value is reported.
     """
     _check_m(M)
-    if not t > 0.0:
-        raise InvalidT(f"t must be > 0, got {t!r}")
+    _check_t(t)
     hoeffding = hoeffding_tail_bound(M, t)
     in_range = t < 1.0 - mu_tilde
     if not in_range or not (0.0 < mu_tilde < 1.0):

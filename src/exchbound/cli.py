@@ -21,10 +21,10 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
+import math
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from . import __version__
 from .bounds import Side, t_for_confidence, tail_bound_report
@@ -36,14 +36,12 @@ from .model import (
     DiscreteOnUnit,
     FiniteMixture,
     MixingMeasure,
-    ModelSummary,
     PointMass,
     TruncatedBetaDensity,
     UniformDensity,
-    summarize,
 )
 from .montecarlo import DEFAULT_CI_LEVEL, run_sweep, sample_mean_histogram
-from .reporting import Report, atomic_write_text, to_csv, to_json, write_report
+from .reporting import Report, atomic_write_text, format_value, to_csv, to_json, write_report
 from .suite import standard_suite
 
 EXIT_OK = 0
@@ -179,33 +177,17 @@ def load_model_file(path: str) -> MixingMeasure:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: Optional[float]) -> str:
-    return "" if x is None else "%.17g" % x
-
-
 def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-
-def window_t_grid(summary: ModelSummary, side: Side, n: int) -> list[float]:
-    """n deviations spanning the side's validity window.
-
-    An empty window (degenerate models) falls back to spanning (0, 1) so
-    the sweep still exercises and flags the invalid cells.
-    """
-    t_max = summary.t_max_upper if side is Side.UPPER else summary.t_max_lower
-    if t_max <= 0.0:
-        t_max = 1.0
-    return [t_max * i / (n + 1) for i in range(1, n + 1)]
 
 
 def _print_bound_line(side: Side, mu_eff: float, anchor: float, M: int, t: float) -> None:
     report = tail_bound_report(mu_eff, M, t)
     print(
-        f"side={side} anchor_mu={_fmt(anchor)} "
-        f"t_max={_fmt(1.0 - mu_eff)} valid={'true' if report.in_validity_range else 'false'} "
-        f"hoeffding={_fmt(report.hoeffding_form)} h0={_fmt(report.h0)} "
-        f"kl_form={_fmt(report.kl_form)}"
+        f"side={side} anchor_mu={format_value(anchor)} "
+        f"t_max={format_value(1.0 - mu_eff)} valid={format_value(report.in_validity_range)} "
+        f"hoeffding={format_value(report.hoeffding_form)} h0={format_value(report.h0)} "
+        f"kl_form={format_value(report.kl_form)}"
     )
 
 
@@ -252,7 +234,10 @@ def cmd_bounds(args) -> int:
             f"need 0 <= mu_minus <= mu_plus <= 1, got {mu_minus}, {mu_plus}"
         )
     t = args.t / scale
-    print(f"M={args.m} t={_fmt(t)}" + (f" (data units: {_fmt(args.t)})" if scale != 1.0 else ""))
+    print(
+        f"M={args.m} t={format_value(t)}"
+        + (f" (data units: {format_value(args.t)})" if scale != 1.0 else "")
+    )
     _print_bound_line(Side.UPPER, mu_plus, mu_plus, args.m, t)
     _print_bound_line(Side.LOWER, 1.0 - mu_minus, mu_minus, args.m, t)
     return EXIT_OK
@@ -264,10 +249,13 @@ def cmd_ci(args) -> int:
         raise ExchboundError(f"--range requires a < b, got {args.range}")
     t = t_for_confidence(args.m, args.delta)
     t_data = t * scale
-    print(f"t={_fmt(t_data)}" + (f" (unit scale: {_fmt(t)})" if scale != 1.0 else ""))
+    print(
+        f"t={format_value(t_data)}"
+        + (f" (unit scale: {format_value(t)})" if scale != 1.0 else "")
+    )
     print(
         f"Xbar lies in [mu_minus - t, mu_plus + t] with probability >= "
-        f"1 - 2*delta = {_fmt(1.0 - 2.0 * args.delta)}, provided "
+        f"1 - 2*delta = {format_value(1.0 - 2.0 * args.delta)}, provided "
         f"t < 1 - mu_plus and t < mu_minus (validity windows)."
     )
     return EXIT_OK
@@ -304,67 +292,68 @@ def cmd_simulate(args) -> int:
     _write_or_fail(report, args.out, args.format)
     for row in report.rows:
         print(
-            f"{row.model_id} M={row.M} t={_fmt(row.t)} side={row.side} "
-            f"p_hat={_fmt(row.value)} ci=[{_fmt(row.ci_low)}, {_fmt(row.ci_high)}] "
-            f"hoeffding={_fmt(row.hoeffding)} valid={'true' if row.valid else 'false'} "
-            f"violation={'true' if row.violation else 'false'}"
+            f"{row.model_id} M={row.M} t={format_value(row.t)} side={row.side} "
+            f"p_hat={format_value(row.value)} "
+            f"ci=[{format_value(row.ci_low)}, {format_value(row.ci_high)}] "
+            f"hoeffding={format_value(row.hoeffding)} valid={format_value(row.valid)} "
+            f"violation={format_value(row.violation)}"
         )
     return EXIT_OK
 
 
+def _parse_t_grid(tokens: Sequence[str]) -> Union[int, list[float]]:
+    """``auto:N`` as the int N, or explicit deviations as floats."""
+    if any(token.startswith("auto:") for token in tokens):
+        if len(tokens) > 1:
+            raise ExchboundError("--t-grid takes either auto:N or explicit values, not both")
+        n = tokens[0].split(":", 1)[1]
+        if not n.isdigit() or int(n) < 1:
+            raise ExchboundError(f"--t-grid auto:N needs an integer N >= 1, got {tokens[0]!r}")
+        return int(n)
+    ts = []
+    for token in tokens:
+        try:
+            t = float(token)
+        except ValueError:
+            t = math.nan  # rejected below
+        if not 0.0 < t < math.inf:
+            raise ExchboundError(f"--t-grid values must be finite and > 0, got {token!r}")
+        ts.append(t)
+    return ts
+
+
 def cmd_verify(args) -> int:
     models = _load_models(args)
-    sides = _sides_from_arg(args.side)
     m_grid = args.m_grid or list(DEFAULT_M_GRID)
+    t_grid = _parse_t_grid(args.t_grid or [DEFAULT_T_GRID])
+    if min(m_grid) < 1:
+        raise ExchboundError(f"--m-grid values must be >= 1, got {min(m_grid)}")
+    if not 0.0 < args.level < 1.0:
+        raise ExchboundError(f"--level must lie in (0,1), got {args.level!r}")
 
-    t_tokens = args.t_grid or [DEFAULT_T_GRID]
-    auto_n: Optional[int] = None
-    explicit_ts: list[float] = []
-    for token in t_tokens:
-        if isinstance(token, str) and token.startswith("auto:"):
-            auto_n = int(token.split(":", 1)[1])
-        else:
-            explicit_ts.append(float(token))
-    if auto_n is not None and explicit_ts:
-        raise ExchboundError("--t-grid takes either auto:N or explicit values, not both")
-
-    all_rows = []
-    replications = args.reps
-    for model_id, m in models:
-        summary = summarize(m)
-        for side in sides:
-            ts = explicit_ts if auto_n is None else window_t_grid(summary, side, auto_n)
-            sweep = run_sweep(
-                models=[(model_id, m)],
-                M_grid=m_grid,
-                t_grid=ts,
-                sides=[side],
-                replications=replications,
-                master_seed=args.seed,
-                method=args.method,
-                level=args.level,
-                bound_scale=args.bound_scale,
-            )
-            all_rows.extend(sweep.rows)
-
-    report = Report(
-        rows=tuple(all_rows),
+    sweep = run_sweep(
+        models=models,
+        M_grid=m_grid,
+        t_grid=t_grid,
+        sides=_sides_from_arg(args.side),
+        replications=args.reps,
         master_seed=args.seed,
-        replications=replications,
+        method=args.method,
         level=args.level,
-        tool_version=__version__,
-        timestamp=_timestamp(),
+        bound_scale=args.bound_scale,
     )
+    report = Report.from_sweep(sweep, __version__, _timestamp())
     _write_or_fail(report, args.out, args.format)
     n_violations = len(report.violations)
     print(
         f"cells={len(report.rows)} violations={n_violations} "
-        f"models={len(models)} reps={replications}"
+        f"models={len(models)} reps={args.reps}"
     )
     for row in report.violations:
         print(
-            f"VIOLATION {row.model_id} M={row.M} t={_fmt(row.t)} side={row.side} "
-            f"value={_fmt(row.value)} ci_low={_fmt(row.ci_low)} bound={_fmt(row.hoeffding)}"
+            f"VIOLATION {row.model_id} M={row.M} t={format_value(row.t)} side={row.side} "
+            f"value={format_value(row.value)} ci_low={format_value(row.ci_low)} "
+            f"bound={format_value(row.hoeffding)}"
         )
     return EXIT_OK if n_violations == 0 else EXIT_VIOLATION
 
@@ -394,7 +383,7 @@ def cmd_histogram(args) -> int:
         else:
             lines = ["bin_low,bin_high,count"]
             lines += [
-                f"{_fmt(r['bin_low'])},{_fmt(r['bin_high'])},{r['count']}"
+                f"{format_value(r['bin_low'])},{format_value(r['bin_high'])},{r['count']}"
                 for r in records
             ]
             text = "\n".join(lines) + "\n"
@@ -404,7 +393,7 @@ def cmd_histogram(args) -> int:
             raise _IOFailure(f"cannot write {args.out}: {e}") from e
     else:
         for r in records:
-            print(f"[{_fmt(r['bin_low'])}, {_fmt(r['bin_high'])}): {r['count']}")
+            print(f"[{format_value(r['bin_low'])}, {format_value(r['bin_high'])}): {r['count']}")
     total = sum(hist.counts)
     print(f"M={hist.M} replications={total} bins={len(hist.counts)}")
     return EXIT_OK

@@ -18,20 +18,26 @@ exactly as in the oracle, so both engines share one event convention.
 
 Sweeps evaluate a grid of (model, M, t, side) cells, preferring the
 exact oracle and falling back to Monte Carlo where no exact path exists.
-A cell inside the validity window is flagged as a violation when its
-exact value (or the lower confidence limit of its estimate) exceeds the
-exp(-2Mt^2) bound; exact cells are additionally checked against the
-optimized envelope.
+A whole report is one sweep: the t grid is either explicit or a count of
+deviations spanning each (model, side) validity window, and each cell's
+seed is derived from the master seed and the cell's own row key, so an
+estimate does not depend on the rest of the grid, the other models or
+the thread count.  A cell inside the validity window is flagged as a
+violation when its exact value (or the lower confidence limit of its
+estimate) exceeds the exp(-2Mt^2) bound; exact cells are additionally
+checked against the optimized envelope.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy import stats
@@ -291,21 +297,21 @@ def sample_mean_histogram(
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One evaluated (model, M, t, side) cell."""
+    """One evaluated (model, M, t, side) cell; a failed cell keeps the defaults."""
 
     model_id: str
     M: int
     t: float
     side: str
     method: str
-    value: Optional[float]
-    ci_low: Optional[float]
-    ci_high: Optional[float]
-    hoeffding: Optional[float]
-    kl_form: Optional[float]
-    h0: Optional[float]
-    valid: bool
-    violation: bool
+    value: Optional[float] = None
+    ci_low: Optional[float] = None
+    ci_high: Optional[float] = None
+    hoeffding: Optional[float] = None
+    kl_form: Optional[float] = None
+    h0: Optional[float] = None
+    valid: bool = False
+    violation: bool = False
 
 
 @dataclass(frozen=True)
@@ -320,109 +326,97 @@ class SweepResult:
         return tuple(r for r in self.rows if r.violation)
 
 
+def window_t_grid(summary: ModelSummary, side: Side, n: int) -> list[float]:
+    """n deviations spanning the side's validity window.
+
+    An empty window (degenerate models) falls back to spanning (0, 1) so
+    the sweep still exercises and flags the invalid cells.
+    """
+    t_max = summary.t_max_upper if side is Side.UPPER else summary.t_max_lower
+    if t_max <= 0.0:
+        t_max = 1.0
+    return [t_max * i / (n + 1) for i in range(1, n + 1)]
+
+
 def _resolve_threads(threads: Optional[int]) -> int:
-    if threads is None:
-        try:
-            threads = int(os.environ.get(THREADS_ENV_VAR, "1"))
-        except ValueError:
-            threads = 1
-    return max(1, threads)
+    if threads is not None:
+        return max(1, threads)
+    text = os.environ.get(THREADS_ENV_VAR, "1")
+    if not text.isdigit() or int(text) < 1:
+        raise DomainError(f"{THREADS_ENV_VAR} must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _cell_seed(master_seed: int, model_id: str, M: int, t: float, side: Side) -> int:
+    """mix64(master_seed, k), k a 64-bit digest of the cell's row key."""
+    # hashlib, not hash(): the built-in is salted per process
+    key = repr((model_id, int(M), float(t).hex(), str(side))).encode()
+    return mix64(master_seed, int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
+
+
+# (model_id, model, summary, M, t, side)
+_Cell = tuple[str, MixingMeasure, ModelSummary, int, float, Side]
 
 
 def _sweep_cell(
-    model_id: str,
-    m: MixingMeasure,
-    summary: ModelSummary,
-    M: int,
-    t: float,
-    side: Side,
+    cell: _Cell,
     replications: int,
-    cell_seed: int,
+    master_seed: int,
     method: str,
     level: float,
     bound_scale: float,
 ) -> SweepRow:
-    base = dict(model_id=model_id, M=M, t=t, side=str(side))
+    model_id, m, summary, M, t, side = cell
+    row = dict(model_id=model_id, M=M, t=t, side=str(side))
     try:
         query = TailQuery(M=M, t=t, side=side)
-    except ExchboundError as e:
-        return SweepRow(
-            **base,
-            method=f"error:{type(e).__name__}",
-            value=None,
-            ci_low=None,
-            ci_high=None,
-            hoeffding=None,
-            kl_form=None,
-            h0=None,
-            valid=False,
-            violation=False,
-        )
-
-    report = tail_bound_report(effective_mu(summary, side), M, t)
-    hoeffding = report.hoeffding_form * bound_scale
-    exact: Optional[ExactTail] = None
-    estimate: Optional[TailEstimate] = None
-    method_str = "error:unreachable"
-    try:
-        if method in ("auto", "exact"):
-            try:
-                exact = exact_tail(m, query)
-                method_str = str(exact.method)
-            except (UnsupportedModel, MTooLarge):
-                if method == "exact":
-                    raise
-                estimate = estimate_tail(m, query, replications, cell_seed, level)
-                method_str = "montecarlo"
-        elif method == "montecarlo":
-            estimate = estimate_tail(m, query, replications, cell_seed, level)
-            method_str = "montecarlo"
-        else:
-            raise DomainError(f"unknown sweep method {method!r}")
-    except ExchboundError as e:
-        return SweepRow(
-            **base,
-            method=f"error:{type(e).__name__}",
-            value=None,
-            ci_low=None,
-            ci_high=None,
+        report = tail_bound_report(effective_mu(summary, side), M, t)
+        hoeffding = report.hoeffding_form * bound_scale
+        row.update(
             hoeffding=hoeffding,
             kl_form=report.kl_form,
             h0=report.h0,
             valid=report.in_validity_range,
-            violation=False,
         )
+        exact: Optional[ExactTail] = None
+        if method in ("auto", "exact"):
+            try:
+                exact = exact_tail(m, query)
+            except (UnsupportedModel, MTooLarge):
+                if method == "exact":
+                    raise
+        elif method != "montecarlo":
+            raise DomainError(f"unknown sweep method {method!r}")
 
-    if exact is not None:
-        value = exact.probability
-        ci_low = ci_high = None
-        violation = report.in_validity_range and (
-            value > hoeffding
-            or (report.kl_form is not None and value > report.kl_form)
-        )
-    else:
-        assert estimate is not None
-        value = estimate.p_hat
-        ci_low, ci_high = estimate.ci_low, estimate.ci_high
-        violation = report.in_validity_range and ci_low > hoeffding
-    return SweepRow(
-        **base,
-        method=method_str,
-        value=value,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        hoeffding=hoeffding,
-        kl_form=report.kl_form,
-        h0=report.h0,
-        valid=report.in_validity_range,
-        violation=violation,
-    )
+        if exact is not None:
+            value = exact.probability
+            row.update(
+                method=str(exact.method),
+                value=value,
+                violation=report.in_validity_range and (
+                    value > hoeffding
+                    or (report.kl_form is not None and value > report.kl_form)
+                ),
+            )
+        else:
+            seed = _cell_seed(master_seed, model_id, M, t, side)
+            estimate = estimate_tail(m, query, replications, seed, level)
+            row.update(
+                method="montecarlo",
+                value=estimate.p_hat,
+                ci_low=estimate.ci_low,
+                ci_high=estimate.ci_high,
+                violation=report.in_validity_range and estimate.ci_low > hoeffding,
+            )
+    except ExchboundError as e:
+        row["method"] = f"error:{type(e).__name__}"
+    return SweepRow(**row)
 
 
 def run_sweep(
     models: Sequence[tuple[str, MixingMeasure]],
     M_grid: Sequence[int],
-    t_grid: Sequence[float],
+    t_grid: Union[int, Sequence[float]],
     sides: Sequence[Side],
     replications: int,
     master_seed: int,
@@ -434,6 +428,11 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate every (model, M, t, side) cell of the grid.
 
+    ``t_grid`` is either a list of deviations shared by every model and
+    side, or an int n: n deviations spanning each (model, side) validity
+    window (:func:`window_t_grid`).  Rows come out model by model, then
+    side, then M, then t.
+
     ``method`` selects the engine per cell: "auto" prefers the exact
     oracle and falls back to Monte Carlo, "exact" and "montecarlo" force
     one engine.  Per-cell failures become rows with method "error:<name>"
@@ -441,44 +440,47 @@ def run_sweep(
     hook that scales the exp(-2Mt^2) value used in violation checks.
 
     Cells are independent; with ``threads`` > 1 (or the EXCHBOUND_THREADS
-    environment variable) they are evaluated concurrently.  Row order and
-    content are identical regardless of thread count: each cell's seed is
-    derived from (master_seed, cell index).
+    environment variable) they are evaluated concurrently.  A Monte Carlo
+    cell is seeded with mix64(master_seed, k), where k is a 64-bit
+    SHA-256 digest of the cell's row key (model_id, M, float(t).hex(),
+    side).  A cell's result therefore depends only on the master seed and
+    the cell itself: not on the grid, the other models, the thread count
+    or the caller.
     """
     if not models:
         raise EmptyGrid("models list is empty")
     if not M_grid:
         raise EmptyGrid("M grid is empty")
-    if not t_grid:
+    if (isinstance(t_grid, int) and t_grid < 1) or not t_grid:
         raise EmptyGrid("t grid is empty")
     if not sides:
         raise EmptyGrid("sides list is empty")
     if replications < 1:
         raise DomainError(f"replications must be >= 1, got {replications}")
+    n_threads = _resolve_threads(threads)
 
-    tasks: list[Callable[[], SweepRow]] = []
-    index = 0
+    cells: list[_Cell] = []
     for model_id, m in models:
         summary = summarize(m)
-        for M in M_grid:
-            for t in t_grid:
-                for side in sides:
-                    cell_seed = mix64(master_seed, index)
-                    tasks.append(
-                        lambda model_id=model_id, m=m, summary=summary, M=M, t=t,
-                        side=side, cell_seed=cell_seed: _sweep_cell(
-                            model_id, m, summary, M, t, side,
-                            replications, cell_seed, method, level, bound_scale,
-                        )
-                    )
-                    index += 1
+        for side in sides:
+            ts = window_t_grid(summary, side, t_grid) if isinstance(t_grid, int) else t_grid
+            for M in M_grid:
+                for t in ts:
+                    cells.append((model_id, m, summary, M, t, side))
 
-    n_threads = _resolve_threads(threads)
+    evaluate = functools.partial(
+        _sweep_cell,
+        replications=replications,
+        master_seed=master_seed,
+        method=method,
+        level=level,
+        bound_scale=bound_scale,
+    )
     if n_threads == 1:
-        rows = [task() for task in tasks]
+        rows = list(map(evaluate, cells))
     else:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            rows = list(pool.map(lambda task: task(), tasks))
+            rows = list(pool.map(evaluate, cells))
     return SweepResult(
         rows=tuple(rows),
         replications=replications,

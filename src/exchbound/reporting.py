@@ -72,7 +72,11 @@ class Report:
         return tuple(r for r in self.rows if r.violation)
 
 
-def _fmt(value) -> str:
+def format_value(value) -> str:
+    """One field as reports and CLI output spell it.
+
+    Floats get 17 significant digits, booleans true/false, None is empty.
+    """
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -113,12 +117,12 @@ def _metadata(report: Report) -> dict:
 def to_csv(report: Report) -> str:
     buf = io.StringIO()
     for key, value in _metadata(report).items():
-        buf.write(f"# {key}: {_fmt(value)}\n")
+        buf.write(f"# {key}: {format_value(value)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in report.rows:
         record = _row_record(row)
-        writer.writerow([_fmt(record[col]) for col in CSV_COLUMNS])
+        writer.writerow([format_value(record[col]) for col in CSV_COLUMNS])
     return buf.getvalue()
 
 

@@ -44,7 +44,6 @@ from exchbound import (
     tail_bound_report,
 )
 from exchbound.cli import main as cli_main
-from exchbound.cli import window_t_grid
 
 MASTER_SEED = 20260801
 
@@ -63,22 +62,15 @@ def criterion(number: int, label: str):
 
 def windowed_sweep(method: str, replications: int):
     """Suite x M_GRID x 10-per-window t values x both sides."""
-    rows = []
-    for model_id, m in standard_suite():
-        summary = summarize(m)
-        for side in (Side.UPPER, Side.LOWER):
-            ts = window_t_grid(summary, side, 10)
-            result = run_sweep(
-                models=[(model_id, m)],
-                M_grid=list(M_GRID),
-                t_grid=ts,
-                sides=[side],
-                replications=replications,
-                master_seed=MASTER_SEED,
-                method=method,
-            )
-            rows.extend(result.rows)
-    return rows
+    return run_sweep(
+        models=list(standard_suite()),
+        M_grid=list(M_GRID),
+        t_grid=10,
+        sides=[Side.UPPER, Side.LOWER],
+        replications=replications,
+        master_seed=MASTER_SEED,
+        method=method,
+    ).rows
 
 
 def test_criterion_1_bound_validity():

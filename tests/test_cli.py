@@ -15,6 +15,7 @@ from exchbound import (
     run_sweep,
     standard_suite,
 )
+from exchbound import montecarlo
 from exchbound.cli import ModelFileError, load_model_file, main, model_from_obj
 from exchbound.reporting import Report, from_csv, from_json, to_csv, to_json
 
@@ -251,6 +252,32 @@ class TestCliCommands:
         )
         assert code == 1
         assert "VIOLATION" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "extra,threads_env",
+        [
+            (["--t-grid", "auto:abc"], None),
+            (["--t-grid", "auto:0"], None),
+            (["--t-grid", "inf"], None),
+            (["--t-grid", "nan"], None),
+            (["--t-grid", "abc"], None),
+            (["--level", "1.5", "--method", "montecarlo"], None),
+            (["--m-grid", "0"], None),
+            ([], "abc"),
+        ],
+        ids=["auto-abc", "auto-0", "inf", "nan", "abc", "level", "m-0", "threads-env"],
+    )
+    def test_verify_rejects_bad_arguments_before_any_cell(
+        self, tmp_path, capsys, monkeypatch, extra, threads_env
+    ):
+        monkeypatch.setattr(montecarlo, "_sweep_cell", lambda *a, **k: pytest.fail("a cell ran"))
+        if threads_env is not None:
+            monkeypatch.setenv("EXCHBOUND_THREADS", threads_env)
+        out_path = tmp_path / "v.csv"
+        args = ["verify", "--m-grid", "2", "--t-grid", "0.1", "--reps", "100", *extra]
+        assert main(args + ["--out", str(out_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_verify_formats_agree(self, tmp_path):
         common = [

@@ -1,6 +1,8 @@
 """Estimator correctness, determinism, histograms, and sweeps."""
 
+import hashlib
 import math
+import statistics
 
 import pytest
 from scipy import stats
@@ -24,6 +26,7 @@ from exchbound import (
     sample_mean_histogram,
     sample_sequence,
     standard_suite,
+    suite_model,
     wilson_interval,
 )
 from exchbound.sampler import mix64
@@ -200,7 +203,7 @@ class TestRunSweep:
                 master_seed=1,
             )
 
-    def test_single_cell_matches_direct_estimate(self):
+    def test_single_cell_matches_content_addressed_seed(self):
         q = TailQuery(M=4, t=0.07, side=Side.UPPER)
         result = run_sweep(
             models=[("two_atom", TWO_ATOM)],
@@ -212,11 +215,39 @@ class TestRunSweep:
             method="montecarlo",
         )
         row = result.rows[0]
-        direct = estimate_tail(TWO_ATOM, q, 30_000, master_seed=mix64(53, 0))
+        key = repr(("two_atom", 4, (0.07).hex(), "upper")).encode()
+        k = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
+        direct = estimate_tail(TWO_ATOM, q, 30_000, master_seed=mix64(53, k))
         assert row.value == direct.p_hat
         assert row.ci_low == direct.ci_low
         assert row.ci_high == direct.ci_high
         assert row.method == "montecarlo"
+
+    def test_shared_cells_keep_their_rows(self):
+        models = list(standard_suite())
+        both = [Side.UPPER, Side.LOWER]
+        common = dict(replications=2_000, master_seed=83, method="montecarlo")
+        full = run_sweep(models, [2, 5], [0.04, 0.09, 0.13], both, **common)
+        by_key = {(r.model_id, r.M, r.t, r.side): r for r in full.rows}
+        parts = [
+            run_sweep(models, [2, 5], [0.04, 0.09], both, **common),  # shorter t grid
+            run_sweep(models[2:3], [2, 5], [0.04, 0.09, 0.13], both, **common),  # one model
+            run_sweep(models, [2, 5], [0.04, 0.09, 0.13], [Side.LOWER], **common),  # one side
+        ]
+        for part in parts:
+            for row in part.rows:
+                assert row == by_key[(row.model_id, row.M, row.t, row.side)]
+
+    def test_upper_and_lower_estimates_are_not_mirrored(self):
+        # numpy draws Binomial(n, p > 1/2) as n - Binomial(n, 1 - p), so a
+        # lower cell sharing its upper twin's stream mirrors its draws
+        bern03 = [("bern03", suite_model("bern03"))]
+        values = {Side.UPPER: [], Side.LOWER: []}
+        for seed in range(30):
+            for side, column in values.items():
+                result = run_sweep(bern03, [5], [0.05], [side], 2_000, seed, method="montecarlo")
+                column.append(result.rows[0].value)
+        assert statistics.correlation(values[Side.UPPER], values[Side.LOWER]) > -0.5
 
     def test_oracle_preferred_in_auto_mode(self):
         result = run_sweep(
@@ -251,14 +282,14 @@ class TestRunSweep:
         result = run_sweep(
             models=[("discrete", discrete)],
             M_grid=[100],
-            t_grid=[0.0, 0.1],
+            t_grid=[0.0, 0.1, math.inf],
             sides=[Side.UPPER],
             replications=100,
             master_seed=61,
             method="exact",
         )
         methods = [row.method for row in result.rows]
-        assert methods == ["error:InvalidT", "error:MTooLarge"]
+        assert methods == ["error:InvalidT", "error:MTooLarge", "error:InvalidT"]
         assert all(not row.violation for row in result.rows)
 
     def test_deterministic_rows(self):
