@@ -8,8 +8,10 @@ verify     sweep models x M x t x sides, flag bound violations, write a report
 ci         deviation radius for a target two-sided confidence level
 histogram  empirical distribution of the sample mean
 
-Exit codes: 0 success (verify: zero violations), 1 verify found
-violations, 2 invalid arguments or model file, 3 output I/O failure.
+Exit codes: 0 success (verify: every cell evaluated, zero violations),
+1 verify found violations, 2 invalid arguments or model file (verify:
+also when a cell failed; the report is still written), 3 output I/O
+failure.
 
 Observations on a general range [a, b] are supported by affine
 rescaling at this boundary only: pass ``--range a b`` to bounds/ci and
@@ -181,9 +183,9 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _print_bound_line(side: Side, mu_eff: float, anchor: float, M: int, t: float) -> None:
+def _bound_line(side: Side, mu_eff: float, anchor: float, M: int, t: float) -> str:
     report = tail_bound_report(mu_eff, M, t)
-    print(
+    return (
         f"side={side} anchor_mu={format_value(anchor)} "
         f"t_max={format_value(1.0 - mu_eff)} valid={format_value(report.in_validity_range)} "
         f"hoeffding={format_value(report.hoeffding_form)} h0={format_value(report.h0)} "
@@ -234,12 +236,15 @@ def cmd_bounds(args) -> int:
             f"need 0 <= mu_minus <= mu_plus <= 1, got {mu_minus}, {mu_plus}"
         )
     t = args.t / scale
+    # both reports validate M and t before anything is printed
+    upper = _bound_line(Side.UPPER, mu_plus, mu_plus, args.m, t)
+    lower = _bound_line(Side.LOWER, 1.0 - mu_minus, mu_minus, args.m, t)
     print(
         f"M={args.m} t={format_value(t)}"
         + (f" (data units: {format_value(args.t)})" if scale != 1.0 else "")
     )
-    _print_bound_line(Side.UPPER, mu_plus, mu_plus, args.m, t)
-    _print_bound_line(Side.LOWER, 1.0 - mu_minus, mu_minus, args.m, t)
+    print(upper)
+    print(lower)
     return EXIT_OK
 
 
@@ -275,7 +280,22 @@ class _IOFailure(Exception):
     pass
 
 
+def _check_run_args(
+    m_grid: Sequence[int], t_grid: Union[int, Sequence[float]], level: float
+) -> None:
+    """Reject bad run-level arguments before any cell runs."""
+    if min(m_grid) < 1:
+        raise ExchboundError(f"M values must be >= 1, got {min(m_grid)}")
+    ts = [] if isinstance(t_grid, int) else t_grid  # auto:N is checked when parsed
+    for t in ts:
+        if not 0.0 < t < math.inf:
+            raise ExchboundError(f"t values must be finite and > 0, got {t!r}")
+    if not 0.0 < level < 1.0:
+        raise ExchboundError(f"--level must lie in (0,1), got {level!r}")
+
+
 def cmd_simulate(args) -> int:
+    _check_run_args([args.m], [args.t], args.level)
     model = load_model_file(args.model)
     model_id = Path(args.model).stem
     sweep = run_sweep(
@@ -313,12 +333,9 @@ def _parse_t_grid(tokens: Sequence[str]) -> Union[int, list[float]]:
     ts = []
     for token in tokens:
         try:
-            t = float(token)
+            ts.append(float(token))
         except ValueError:
-            t = math.nan  # rejected below
-        if not 0.0 < t < math.inf:
-            raise ExchboundError(f"--t-grid values must be finite and > 0, got {token!r}")
-        ts.append(t)
+            raise ExchboundError(f"--t-grid values must be numbers, got {token!r}") from None
     return ts
 
 
@@ -326,10 +343,7 @@ def cmd_verify(args) -> int:
     models = _load_models(args)
     m_grid = args.m_grid or list(DEFAULT_M_GRID)
     t_grid = _parse_t_grid(args.t_grid or [DEFAULT_T_GRID])
-    if min(m_grid) < 1:
-        raise ExchboundError(f"--m-grid values must be >= 1, got {min(m_grid)}")
-    if not 0.0 < args.level < 1.0:
-        raise ExchboundError(f"--level must lie in (0,1), got {args.level!r}")
+    _check_run_args(m_grid, t_grid, args.level)
 
     sweep = run_sweep(
         models=models,
@@ -345,8 +359,9 @@ def cmd_verify(args) -> int:
     report = Report.from_sweep(sweep, __version__, _timestamp())
     _write_or_fail(report, args.out, args.format)
     n_violations = len(report.violations)
+    n_errors = sum(row.method.startswith("error:") for row in report.rows)
     print(
-        f"cells={len(report.rows)} violations={n_violations} "
+        f"cells={len(report.rows)} violations={n_violations} errors={n_errors} "
         f"models={len(models)} reps={args.reps}"
     )
     for row in report.violations:
@@ -355,7 +370,11 @@ def cmd_verify(args) -> int:
             f"value={format_value(row.value)} ci_low={format_value(row.ci_low)} "
             f"bound={format_value(row.hoeffding)}"
         )
-    return EXIT_OK if n_violations == 0 else EXIT_VIOLATION
+    if n_errors:
+        print(f"error: {n_errors} cells failed", file=sys.stderr)
+    if n_violations:
+        return EXIT_VIOLATION
+    return EXIT_USAGE if n_errors else EXIT_OK
 
 
 def cmd_histogram(args) -> int:

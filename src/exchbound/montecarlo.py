@@ -1,20 +1,26 @@
 """Replicated simulation of tail events, and verification sweeps.
 
-Estimation samples the conditional law of the batch sum directly: given
-the drawn component, S = X_1 + ... + X_M is Binomial(M, p) for Bernoulli
-components, a deterministic constant for point masses, and an M-fold sum
-of i.i.d. draws otherwise.  This is distributionally identical to
-materializing the M individual observations (the batch is conditionally
-i.i.d.), and it is what makes 10^5-replication sweeps over hundreds of
-cells affordable.  The per-observation sampler in
-:mod:`exchbound.sampler` remains the reference mechanism and the tests
-cross-validate the two.
+One sampler, ``_block_sums``, draws the conditional law of the batch
+sum for both estimates and histograms: given the drawn component,
+S = X_1 + ... + X_M is Binomial(M, p) for Bernoulli components, a
+deterministic constant for point masses, a sum of M Beta draws for Beta
+components, and a sum of M inverse-CDF draws (the sampler's own
+``pick_index`` over the point weights) for discrete components.  This is
+distributionally identical to materializing the M individual
+observations (the batch is conditionally i.i.d.), and it is what makes
+10^5-replication sweeps over hundreds of cells affordable.  The
+per-observation sampler in :mod:`exchbound.sampler` remains the
+reference mechanism and the tests cross-validate the two.
 
 Replications are processed in fixed blocks of 2^16, one derived stream
 per (master_seed, block_index); exceedance counts are exact integers
 summed over blocks, so results do not depend on execution order or
-thread count.  Lower-tail queries are routed through the reflected model
-exactly as in the oracle, so both engines share one event convention.
+thread count.  Estimation computes upper tails only: a lower-tail query
+is the reflected model's upper tail, exactly as in the oracle.  The
+event S >= M*(mu_plus + t) is decided against the exact rational
+threshold: integer sums (Bernoulli and parameter-mixture components) and
+point masses match the oracle's decision exactly, while discrete and
+Beta sums are float sums, exact only up to their summation rounding.
 
 Sweeps evaluate a grid of (model, M, t, side) cells, preferring the
 exact oracle and falling back to Monte Carlo where no exact path exists.
@@ -37,7 +43,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 from scipy import stats
@@ -57,7 +63,7 @@ from .model import (
     summarize,
 )
 from .oracle import ExactTail, exact_tail, flip_model
-from .sampler import SeedSpec, derive_stream, mix64, pick_atom
+from .sampler import SeedSpec, derive_stream, mix64, pick_index
 
 BLOCK_SIZE = 1 << 16
 
@@ -109,7 +115,10 @@ def wilson_interval(successes: int, n: int, level: float = DEFAULT_CI_LEVEL):
 
 def _float_ceil(x: Fraction) -> float:
     """Smallest float >= x; compares float sums against exact thresholds."""
-    f = float(x)
+    try:
+        f = float(x)
+    except OverflowError:  # a positive x past the float range: no sum reaches it
+        return math.inf
     if Fraction(f) >= x:
         g = math.nextafter(f, -math.inf)
         while Fraction(g) >= x:
@@ -122,51 +131,39 @@ def _upper_threshold(summary: ModelSummary, M: int, t: float) -> Fraction:
     return Fraction(M) * (Fraction(summary.mu_plus) + Fraction(t))
 
 
-def _count_exceed_block(
-    m: MixingMeasure, M: int, thr: Fraction, n: int, gen: np.random.Generator
-) -> int:
-    """Replications in this block with S >= thr (upper-side convention)."""
-    k_int = math.ceil(thr)  # integer-sum components
-    f_thr = _float_ceil(thr)  # float-sum components
+def _block_sums(
+    m: MixingMeasure, M: int, n: int, gen: np.random.Generator
+) -> Iterator[tuple[Optional[Component], np.ndarray]]:
+    """Draw n conditional sums S, grouped by drawn atom in atom order.
+
+    Yields (component, sums) per atom drawn at least once; a parameter
+    mixture yields (None, sums) once.  A point-mass sum is M*float(c).
+    Both callers only count, so the sums need not be put back in
+    replication order.
+    """
     if isinstance(m, BernoulliParamMixture):
         p = m.density.quantile(gen.random(n))
-        sums = gen.binomial(M, p)
-        return int(np.count_nonzero(sums >= k_int))
+        yield None, gen.binomial(M, p)
+        return
     assert isinstance(m, FiniteMixture)
-    idx = pick_atom(m, gen.random(n))
-    count = 0
+    idx = pick_index(m.weights, gen.random(n))
     for i, (_, c) in enumerate(m.atoms):
         ni = int(np.count_nonzero(idx == i))
         if ni == 0:
             continue
-        count += _count_component(c, M, k_int, f_thr, thr, ni, gen)
-    return count
-
-
-def _count_component(
-    c: Component,
-    M: int,
-    k_int: int,
-    f_thr: float,
-    thr: Fraction,
-    ni: int,
-    gen: np.random.Generator,
-) -> int:
-    if isinstance(c, Bernoulli):
-        sums = gen.binomial(M, float(c.p), size=ni)
-        return int(np.count_nonzero(sums >= k_int))
-    if isinstance(c, PointMass):
-        return ni if M * Fraction(c.c) >= thr else 0
-    if isinstance(c, DiscreteOnUnit):
-        cum = np.cumsum(np.asarray(c.weights, dtype=np.float64))
-        pos = np.searchsorted(cum, gen.random((ni, M)), side="right")
-        pos = np.minimum(pos, len(c.points) - 1)
-        sums = np.asarray(c.points, dtype=np.float64)[pos].sum(axis=1)
-        return int(np.count_nonzero(sums >= f_thr))
-    if isinstance(c, Beta):
-        sums = gen.beta(c.alpha, c.beta, size=(ni, M)).sum(axis=1)
-        return int(np.count_nonzero(sums >= f_thr))
-    raise TypeError(f"not a Component: {c!r}")
+        if isinstance(c, Bernoulli):
+            yield c, gen.binomial(M, float(c.p), size=ni)
+        elif isinstance(c, PointMass):
+            yield c, np.full(ni, M * float(c.c))
+        elif isinstance(c, Beta):
+            yield c, gen.beta(c.alpha, c.beta, size=(ni, M)).sum(axis=1)
+        elif isinstance(c, DiscreteOnUnit):
+            # component_quantile's draw, with the (ni, M) uniforms freed
+            # before the gather: two such arrays live at once, not three
+            points = np.asarray(c.points, dtype=np.float64)
+            yield c, points[pick_index(c.weights, gen.random((ni, M)))].sum(axis=1)
+        else:
+            raise TypeError(f"not a Component: {c!r}")
 
 
 def _blocks(replications: int):
@@ -202,10 +199,16 @@ def estimate_tail(
             level,
         )
     thr = _upper_threshold(summarize(m), q.M, q.t)
+    f_thr = _float_ceil(thr)  # a float sum s has s >= thr iff s >= f_thr
     exceed = 0
     for block_index, size in _blocks(replications):
         gen = derive_stream(SeedSpec(master_seed=master_seed, replication_index=block_index))
-        exceed += _count_exceed_block(m, q.M, thr, size, gen)
+        for c, sums in _block_sums(m, q.M, size, gen):
+            if isinstance(c, PointMass):
+                # M*float(c) can round across thr; decide the constant exactly
+                exceed += len(sums) if q.M * Fraction(c.c) >= thr else 0
+            else:
+                exceed += int(np.count_nonzero(sums >= f_thr))
     ci_low, ci_high = wilson_interval(exceed, replications, level)
     return TailEstimate(
         p_hat=exceed / replications,
@@ -233,37 +236,6 @@ class HistogramResult:
     master_seed: int
 
 
-def _block_means(
-    m: MixingMeasure, M: int, n: int, gen: np.random.Generator
-) -> np.ndarray:
-    if isinstance(m, BernoulliParamMixture):
-        p = m.density.quantile(gen.random(n))
-        return gen.binomial(M, p) / M
-    assert isinstance(m, FiniteMixture)
-    idx = pick_atom(m, gen.random(n))
-    means = np.empty(n, dtype=np.float64)
-    for i, (_, c) in enumerate(m.atoms):
-        sel = idx == i
-        ni = int(np.count_nonzero(sel))
-        if ni == 0:
-            continue
-        if isinstance(c, Bernoulli):
-            sums = gen.binomial(M, float(c.p), size=ni).astype(np.float64)
-        elif isinstance(c, PointMass):
-            sums = np.full(ni, M * float(c.c))
-        elif isinstance(c, DiscreteOnUnit):
-            cum = np.cumsum(np.asarray(c.weights, dtype=np.float64))
-            pos = np.searchsorted(cum, gen.random((ni, M)), side="right")
-            pos = np.minimum(pos, len(c.points) - 1)
-            sums = np.asarray(c.points, dtype=np.float64)[pos].sum(axis=1)
-        elif isinstance(c, Beta):
-            sums = gen.beta(c.alpha, c.beta, size=(ni, M)).sum(axis=1)
-        else:
-            raise TypeError(f"not a Component: {c!r}")
-        means[sel] = np.clip(sums / M, 0.0, 1.0)
-    return means
-
-
 def sample_mean_histogram(
     m: MixingMeasure, M: int, replications: int, bins: int, master_seed: int
 ) -> HistogramResult:
@@ -278,9 +250,8 @@ def sample_mean_histogram(
     counts = np.zeros(bins, dtype=np.int64)
     for block_index, size in _blocks(replications):
         gen = derive_stream(SeedSpec(master_seed=master_seed, replication_index=block_index))
-        means = _block_means(m, M, size, gen)
-        block_counts, _ = np.histogram(means, bins=edges)
-        counts += block_counts
+        for _, sums in _block_sums(m, M, size, gen):
+            counts += np.histogram(np.clip(sums / M, 0.0, 1.0), bins=edges)[0]
     return HistogramResult(
         bin_edges=tuple(float(e) for e in edges),
         counts=tuple(int(c) for c in counts),
@@ -436,8 +407,10 @@ def run_sweep(
     ``method`` selects the engine per cell: "auto" prefers the exact
     oracle and falls back to Monte Carlo, "exact" and "montecarlo" force
     one engine.  Per-cell failures become rows with method "error:<name>"
-    rather than aborting the sweep.  ``bound_scale`` is a verification
-    hook that scales the exp(-2Mt^2) value used in violation checks.
+    rather than aborting the sweep.  Two cells with the same row key
+    (model_id, M, t, side) raise DomainError before any cell runs.
+    ``bound_scale`` is a verification hook that scales the exp(-2Mt^2)
+    value used in violation checks.
 
     Cells are independent; with ``threads`` > 1 (or the EXCHBOUND_THREADS
     environment variable) they are evaluated concurrently.  A Monte Carlo
@@ -460,12 +433,20 @@ def run_sweep(
     n_threads = _resolve_threads(threads)
 
     cells: list[_Cell] = []
+    keys = set()
     for model_id, m in models:
         summary = summarize(m)
         for side in sides:
             ts = window_t_grid(summary, side, t_grid) if isinstance(t_grid, int) else t_grid
             for M in M_grid:
                 for t in ts:
+                    # a repeated key would repeat a row and share its random stream
+                    key = (model_id, M, t, side)
+                    if key in keys:
+                        raise DomainError(
+                            f"duplicate cell model_id={model_id!r} M={M} t={t!r} side={side}"
+                        )
+                    keys.add(key)
                     cells.append((model_id, m, summary, M, t, side))
 
     evaluate = functools.partial(

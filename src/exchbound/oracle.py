@@ -21,10 +21,11 @@ rounding.
 
 Lower tails are computed by reflection: mu_minus - Xbar >= t holds for a
 model exactly when Xbar' - mu_plus' >= t holds for the reflected model
-(X' = 1 - X), whose largest component mean is 1 - mu_minus.  The public
-``exact_tail`` routes lower queries through :func:`flip_model` and the
-upper-tail code path, which makes that duality an identity of the
-implementation, not merely of the mathematics.
+(X' = 1 - X), whose largest component mean is 1 - mu_minus, and
+S <= thr holds exactly when S' >= M - thr.  ``exact_tail`` and
+``exact_sum_tail`` route lower queries through :func:`flip_model` and
+the one upper-tail code path, which makes that duality an identity of
+the implementation, not merely of the mathematics.
 """
 
 from __future__ import annotations
@@ -151,23 +152,24 @@ def exact_sum_tail(
 ) -> ExactTail:
     """Exact tail of the sum S = X_1 + ... + X_M against a raw threshold.
 
-    Upper side: P(S >= threshold); lower side: P(S <= threshold).  The
+    Upper side: P(S >= threshold); lower side: P(S <= threshold),
+    computed as P(S' >= M - threshold) for the reflected model.  The
     threshold may be any real (float or Fraction); comparisons are exact
     in rational arithmetic.
     """
     if M < 1:
         raise DomainError(f"M must be >= 1, got {M}")
     thr = Fraction(threshold)
+    if side is Side.LOWER:
+        return exact_sum_tail(flip_model(m), M, M - thr, Side.UPPER)
     if isinstance(m, FiniteMixture):
-        return _finite_mixture_sum_tail(m, M, thr, side)
+        return _finite_mixture_sum_tail(m, M, thr)
     if isinstance(m, BernoulliParamMixture):
-        return _param_mixture_sum_tail(m, M, thr, side)
+        return _param_mixture_sum_tail(m, M, thr)
     raise TypeError(f"not a MixingMeasure: {m!r}")
 
 
-def _finite_mixture_sum_tail(
-    m: FiniteMixture, M: int, thr: Fraction, side: Side
-) -> ExactTail:
+def _finite_mixture_sum_tail(m: FiniteMixture, M: int, thr: Fraction) -> ExactTail:
     for c in m.components:
         if isinstance(c, Beta):
             raise UnsupportedModel(
@@ -177,38 +179,29 @@ def _finite_mixture_sum_tail(
     method = TailMethod.BINOMIAL_CLOSED_FORM
     for w, c in m.atoms:
         if isinstance(c, Bernoulli):
-            parts.append(w * _binomial_sum_tail(M, float(c.p), thr, side))
+            parts.append(w * _binomial_sum_tail(M, float(c.p), thr))
         elif isinstance(c, PointMass):
             method = TailMethod.DISCRETE_CONVOLUTION
-            s = M * Fraction(c.c)
-            hit = s >= thr if side is Side.UPPER else s <= thr
-            parts.append(w if hit else 0.0)
+            parts.append(w if M * Fraction(c.c) >= thr else 0.0)
         elif isinstance(c, DiscreteOnUnit):
             method = TailMethod.DISCRETE_CONVOLUTION
-            parts.append(w * _discrete_sum_tail(c, M, thr, side))
+            parts.append(w * _discrete_sum_tail(c, M, thr))
         else:
             raise TypeError(f"not a Component: {c!r}")
     prob = min(1.0, max(0.0, math.fsum(parts)))
     return ExactTail(probability=prob, method=method)
 
 
-def _binomial_sum_tail(M: int, p: float, thr: Fraction, side: Side) -> float:
-    if side is Side.UPPER:
-        k = math.ceil(thr)  # S >= thr iff S >= ceil(thr) on the integer lattice
-        if k <= 0:
-            return 1.0
-        if k > M:
-            return 0.0
-        return float(stats.binom.sf(k - 1, M, p))
-    k = math.floor(thr)
-    if k < 0:
-        return 0.0
-    if k >= M:
+def _binomial_sum_tail(M: int, p: float, thr: Fraction) -> float:
+    k = math.ceil(thr)  # S >= thr iff S >= ceil(thr) on the integer lattice
+    if k <= 0:
         return 1.0
-    return float(stats.binom.cdf(k, M, p))
+    if k > M:
+        return 0.0
+    return float(stats.binom.sf(k - 1, M, p))
 
 
-def _discrete_sum_tail(c: DiscreteOnUnit, M: int, thr: Fraction, side: Side) -> float:
+def _discrete_sum_tail(c: DiscreteOnUnit, M: int, thr: Fraction) -> float:
     if len(c.points) > 1 and M > CONVOLUTION_MAX_M:
         raise MTooLarge(
             f"M={M} exceeds the convolution guard {CONVOLUTION_MAX_M} "
@@ -223,36 +216,21 @@ def _discrete_sum_tail(c: DiscreteOnUnit, M: int, thr: Fraction, side: Side) -> 
                 key = s + x
                 nxt[key] = nxt.get(key, 0.0) + ps * px
         dist = nxt
-    if side is Side.UPPER:
-        hits = [p for s, p in dist.items() if s >= thr]
-    else:
-        hits = [p for s, p in dist.items() if s <= thr]
-    return min(1.0, math.fsum(hits))
+    return min(1.0, math.fsum(p for s, p in dist.items() if s >= thr))
 
 
 def _param_mixture_sum_tail(
-    m: BernoulliParamMixture, M: int, thr: Fraction, side: Side
+    m: BernoulliParamMixture, M: int, thr: Fraction
 ) -> ExactTail:
     d = m.density
-    if side is Side.UPPER:
-        k = math.ceil(thr)
-        if k <= 0:
-            return ExactTail(1.0, TailMethod.QUADRATURE_OVER_BINOMIAL, 0.0)
-        if k > M:
-            return ExactTail(0.0, TailMethod.QUADRATURE_OVER_BINOMIAL, 0.0)
+    k = math.ceil(thr)
+    if k <= 0:
+        return ExactTail(1.0, TailMethod.QUADRATURE_OVER_BINOMIAL, 0.0)
+    if k > M:
+        return ExactTail(0.0, TailMethod.QUADRATURE_OVER_BINOMIAL, 0.0)
 
-        def integrand(p: float) -> float:
-            return float(stats.binom.sf(k - 1, M, p)) * d.pdf(p)
-
-    else:
-        k = math.floor(thr)
-        if k < 0:
-            return ExactTail(0.0, TailMethod.QUADRATURE_OVER_BINOMIAL, 0.0)
-        if k >= M:
-            return ExactTail(1.0, TailMethod.QUADRATURE_OVER_BINOMIAL, 0.0)
-
-        def integrand(p: float) -> float:
-            return float(stats.binom.cdf(k, M, p)) * d.pdf(p)
+    def integrand(p: float) -> float:
+        return float(stats.binom.sf(k - 1, M, p)) * d.pdf(p)
 
     value, err = _adaptive_quad(integrand, float(d.lo), float(d.hi), QUADRATURE_BUDGET)
     return ExactTail(

@@ -24,6 +24,7 @@ nothing else touches the stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy import special
@@ -98,20 +99,21 @@ def component_quantile(c: Component, u: np.ndarray) -> np.ndarray:
     if isinstance(c, PointMass):
         return np.full(u.shape, float(c.c))
     if isinstance(c, DiscreteOnUnit):
-        cum = np.cumsum(np.asarray(c.weights, dtype=np.float64))
-        idx = np.searchsorted(cum, u, side="right")
-        idx = np.minimum(idx, len(c.points) - 1)  # guard cum[-1] < 1 by rounding
-        return np.asarray(c.points, dtype=np.float64)[idx]
+        return np.asarray(c.points, dtype=np.float64)[pick_index(c.weights, u)]
     if isinstance(c, Beta):
         return np.asarray(special.betaincinv(c.alpha, c.beta, u), dtype=np.float64)
     raise TypeError(f"not a Component: {c!r}")
 
 
-def pick_atom(m: FiniteMixture, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF atom selection over the mixture weights."""
-    cum = np.cumsum(np.asarray(m.weights, dtype=np.float64))
-    idx = np.searchsorted(cum, np.asarray(u, dtype=np.float64), side="right")
-    return np.minimum(idx, len(m.atoms) - 1)
+def pick_index(weights: Sequence[float], u: np.ndarray) -> np.ndarray:
+    """Inverse CDF of the index law given by ``weights``, over uniforms u.
+
+    Selects mixture atoms and discrete points alike.
+    """
+    cum = np.cumsum(np.asarray(weights, dtype=np.float64))
+    # asarray: a scalar u gives a scalar index, which cannot be an out=
+    idx = np.asarray(np.searchsorted(cum, np.asarray(u, dtype=np.float64), side="right"))
+    return np.minimum(idx, len(weights) - 1, out=idx)  # guard cum[-1] < 1 by rounding
 
 
 def sample_sequence(m: MixingMeasure, M: int, seed: SeedSpec) -> SampleBatch:
@@ -125,7 +127,7 @@ def sample_sequence(m: MixingMeasure, M: int, seed: SeedSpec) -> SampleBatch:
     gen = derive_stream(seed)
     u0 = gen.random()
     if isinstance(m, FiniteMixture):
-        idx = int(pick_atom(m, np.array([u0]))[0])
+        idx = int(pick_index(m.weights, np.array([u0]))[0])
         component: Component = m.components[idx]
     elif isinstance(m, BernoulliParamMixture):
         idx = None

@@ -254,30 +254,65 @@ class TestCliCommands:
         assert "VIOLATION" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "extra,threads_env",
+        "command,extra,threads_env",
         [
-            (["--t-grid", "auto:abc"], None),
-            (["--t-grid", "auto:0"], None),
-            (["--t-grid", "inf"], None),
-            (["--t-grid", "nan"], None),
-            (["--t-grid", "abc"], None),
-            (["--level", "1.5", "--method", "montecarlo"], None),
-            (["--m-grid", "0"], None),
-            ([], "abc"),
+            ("verify", ["--t-grid", "auto:abc"], None),
+            ("verify", ["--t-grid", "auto:0"], None),
+            ("verify", ["--t-grid", "inf"], None),
+            ("verify", ["--t-grid", "nan"], None),
+            ("verify", ["--t-grid", "abc"], None),
+            ("verify", ["--level", "1.5", "--method", "montecarlo"], None),
+            ("verify", ["--m-grid", "0"], None),
+            ("verify", [], "abc"),
+            ("verify", ["--m-grid", "2", "2"], None),
+            ("verify", ["--t-grid", "0.1", "0.1"], None),
+            ("verify", ["--model", "a/m.json", "--model", "b/m.json"], None),
+            ("simulate", ["--t", "inf"], None),
+            ("simulate", ["--t", "0"], None),
+            ("simulate", ["--m", "0"], None),
+            ("simulate", ["--level", "1.5"], None),
+            ("bounds", ["--m", "0"], None),
         ],
-        ids=["auto-abc", "auto-0", "inf", "nan", "abc", "level", "m-0", "threads-env"],
+        ids=[
+            "auto-abc", "auto-0", "inf", "nan", "abc", "level", "m-0", "threads-env",
+            "m-duplicate", "t-duplicate", "model-id-duplicate",
+            "simulate-inf", "simulate-t-0", "simulate-m-0", "simulate-level", "bounds-m-0",
+        ],
     )
     def test_verify_rejects_bad_arguments_before_any_cell(
-        self, tmp_path, capsys, monkeypatch, extra, threads_env
+        self, tmp_path, capsys, monkeypatch, command, extra, threads_env
     ):
         monkeypatch.setattr(montecarlo, "_sweep_cell", lambda *a, **k: pytest.fail("a cell ran"))
         if threads_env is not None:
             monkeypatch.setenv("EXCHBOUND_THREADS", threads_env)
+        for sub in ("a", "b"):  # two model files that share the stem "m"
+            (tmp_path / sub).mkdir()
+            write_model(tmp_path / sub, TWO_ATOM_DOC, name="m.json")
+        monkeypatch.chdir(tmp_path)
         out_path = tmp_path / "v.csv"
-        args = ["verify", "--m-grid", "2", "--t-grid", "0.1", "--reps", "100", *extra]
-        assert main(args + ["--out", str(out_path)]) == 2
-        assert "error:" in capsys.readouterr().err
+        base = {
+            "verify": ["--m-grid", "2", "--t-grid", "0.1", "--reps", "100"],
+            "simulate": ["--model", "a/m.json", "--m", "2", "--t", "0.1", "--reps", "100"],
+            "bounds": ["--mu-plus", "0.8", "--mu-minus", "0.2", "--m", "2", "--t", "0.1"],
+        }[command]
+        out = [] if command == "bounds" else ["--out", str(out_path)]
+        assert main([command, *base, *extra, *out]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
         assert not out_path.exists()
+
+    def test_verify_failed_cells_exit_2_after_writing_the_report(self, tmp_path, capsys):
+        # three_atom_discrete has no exact path past the convolution guard
+        out_path = tmp_path / "v.csv"
+        args = ["verify", "--method", "exact", "--m-grid", "65", "--t-grid", "0.1"]
+        assert main(args + ["--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith("cells=10 violations=0 errors=2 ")
+        assert "error: 2 cells failed" in captured.err
+        methods = [row.method for row in from_csv(out_path.read_text()).rows]
+        assert methods.count("error:MTooLarge") == 2
+        assert len(methods) == 10
 
     def test_verify_formats_agree(self, tmp_path):
         common = [

@@ -29,6 +29,7 @@ from exchbound import (
     suite_model,
     wilson_interval,
 )
+from exchbound import montecarlo
 from exchbound.sampler import mix64
 
 TWO_ATOM = FiniteMixture([(0.5, Bernoulli(0.2)), (0.5, Bernoulli(0.8))])
@@ -114,6 +115,23 @@ class TestEstimateTail:
         q = TailQuery(M=5, t=0.05, side=Side.UPPER)
         est = estimate_tail(m, q, 20_000, master_seed=19)
         assert 0.0 <= est.p_hat <= 1.0
+
+    @pytest.mark.parametrize("t", [5e-18, 1e-300])
+    @pytest.mark.parametrize("side", [Side.UPPER, Side.LOWER])
+    def test_point_mass_decided_exactly(self, side, t):
+        # 3*float(0.1) rounds up past 3*(0.1 + 5e-18); the exact sum 3*0.1
+        # lies below that threshold, so no replication may count
+        m = FiniteMixture([(1.0, PointMass(0.1))])
+        q = TailQuery(M=3, t=t, side=side)
+        assert exact_tail(m, q).probability == 0.0
+        assert estimate_tail(m, q, 1_000, master_seed=29).exceed_count == 0
+
+    @pytest.mark.parametrize("side", [Side.UPPER, Side.LOWER])
+    def test_threshold_beyond_float_range(self, side):
+        # M*(mu_plus + t) overflows a float; the event is still decided
+        q = TailQuery(M=2, t=1e308, side=side)
+        assert exact_tail(TWO_ATOM, q).probability == 0.0
+        assert estimate_tail(TWO_ATOM, q, 1_000, master_seed=31).exceed_count == 0
 
     def test_deterministic_and_exact_ratio(self):
         q = TailQuery(M=2, t=0.15, side=Side.UPPER)
@@ -202,6 +220,22 @@ class TestRunSweep:
                 replications=10,
                 master_seed=1,
             )
+
+    @pytest.mark.parametrize(
+        "models,M_grid,t_grid",
+        [
+            ([("two_atom", TWO_ATOM)], [2, 2], [0.1]),
+            ([("two_atom", TWO_ATOM)], [2], [0.1, 0.1]),
+            ([("two_atom", TWO_ATOM), ("two_atom", ZERO_ONE)], [2], [0.1]),
+        ],
+        ids=["M", "t", "model_id"],
+    )
+    def test_duplicate_row_keys_rejected(self, monkeypatch, models, M_grid, t_grid):
+        monkeypatch.setattr(
+            montecarlo, "_sweep_cell", lambda *a, **k: pytest.fail("a cell ran")
+        )
+        with pytest.raises(DomainError, match="model_id='two_atom' M=2 t=0.1 side=upper"):
+            run_sweep(models, M_grid, t_grid, [Side.UPPER], 10, 1)
 
     def test_single_cell_matches_content_addressed_seed(self):
         q = TailQuery(M=4, t=0.07, side=Side.UPPER)

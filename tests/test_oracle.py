@@ -32,8 +32,9 @@ from exchbound import (
 TWO_ATOM = FiniteMixture([(0.5, Bernoulli(0.2)), (0.5, Bernoulli(0.8))])
 
 
-def enumerate_upper_tail(m: FiniteMixture, M: int, threshold) -> float:
-    """Brute-force oracle: sum over all value tuples with S >= threshold."""
+def enumerate_tail(m: FiniteMixture, M: int, threshold, side=Side.UPPER) -> float:
+    """Brute-force oracle: sum over all value tuples with S >= threshold
+    (upper side) or S <= threshold (lower side)."""
     thr = Fraction(threshold)
     total = 0.0
     for w, c in m.atoms:
@@ -47,7 +48,7 @@ def enumerate_upper_tail(m: FiniteMixture, M: int, threshold) -> float:
             raise AssertionError("enumeration oracle needs discrete components")
         for combo in itertools.product(range(len(points)), repeat=M):
             s = sum(Fraction(points[i]) for i in combo)
-            if s >= thr:
+            if (s >= thr if side is Side.UPPER else s <= thr):
                 total += w * math.prod(weights[i] for i in combo)
     return total
 
@@ -82,7 +83,7 @@ class TestFiniteMixtureTails:
         for t in (0.05, 0.11, 0.19):
             thr = Fraction(M) * (Fraction(0.8) + Fraction(t))
             got = exact_tail(TWO_ATOM, TailQuery(M=M, t=t, side=Side.UPPER)).probability
-            assert got == pytest.approx(enumerate_upper_tail(TWO_ATOM, M, thr), abs=1e-12)
+            assert got == pytest.approx(enumerate_tail(TWO_ATOM, M, thr), abs=1e-12)
 
     @pytest.mark.parametrize("M", [1, 2, 3, 4])
     def test_convolution_path_matches_enumeration(self, M):
@@ -98,7 +99,7 @@ class TestFiniteMixtureTails:
             got = exact_tail(m, TailQuery(M=M, t=t, side=Side.UPPER))
             assert got.method is TailMethod.DISCRETE_CONVOLUTION
             assert got.probability == pytest.approx(
-                enumerate_upper_tail(m, M, thr), abs=1e-12
+                enumerate_tail(m, M, thr), abs=1e-12
             )
 
     def test_mixed_atom_kinds(self):
@@ -113,7 +114,7 @@ class TestFiniteMixtureTails:
         mu_plus = summarize(m).mu_plus
         thr = Fraction(M) * (Fraction(mu_plus) + Fraction(0.1))
         got = exact_tail(m, TailQuery(M=M, t=0.1, side=Side.UPPER))
-        assert got.probability == pytest.approx(enumerate_upper_tail(m, M, thr), abs=1e-12)
+        assert got.probability == pytest.approx(enumerate_tail(m, M, thr), abs=1e-12)
 
     def test_convolution_guard(self):
         m = FiniteMixture(
@@ -199,19 +200,31 @@ class TestFlip:
             [(0.5, Bernoulli(0.25)), (0.5, DiscreteOnUnit([0.5, 1.0], [0.5, 0.5]))]
         )
         M, t = 3, 0.1
-        s = summarize(m)
-        thr = Fraction(M) * (Fraction(s.mu_minus) - Fraction(t))
-        total = 0.0
-        for w, c in m.atoms:
-            if isinstance(c, Bernoulli):
-                points, weights = (0, 1), (1.0 - float(c.p), float(c.p))
-            else:
-                points, weights = c.points, c.weights
-            for combo in itertools.product(range(len(points)), repeat=M):
-                if sum(Fraction(points[i]) for i in combo) <= thr:
-                    total += w * math.prod(weights[i] for i in combo)
+        thr = Fraction(M) * (Fraction(summarize(m).mu_minus) - Fraction(t))
         got = exact_tail(m, TailQuery(M=M, t=t, side=Side.LOWER)).probability
-        assert got == pytest.approx(total, abs=1e-9)
+        assert got == pytest.approx(enumerate_tail(m, M, thr, Side.LOWER), abs=1e-9)
+
+    @pytest.mark.parametrize("model_id,m", list(standard_suite()))
+    def test_lower_sum_tail_is_flipped_upper_exactly(self, model_id, m):
+        for M in (1, 2, 7):
+            for thr in (Fraction(0), Fraction(M, 3), Fraction(M) * Fraction(0.3), Fraction(M)):
+                lower = exact_sum_tail(m, M, thr, Side.LOWER)
+                assert lower == exact_sum_tail(flip_model(m), M, M - thr, Side.UPPER)
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4])
+    def test_lower_sum_tail_matches_enumeration(self, M):
+        m = FiniteMixture(
+            [
+                (0.3, Bernoulli(0.3)),
+                (0.2, PointMass(0.1)),
+                (0.5, DiscreteOnUnit(points=[0.0, 0.3, 0.7], weights=[0.2, 0.5, 0.3])),
+            ]
+        )
+        # thresholds on the lattice: M*0.1 and M*0.3 are attained sums
+        on_lattice = (Fraction(M) * Fraction(0.1), Fraction(M) * Fraction(0.3))
+        for thr in (0, *on_lattice, Fraction(M, 2), M):
+            got = exact_sum_tail(m, M, thr, Side.LOWER).probability
+            assert got == pytest.approx(enumerate_tail(m, M, thr, Side.LOWER), abs=1e-12)
 
 
 class TestQuadratureTails:
