@@ -92,14 +92,14 @@ class TailQuery:
 
 @dataclass(frozen=True)
 class RangeBounds:
-    """A nonempty value range [a, b]."""
+    """A nonempty value range [a, b] of finite width."""
 
     a: float
     b: float
 
     def __post_init__(self) -> None:
-        if not self.a < self.b:
-            raise DomainError(f"range requires a < b, got [{self.a!r}, {self.b!r}]")
+        if not (self.a < self.b and math.isfinite(self.b - self.a)):
+            raise DomainError(f"range requires finite a < b, got [{self.a!r}, {self.b!r}]")
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from . import __version__
-from .bounds import Side, t_for_confidence, tail_bound_report
+from .bounds import RangeBounds, Side, t_for_confidence, tail_bound_report
 from .errors import ExchboundError
 from .model import (
     Bernoulli,
@@ -227,9 +227,8 @@ def _load_models(args) -> list[tuple[str, MixingMeasure]]:
 
 
 def cmd_bounds(args) -> int:
-    scale = args.range[1] - args.range[0]
-    if scale <= 0:
-        raise ExchboundError(f"--range requires a < b, got {args.range}")
+    r = RangeBounds(*args.range)
+    scale = r.b - r.a
     mu_plus, mu_minus = args.mu_plus, args.mu_minus
     if not (0.0 <= mu_minus <= mu_plus <= 1.0):
         raise ExchboundError(
@@ -249,9 +248,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_ci(args) -> int:
-    scale = args.range[1] - args.range[0]
-    if scale <= 0:
-        raise ExchboundError(f"--range requires a < b, got {args.range}")
+    r = RangeBounds(*args.range)
+    scale = r.b - r.a
     t = t_for_confidence(args.m, args.delta)
     t_data = t * scale
     print(
@@ -327,7 +325,7 @@ def _parse_t_grid(tokens: Sequence[str]) -> Union[int, list[float]]:
         if len(tokens) > 1:
             raise ExchboundError("--t-grid takes either auto:N or explicit values, not both")
         n = tokens[0].split(":", 1)[1]
-        if not n.isdigit() or int(n) < 1:
+        if not n.isdecimal() or int(n) < 1:
             raise ExchboundError(f"--t-grid auto:N needs an integer N >= 1, got {tokens[0]!r}")
         return int(n)
     ts = []

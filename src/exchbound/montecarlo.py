@@ -313,7 +313,7 @@ def _resolve_threads(threads: Optional[int]) -> int:
     if threads is not None:
         return max(1, threads)
     text = os.environ.get(THREADS_ENV_VAR, "1")
-    if not text.isdigit() or int(text) < 1:
+    if not text.isdecimal() or int(text) < 1:
         raise DomainError(f"{THREADS_ENV_VAR} must be a positive integer, got {text!r}")
     return int(text)
 

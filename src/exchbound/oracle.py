@@ -6,9 +6,10 @@ decomposes over the mixing measure:
 
 * Bernoulli components: S is Binomial(M, p); regularized-incomplete-beta
   tails from scipy.
-* Point masses: S = M*c, an indicator.
-* Discrete components: dynamic-programming convolution of the pmf over
-  the exact lattice of attainable sums (M <= 64 guard).
+* Point masses and discrete components: the pmf convolved M times over
+  the points scaled to integers, one cached lattice law per
+  (component, M) shared by every threshold, guarded by its number of
+  attainable sums (``LATTICE_MAX_STATES``).
 * Continuous Bernoulli-parameter mixtures: adaptive quadrature of the
   binomial tail against the parameter density, with a hard absolute
   error budget reported in the result.
@@ -31,6 +32,7 @@ the implementation, not merely of the mathematics.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,10 +56,11 @@ from .model import (
     Scalar,
     TruncatedBetaDensity,
     UniformDensity,
+    discrete_law,
     summarize,
 )
 
-CONVOLUTION_MAX_M = 64  # lattice-state guard for multi-point discrete sums
+LATTICE_MAX_STATES = 1024  # attainable sums a lattice law may hold (two points, M=1023: ~0.25 s)
 
 QUADRATURE_BUDGET = 1e-10  # hard absolute-error budget for the quadrature path
 
@@ -170,24 +173,18 @@ def exact_sum_tail(
 
 
 def _finite_mixture_sum_tail(m: FiniteMixture, M: int, thr: Fraction) -> ExactTail:
-    for c in m.components:
-        if isinstance(c, Beta):
-            raise UnsupportedModel(
-                "Beta components admit no closed-form sum law; use Monte Carlo"
-            )
+    if any(isinstance(c, Beta) for c in m.components):
+        raise UnsupportedModel("Beta components admit no closed-form sum law; use Monte Carlo")
     parts = []
     method = TailMethod.BINOMIAL_CLOSED_FORM
     for w, c in m.atoms:
         if isinstance(c, Bernoulli):
             parts.append(w * _binomial_sum_tail(M, float(c.p), thr))
-        elif isinstance(c, PointMass):
-            method = TailMethod.DISCRETE_CONVOLUTION
-            parts.append(w if M * Fraction(c.c) >= thr else 0.0)
-        elif isinstance(c, DiscreteOnUnit):
-            method = TailMethod.DISCRETE_CONVOLUTION
-            parts.append(w * _discrete_sum_tail(c, M, thr))
         else:
-            raise TypeError(f"not a Component: {c!r}")
+            method = TailMethod.DISCRETE_CONVOLUTION
+            D, law = _lattice_law(*discrete_law(c), M)
+            k = math.ceil(thr * D)  # S >= thr iff S*D >= ceil(thr*D) on the lattice
+            parts.append(w * min(1.0, math.fsum(p for z, p in law if z >= k)))
     prob = min(1.0, max(0.0, math.fsum(parts)))
     return ExactTail(probability=prob, method=method)
 
@@ -201,22 +198,23 @@ def _binomial_sum_tail(M: int, p: float, thr: Fraction) -> float:
     return float(stats.binom.sf(k - 1, M, p))
 
 
-def _discrete_sum_tail(c: DiscreteOnUnit, M: int, thr: Fraction) -> float:
-    if len(c.points) > 1 and M > CONVOLUTION_MAX_M:
-        raise MTooLarge(
-            f"M={M} exceeds the convolution guard {CONVOLUTION_MAX_M} "
-            f"for multi-point discrete components"
-        )
-    step = {Fraction(x): w for x, w in zip(c.points, c.weights)}
-    dist: dict[Fraction, float] = {Fraction(0): 1.0}
+@functools.lru_cache(maxsize=128)
+def _lattice_law(points: tuple, weights: tuple, M: int) -> tuple[int, tuple]:
+    """(D, ((D*s, P(S = s)), ...)) for the sum S of M draws, D the lcm of the
+    points' exact denominators; MTooLarge past LATTICE_MAX_STATES sums."""
+    D = math.lcm(*(Fraction(x).denominator for x in points))
+    step = [(int(Fraction(x) * D), w) for x, w in zip(points, weights)]
+    dist: dict[int, float] = {0: 1.0}
     for _ in range(M):
-        nxt: dict[Fraction, float] = {}
+        nxt: dict[int, float] = {}
         for s, ps in dist.items():
-            for x, px in step.items():
-                key = s + x
-                nxt[key] = nxt.get(key, 0.0) + ps * px
+            for z, pz in step:
+                nxt[s + z] = nxt.get(s + z, 0.0) + ps * pz
+            if len(nxt) > LATTICE_MAX_STATES:
+                raise MTooLarge(f"the sum of M={M} draws from {len(points)} points "
+                                f"takes more than {LATTICE_MAX_STATES} values")
         dist = nxt
-    return min(1.0, math.fsum(p for s, p in dist.items() if s >= thr))
+    return D, tuple(dist.items())
 
 
 def _param_mixture_sum_tail(

@@ -82,6 +82,7 @@ def test_criterion_1_bound_validity():
         exact_cells = [r for r in exact_rows if not r.method.startswith("error")
                        and r.method != "montecarlo"]
         assert exact_cells, "oracle paths must cover most of the suite"
+        assert not any(r.method == "montecarlo" for r in exact_rows), "every suite cell is exact"
         for row in exact_cells:
             if row.valid:
                 assert row.value <= row.hoeffding, row

@@ -188,6 +188,13 @@ class TestProofInternals:
 
 
 class TestMgfConvexityBound:
+    @pytest.mark.parametrize(
+        "a,b", [(1.0, 1.0), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (-1e308, 1e308)]
+    )
+    def test_range_must_be_nonempty_with_finite_width(self, a, b):
+        with pytest.raises(DomainError):
+            RangeBounds(a, b)
+
     def test_degenerate_at_lower_endpoint(self):
         r = RangeBounds(-1.0, 2.0)
         assert mgf_convexity_bound(-1.0, r, 0.7) == pytest.approx(

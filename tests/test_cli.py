@@ -272,11 +272,18 @@ class TestCliCommands:
             ("simulate", ["--m", "0"], None),
             ("simulate", ["--level", "1.5"], None),
             ("bounds", ["--m", "0"], None),
+            ("verify", ["--t-grid", "auto:\u00b2"], None),
+            ("verify", [], "\u00b2"),
+            ("ci", ["--range", "0", "inf"], None),
+            ("ci", ["--range", "nan", "1"], None),
+            ("bounds", ["--range", "0", "inf"], None),
         ],
         ids=[
             "auto-abc", "auto-0", "inf", "nan", "abc", "level", "m-0", "threads-env",
             "m-duplicate", "t-duplicate", "model-id-duplicate",
             "simulate-inf", "simulate-t-0", "simulate-m-0", "simulate-level", "bounds-m-0",
+            "auto-superscript", "threads-env-superscript", "ci-range-inf", "ci-range-nan",
+            "bounds-range-inf",
         ],
     )
     def test_verify_rejects_bad_arguments_before_any_cell(
@@ -294,8 +301,9 @@ class TestCliCommands:
             "verify": ["--m-grid", "2", "--t-grid", "0.1", "--reps", "100"],
             "simulate": ["--model", "a/m.json", "--m", "2", "--t", "0.1", "--reps", "100"],
             "bounds": ["--mu-plus", "0.8", "--mu-minus", "0.2", "--m", "2", "--t", "0.1"],
+            "ci": ["--m", "3", "--delta", "0.1"],
         }[command]
-        out = [] if command == "bounds" else ["--out", str(out_path)]
+        out = [] if command in ("bounds", "ci") else ["--out", str(out_path)]
         assert main([command, *base, *extra, *out]) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err
@@ -303,16 +311,21 @@ class TestCliCommands:
         assert not out_path.exists()
 
     def test_verify_failed_cells_exit_2_after_writing_the_report(self, tmp_path, capsys):
-        # three_atom_discrete has no exact path past the convolution guard
+        # the sum of M draws from three_atom_discrete's [0, 0.5, 1] component takes
+        # 2M+1 values: M=511 fits the lattice guard of 1024 states, M=512 does not
         out_path = tmp_path / "v.csv"
-        args = ["verify", "--method", "exact", "--m-grid", "65", "--t-grid", "0.1"]
+        args = ["verify", "--method", "exact", "--m-grid", "511", "512", "--t-grid", "0.1"]
         assert main(args + ["--out", str(out_path)]) == 2
         captured = capsys.readouterr()
-        assert captured.out.startswith("cells=10 violations=0 errors=2 ")
+        assert captured.out.startswith("cells=20 violations=0 errors=2 ")
         assert "error: 2 cells failed" in captured.err
-        methods = [row.method for row in from_csv(out_path.read_text()).rows]
-        assert methods.count("error:MTooLarge") == 2
-        assert len(methods) == 10
+        rows = from_csv(out_path.read_text()).rows
+        failed = [(r.model_id, r.M) for r in rows if r.method == "error:MTooLarge"]
+        assert failed == [("three_atom_discrete", 512)] * 2
+        assert [r.method for r in rows if (r.model_id, r.M) == ("three_atom_discrete", 511)] == [
+            "convolution", "convolution"
+        ]
+        assert len(rows) == 20
 
     def test_verify_formats_agree(self, tmp_path):
         common = [

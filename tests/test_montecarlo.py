@@ -313,9 +313,11 @@ class TestRunSweep:
         discrete = FiniteMixture(
             [(1.0, DiscreteOnUnit(points=[0.0, 0.5, 1.0], weights=[0.3, 0.4, 0.3]))]
         )
+        # M draws from [0, 0.5, 1] sum to 2M+1 values: M=511 fits the lattice
+        # guard of 1024 states, M=512 does not
         result = run_sweep(
             models=[("discrete", discrete)],
-            M_grid=[100],
+            M_grid=[511, 512],
             t_grid=[0.0, 0.1, math.inf],
             sides=[Side.UPPER],
             replications=100,
@@ -323,7 +325,8 @@ class TestRunSweep:
             method="exact",
         )
         methods = [row.method for row in result.rows]
-        assert methods == ["error:InvalidT", "error:MTooLarge", "error:InvalidT"]
+        assert methods == ["error:InvalidT", "convolution", "error:InvalidT",
+                           "error:InvalidT", "error:MTooLarge", "error:InvalidT"]
         assert all(not row.violation for row in result.rows)
 
     def test_deterministic_rows(self):

@@ -28,6 +28,8 @@ from exchbound import (
     standard_suite,
     summarize,
 )
+from exchbound.model import discrete_law
+from exchbound.oracle import LATTICE_MAX_STATES, _lattice_law
 
 TWO_ATOM = FiniteMixture([(0.5, Bernoulli(0.2)), (0.5, Bernoulli(0.8))])
 
@@ -117,15 +119,59 @@ class TestFiniteMixtureTails:
         assert got.probability == pytest.approx(enumerate_tail(m, M, thr), abs=1e-12)
 
     def test_convolution_guard(self):
+        assert LATTICE_MAX_STATES == 1024
+        # M draws from [0, 0.5, 1] sum to 2M+1 values: M=511 fits, M=512 does not
         m = FiniteMixture(
             [(1.0, DiscreteOnUnit(points=[0.0, 0.5, 1.0], weights=[0.3, 0.4, 0.3]))]
         )
+        tail = exact_tail(m, TailQuery(M=511, t=0.1, side=Side.UPPER))
+        assert tail.method is TailMethod.DISCRETE_CONVOLUTION
+        assert 0.0 < tail.probability <= hoeffding_tail_bound(511, 0.1)
         with pytest.raises(MTooLarge):
-            exact_tail(m, TailQuery(M=65, t=0.1, side=Side.UPPER))
-        # single-point "lattices" have no blowup and no guard
-        pm = FiniteMixture([(1.0, DiscreteOnUnit(points=[0.5], weights=[1.0]))])
-        tail = exact_tail(pm, TailQuery(M=500, t=0.1, side=Side.UPPER))
-        assert tail.probability == 0.0
+            exact_tail(m, TailQuery(M=512, t=0.1, side=Side.UPPER))
+        # five generic points: 976 sums of 10 draws, more than 1024 of 11
+        generic = FiniteMixture(
+            [(1.0, DiscreteOnUnit(points=[0.1, 0.3, 0.45, 0.8, 0.95], weights=[0.2] * 5))]
+        )
+        assert exact_tail(generic, TailQuery(M=10, t=0.1, side=Side.UPPER)).probability > 0.0
+        with pytest.raises(MTooLarge):
+            exact_tail(generic, TailQuery(M=11, t=0.1, side=Side.UPPER))
+        # a one-point lattice never grows, whatever M
+        for pm in (PointMass(0.5), DiscreteOnUnit(points=[0.5], weights=[1.0])):
+            tail = exact_tail(FiniteMixture([(1.0, pm)]), TailQuery(M=5000, t=0.1, side=Side.UPPER))
+            assert tail.probability == 0.0
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_lattice_law_matches_enumeration_on_attained_sums(self, M, flip):
+        m = FiniteMixture(
+            [
+                (0.2, PointMass(0.1)),
+                (0.5, DiscreteOnUnit(points=[0.0, 0.3, 0.7], weights=[0.2, 0.5, 0.3])),
+                (0.3, DiscreteOnUnit(points=[0.25, 0.6], weights=[0.4, 0.6])),
+            ]
+        )
+        if flip:  # points become exact rational complements such as 1 - Fraction(0.3)
+            m = flip_model(m)
+        attained = {
+            sum(map(Fraction, combo))
+            for c in m.components
+            for combo in itertools.product(discrete_law(c)[0], repeat=M)
+        }
+        for thr in sorted(attained):
+            got = exact_sum_tail(m, M, thr, Side.UPPER)
+            assert got.method is TailMethod.DISCRETE_CONVOLUTION
+            assert got.probability == pytest.approx(enumerate_tail(m, M, thr), abs=1e-12)
+
+    def test_one_lattice_law_serves_every_t(self):
+        m = FiniteMixture(
+            [(1.0, DiscreteOnUnit(points=[0.0, 0.5, 1.0], weights=[0.2, 0.3, 0.5]))]
+        )
+        _lattice_law.cache_clear()
+        for t in [0.01 * k for k in range(1, 11)]:
+            exact_tail(m, TailQuery(M=50, t=t, side=Side.UPPER))
+        info = _lattice_law.cache_info()
+        assert (info.misses, info.hits) == (1, 9)
 
     def test_beta_components_unsupported(self):
         m = FiniteMixture([(1.0, Beta(2.0, 2.0))])
