@@ -494,9 +494,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _range_values(argv: Sequence[str]) -> list[str]:
+    """argv with each number after ``--range`` marked as a value.
+
+    argparse takes a token such as ``-1e3`` for an option, because its
+    negative-number test knows no exponents.  It reads a token that does
+    not start with ``-`` as a value, and float() ignores the leading space.
+    """
+    out = list(argv)
+    for i, token in enumerate(out):
+        if token != "--range":
+            continue
+        for j in range(i + 1, min(i + 3, len(out))):
+            try:
+                float(out[j])
+            except ValueError:
+                break
+            out[j] = " " + out[j]
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_range_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except _IOFailure as e:

@@ -1,32 +1,37 @@
 """Replicated simulation of tail events, and verification sweeps.
 
 One sampler, ``_block_sums``, draws the conditional law of the batch
-sum for both estimates and histograms: given the drawn component,
-S = X_1 + ... + X_M is Binomial(M, p) for Bernoulli components, a
-deterministic constant for point masses, a sum of M Beta draws for Beta
-components, and a sum of M inverse-CDF draws (the sampler's own
-``pick_index`` over the point weights) for discrete components.  This is
-distributionally identical to materializing the M individual
+sum: given the drawn component, S = X_1 + ... + X_M is Binomial(M, p)
+for Bernoulli components, a sum of M Beta draws for Beta components, and
+for point masses and discrete components a multinomial count vector over
+the component's points, which costs O(k) for k points rather than O(M).
+This is distributionally identical to materializing the M individual
 observations (the batch is conditionally i.i.d.), and it is what makes
 10^5-replication sweeps over hundreds of cells affordable.  The
 per-observation sampler in :mod:`exchbound.sampler` remains the
 reference mechanism and the tests cross-validate the two.
 
 Replications are processed in fixed blocks of 2^16, one derived stream
-per (master_seed, block_index); exceedance counts are exact integers
-summed over blocks, so results do not depend on execution order or
-thread count.  Estimation computes upper tails only: a lower-tail query
-is the reflected model's upper tail, exactly as in the oracle.  The
-event S >= M*(mu_plus + t) is decided against the exact rational
-threshold: integer sums (Bernoulli and parameter-mixture components) and
-point masses match the oracle's decision exactly, while discrete and
-Beta sums are float sums, exact only up to their summation rounding.
+per (master_seed, block_index).  The drawn sums of one (model, M,
+replications, seed) form one empirical law (``_empirical_law``): sorted
+distinct sums with tail counts, kept in a small cache, from which every
+threshold reads an exact integer count and histograms bin.  Results
+therefore do not depend on execution order or thread count, and an
+estimate can only fall as t grows.  Estimation computes upper tails
+only: a lower-tail query is the reflected model's upper tail, exactly as
+in the oracle.  The event S >= M*(mu_plus + t) is decided against the
+exact rational threshold.  Lattice sums (Bernoulli, parameter-mixture,
+point-mass and discrete components) are integers S*D, D the lcm of the
+points' denominators, and the decision S*D >= ceil(thr*D) is the
+oracle's own; Beta sums are float sums, exact only up to their
+summation rounding.
 
 Sweeps evaluate a grid of (model, M, t, side) cells, preferring the
 exact oracle and falling back to Monte Carlo where no exact path exists.
 A whole report is one sweep: the t grid is either explicit or a count of
-deviations spanning each (model, side) validity window, and each cell's
-seed is derived from the master seed and the cell's own row key, so an
+deviations spanning each (model, side) validity window.  The seed of a
+Monte Carlo cell is derived from the master seed and the cell's (model,
+M, side), so the t values of one window share one drawn law, and an
 estimate does not depend on the rest of the grid, the other models or
 the thread count.  A cell inside the validity window is flagged as a
 violation when its exact value (or the lower confidence limit of its
@@ -36,9 +41,11 @@ checked against the optimized envelope.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -46,7 +53,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .bounds import Side, TailQuery, effective_mu, tail_bound_report
 from .errors import DomainError, EmptyGrid, ExchboundError, MTooLarge, UnsupportedModel
@@ -54,15 +61,13 @@ from .model import (
     Bernoulli,
     Beta,
     BernoulliParamMixture,
-    Component,
-    DiscreteOnUnit,
     FiniteMixture,
     MixingMeasure,
     ModelSummary,
-    PointMass,
+    discrete_law,
     summarize,
 )
-from .oracle import ExactTail, exact_tail, flip_model
+from .oracle import ExactTail, exact_tail, flip_model, lattice_points
 from .sampler import SeedSpec, derive_stream, mix64, pick_index
 
 BLOCK_SIZE = 1 << 16
@@ -70,6 +75,8 @@ BLOCK_SIZE = 1 << 16
 DEFAULT_CI_LEVEL = 0.999
 
 THREADS_ENV_VAR = "EXCHBOUND_THREADS"
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -96,7 +103,7 @@ def wilson_interval(successes: int, n: int, level: float = DEFAULT_CI_LEVEL):
         raise DomainError(f"successes must lie in [0, {n}], got {successes}")
     if not (0.0 < level < 1.0):
         raise DomainError(f"level must lie in (0,1), got {level!r}")
-    z = float(stats.norm.ppf(0.5 + 0.5 * level))
+    z = float(special.ndtri(0.5 + 0.5 * level))
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2.0 * n)) / denom
@@ -131,19 +138,34 @@ def _upper_threshold(summary: ModelSummary, M: int, t: float) -> Fraction:
     return Fraction(M) * (Fraction(summary.mu_plus) + Fraction(t))
 
 
+def _lattice_sums(counts: np.ndarray, ints: Sequence[int], bound: int) -> np.ndarray:
+    """counts @ ints, row by row, for sums known to be at most ``bound``.
+
+    In int64 when the bound fits; otherwise in Python ints (an object
+    array), one dot product per distinct count vector.
+    """
+    if bound <= _INT64_MAX:
+        return counts @ np.array(ints, dtype=np.int64)
+    rows, inverse = np.unique(counts, axis=0, return_inverse=True)
+    keys = np.array([sum(map(operator.mul, row, ints)) for row in rows.tolist()], dtype=object)
+    return keys[inverse.reshape(-1)]
+
+
 def _block_sums(
     m: MixingMeasure, M: int, n: int, gen: np.random.Generator
-) -> Iterator[tuple[Optional[Component], np.ndarray]]:
-    """Draw n conditional sums S, grouped by drawn atom in atom order.
+) -> Iterator[tuple[Optional[int], np.ndarray]]:
+    """Draw n conditional sums S as (scale, keys), per drawn atom in atom order.
 
-    Yields (component, sums) per atom drawn at least once; a parameter
-    mixture yields (None, sums) once.  A point-mass sum is M*float(c).
-    Both callers only count, so the sums need not be put back in
-    replication order.
+    A lattice atom yields the integers S*scale: Bernoulli and
+    parameter-mixture sums at scale 1, point masses and discrete atoms as
+    multinomial counts over the points of ``discrete_law``, scaled by the
+    lcm D of their denominators (``lattice_points``).  A Beta atom yields
+    float sums at scale None.  ``_empirical_law`` only counts them, so the
+    sums need not be put back in replication order.
     """
     if isinstance(m, BernoulliParamMixture):
         p = m.density.quantile(gen.random(n))
-        yield None, gen.binomial(M, p)
+        yield 1, gen.binomial(M, p)
         return
     assert isinstance(m, FiniteMixture)
     idx = pick_index(m.weights, gen.random(n))
@@ -152,18 +174,16 @@ def _block_sums(
         if ni == 0:
             continue
         if isinstance(c, Bernoulli):
-            yield c, gen.binomial(M, float(c.p), size=ni)
-        elif isinstance(c, PointMass):
-            yield c, np.full(ni, M * float(c.c))
+            yield 1, gen.binomial(M, float(c.p), size=ni)
         elif isinstance(c, Beta):
-            yield c, gen.beta(c.alpha, c.beta, size=(ni, M)).sum(axis=1)
-        elif isinstance(c, DiscreteOnUnit):
-            # component_quantile's draw, with the (ni, M) uniforms freed
-            # before the gather: two such arrays live at once, not three
-            points = np.asarray(c.points, dtype=np.float64)
-            yield c, points[pick_index(c.weights, gen.random((ni, M)))].sum(axis=1)
+            yield None, gen.beta(c.alpha, c.beta, size=(ni, M)).sum(axis=1)
         else:
-            raise TypeError(f"not a Component: {c!r}")
+            points, weights = discrete_law(c)
+            D, ints = lattice_points(points)
+            w = np.asarray(weights, dtype=np.float64)
+            # multinomial rejects weights whose leading sum passes 1 + 1e-12
+            counts = gen.multinomial(M, w / w.sum(), size=ni)
+            yield D, _lattice_sums(counts, ints, M * D)
 
 
 def _blocks(replications: int):
@@ -173,6 +193,51 @@ def _blocks(replications: int):
         yield index, min(BLOCK_SIZE, replications - start)
         start += BLOCK_SIZE
         index += 1
+
+
+@dataclass(frozen=True)
+class _SumTable:
+    """The drawn sums of one scale: sorted distinct keys with tail counts.
+
+    ``keys`` are S*scale in integers, or float sums S when ``scale`` is
+    None; ``at_least[i]`` counts the draws whose key is >= keys[i], and
+    ``at_least[-1]`` is 0.
+    """
+
+    scale: Optional[int]
+    keys: np.ndarray
+    at_least: np.ndarray
+
+    def count(self, thr: Fraction) -> int:
+        """Draws with S >= thr."""
+        # on the lattice S >= thr iff S*D >= ceil(thr*D);
+        # a float S >= thr iff S >= _float_ceil(thr)
+        k = _float_ceil(thr) if self.scale is None else math.ceil(thr * self.scale)
+        return int(self.at_least[bisect.bisect_left(self.keys, k)])
+
+
+@functools.lru_cache(maxsize=16)  # a 10^5-replication Beta table holds 1.6 MB
+def _empirical_law(
+    m: MixingMeasure, M: int, replications: int, seed: int
+) -> tuple[_SumTable, ...]:
+    """The sums S of ``replications`` batches of M draws, one table per scale.
+
+    Every threshold of one (model, M, seed) reads the same draws, so a
+    tail estimate can only fall as t grows.
+    """
+    chunks: dict[Optional[int], list[np.ndarray]] = {}
+    for block_index, size in _blocks(replications):
+        gen = derive_stream(SeedSpec(master_seed=seed, replication_index=block_index))
+        for scale, keys in _block_sums(m, M, size, gen):
+            chunks.setdefault(scale, []).append(keys)
+    tables = []
+    for scale, parts in chunks.items():
+        keys, counts = np.unique(np.concatenate(parts), return_counts=True)
+        at_least = np.append(np.cumsum(counts[::-1])[::-1], 0)
+        for array in (keys, at_least):  # every caller of the cache shares them
+            array.setflags(write=False)
+        tables.append(_SumTable(scale, keys, at_least))
+    return tuple(tables)
 
 
 def estimate_tail(
@@ -186,7 +251,9 @@ def estimate_tail(
 
     Counts replications where the event holds (non-strict inequality,
     matching the oracle convention); the count is an exact integer, so
-    the estimate is independent of block execution order.
+    the estimate is independent of block execution order.  Estimates
+    with the same model, M, replications and seed share one drawn law
+    (``_empirical_law``), whatever their t.
     """
     if replications < 1:
         raise DomainError(f"replications must be >= 1, got {replications}")
@@ -199,16 +266,7 @@ def estimate_tail(
             level,
         )
     thr = _upper_threshold(summarize(m), q.M, q.t)
-    f_thr = _float_ceil(thr)  # a float sum s has s >= thr iff s >= f_thr
-    exceed = 0
-    for block_index, size in _blocks(replications):
-        gen = derive_stream(SeedSpec(master_seed=master_seed, replication_index=block_index))
-        for c, sums in _block_sums(m, q.M, size, gen):
-            if isinstance(c, PointMass):
-                # M*float(c) can round across thr; decide the constant exactly
-                exceed += len(sums) if q.M * Fraction(c.c) >= thr else 0
-            else:
-                exceed += int(np.count_nonzero(sums >= f_thr))
+    exceed = sum(table.count(thr) for table in _empirical_law(m, q.M, replications, master_seed))
     ci_low, ci_high = wilson_interval(exceed, replications, level)
     return TailEstimate(
         p_hat=exceed / replications,
@@ -248,10 +306,10 @@ def sample_mean_histogram(
         raise DomainError(f"M must be >= 1, got {M}")
     edges = np.linspace(0.0, 1.0, bins + 1)
     counts = np.zeros(bins, dtype=np.int64)
-    for block_index, size in _blocks(replications):
-        gen = derive_stream(SeedSpec(master_seed=master_seed, replication_index=block_index))
-        for _, sums in _block_sums(m, M, size, gen):
-            counts += np.histogram(np.clip(sums / M, 0.0, 1.0), bins=edges)[0]
+    for table in _empirical_law(m, M, replications, master_seed):
+        sums = table.keys if table.scale is None else table.keys / table.scale
+        means = np.clip(np.asarray(sums, dtype=np.float64) / M, 0.0, 1.0)
+        counts += np.histogram(means, bins=edges, weights=-np.diff(table.at_least))[0]
     return HistogramResult(
         bin_edges=tuple(float(e) for e in edges),
         counts=tuple(int(c) for c in counts),
@@ -318,10 +376,10 @@ def _resolve_threads(threads: Optional[int]) -> int:
     return int(text)
 
 
-def _cell_seed(master_seed: int, model_id: str, M: int, t: float, side: Side) -> int:
-    """mix64(master_seed, k), k a 64-bit digest of the cell's row key."""
+def _law_seed(master_seed: int, model_id: str, M: int, side: Side) -> int:
+    """mix64(master_seed, k), k a 64-bit digest of (model_id, M, side)."""
     # hashlib, not hash(): the built-in is salted per process
-    key = repr((model_id, int(M), float(t).hex(), str(side))).encode()
+    key = repr((model_id, int(M), str(side))).encode()
     return mix64(master_seed, int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
 
 
@@ -370,7 +428,7 @@ def _sweep_cell(
                 ),
             )
         else:
-            seed = _cell_seed(master_seed, model_id, M, t, side)
+            seed = _law_seed(master_seed, model_id, M, side)
             estimate = estimate_tail(m, query, replications, seed, level)
             row.update(
                 method="montecarlo",
@@ -382,6 +440,10 @@ def _sweep_cell(
     except ExchboundError as e:
         row["method"] = f"error:{type(e).__name__}"
     return SweepRow(**row)
+
+
+def _sweep_group(cells: list[_Cell], **kwargs) -> list[SweepRow]:
+    return [_sweep_cell(cell, **kwargs) for cell in cells]
 
 
 def run_sweep(
@@ -412,13 +474,13 @@ def run_sweep(
     ``bound_scale`` is a verification hook that scales the exp(-2Mt^2)
     value used in violation checks.
 
-    Cells are independent; with ``threads`` > 1 (or the EXCHBOUND_THREADS
-    environment variable) they are evaluated concurrently.  A Monte Carlo
-    cell is seeded with mix64(master_seed, k), where k is a 64-bit
-    SHA-256 digest of the cell's row key (model_id, M, float(t).hex(),
-    side).  A cell's result therefore depends only on the master seed and
-    the cell itself: not on the grid, the other models, the thread count
-    or the caller.
+    With ``threads`` > 1 (or the EXCHBOUND_THREADS environment variable)
+    the cells are evaluated concurrently, one (model, side, M) group per
+    task.  A Monte Carlo cell is seeded with mix64(master_seed, k), where
+    k is a 64-bit SHA-256 digest of (model_id, M, side): every t of the
+    group reads one drawn law.  A cell's result therefore depends only on
+    the master seed and the cell itself: not on the grid, the other
+    models, the thread count or the caller.
     """
     if not models:
         raise EmptyGrid("models list is empty")
@@ -432,13 +494,15 @@ def run_sweep(
         raise DomainError(f"replications must be >= 1, got {replications}")
     n_threads = _resolve_threads(threads)
 
-    cells: list[_Cell] = []
+    # one group of cells per (model, side, M): the cells that share a drawn law
+    groups: list[list[_Cell]] = []
     keys = set()
     for model_id, m in models:
         summary = summarize(m)
         for side in sides:
             ts = window_t_grid(summary, side, t_grid) if isinstance(t_grid, int) else t_grid
             for M in M_grid:
+                groups.append([])
                 for t in ts:
                     # a repeated key would repeat a row and share its random stream
                     key = (model_id, M, t, side)
@@ -447,10 +511,10 @@ def run_sweep(
                             f"duplicate cell model_id={model_id!r} M={M} t={t!r} side={side}"
                         )
                     keys.add(key)
-                    cells.append((model_id, m, summary, M, t, side))
+                    groups[-1].append((model_id, m, summary, M, t, side))
 
     evaluate = functools.partial(
-        _sweep_cell,
+        _sweep_group,
         replications=replications,
         master_seed=master_seed,
         method=method,
@@ -458,12 +522,16 @@ def run_sweep(
         bound_scale=bound_scale,
     )
     if n_threads == 1:
-        rows = list(map(evaluate, cells))
+        done = list(map(evaluate, groups))
     else:
+        # a group per task, so two threads never draw one law; largest M
+        # first, so the longest draws do not start last
+        order = sorted(range(len(groups)), key=lambda i: -groups[i][0][3])
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            rows = list(pool.map(evaluate, cells))
+            futures = {i: pool.submit(evaluate, groups[i]) for i in order}
+            done = [futures[i].result() for i in range(len(groups))]
     return SweepResult(
-        rows=tuple(rows),
+        rows=tuple(row for group in done for row in group),
         replications=replications,
         master_seed=master_seed,
         level=level,

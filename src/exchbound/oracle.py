@@ -9,7 +9,7 @@ decomposes over the mixing measure:
 * Point masses and discrete components: the pmf convolved M times over
   the points scaled to integers, one cached lattice law per
   (component, M) shared by every threshold, guarded by its number of
-  attainable sums (``LATTICE_MAX_STATES``).
+  attainable sums (``LATTICE_MAX_STATES``); a refusal is cached too.
 * Continuous Bernoulli-parameter mixtures: adaptive quadrature of the
   binomial tail against the parameter density, with a hard absolute
   error budget reported in the result.
@@ -36,7 +36,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from scipy import integrate
 from scipy import stats
@@ -182,7 +182,12 @@ def _finite_mixture_sum_tail(m: FiniteMixture, M: int, thr: Fraction) -> ExactTa
             parts.append(w * _binomial_sum_tail(M, float(c.p), thr))
         else:
             method = TailMethod.DISCRETE_CONVOLUTION
-            D, law = _lattice_law(*discrete_law(c), M)
+            points, weights = discrete_law(c)
+            lattice = _lattice_law(points, weights, M)
+            if lattice is None:
+                raise MTooLarge(f"the sum of M={M} draws from {len(points)} points "
+                                f"takes more than {LATTICE_MAX_STATES} values")
+            D, law = lattice
             k = math.ceil(thr * D)  # S >= thr iff S*D >= ceil(thr*D) on the lattice
             parts.append(w * min(1.0, math.fsum(p for z, p in law if z >= k)))
     prob = min(1.0, max(0.0, math.fsum(parts)))
@@ -198,12 +203,20 @@ def _binomial_sum_tail(M: int, p: float, thr: Fraction) -> float:
     return float(stats.binom.sf(k - 1, M, p))
 
 
-@functools.lru_cache(maxsize=128)
-def _lattice_law(points: tuple, weights: tuple, M: int) -> tuple[int, tuple]:
-    """(D, ((D*s, P(S = s)), ...)) for the sum S of M draws, D the lcm of the
-    points' exact denominators; MTooLarge past LATTICE_MAX_STATES sums."""
+def lattice_points(points: Sequence[Scalar]) -> tuple[int, tuple[int, ...]]:
+    """(D, (D*x, ...)): the points scaled to integers by D, the lcm of their
+    exact denominators, so that a sum S of points is decided as the integer S*D."""
     D = math.lcm(*(Fraction(x).denominator for x in points))
-    step = [(int(Fraction(x) * D), w) for x, w in zip(points, weights)]
+    return D, tuple(int(Fraction(x) * D) for x in points)
+
+
+@functools.lru_cache(maxsize=128)
+def _lattice_law(points: tuple, weights: tuple, M: int) -> Optional[tuple[int, tuple]]:
+    """(D, ((D*s, P(S = s)), ...)) for the sum S of M draws, D as in
+    lattice_points; None past LATTICE_MAX_STATES sums, so that the cache
+    keeps a refusal as it keeps a law."""
+    D, ints = lattice_points(points)
+    step = list(zip(ints, weights))
     dist: dict[int, float] = {0: 1.0}
     for _ in range(M):
         nxt: dict[int, float] = {}
@@ -211,8 +224,7 @@ def _lattice_law(points: tuple, weights: tuple, M: int) -> tuple[int, tuple]:
             for z, pz in step:
                 nxt[s + z] = nxt.get(s + z, 0.0) + ps * pz
             if len(nxt) > LATTICE_MAX_STATES:
-                raise MTooLarge(f"the sum of M={M} draws from {len(points)} points "
-                                f"takes more than {LATTICE_MAX_STATES} values")
+                return None
         dist = nxt
     return D, tuple(dist.items())
 

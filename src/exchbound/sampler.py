@@ -23,6 +23,7 @@ nothing else touches the stream.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -70,10 +71,40 @@ def mix64(master_seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
+def _stream_key(seed: SeedSpec) -> int:
+    return mix64(seed.master_seed & _MASK64, seed.replication_index)
+
+
 def derive_stream(seed: SeedSpec) -> np.random.Generator:
     """Deterministic, replication-independent random stream for a SeedSpec."""
-    key = mix64(seed.master_seed & _MASK64, seed.replication_index)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed)))
+
+
+_thread = threading.local()
+
+
+def _replay_stream(seed: SeedSpec) -> np.random.Generator:
+    """This thread's one Philox generator, reset to the state of derive_stream(seed).
+
+    Building a generator costs more than the draws of a short batch.
+    derive_stream still returns a new one, because its callers may hold
+    two streams at once.
+    """
+    gen = getattr(_thread, "gen", None)
+    if gen is None:
+        gen = _thread.gen = np.random.Generator(np.random.Philox(key=0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([_stream_key(seed), 0], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,  # the buffer is empty
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +155,7 @@ def sample_sequence(m: MixingMeasure, M: int, seed: SeedSpec) -> SampleBatch:
     """
     if M < 1:
         raise DomainError(f"M must be >= 1, got {M}")
-    gen = derive_stream(seed)
+    gen = _replay_stream(seed)
     u0 = gen.random()
     if isinstance(m, FiniteMixture):
         idx = int(pick_index(m.weights, np.array([u0]))[0])

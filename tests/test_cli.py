@@ -177,6 +177,11 @@ class TestCliCommands:
         out = capsys.readouterr().out
         t_data = float(out.splitlines()[0].split("=")[1].split()[0])
         assert t_data == pytest.approx(10 * 0.08654091913011426, abs=1e-10)
+        # argparse alone would take "-1e3" for an option
+        assert main(["ci", "--m", "200", "--delta", "0.05", "--range", "-1e3", "1e3"]) == 0
+        out = capsys.readouterr().out
+        t_data = float(out.splitlines()[0].split("=")[1].split()[0])
+        assert t_data == pytest.approx(2000 * 0.08654091913011426, abs=1e-8)
 
     def test_simulate_writes_report(self, tmp_path, capsys):
         model_path = write_model(tmp_path, TWO_ATOM_DOC)
@@ -277,13 +282,14 @@ class TestCliCommands:
             ("ci", ["--range", "0", "inf"], None),
             ("ci", ["--range", "nan", "1"], None),
             ("bounds", ["--range", "0", "inf"], None),
+            ("ci", ["--range", "-1e308", "1e308"], None),
         ],
         ids=[
             "auto-abc", "auto-0", "inf", "nan", "abc", "level", "m-0", "threads-env",
             "m-duplicate", "t-duplicate", "model-id-duplicate",
             "simulate-inf", "simulate-t-0", "simulate-m-0", "simulate-level", "bounds-m-0",
             "auto-superscript", "threads-env-superscript", "ci-range-inf", "ci-range-nan",
-            "bounds-range-inf",
+            "bounds-range-inf", "ci-range-exponent",
         ],
     )
     def test_verify_rejects_bad_arguments_before_any_cell(

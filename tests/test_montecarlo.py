@@ -3,7 +3,9 @@
 import hashlib
 import math
 import statistics
+from itertools import groupby
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -30,7 +32,8 @@ from exchbound import (
     wilson_interval,
 )
 from exchbound import montecarlo
-from exchbound.sampler import mix64
+from exchbound.oracle import lattice_points
+from exchbound.sampler import derive_stream, mix64, pick_index
 
 TWO_ATOM = FiniteMixture([(0.5, Bernoulli(0.2)), (0.5, Bernoulli(0.8))])
 ZERO_ONE = FiniteMixture([(0.5, PointMass(0.0)), (0.5, PointMass(1.0))])
@@ -126,6 +129,42 @@ class TestEstimateTail:
         assert exact_tail(m, q).probability == 0.0
         assert estimate_tail(m, q, 1_000, master_seed=29).exceed_count == 0
 
+    @pytest.mark.parametrize("t", [5e-18, 1e-300])
+    @pytest.mark.parametrize("side", [Side.UPPER, Side.LOWER])
+    def test_discrete_atom_decided_exactly(self, side, t):
+        # the sums are multiples of 0.1 (0.2 is exactly 2*0.1), and three
+        # points in {0, 0.1, 0.2} whose exact sum is 3*0.1 add up in floats
+        # to 0.30000000000000004, past 3*(0.1 + t).  Exactly, the event is
+        # S >= 4*0.1 (upper) or S <= 2*0.1 (lower), the same event as at
+        # t = 1/60, whose threshold 3.5*0.1 lies between two sums.
+        m = FiniteMixture(
+            [(1.0, DiscreteOnUnit(points=[0.0, 0.1, 0.2], weights=[0.25, 0.5, 0.25]))]
+        )
+        near = estimate_tail(m, TailQuery(M=3, t=t, side=side), 10_000, master_seed=37)
+        between = estimate_tail(m, TailQuery(M=3, t=1 / 60, side=side), 10_000, master_seed=37)
+        assert 0 < between.exceed_count < 10_000
+        assert near.exceed_count == between.exceed_count
+
+    def test_lattice_sums_past_int64_use_python_ints(self):
+        # 0.1 has denominator 2^55, so 300 draws can pass 2^63 on the lattice
+        D, ints = lattice_points((0.1, 0.2, 0.7))
+        assert 300 * D > np.iinfo(np.int64).max
+        counts = np.random.default_rng(3).multinomial(300, [0.2, 0.5, 0.3], size=2_000)
+        sums = montecarlo._lattice_sums(counts, ints, 300 * D)
+        assert sums.dtype == object
+        assert sums.tolist() == [sum(c * z for c, z in zip(row, ints)) for row in counts.tolist()]
+
+    def test_python_int_sums_match_int64_sums(self, monkeypatch):
+        m = suite_model("three_atom_discrete")
+        queries = [TailQuery(M=50, t=t, side=side) for t in (0.01, 0.05, 0.1)
+                   for side in (Side.UPPER, Side.LOWER)]
+        montecarlo._empirical_law.cache_clear()
+        int64 = [estimate_tail(m, q, 70_000, master_seed=41) for q in queries]
+        monkeypatch.setattr(montecarlo, "_INT64_MAX", 0)  # every lattice sum in Python ints
+        montecarlo._empirical_law.cache_clear()
+        assert [estimate_tail(m, q, 70_000, master_seed=41) for q in queries] == int64
+        montecarlo._empirical_law.cache_clear()
+
     @pytest.mark.parametrize("side", [Side.UPPER, Side.LOWER])
     def test_threshold_beyond_float_range(self, side):
         # M*(mu_plus + t) overflows a float; the event is still decided
@@ -195,6 +234,24 @@ class TestHistogram:
         with pytest.raises(DomainError):
             sample_mean_histogram(TWO_ATOM, M=2, replications=10, bins=1, master_seed=1)
 
+    @pytest.mark.parametrize("M", [1, 10, 60])
+    def test_beta_bernoulli_draws_bin_block_by_block(self, M):
+        # reference: the draws of each 2^16-replication block binned as drawn
+        m = FiniteMixture([(0.3, Beta(2.0, 5.0)), (0.7, Bernoulli(0.4))])
+        reps, bins, seed = 70_000, 97, 43
+        edges = np.linspace(0.0, 1.0, bins + 1)
+        expected = np.zeros(bins, dtype=np.int64)
+        for block, start in enumerate(range(0, reps, montecarlo.BLOCK_SIZE)):
+            n = min(montecarlo.BLOCK_SIZE, reps - start)
+            gen = derive_stream(SeedSpec(seed, block))
+            idx = pick_index(m.weights, gen.random(n))
+            n_beta, n_bern = int(np.count_nonzero(idx == 0)), int(np.count_nonzero(idx == 1))
+            for sums in (gen.beta(2.0, 5.0, size=(n_beta, M)).sum(axis=1),
+                         gen.binomial(M, 0.4, size=n_bern)):
+                expected += np.histogram(np.clip(sums / M, 0.0, 1.0), bins=edges)[0]
+        h = sample_mean_histogram(m, M, reps, bins, seed)
+        assert h.counts == tuple(int(c) for c in expected)
+
 
 class TestRunSweep:
     def test_standard_models_zero_violations(self):
@@ -249,13 +306,24 @@ class TestRunSweep:
             method="montecarlo",
         )
         row = result.rows[0]
-        key = repr(("two_atom", 4, (0.07).hex(), "upper")).encode()
+        key = repr(("two_atom", 4, "upper")).encode()  # t is not part of the key
         k = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
         direct = estimate_tail(TWO_ATOM, q, 30_000, master_seed=mix64(53, k))
         assert row.value == direct.p_hat
         assert row.ci_low == direct.ci_low
         assert row.ci_high == direct.ci_high
         assert row.method == "montecarlo"
+
+    def test_p_hat_never_rises_with_t(self):
+        # every t of one (model, side, M) window reads the same drawn law
+        result = run_sweep(
+            list(standard_suite()), [1, 2, 5, 10, 50, 200], 10, [Side.UPPER, Side.LOWER],
+            100_000, 0, method="montecarlo",
+        )
+        for key, rows in groupby(result.rows, key=lambda r: (r.model_id, r.side, r.M)):
+            values = [r.value for r in rows]
+            assert len(values) == 10
+            assert values == sorted(values, reverse=True), key
 
     def test_shared_cells_keep_their_rows(self):
         models = list(standard_suite())

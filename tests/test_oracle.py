@@ -173,6 +173,18 @@ class TestFiniteMixtureTails:
         info = _lattice_law.cache_info()
         assert (info.misses, info.hits) == (1, 9)
 
+    def test_lattice_refusal_is_cached(self):
+        # [0, 0.5, 1] at M=600 is past the guard; the refusal is cached like a law
+        m = FiniteMixture(
+            [(1.0, DiscreteOnUnit(points=[0.0, 0.5, 1.0], weights=[0.2, 0.3, 0.5]))]
+        )
+        _lattice_law.cache_clear()
+        for t in [0.01 * k for k in range(1, 11)]:
+            with pytest.raises(MTooLarge):
+                exact_tail(m, TailQuery(M=600, t=t, side=Side.UPPER))
+        info = _lattice_law.cache_info()
+        assert (info.misses, info.hits) == (1, 9)
+
     def test_beta_components_unsupported(self):
         m = FiniteMixture([(1.0, Beta(2.0, 2.0))])
         with pytest.raises(UnsupportedModel):

@@ -1,6 +1,8 @@
 """Determinism, stream independence, and distributional checks."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from exchbound import (
     derive_stream,
     sample_sequence,
 )
+from exchbound.sampler import component_quantile
 
 TWO_ATOM = FiniteMixture([(0.5, Bernoulli(0.2)), (0.5, Bernoulli(0.8))])
 
@@ -96,6 +99,29 @@ class TestSampleSequence:
     def test_rejects_bad_m(self):
         with pytest.raises(DomainError):
             sample_sequence(TWO_ATOM, 0, SeedSpec(master_seed=1, replication_index=0))
+
+    def test_streams_match_derive_stream_across_threads(self):
+        # sample_sequence resets one kept generator per thread; every batch
+        # must still be the derive_stream draw, also with threads interleaved
+        c = Beta(2.0, 5.0)
+        m = FiniteMixture([(1.0, c)])
+        seeds = [SeedSpec(master_seed=61, replication_index=i) for i in range(200)]
+        expected = [component_quantile(c, derive_stream(s).random(9)[1:]) for s in seeds]
+
+        def replay(order):
+            return [(i, sample_sequence(m, 8, seeds[i]).values) for i in order]
+
+        assert all(np.array_equal(v, expected[i]) for i, v in replay(range(200)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(replay, range(k, 200, 4)) for k in range(4)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(len(r) for r in results) == 200
+        assert all(np.array_equal(v, expected[i]) for r in results for i, v in r)
 
     def test_grand_mean_of_iid_coin(self):
         # 4-sigma binomial check: SE = 0.5 / sqrt(reps * M)
