@@ -24,17 +24,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from scipy import integrate
+import numpy as np
 from scipy import special
 
 from .errors import InvalidModel, KTooLarge, UnsupportedModel
-
-QUAD_LOCK = threading.Lock()  # QUADPACK is not documented as reentrant
 
 WEIGHT_TOL = 1e-12  # machine-precision-scale slack for user-supplied weights
 
@@ -207,8 +204,12 @@ class UniformDensity:
     lo: Scalar
     hi: Scalar
 
+    # the Beta(1, 1) density restricted to [lo, hi]; not dataclass fields
+    alpha = 1.0
+    beta = 1.0
+
     def __post_init__(self) -> None:
-        _check_support(self.lo, self.hi)
+        _check_support(self)
 
     def mean(self) -> float:
         return float(0.5 * (self.lo + self.hi))
@@ -239,61 +240,71 @@ class TruncatedBetaDensity:
                 f"TruncatedBeta parameters must be positive, got "
                 f"alpha={self.alpha!r}, beta={self.beta!r}"
             )
-        _check_support(self.lo, self.hi)
-
-    def _cdf_mass(self) -> float:
-        return float(
-            special.betainc(self.alpha, self.beta, float(self.hi))
-            - special.betainc(self.alpha, self.beta, float(self.lo))
-        )
+        _check_support(self)
 
     def mean(self) -> float:
-        # Quadrature against the normalized density; the closed form via
-        # incomplete-beta ratios is kept as an independent cross-check in
-        # the tests rather than being the implementation.
-        with QUAD_LOCK:
-            num, _ = integrate.quad(
-                lambda p: p * self.pdf(p),
-                float(self.lo),
-                float(self.hi),
-                epsabs=1e-12,
-                epsrel=1e-12,
-            )
-        return float(num)
+        # E[p] = a/(a+b) * P(Beta(a+1, b) in [lo,hi]) / P(Beta(a, b) in [lo,hi]),
+        # clamped because ModelSummary rejects a mean an ulp outside [lo, hi]
+        a, b, lo, hi = self.alpha, self.beta, self.lo, self.hi
+        ratio = beta_interval_mass(a + 1.0, b, lo, hi) / beta_interval_mass(a, b, lo, hi)
+        return min(max(a / (a + b) * float(ratio), float(lo)), float(hi))
 
     def pdf(self, p: float) -> float:
         pf = float(p)
         if not (self.lo <= pf <= self.hi):
             return 0.0
-
-        def _pow_log(exponent: float, log_base: float) -> float:
-            # exponent * log_base with the 0**0 = 1 convention at endpoints
-            if log_base == -math.inf:
-                if exponent == 0.0:
-                    return 0.0
-                return math.copysign(math.inf, -exponent)
-            return exponent * log_base
-
-        logpdf = (
-            _pow_log(self.alpha - 1.0, math.log(pf) if pf > 0.0 else -math.inf)
-            + _pow_log(self.beta - 1.0, math.log1p(-pf) if pf < 1.0 else -math.inf)
-            - float(special.betaln(self.alpha, self.beta))
-        )
-        return math.exp(logpdf) / self._cdf_mass()
+        a, b = self.alpha, self.beta
+        # xlogy(0, 0) = 0 keeps the 0**0 = 1 convention at the ends
+        log_pdf = special.xlogy(a - 1.0, pf) + special.xlog1py(b - 1.0, -pf) - special.betaln(a, b)
+        return math.exp(log_pdf - math.log(beta_interval_mass(a, b, self.lo, self.hi)))
 
     def quantile(self, u):
-        """Inverse CDF; accepts a scalar or an ndarray of uniforms."""
-        f_lo = float(special.betainc(self.alpha, self.beta, float(self.lo)))
-        f_hi = float(special.betainc(self.alpha, self.beta, float(self.hi)))
-        return special.betaincinv(self.alpha, self.beta, f_lo + u * (f_hi - f_lo))
+        """Inverse CDF; accepts a scalar or an ndarray of uniforms.
+
+        Inverts the same tail as :func:`beta_interval_mass`, so that the
+        two ends stay apart when the interval lies deep in a Beta tail.
+        """
+        a, b, lo, hi = self.alpha, self.beta, float(self.lo), float(self.hi)
+        if _lower_tail_is_smaller(a, b, hi):
+            f_lo, f_hi = special.betainc(a, b, lo), special.betainc(a, b, hi)
+            p = special.betaincinv(a, b, f_lo + u * (f_hi - f_lo))
+        else:
+            g_lo, g_hi = special.betaincc(a, b, lo), special.betaincc(a, b, hi)
+            p = special.betainccinv(a, b, g_lo - u * (g_lo - g_hi))
+        return np.clip(p, lo, hi)  # the inversion may round an ulp past an end
+
+
+def _lower_tail_is_smaller(a, b, hi: float):
+    return a / (a + b) > hi
+
+
+def beta_interval_mass(a, b, lo: Scalar, hi: Scalar):
+    """P(Beta(a, b) in [lo, hi]); a and b may be arrays.
+
+    Each mass is a difference of the tail it lies in: of lower-tail
+    values (``betainc``) when the Beta mean lies above hi, of upper-tail
+    values (``betaincc``) otherwise.  The other choice would cancel a
+    deep-tail mass to 0.
+    """
+    lo, hi = float(lo), float(hi)
+    lower = special.betainc(a, b, hi) - special.betainc(a, b, lo)
+    upper = special.betaincc(a, b, lo) - special.betaincc(a, b, hi)
+    return np.where(_lower_tail_is_smaller(a, b, hi), lower, upper)
 
 
 ParamDensity = Union[UniformDensity, TruncatedBetaDensity]
 
 
-def _check_support(lo: Scalar, hi: Scalar) -> None:
-    if not 0 <= lo < hi <= 1:
-        raise InvalidModel(f"support endpoints must satisfy 0 <= lo < hi <= 1, got [{lo!r}, {hi!r}]")
+def _check_support(d: ParamDensity) -> None:
+    if not 0 <= d.lo < d.hi <= 1:
+        raise InvalidModel(
+            f"support endpoints must satisfy 0 <= lo < hi <= 1, got [{d.lo!r}, {d.hi!r}]"
+        )
+    if not beta_interval_mass(d.alpha, d.beta, d.lo, d.hi) > 0.0:
+        raise InvalidModel(
+            f"Beta({d.alpha!r}, {d.beta!r}) has no floating-point mass "
+            f"on [{float(d.lo)!r}, {float(d.hi)!r}]"
+        )
 
 
 @dataclass(frozen=True)

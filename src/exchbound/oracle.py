@@ -5,14 +5,16 @@ batch is a sum of i.i.d. draws, so the tail of the sample mean
 decomposes over the mixing measure:
 
 * Bernoulli components: S is Binomial(M, p); regularized-incomplete-beta
-  tails from scipy.
+  tails from ``scipy.special``.
 * Point masses and discrete components: the pmf convolved M times over
   the points scaled to integers, one cached lattice law per
   (component, M) shared by every threshold, guarded by its number of
   attainable sums (``LATTICE_MAX_STATES``); a refusal is cached too.
-* Continuous Bernoulli-parameter mixtures: adaptive quadrature of the
-  binomial tail against the parameter density, with a hard absolute
-  error budget reported in the result.
+* Continuous Bernoulli-parameter mixtures, density proportional to
+  p^(a-1) (1-p)^(b-1) on [lo, hi] (a = b = 1 if uniform), in closed form:
+  P(S >= k) = sum_{j>=k} BetaBin(j; M, a, b) mass(j+a, M-j+b) / mass(a, b),
+  mass(a, b) = P(Beta(a, b) in [lo, hi]) taken from its smaller tail
+  (``model.beta_interval_mass``); positive terms keep deep tails precise.
 
 Boundary convention: tail events use non-strict inequalities,
 S >= M*(mu_plus + t) and S <= M*(mu_minus - t).  Thresholds and lattice
@@ -38,13 +40,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from scipy import integrate
-from scipy import stats
+import numpy as np
+from scipy import special
 
 from .bounds import Side, TailQuery
-from .errors import DomainError, ExchboundError, MTooLarge, UnsupportedModel
+from .errors import DomainError, MTooLarge, UnsupportedModel
 from .model import (
-    QUAD_LOCK,
     Bernoulli,
     Beta,
     BernoulliParamMixture,
@@ -56,19 +57,18 @@ from .model import (
     Scalar,
     TruncatedBetaDensity,
     UniformDensity,
+    beta_interval_mass,
     discrete_law,
     summarize,
 )
 
 LATTICE_MAX_STATES = 1024  # attainable sums a lattice law may hold (two points, M=1023: ~0.25 s)
 
-QUADRATURE_BUDGET = 1e-10  # hard absolute-error budget for the quadrature path
-
 
 class TailMethod(enum.Enum):
     BINOMIAL_CLOSED_FORM = "binomial"
     DISCRETE_CONVOLUTION = "convolution"
-    QUADRATURE_OVER_BINOMIAL = "quadrature"
+    QUADRATURE_OVER_BINOMIAL = "quadrature"  # closed form; the label is kept for reports
 
     def __str__(self) -> str:
         return self.value
@@ -76,11 +76,10 @@ class TailMethod(enum.Enum):
 
 @dataclass(frozen=True)
 class ExactTail:
-    """An exact (or quadrature-bounded) tail probability."""
+    """An exact tail probability."""
 
     probability: float
     method: TailMethod
-    quadrature_error: Optional[float] = None
 
 
 def flip_model(m: MixingMeasure) -> MixingMeasure:
@@ -200,7 +199,7 @@ def _binomial_sum_tail(M: int, p: float, thr: Fraction) -> float:
         return 1.0
     if k > M:
         return 0.0
-    return float(stats.binom.sf(k - 1, M, p))
+    return float(special.betainc(k, M - k + 1, p))  # P(Bin(M, p) >= k)
 
 
 def lattice_points(points: Sequence[Scalar]) -> tuple[int, tuple[int, ...]]:
@@ -235,33 +234,20 @@ def _param_mixture_sum_tail(
     d = m.density
     k = math.ceil(thr)
     if k <= 0:
-        return ExactTail(1.0, TailMethod.QUADRATURE_OVER_BINOMIAL, 0.0)
+        return ExactTail(1.0, TailMethod.QUADRATURE_OVER_BINOMIAL)
     if k > M:
-        return ExactTail(0.0, TailMethod.QUADRATURE_OVER_BINOMIAL, 0.0)
-
-    def integrand(p: float) -> float:
-        return float(stats.binom.sf(k - 1, M, p)) * d.pdf(p)
-
-    value, err = _adaptive_quad(integrand, float(d.lo), float(d.hi), QUADRATURE_BUDGET)
-    return ExactTail(
-        probability=min(1.0, max(0.0, value)),
-        method=TailMethod.QUADRATURE_OVER_BINOMIAL,
-        quadrature_error=err,
+        return ExactTail(0.0, TailMethod.QUADRATURE_OVER_BINOMIAL)
+    a, b = d.alpha, d.beta
+    j = np.arange(k, M + 1, dtype=float)
+    # log_w = log((M+1) BetaBin(j; M, a, b)), as C(M, j) = 1 / ((M+1) B(j+1, M-j+1));
+    # it is exactly 0 for the uniform density (a = b = 1)
+    log_w = (
+        special.betaln(j + a, M - j + b) - special.betaln(j + 1, M - j + 1) - special.betaln(a, b)
     )
-
-
-def _adaptive_quad(f, a: float, b: float, budget: float, depth: int = 0):
-    """quad with bisection refinement until the error budget is met."""
-    with QUAD_LOCK:
-        value, err = integrate.quad(f, a, b, epsabs=budget / 10.0, epsrel=0.0, limit=200)
-    if err <= budget or depth >= 12:
-        if err > budget:
-            raise ExchboundError(
-                f"quadrature failed to meet error budget {budget}: "
-                f"estimated error {err} on [{a}, {b}]"
-            )
-        return value, err
-    mid = 0.5 * (a + b)
-    v1, e1 = _adaptive_quad(f, a, mid, budget / 2.0, depth + 1)
-    v2, e2 = _adaptive_quad(f, mid, b, budget / 2.0, depth + 1)
-    return v1 + v2, e1 + e2
+    with np.errstate(divide="ignore"):  # a mass that underflows to 0 adds a term 0
+        log_mass = np.log(beta_interval_mass(j + a, M - j + b, d.lo, d.hi))
+    terms = np.exp(log_w + log_mass - math.log(beta_interval_mass(a, b, d.lo, d.hi)))
+    return ExactTail(
+        probability=min(1.0, math.fsum(terms) / (M + 1)),
+        method=TailMethod.QUADRATURE_OVER_BINOMIAL,
+    )

@@ -2,9 +2,15 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exchbound import (
     Bernoulli,
@@ -15,6 +21,7 @@ from exchbound import (
     run_sweep,
     standard_suite,
 )
+import exchbound
 from exchbound import montecarlo
 from exchbound.cli import ModelFileError, load_model_file, main, model_from_obj
 from exchbound.reporting import Report, from_csv, from_json, to_csv, to_json
@@ -25,6 +32,20 @@ TWO_ATOM_DOC = {
         {"weight": 0.5, "component": {"kind": "bernoulli", "p": 0.2}},
         {"weight": 0.5, "component": {"kind": "bernoulli", "p": 0.8}},
     ],
+}
+
+
+def truncated_beta_doc(alpha, beta, lo, hi):
+    density = {"kind": "truncated_beta", "alpha": alpha, "beta": beta, "lo": lo, "hi": hi}
+    return {"type": "bernoulli_param", "density": density}
+
+
+# Beta(2, 200) has mass 6.4e-30 on [0.3, 0.9]; Beta(800, 800) has less than
+# the smallest float on [0, 0.01] and on [0.99, 1]
+TRUNCATED_BETA_DOCS = {
+    "beta-deep": truncated_beta_doc(2, 200, 0.3, 0.9),
+    "beta-no-mass-low": truncated_beta_doc(800, 800, 0.0, 0.01),
+    "beta-no-mass-high": truncated_beta_doc(800, 800, 0.99, 1.0),
 }
 
 
@@ -283,13 +304,15 @@ class TestCliCommands:
             ("ci", ["--range", "nan", "1"], None),
             ("bounds", ["--range", "0", "inf"], None),
             ("ci", ["--range", "-1e308", "1e308"], None),
+            ("verify", ["--model", "beta-no-mass-low.json"], None),
+            ("verify", ["--model", "beta-no-mass-high.json"], None),
         ],
         ids=[
             "auto-abc", "auto-0", "inf", "nan", "abc", "level", "m-0", "threads-env",
             "m-duplicate", "t-duplicate", "model-id-duplicate",
             "simulate-inf", "simulate-t-0", "simulate-m-0", "simulate-level", "bounds-m-0",
             "auto-superscript", "threads-env-superscript", "ci-range-inf", "ci-range-nan",
-            "bounds-range-inf", "ci-range-exponent",
+            "bounds-range-inf", "ci-range-exponent", "beta-no-mass-low", "beta-no-mass-high",
         ],
     )
     def test_verify_rejects_bad_arguments_before_any_cell(
@@ -301,6 +324,8 @@ class TestCliCommands:
         for sub in ("a", "b"):  # two model files that share the stem "m"
             (tmp_path / sub).mkdir()
             write_model(tmp_path / sub, TWO_ATOM_DOC, name="m.json")
+        for name, doc in TRUNCATED_BETA_DOCS.items():
+            write_model(tmp_path, doc, name=f"{name}.json")
         monkeypatch.chdir(tmp_path)
         out_path = tmp_path / "v.csv"
         base = {
@@ -315,6 +340,16 @@ class TestCliCommands:
         assert "error:" in captured.err
         assert captured.out == ""
         assert not out_path.exists()
+
+    def test_verify_answers_a_truncated_beta_deep_in_a_tail(self, tmp_path):
+        model_path = write_model(tmp_path, TRUNCATED_BETA_DOCS["beta-deep"])
+        out_path = tmp_path / "v.csv"
+        args = ["verify", "--model", model_path, "--method", "exact", "--m-grid", "2", "50"]
+        assert main(args + ["--t-grid", "auto:3", "--out", str(out_path)]) == 0
+        rows = from_csv(out_path.read_text()).rows
+        assert len(rows) == 12
+        assert {r.method for r in rows} == {"quadrature"}
+        assert all(0.0 <= r.value <= 1.0 for r in rows)
 
     def test_verify_failed_cells_exit_2_after_writing_the_report(self, tmp_path, capsys):
         # the sum of M draws from three_atom_discrete's [0, 0.5, 1] component takes
@@ -399,3 +434,111 @@ class TestCliCommands:
         lines = out_path.read_text().strip().splitlines()
         assert lines[0] == "bin_low,bin_high,count"
         assert sum(int(l.split(",")[2]) for l in lines[1:]) == 1000
+
+
+def test_cli_import_leaves_out_heavy_scipy_modules():
+    code = (
+        "import sys, exchbound.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(exchbound.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# Property: any argv ends in a documented exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+PROPERTY_MODELS = {
+    "two-atom": TWO_ATOM_DOC,
+    "uniform": {"type": "bernoulli_param", "density": {"kind": "uniform", "lo": 0.2, "hi": 0.8}},
+    "beta-bernoulli": {"type": "finite", "atoms": [
+        {"weight": 0.6, "component": {"kind": "beta", "alpha": 2.0, "beta": 5.0}},
+        {"weight": 0.4, "component": {"kind": "bernoulli", "p": 0.7}}]},
+    **TRUNCATED_BETA_DOCS,
+}
+
+
+@pytest.fixture(scope="module")
+def property_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("property")
+    for name, doc in PROPERTY_MODELS.items():
+        write_model(root, doc, name=f"{name}.json")
+    (root / "not-json.json").write_text("{")
+    return root
+
+
+WILD_REALS = st.one_of(
+    st.sampled_from(
+        ["nan", "inf", "-inf", "0", "-0", "-1", "1e308", "-1e308", "1e-300", "2.5e-3", "abc", ""]
+    ),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+WILD_COUNTS = st.one_of(st.integers(-3, 0).map(str), st.sampled_from(["nan", "1e3", "x", ""]))
+
+
+@st.composite
+def argvs(draw, command, root):
+    # Three examples in four draw every number from a plausible range, so
+    # that they get past argparse and into the program; the fourth may draw
+    # any of them from the wild values.
+    wild = draw(st.sampled_from([False, False, False, True]))
+
+    def real():
+        unit = st.floats(0.0, 1.0).map(repr)
+        return draw(st.one_of(unit, WILD_REALS) if wild else unit)
+
+    def count(high):
+        valid = st.integers(1, high).map(str)
+        return draw(st.one_of(valid, WILD_COUNTS) if wild else valid)
+
+    def maybe(flag, values):
+        return [flag, *values] if draw(st.booleans()) else []
+
+    model_names = [*PROPERTY_MODELS, "not-json", "missing"]
+    model = str(root / f"{draw(st.sampled_from(model_names))}.json")
+    out = str(root / draw(st.sampled_from(["v.csv", "v.json", "no-such-dir/v.csv"])))
+    parts = [command]
+    if command == "bounds":
+        parts += ["--mu-plus", real(), "--mu-minus", real(), "--t", real(), "--m", count(50)]
+        parts += maybe("--range", [real(), real()])
+    elif command == "ci":
+        parts += ["--m", count(50), "--delta", real()]
+        parts += maybe("--range", [real(), real()])
+    elif command == "simulate":
+        parts += ["--model", model, "--m", count(50), "--t", real(), "--reps", count(2000)]
+        parts += maybe("--side", [draw(st.sampled_from(["upper", "lower", "both"]))])
+        parts += maybe("--level", [real()])
+        parts += maybe("--out", [out])
+    elif command == "verify":
+        parts += maybe("--model", [model])
+        parts += ["--m-grid", *[count(50) for _ in range(draw(st.integers(1, 2)))]]
+        if draw(st.booleans()):
+            parts += ["--t-grid", *[real() for _ in range(draw(st.integers(1, 3)))]]
+        else:
+            parts += ["--t-grid", draw(st.sampled_from(["auto:1", "auto:3", "auto:0", "auto:x"]))]
+        parts += ["--reps", count(2000)]
+        parts += maybe("--method", [draw(st.sampled_from(["auto", "exact", "montecarlo"]))])
+        parts += maybe("--level", [real()])
+        parts += maybe("--out", [out])
+    else:  # histogram
+        parts += ["--model", model, "--m", count(50), "--reps", count(2000), "--bins", count(50)]
+        parts += maybe("--out", [out])
+    return parts
+
+
+@pytest.mark.parametrize("command", ["bounds", "ci", "simulate", "verify", "histogram"])
+def test_any_argv_ends_in_a_documented_exit_code(property_dir, command):
+    @given(argvs(command, property_dir))
+    @settings(max_examples=100, deadline=None)
+    def check(argv):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse rejects malformed argv with 2
+            code = e.code
+        assert code in (0, 1, 2, 3), argv
+
+    check()

@@ -3,10 +3,11 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import integrate
 
 from exchbound import (
     Bernoulli,
@@ -94,6 +95,18 @@ class TestValidation:
         with pytest.raises(InvalidModel):
             TruncatedBetaDensity(alpha=2.0, beta=2.0, lo=0.5, hi=0.5)
 
+    @pytest.mark.parametrize("lo,hi", [(0.0, 0.01), (0.99, 1.0)])
+    def test_truncated_beta_needs_floating_point_mass(self, lo, hi):
+        # Beta(800, 800) puts less than the smallest float on either end
+        with pytest.raises(InvalidModel):
+            TruncatedBetaDensity(alpha=800.0, beta=800.0, lo=lo, hi=hi)
+
+    def test_truncated_beta_deep_in_a_tail(self):
+        # true mass 6.4e-30: a difference of lower-tail values rounds it to 0
+        d = TruncatedBetaDensity(alpha=2.0, beta=200.0, lo=0.3, hi=0.9)
+        assert 0.3 < summarize(BernoulliParamMixture(d)).mu < 0.31
+        assert d.pdf(0.3) > 0.0
+
 
 class TestSummarize:
     def test_two_atom(self):
@@ -111,24 +124,36 @@ class TestSummarize:
         assert (s.mu_plus, s.mu_minus) == (0.8, 0.2)
         assert s.mu == pytest.approx(0.5, abs=1e-15)
 
-    def test_truncated_beta_mean_matches_incomplete_beta_ratio(self):
-        # independent closed form:
-        #   E[p | lo<=p<=hi] = (a/(a+b)) * (I(hi;a+1,b) - I(lo;a+1,b))
-        #                               / (I(hi;a,b)   - I(lo;a,b))
-        for a, b, lo, hi in [(2.0, 3.0, 0.1, 0.9), (0.7, 1.2, 0.25, 0.5), (5.0, 1.5, 0.0, 1.0)]:
-            expected = (
-                (a / (a + b))
-                * (special.betainc(a + 1, b, hi) - special.betainc(a + 1, b, lo))
-                / (special.betainc(a, b, hi) - special.betainc(a, b, lo))
-            )
-            s = summarize(BernoulliParamMixture(TruncatedBetaDensity(a, b, lo, hi)))
-            assert s.mu == pytest.approx(expected, abs=1e-10)
+    def test_truncated_beta_mean_matches_quadrature(self):
+        # independent reference: integrate p * pdf(p) over the support
+        for a, b, lo, hi in [
+            (2.0, 3.0, 0.1, 0.9), (0.7, 1.2, 0.25, 0.5), (5.0, 1.5, 0.0, 1.0), (2.0, 50.0, 0.5, 0.6)
+        ]:
+            d = TruncatedBetaDensity(a, b, lo, hi)
+            expected, _ = integrate.quad(lambda p: p * d.pdf(p), lo, hi, epsabs=0.0, epsrel=1e-13)
+            s = summarize(BernoulliParamMixture(d))
+            assert s.mu == pytest.approx(expected, rel=1e-10, abs=0.0)
+            assert lo <= s.mu <= hi
 
     def test_three_atom(self):
         s = summarize(THREE_ATOM)
         assert s.mu_plus == pytest.approx(0.65, abs=1e-15)
         assert s.mu_minus == 0.25
         assert s.mu == pytest.approx(0.3 * 0.25 + 0.3 * 0.65 + 0.4 * 0.5, abs=1e-15)
+
+
+class TestTruncatedBetaQuantile:
+    @pytest.mark.parametrize("a,b,lo,hi", [(2.0, 50.0, 0.5, 0.6), (2.0, 200.0, 0.3, 0.9)])
+    def test_draws_stay_in_the_support(self, a, b, lo, hi):
+        # both ends lie deep in the upper tail, where betainc rounds to 1
+        p = TruncatedBetaDensity(a, b, lo, hi).quantile(np.random.default_rng(0).random(100_000))
+        assert lo <= p.min() and p.max() <= hi
+
+    def test_inverts_the_cdf(self):
+        d = TruncatedBetaDensity(2.0, 3.0, 0.1, 0.9)
+        u = np.linspace(0.0, 1.0, 11)
+        cdf = [integrate.quad(d.pdf, 0.1, p, epsabs=0.0, epsrel=1e-12)[0] for p in d.quantile(u)]
+        assert cdf == pytest.approx(list(u), abs=1e-10)
 
 
 class TestJointLaw:

@@ -1,11 +1,11 @@
-"""Exact tails vs brute-force enumeration, reflection, and quadrature."""
+"""Exact tails vs brute-force enumeration, reflection, and parameter-mixture references."""
 
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from scipy import special
+from scipy import integrate, special, stats
 
 from exchbound import (
     Bernoulli,
@@ -60,7 +60,6 @@ class TestFiniteMixtureTails:
         tail = exact_tail(TWO_ATOM, TailQuery(M=2, t=0.15, side=Side.UPPER))
         assert tail.probability == pytest.approx(0.34, abs=1e-12)
         assert tail.method is TailMethod.BINOMIAL_CLOSED_FORM
-        assert tail.quadrature_error is None
         assert tail.probability <= hoeffding_tail_bound(2, 0.15)
 
     def test_two_atom_lower_by_symmetry(self):
@@ -285,6 +284,20 @@ class TestFlip:
             assert got == pytest.approx(enumerate_tail(m, M, thr, Side.LOWER), abs=1e-12)
 
 
+def uniform_window_tail(lo, hi, M: int, k: int) -> Fraction:
+    """P(S >= k) for p ~ Uniform(lo, hi) in exact rationals, 1 <= k <= M, from
+    int_0^x P(Bin(M, p) >= k) dp = E[(Bin(M+1, x) - k)^+] / (M+1)."""
+
+    def integral(x: Fraction) -> Fraction:
+        return sum(
+            math.comb(M + 1, b) * x**b * (1 - x) ** (M + 1 - b) * (b - k)
+            for b in range(k + 1, M + 2)
+        ) / (M + 1)
+
+    lo, hi = Fraction(lo), Fraction(hi)
+    return (integral(hi) - integral(lo)) / (hi - lo)
+
+
 class TestQuadratureTails:
     def test_polya_marginal_for_full_uniform(self):
         # p ~ Uniform(0,1) makes S uniform on {0..M}: P(S >= k) = (M+1-k)/(M+1)
@@ -294,7 +307,6 @@ class TestQuadratureTails:
             thr = Fraction(k)
             tail = exact_sum_tail(m, M, thr, Side.UPPER)
             assert tail.method is TailMethod.QUADRATURE_OVER_BINOMIAL
-            assert tail.quadrature_error is not None and tail.quadrature_error <= 1e-10
             assert tail.probability == pytest.approx((M + 1 - k) / (M + 1), abs=1e-9)
 
     def test_uniform_window_against_incomplete_beta_sums(self):
@@ -312,6 +324,37 @@ class TestQuadratureTails:
                 expected += math.comb(M, s) * (ibeta[0] - ibeta[1]) / (hi - lo)
             got = exact_sum_tail(m, M, Fraction(k), Side.UPPER)
             assert got.probability == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("M,t", [(1000, 0.15), (2000, 0.19)])
+    def test_deep_uniform_tail_against_exact_rationals(self, M, t):
+        # values near 4e-46 and 1.6e-163: far below any absolute error budget
+        m = BernoulliParamMixture(UniformDensity(0.2, 0.8))
+        k = math.ceil(M * (Fraction(0.8) + Fraction(t)))
+        expected = float(uniform_window_tail(0.2, 0.8, M, k))
+        got = exact_tail(m, TailQuery(M=M, t=t, side=Side.UPPER)).probability
+        assert type(got) is float
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "a,b,lo,hi,M",
+        [
+            (2.0, 3.0, 0.1, 0.9, 10),
+            (0.7, 1.2, 0.25, 0.5, 20),
+            (5.0, 1.5, 0.0, 1.0, 30),
+            (2.0, 50.0, 0.5, 0.6, 40),
+            (2.0, 200.0, 0.3, 0.9, 50),
+        ],
+    )
+    def test_truncated_beta_against_quadrature(self, a, b, lo, hi, M):
+        d = TruncatedBetaDensity(a, b, lo, hi)
+        m = BernoulliParamMixture(d)
+        for k in range(1, M + 1, max(1, M // 7)):
+            expected, _ = integrate.quad(
+                lambda p: stats.binom.sf(k - 1, M, p) * d.pdf(p),
+                lo, hi, epsabs=0.0, epsrel=1e-13, limit=200,
+            )
+            got = exact_sum_tail(m, M, Fraction(k), Side.UPPER).probability
+            assert got == pytest.approx(expected, rel=1e-9, abs=0.0), k
 
     def test_truncated_beta_density_integrates_to_one(self):
         m = BernoulliParamMixture(TruncatedBetaDensity(2.0, 3.0, 0.1, 0.9))
