@@ -43,7 +43,7 @@ from .model import (
     UniformDensity,
 )
 from .montecarlo import DEFAULT_CI_LEVEL, run_sweep, sample_mean_histogram
-from .reporting import Report, atomic_write_text, format_value, to_csv, to_json, write_report
+from .reporting import HistogramReport, Report, format_value, to_csv, to_json, write_report
 from .suite import standard_suite
 
 EXIT_OK = 0
@@ -264,14 +264,20 @@ def cmd_ci(args) -> int:
     return EXIT_OK
 
 
-def _write_or_fail(report: Report, out: Optional[str], fmt: str) -> None:
+def _write_or_fail(table: Union[Report, HistogramReport], out: Optional[str], fmt: str):
+    """Write the table to ``out``, or to stdout without one.
+
+    Returns the stream for the command's own lines: stderr when the table
+    went to stdout, so stdout stays one parseable CSV or JSON document.
+    """
     if out is None:
-        sys.stdout.write(to_csv(report) if fmt == "csv" else to_json(report))
-        return
+        sys.stdout.write(to_csv(table) if fmt == "csv" else to_json(table))
+        return sys.stderr
     try:
-        write_report(report, out, fmt)
+        write_report(table, out, fmt)
     except OSError as e:
         raise _IOFailure(f"cannot write {out}: {e}") from e
+    return sys.stdout
 
 
 class _IOFailure(Exception):
@@ -307,14 +313,15 @@ def cmd_simulate(args) -> int:
         level=args.level,
     )
     report = Report.from_sweep(sweep, __version__, _timestamp())
-    _write_or_fail(report, args.out, args.format)
+    log = _write_or_fail(report, args.out, args.format)
     for row in report.rows:
         print(
             f"{row.model_id} M={row.M} t={format_value(row.t)} side={row.side} "
             f"p_hat={format_value(row.value)} "
             f"ci=[{format_value(row.ci_low)}, {format_value(row.ci_high)}] "
             f"hoeffding={format_value(row.hoeffding)} valid={format_value(row.valid)} "
-            f"violation={format_value(row.violation)}"
+            f"violation={format_value(row.violation)}",
+            file=log,
         )
     return EXIT_OK
 
@@ -355,18 +362,20 @@ def cmd_verify(args) -> int:
         bound_scale=args.bound_scale,
     )
     report = Report.from_sweep(sweep, __version__, _timestamp())
-    _write_or_fail(report, args.out, args.format)
+    log = _write_or_fail(report, args.out, args.format)
     n_violations = len(report.violations)
     n_errors = sum(row.method.startswith("error:") for row in report.rows)
     print(
         f"cells={len(report.rows)} violations={n_violations} errors={n_errors} "
-        f"models={len(models)} reps={args.reps}"
+        f"models={len(models)} reps={args.reps}",
+        file=log,
     )
     for row in report.violations:
         print(
             f"VIOLATION {row.model_id} M={row.M} t={format_value(row.t)} side={row.side} "
             f"value={format_value(row.value)} ci_low={format_value(row.ci_low)} "
-            f"bound={format_value(row.hoeffding)}"
+            f"bound={format_value(row.hoeffding)}",
+            file=log,
         )
     if n_errors:
         print(f"error: {n_errors} cells failed", file=sys.stderr)
@@ -380,39 +389,9 @@ def cmd_histogram(args) -> int:
     hist = sample_mean_histogram(
         model, M=args.m, replications=args.reps, bins=args.bins, master_seed=args.seed
     )
-    records = [
-        {"bin_low": hist.bin_edges[i], "bin_high": hist.bin_edges[i + 1], "count": c}
-        for i, c in enumerate(hist.counts)
-    ]
-    if args.out:
-        if args.format == "json":
-            payload = {
-                "metadata": {
-                    "M": hist.M,
-                    "replications": hist.replications,
-                    "master_seed": hist.master_seed,
-                    "tool_version": __version__,
-                    "timestamp": _timestamp(),
-                },
-                "bins": records,
-            }
-            text = json.dumps(payload, indent=2) + "\n"
-        else:
-            lines = ["bin_low,bin_high,count"]
-            lines += [
-                f"{format_value(r['bin_low'])},{format_value(r['bin_high'])},{r['count']}"
-                for r in records
-            ]
-            text = "\n".join(lines) + "\n"
-        try:
-            atomic_write_text(args.out, text)
-        except OSError as e:
-            raise _IOFailure(f"cannot write {args.out}: {e}") from e
-    else:
-        for r in records:
-            print(f"[{format_value(r['bin_low'])}, {format_value(r['bin_high'])}): {r['count']}")
-    total = sum(hist.counts)
-    print(f"M={hist.M} replications={total} bins={len(hist.counts)}")
+    table = HistogramReport.from_histogram(hist, __version__, _timestamp())
+    log = _write_or_fail(table, args.out, args.format)
+    print(f"M={hist.M} replications={sum(hist.counts)} bins={len(hist.counts)}", file=log)
     return EXIT_OK
 
 

@@ -346,8 +346,8 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
-    replications: int
     master_seed: int
+    replications: int
     level: float
 
     @property

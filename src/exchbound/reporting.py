@@ -1,16 +1,21 @@
-"""Report containers and their CSV / JSON encodings.
+"""Report tables and their CSV / JSON encodings.
 
-A report is sweep rows plus run metadata (seed, replications, tool
-version, timestamp).  Both encodings round-trip losslessly: floats are
-written with 17 significant digits, the shortest precision that
-reproduces every double exactly.  In CSV, metadata travels in leading
-``# key: value`` comment lines above the fixed header
+A table is a frozen dataclass whose first field, ``rows``, holds row
+dataclasses; its other fields are the run metadata.  There are two:
+``Report``, a sweep's ``SweepRow`` rows, and ``HistogramReport``, one
+``HistogramRow`` per bin.  Each column and each metadata key is declared
+once, as a dataclass field: the CSV header is the row class's field
+names, in field order, and the metadata follows the table's field order.
+A report parses back with one parser per field type.
 
-    model_id,M,t,side,method,value,ci_low,ci_high,hoeffding,kl_form,h0,valid,violation
-
-so the data block stays directly loadable by CSV tools that skip
-comments.  Output files are written to a temporary name and renamed into
-place, so a failed run never leaves a partial file behind.
+Both encodings round-trip losslessly: floats are written with 17
+significant digits, the shortest precision that reproduces every double
+exactly.  In CSV, metadata travels in leading ``# key: value`` comment
+lines above the header, so the data block stays directly loadable by
+CSV tools that skip comments; lines below the header are always data.
+In JSON, the metadata is one object and each row an object whose floats
+are 17-digit strings.  Output files are written to a temporary name and
+renamed into place, so a failed run never leaves a partial file behind.
 """
 
 from __future__ import annotations
@@ -20,37 +25,17 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import Optional, get_args, get_type_hints
 
 from .errors import ExchboundError
-from .montecarlo import SweepResult, SweepRow
-
-CSV_COLUMNS = (
-    "model_id",
-    "M",
-    "t",
-    "side",
-    "method",
-    "value",
-    "ci_low",
-    "ci_high",
-    "hoeffding",
-    "kl_form",
-    "h0",
-    "valid",
-    "violation",
-)
+from .montecarlo import HistogramResult, SweepResult, SweepRow
 
 FLOAT_FORMAT = "%.17g"
 
 
 @dataclass(frozen=True)
-class Report:
-    rows: tuple[SweepRow, ...]
-    master_seed: int
-    replications: int
-    level: float
+class Report(SweepResult):
     tool_version: str
     timestamp: str  # ISO 8601, UTC
 
@@ -58,18 +43,32 @@ class Report:
     def from_sweep(
         cls, sweep: SweepResult, tool_version: str, timestamp: str
     ) -> "Report":
-        return cls(
-            rows=sweep.rows,
-            master_seed=sweep.master_seed,
-            replications=sweep.replications,
-            level=sweep.level,
-            tool_version=tool_version,
-            timestamp=timestamp,
-        )
+        return cls(**vars(sweep), tool_version=tool_version, timestamp=timestamp)
 
-    @property
-    def violations(self) -> tuple[SweepRow, ...]:
-        return tuple(r for r in self.rows if r.violation)
+
+@dataclass(frozen=True)
+class HistogramRow:
+    bin_low: float
+    bin_high: float
+    count: int
+
+
+@dataclass(frozen=True)
+class HistogramReport:
+    rows: tuple[HistogramRow, ...]
+    M: int
+    replications: int
+    master_seed: int
+    tool_version: str
+    timestamp: str  # ISO 8601, UTC
+
+    @classmethod
+    def from_histogram(
+        cls, hist: HistogramResult, tool_version: str, timestamp: str
+    ) -> "HistogramReport":
+        edges = hist.bin_edges
+        rows = tuple(HistogramRow(edges[i], edges[i + 1], c) for i, c in enumerate(hist.counts))
+        return cls(rows, hist.M, hist.replications, hist.master_seed, tool_version, timestamp)
 
 
 def format_value(value) -> str:
@@ -86,130 +85,106 @@ def format_value(value) -> str:
     return str(value)
 
 
-def _row_record(row: SweepRow) -> dict:
-    return {
-        "model_id": row.model_id,
-        "M": row.M,
-        "t": row.t,
-        "side": row.side,
-        "method": row.method,
-        "value": row.value,
-        "ci_low": row.ci_low,
-        "ci_high": row.ci_high,
-        "hoeffding": row.hoeffding,
-        "kl_form": row.kl_form,
-        "h0": row.h0,
-        "valid": row.valid,
-        "violation": row.violation,
-    }
+def _parse_optional_float(text) -> Optional[float]:
+    return None if text == "" or text is None else float(text)
 
 
-def _metadata(report: Report) -> dict:
-    return {
-        "master_seed": report.master_seed,
-        "replications": report.replications,
-        "level": report.level,
-        "tool_version": report.tool_version,
-        "timestamp": report.timestamp,
-    }
+def _parse_bool(text) -> bool:
+    if text == "true" or text is True:
+        return True
+    if text == "false" or text is False:
+        return False
+    raise ExchboundError(f"not a boolean field: {text!r}")
 
 
-def to_csv(report: Report) -> str:
+# one parser per field type: each reads a field as CSV spells it (the
+# inverse of format_value) or as JSON holds it
+_PARSERS = {
+    str: str,
+    int: int,
+    float: float,
+    Optional[float]: _parse_optional_float,
+    bool: _parse_bool,
+}
+
+
+@dataclass(frozen=True)
+class _Layout:
+    columns: tuple[str, ...]
+    row_parsers: tuple
+    metadata: dict  # key -> parser, in field order
+
+
+def _layout(table_type: type) -> _Layout:
+    hints = get_type_hints(table_type)
+    row_type, _ = get_args(hints.pop("rows"))
+    row_hints = get_type_hints(row_type)
+    columns = tuple(f.name for f in fields(row_type))
+    return _Layout(
+        columns=columns,
+        row_parsers=tuple(_PARSERS[row_hints[c]] for c in columns),
+        metadata={f.name: _PARSERS[hints[f.name]] for f in fields(table_type) if f.name != "rows"},
+    )
+
+
+_LAYOUTS = {table_type: _layout(table_type) for table_type in (Report, HistogramReport)}
+CSV_COLUMNS = _LAYOUTS[Report].columns
+
+
+def to_csv(table) -> str:
+    layout = _LAYOUTS[type(table)]
     buf = io.StringIO()
-    for key, value in _metadata(report).items():
-        buf.write(f"# {key}: {format_value(value)}\n")
+    for key in layout.metadata:
+        buf.write(f"# {key}: {format_value(getattr(table, key))}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in report.rows:
-        record = _row_record(row)
-        writer.writerow([format_value(record[col]) for col in CSV_COLUMNS])
+    writer.writerow(layout.columns)
+    writer.writerows([format_value(getattr(row, c)) for c in layout.columns] for row in table.rows)
     return buf.getvalue()
 
 
-def to_json(report: Report) -> str:
+def _json_value(value):
+    return FLOAT_FORMAT % value if isinstance(value, float) else value
+
+
+def to_json(table) -> str:
+    layout = _LAYOUTS[type(table)]
     payload = {
-        "metadata": _metadata(report),
+        "metadata": {key: getattr(table, key) for key in layout.metadata},
         "rows": [
-            {k: (FLOAT_FORMAT % v) if isinstance(v, float) else v for k, v in _row_record(row).items()}
-            for row in report.rows
+            {c: _json_value(getattr(row, c)) for c in layout.columns}
+            for row in table.rows
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _parse_optional_float(text: str) -> Optional[float]:
-    return None if text == "" else float(text)
-
-
-def _parse_bool(text: str) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise ExchboundError(f"not a boolean field: {text!r}")
-
-
-def _row_from_strings(record: dict) -> SweepRow:
-    return SweepRow(
-        model_id=record["model_id"],
-        M=int(record["M"]),
-        t=float(record["t"]),
-        side=record["side"],
-        method=record["method"],
-        value=_parse_optional_float(record["value"]),
-        ci_low=_parse_optional_float(record["ci_low"]),
-        ci_high=_parse_optional_float(record["ci_high"]),
-        hoeffding=_parse_optional_float(record["hoeffding"]),
-        kl_form=_parse_optional_float(record["kl_form"]),
-        h0=_parse_optional_float(record["h0"]),
-        valid=_parse_bool(record["valid"]),
-        violation=_parse_bool(record["violation"]),
+def _decode(meta: dict, records) -> Report:
+    layout = _LAYOUTS[Report]
+    rows = tuple(
+        SweepRow(*[parse(text) for parse, text in zip(layout.row_parsers, record)])
+        for record in records
     )
+    return Report(rows, **{key: parse(meta[key]) for key, parse in layout.metadata.items()})
 
 
 def from_csv(text: str) -> Report:
-    meta: dict[str, str] = {}
-    data_lines = []
-    for line in text.splitlines():
-        if line.startswith("# "):
-            key, _, value = line[2:].partition(": ")
-            meta[key] = value
-        elif line.strip():
-            data_lines.append(line)
-    reader = csv.DictReader(data_lines)
-    rows = tuple(_row_from_strings(record) for record in reader)
-    return Report(
-        rows=rows,
-        master_seed=int(meta["master_seed"]),
-        replications=int(meta["replications"]),
-        level=float(meta["level"]),
-        tool_version=meta["tool_version"],
-        timestamp=meta["timestamp"],
-    )
+    lines = text.splitlines(keepends=True)
+    n_meta = next((i for i, line in enumerate(lines) if not line.startswith("# ")), len(lines))
+    meta = {}
+    for line in lines[:n_meta]:
+        key, _, value = line[2:].rstrip("\r\n").partition(": ")
+        meta[key] = value
+    reader = csv.reader(lines[n_meta:])
+    header = next((record for record in reader if record), [])
+    if tuple(header) != CSV_COLUMNS:
+        raise ExchboundError(f"report header {header} is not {list(CSV_COLUMNS)}")
+    return _decode(meta, [record for record in reader if record])
 
 
 def from_json(text: str) -> Report:
     payload = json.loads(text)
-    meta = payload["metadata"]
-    rows = []
-    for record in payload["rows"]:
-        normalized = {}
-        for k, v in record.items():
-            if v is None:
-                normalized[k] = ""
-            elif isinstance(v, bool):
-                normalized[k] = "true" if v else "false"
-            else:
-                normalized[k] = str(v)
-        rows.append(_row_from_strings(normalized))
-    return Report(
-        rows=tuple(rows),
-        master_seed=int(meta["master_seed"]),
-        replications=int(meta["replications"]),
-        level=float(meta["level"]),
-        tool_version=str(meta["tool_version"]),
-        timestamp=str(meta["timestamp"]),
-    )
+    records = [[record[c] for c in CSV_COLUMNS] for record in payload["rows"]]
+    return _decode(payload["metadata"], records)
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -228,8 +203,8 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def write_report(report: Report, path: str, fmt: str) -> None:
-    """Serialize and atomically replace ``path``."""
+def write_report(report, path: str, fmt: str) -> None:
+    """Serialize a table and atomically replace ``path``."""
     if fmt == "csv":
         text = to_csv(report)
     elif fmt == "json":

@@ -1,5 +1,6 @@
 """Model-file ingestion, report encodings, and CLI contracts."""
 
+import csv
 import json
 import math
 import os
@@ -24,7 +25,8 @@ from exchbound import (
 import exchbound
 from exchbound import montecarlo
 from exchbound.cli import ModelFileError, load_model_file, main, model_from_obj
-from exchbound.reporting import Report, from_csv, from_json, to_csv, to_json
+from exchbound.montecarlo import SweepRow
+from exchbound.reporting import Report, format_value, from_csv, from_json, to_csv, to_json
 
 TWO_ATOM_DOC = {
     "type": "finite",
@@ -134,6 +136,103 @@ def make_report(reps=2_000, seed=5):
     return Report.from_sweep(sweep, tool_version="0.1.0", timestamp="2026-01-01T00:00:00+00:00")
 
 
+PINNED_CSV_HEAD = """\
+# master_seed: 9
+# replications: 5000
+# level: 0.999
+# tool_version: 0.1.0
+# timestamp: 2026-01-01T00:00:00+00:00
+model_id,M,t,side,method,value,ci_low,ci_high,hoeffding,kl_form,h0,valid,violation
+"""
+
+PINNED_JSON_HEAD = """\
+{
+  "metadata": {
+    "master_seed": 9,
+    "replications": 5000,
+    "level": 0.999,
+    "tool_version": "0.1.0",
+    "timestamp": "2026-01-01T00:00:00+00:00"
+  },
+  "rows": [
+"""
+
+# an exact row (no interval), a Monte Carlo row and a failed cell, each with
+# its CSV line and its JSON row object as the encoders must spell them
+PINNED_ROWS = [
+    (
+        SweepRow("bern03", 10, 0.06363636363636363, "upper", "binomial", 0.35038928159999982,
+                 None, None, 0.92220131291156815, 0.91117998825858038, 0.28768207245178085,
+                 True, False),
+        "bern03,10,0.06363636363636363,upper,binomial,0.35038928159999982,,,"
+        "0.92220131291156815,0.91117998825858038,0.28768207245178085,true,false",
+        """\
+    {
+      "model_id": "bern03",
+      "M": 10,
+      "t": "0.06363636363636363",
+      "side": "upper",
+      "method": "binomial",
+      "value": "0.35038928159999982",
+      "ci_low": null,
+      "ci_high": null,
+      "hoeffding": "0.92220131291156815",
+      "kl_form": "0.91117998825858038",
+      "h0": "0.28768207245178085",
+      "valid": true,
+      "violation": false
+    }""",
+    ),
+    (
+        SweepRow("three_atom_discrete", 200, 0.06363636363636363, "upper", "montecarlo", 0.004,
+                 0.0019480801312816913, 0.0081954671170435985, 0.19793141231588732,
+                 0.15914540830169618, 0.29407187055055167, True, False),
+        "three_atom_discrete,200,0.06363636363636363,upper,montecarlo,0.0040000000000000001,"
+        "0.0019480801312816913,0.0081954671170435985,0.19793141231588732,0.15914540830169618,"
+        "0.29407187055055167,true,false",
+        """\
+    {
+      "model_id": "three_atom_discrete",
+      "M": 200,
+      "t": "0.06363636363636363",
+      "side": "upper",
+      "method": "montecarlo",
+      "value": "0.0040000000000000001",
+      "ci_low": "0.0019480801312816913",
+      "ci_high": "0.0081954671170435985",
+      "hoeffding": "0.19793141231588732",
+      "kl_form": "0.15914540830169618",
+      "h0": "0.29407187055055167",
+      "valid": true,
+      "violation": false
+    }""",
+    ),
+    (
+        SweepRow("three_atom_discrete", 600, 0.1, "lower", "error:MTooLarge",
+                 hoeffding=6.1442123533282098e-06, kl_form=1.753798446108156e-08,
+                 h0=0.63598876671999682, valid=True),
+        "three_atom_discrete,600,0.10000000000000001,lower,error:MTooLarge,,,,"
+        "6.1442123533282098e-06,1.753798446108156e-08,0.63598876671999682,true,false",
+        """\
+    {
+      "model_id": "three_atom_discrete",
+      "M": 600,
+      "t": "0.10000000000000001",
+      "side": "lower",
+      "method": "error:MTooLarge",
+      "value": null,
+      "ci_low": null,
+      "ci_high": null,
+      "hoeffding": "6.1442123533282098e-06",
+      "kl_form": "1.753798446108156e-08",
+      "h0": "0.63598876671999682",
+      "valid": true,
+      "violation": false
+    }""",
+    ),
+]
+
+
 class TestReportEncodings:
     def test_csv_round_trip_lossless(self):
         report = make_report()
@@ -154,6 +253,14 @@ class TestReportEncodings:
             "model_id,M,t,side,method,value,ci_low,ci_high,"
             "hoeffding,kl_form,h0,valid,violation"
         )
+
+    @pytest.mark.parametrize("row,csv_line,json_row", PINNED_ROWS, ids=["exact", "montecarlo", "error"])
+    def test_encodings_pinned(self, row, csv_line, json_row):
+        report = Report(rows=(row,), master_seed=9, replications=5000, level=0.999,
+                        tool_version="0.1.0", timestamp="2026-01-01T00:00:00+00:00")
+        assert to_csv(report) == PINNED_CSV_HEAD + csv_line + "\n"
+        assert to_json(report) == PINNED_JSON_HEAD + json_row + "\n  ]\n}\n"
+        assert from_csv(to_csv(report)) == from_json(to_json(report)) == report
 
     def test_17_digit_floats_survive(self):
         report = make_report()
@@ -368,6 +475,27 @@ class TestCliCommands:
         ]
         assert len(rows) == 20
 
+    def test_verify_keeps_rows_whose_model_id_looks_like_metadata(self, tmp_path):
+        model_path = write_model(tmp_path, TWO_ATOM_DOC, name="# a.json")
+        out_path = tmp_path / "v.csv"
+        args = ["verify", "--model", model_path, "--m-grid", "2", "--t-grid", "0.1"]
+        assert main(args + ["--out", str(out_path)]) == 0
+        report = from_csv(out_path.read_text())
+        assert [(r.model_id, r.side) for r in report.rows] == [("# a", "upper"), ("# a", "lower")]
+        assert from_csv(to_csv(report)) == report
+
+    @pytest.mark.parametrize("fmt,decode", [("csv", from_csv), ("json", from_json)])
+    def test_verify_to_stdout_is_one_document(self, capsys, fmt, decode):
+        # a bound shrunk 100-fold adds VIOLATION lines, which go to stderr too
+        args = ["verify", "--m-grid", "2", "--t-grid", "0.1", "--reps", "1000", "--format", fmt]
+        assert main(args + ["--bound-scale", "0.01"]) == 1
+        captured = capsys.readouterr()
+        if fmt == "json":
+            json.loads(captured.out)
+        assert len(decode(captured.out).rows) == 10
+        assert "cells=10 violations=" in captured.err
+        assert "VIOLATION" in captured.err
+
     def test_verify_formats_agree(self, tmp_path):
         common = [
             "verify", "--m-grid", "2", "5", "--t-grid", "0.05", "0.1",
@@ -417,8 +545,42 @@ class TestCliCommands:
             ]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "replications=2000" in out
+        captured = capsys.readouterr()
+        assert "replications=2000" in captured.err
+        rows = list(csv.DictReader(l for l in captured.out.splitlines() if not l.startswith("# ")))
+        assert sum(int(r["count"]) for r in rows) == 2000
+
+    def test_histogram_json_to_stdout(self, tmp_path, capsys):
+        model_path = write_model(tmp_path, TWO_ATOM_DOC)
+        args = ["histogram", "--model", model_path, "--m", "5", "--reps", "500", "--bins", "4"]
+        assert main(args + ["--format", "json"]) == 0
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert doc["metadata"]["replications"] == 500
+        assert sum(r["count"] for r in doc["rows"]) == 500
+        assert "replications=500" in captured.err
+
+    def test_histogram_csv_and_json_carry_the_same_table(self, tmp_path):
+        model_path = write_model(tmp_path, TWO_ATOM_DOC)
+        args = ["histogram", "--model", model_path, "--m", "50", "--reps", "1000", "--bins", "4"]
+        csv_path, json_path = tmp_path / "h.csv", tmp_path / "h.json"
+        assert main(args + ["--out", str(csv_path)]) == 0
+        assert main(args + ["--format", "json", "--out", str(json_path)]) == 0
+        lines = csv_path.read_text().splitlines()
+        csv_meta = dict(l[2:].split(": ", 1) for l in lines if l.startswith("# "))
+        csv_rows = list(csv.DictReader(l for l in lines if not l.startswith("# ")))
+        doc = json.loads(json_path.read_text())
+        json_meta = {k: format_value(v) for k, v in doc["metadata"].items()}
+        json_rows = [{k: format_value(v) for k, v in r.items()} for r in doc["rows"]]
+        assert list(csv_meta) == list(json_meta) == [
+            "M", "replications", "master_seed", "tool_version", "timestamp"
+        ]
+        del csv_meta["timestamp"], json_meta["timestamp"]
+        assert csv_meta == json_meta == {
+            "M": "50", "replications": "1000", "master_seed": "0", "tool_version": "0.1.0"
+        }
+        assert csv_rows == json_rows
+        assert len(csv_rows) == 4 and float(json_rows[-1]["bin_high"]) == 1.0
 
     def test_histogram_csv_output(self, tmp_path):
         model_path = write_model(tmp_path, TWO_ATOM_DOC)
@@ -431,7 +593,7 @@ class TestCliCommands:
             ]
         )
         assert code == 0
-        lines = out_path.read_text().strip().splitlines()
+        lines = [l for l in out_path.read_text().strip().splitlines() if not l.startswith("# ")]
         assert lines[0] == "bin_low,bin_high,count"
         assert sum(int(l.split(",")[2]) for l in lines[1:]) == 1000
 
