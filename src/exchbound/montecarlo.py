@@ -12,10 +12,14 @@ per-observation sampler in :mod:`exchbound.sampler` remains the
 reference mechanism and the tests cross-validate the two.
 
 Replications are processed in fixed blocks of 2^16, one derived stream
-per (master_seed, block_index).  The drawn sums of one (model, M,
-replications, seed) form one empirical law (``_empirical_law``): sorted
-distinct sums with tail counts, kept in a small cache, from which every
-threshold reads an exact integer count and histograms bin.  Results
+per (master_seed, block_index).  Within a block, the Beta sums of an atom
+are drawn in row chunks of about 2^17 variates from that one stream, so
+memory stays at one chunk however large replications x M grows, and the
+sums are those of drawing the whole block at once.  The drawn sums of
+one (model, M, replications, seed) form one empirical law
+(``_empirical_law``): sorted distinct sums with tail counts, kept in a
+small cache, from which every threshold reads an exact integer count
+and histograms bin.  Results
 therefore do not depend on execution order or thread count, and an
 estimate can only fall as t grows.  Estimation computes upper tails
 only: a lower-tail query is the reflected model's upper tail, exactly as
@@ -71,6 +75,10 @@ from .oracle import ExactTail, exact_tail, flip_model, lattice_points
 from .sampler import SeedSpec, derive_stream, mix64, pick_index
 
 BLOCK_SIZE = 1 << 16
+
+BETA_CHUNK = 1 << 17  # Beta draws held at once: 1 MB of float64
+
+HISTOGRAM_MAX_BINS = 10**6
 
 DEFAULT_CI_LEVEL = 0.999
 
@@ -176,7 +184,7 @@ def _block_sums(
         if isinstance(c, Bernoulli):
             yield 1, gen.binomial(M, float(c.p), size=ni)
         elif isinstance(c, Beta):
-            yield None, gen.beta(c.alpha, c.beta, size=(ni, M)).sum(axis=1)
+            yield None, _beta_sums(c, M, ni, gen)
         else:
             points, weights = discrete_law(c)
             D, ints = lattice_points(points)
@@ -184,6 +192,21 @@ def _block_sums(
             # multinomial rejects weights whose leading sum passes 1 + 1e-12
             counts = gen.multinomial(M, w / w.sum(), size=ni)
             yield D, _lattice_sums(counts, ints, M * D)
+
+
+def _beta_sums(c: Beta, M: int, n: int, gen: np.random.Generator) -> np.ndarray:
+    """Row sums of n rows of M Beta draws, drawn about BETA_CHUNK draws at a time.
+
+    Consecutive draws continue one stream and each row is summed on its
+    own, so the sums equal ``gen.beta(..., size=(n, M)).sum(axis=1)`` bit
+    for bit, while only one chunk (or one row, when M is larger) is held.
+    """
+    sums = np.empty(n)
+    rows = max(1, BETA_CHUNK // M)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        gen.beta(c.alpha, c.beta, size=(stop - start, M)).sum(axis=1, out=sums[start:stop])
+    return sums
 
 
 def _blocks(replications: int):
@@ -298,8 +321,8 @@ def sample_mean_histogram(
     m: MixingMeasure, M: int, replications: int, bins: int, master_seed: int
 ) -> HistogramResult:
     """Histogram of Xbar over replications, bins uniform on [0, 1]."""
-    if bins < 2:
-        raise DomainError(f"bins must be >= 2, got {bins}")
+    if not 2 <= bins <= HISTOGRAM_MAX_BINS:
+        raise DomainError(f"bins must lie in [2, {HISTOGRAM_MAX_BINS}], got {bins}")
     if replications < 1:
         raise DomainError(f"replications must be >= 1, got {replications}")
     if M < 1:

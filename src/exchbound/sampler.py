@@ -23,6 +23,8 @@ nothing else touches the stream.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import threading
 from dataclasses import dataclass
 from typing import Sequence
@@ -136,12 +138,19 @@ def component_quantile(c: Component, u: np.ndarray) -> np.ndarray:
     raise TypeError(f"not a Component: {c!r}")
 
 
+@functools.lru_cache(maxsize=256)
+def _cumulative(weights: tuple[float, ...]) -> tuple[float, ...]:
+    """The cumulative weights, rounded as numpy's cumsum rounds them."""
+    return tuple(np.cumsum(np.asarray(weights, dtype=np.float64)).tolist())
+
+
 def pick_index(weights: Sequence[float], u: np.ndarray) -> np.ndarray:
     """Inverse CDF of the index law given by ``weights``, over uniforms u.
 
-    Selects mixture atoms and discrete points alike.
+    Selects mixture atoms and discrete points alike: the first index
+    whose cumulative weight exceeds u, clamped to the last index.
     """
-    cum = np.cumsum(np.asarray(weights, dtype=np.float64))
+    cum = _cumulative(tuple(weights))
     # asarray: a scalar u gives a scalar index, which cannot be an out=
     idx = np.asarray(np.searchsorted(cum, np.asarray(u, dtype=np.float64), side="right"))
     return np.minimum(idx, len(weights) - 1, out=idx)  # guard cum[-1] < 1 by rounding
@@ -158,8 +167,10 @@ def sample_sequence(m: MixingMeasure, M: int, seed: SeedSpec) -> SampleBatch:
     gen = _replay_stream(seed)
     u0 = gen.random()
     if isinstance(m, FiniteMixture):
-        idx = int(pick_index(m.weights, np.array([u0]))[0])
-        component: Component = m.components[idx]
+        # pick_index's rule on one float, without numpy's per-call set-up
+        cum = _cumulative(m.weights)
+        idx = min(bisect.bisect_right(cum, u0), len(cum) - 1)
+        component: Component = m.atoms[idx][1]
     elif isinstance(m, BernoulliParamMixture):
         idx = None
         component = Bernoulli(m.density.quantile(u0))
@@ -169,6 +180,6 @@ def sample_sequence(m: MixingMeasure, M: int, seed: SeedSpec) -> SampleBatch:
     values.setflags(write=False)
     return SampleBatch(
         values=values,
-        sample_mean=float(values.mean()),
+        sample_mean=float(np.add.reduce(values)) / M,  # what values.mean() computes
         drawn_component_index=idx,
     )

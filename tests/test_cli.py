@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exchbound import (
@@ -413,6 +413,7 @@ class TestCliCommands:
             ("ci", ["--range", "-1e308", "1e308"], None),
             ("verify", ["--model", "beta-no-mass-low.json"], None),
             ("verify", ["--model", "beta-no-mass-high.json"], None),
+            ("histogram", ["--bins", "1000000000000"], None),
         ],
         ids=[
             "auto-abc", "auto-0", "inf", "nan", "abc", "level", "m-0", "threads-env",
@@ -420,6 +421,7 @@ class TestCliCommands:
             "simulate-inf", "simulate-t-0", "simulate-m-0", "simulate-level", "bounds-m-0",
             "auto-superscript", "threads-env-superscript", "ci-range-inf", "ci-range-nan",
             "bounds-range-inf", "ci-range-exponent", "beta-no-mass-low", "beta-no-mass-high",
+            "histogram-bins-huge",
         ],
     )
     def test_verify_rejects_bad_arguments_before_any_cell(
@@ -440,6 +442,7 @@ class TestCliCommands:
             "simulate": ["--model", "a/m.json", "--m", "2", "--t", "0.1", "--reps", "100"],
             "bounds": ["--mu-plus", "0.8", "--mu-minus", "0.2", "--m", "2", "--t", "0.1"],
             "ci": ["--m", "3", "--delta", "0.1"],
+            "histogram": ["--model", "a/m.json", "--m", "2", "--reps", "10"],
         }[command]
         out = [] if command in ("bounds", "ci") else ["--out", str(out_path)]
         assert main([command, *base, *extra, *out]) == 2
@@ -703,4 +706,8 @@ def test_any_argv_ends_in_a_documented_exit_code(property_dir, command):
             code = e.code
         assert code in (0, 1, 2, 3), argv
 
+    if command == "histogram":  # a bin count far past the drawn ones
+        model = str(property_dir / "two-atom.json")
+        argv = [command, "--model", model, "--m", "2", "--reps", "10", "--bins", "1000000000000"]
+        check = example(argv)(check)
     check()

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import statistics
+import tracemalloc
 from itertools import groupby
 
 import numpy as np
@@ -231,8 +232,9 @@ class TestHistogram:
         assert sum(a.counts) == 65_537
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            sample_mean_histogram(TWO_ATOM, M=2, replications=10, bins=1, master_seed=1)
+        for bins in (1, montecarlo.HISTOGRAM_MAX_BINS + 1, 10**12):
+            with pytest.raises(DomainError):
+                sample_mean_histogram(TWO_ATOM, M=2, replications=10, bins=bins, master_seed=1)
 
     @pytest.mark.parametrize("M", [1, 10, 60])
     def test_beta_bernoulli_draws_bin_block_by_block(self, M):
@@ -251,6 +253,31 @@ class TestHistogram:
                 expected += np.histogram(np.clip(sums / M, 0.0, 1.0), bins=edges)[0]
         h = sample_mean_histogram(m, M, reps, bins, seed)
         assert h.counts == tuple(int(c) for c in expected)
+
+    @pytest.mark.parametrize("M", [1, 7, 200, montecarlo.BETA_CHUNK + 1])
+    def test_chunked_beta_sums_equal_the_one_shot_draw(self, M):
+        # n is not a multiple of a chunk's rows (except at one row), so the
+        # last chunk is short
+        n = 2 * max(1, montecarlo.BETA_CHUNK // M) + 3
+        m = FiniteMixture([(1.0, Beta(2.0, 5.0))])
+        seed = SeedSpec(master_seed=47, replication_index=2)
+        reference = derive_stream(seed)
+        reference.random(n)  # the atom picks
+        expected = reference.beta(2.0, 5.0, size=(n, M)).sum(axis=1)
+        ((scale, sums),) = montecarlo._block_sums(m, M, n, derive_stream(seed))
+        assert scale is None
+        assert np.array_equal(sums, expected)
+
+    def test_beta_law_holds_about_one_chunk(self):
+        # drawn in one piece, the 64 x 20,000 Beta variates alone take 10 MB
+        m = FiniteMixture([(1.0, Beta(2.0, 5.0))])
+        tracemalloc.start()
+        try:
+            montecarlo._empirical_law.__wrapped__(m, 20_000, 64, 53)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * montecarlo.BETA_CHUNK * 8
 
 
 class TestRunSweep:

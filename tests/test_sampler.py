@@ -1,6 +1,8 @@
 """Determinism, stream independence, and distributional checks."""
 
+import hashlib
 import math
+import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -16,9 +18,11 @@ from exchbound import (
     FiniteMixture,
     PointMass,
     SeedSpec,
+    TruncatedBetaDensity,
     UniformDensity,
     derive_stream,
     sample_sequence,
+    standard_suite,
 )
 from exchbound.sampler import component_quantile
 
@@ -122,6 +126,24 @@ class TestSampleSequence:
             sys.setswitchinterval(interval)
         assert sum(len(r) for r in results) == 200
         assert all(np.array_equal(v, expected[i]) for r in results for i, v in r)
+
+    def test_batches_match_the_pinned_digest(self):
+        # the stream contract: any faster path must replay these batches exactly;
+        # bit-level, so the literal holds for one numpy/scipy version (computed
+        # with numpy 2.4.6 and scipy 1.17.1)
+        models = [m for _, m in standard_suite()] + [
+            FiniteMixture([(0.6, Beta(2.0, 5.0)), (0.4, Bernoulli(0.7))]),
+            BernoulliParamMixture(TruncatedBetaDensity(2.0, 3.0, 0.1, 0.9)),
+        ]
+        h = hashlib.sha256()
+        for m in models:
+            for M in (1, 3, 8):
+                for s in range(200):
+                    b = sample_sequence(m, M, SeedSpec(master_seed=1000 + s, replication_index=s))
+                    h.update(np.asarray(b.values, dtype="<f8").tobytes())
+                    h.update(struct.pack("<d", b.sample_mean))
+                    h.update(repr(b.drawn_component_index).encode())
+        assert h.hexdigest() == "4fd8a06d0df7ddfa6c5cf02fa61e83047fd05632b0f955a65ea80a308e90cdbd"
 
     def test_grand_mean_of_iid_coin(self):
         # 4-sigma binomial check: SE = 0.5 / sqrt(reps * M)
