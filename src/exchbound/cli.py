@@ -9,9 +9,9 @@ ci         deviation radius for a target two-sided confidence level
 histogram  empirical distribution of the sample mean
 
 Exit codes: 0 success (verify: every cell evaluated, zero violations),
-1 verify found violations, 2 invalid arguments or model file (verify:
-also when a cell failed; the report is still written), 3 output I/O
-failure.
+1 verify found violations, 2 invalid arguments or model file (verify and
+simulate: also when a cell failed; the report is still written), 3
+output I/O failure.
 
 Observations on a general range [a, b] are supported by affine
 rescaling at this boundary only: pass ``--range a b`` to bounds/ci and
@@ -25,8 +25,9 @@ import datetime
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Union, get_origin, get_type_hints
 
 from . import __version__
 from .bounds import RangeBounds, Side, t_for_confidence, tail_bound_report
@@ -42,8 +43,8 @@ from .model import (
     TruncatedBetaDensity,
     UniformDensity,
 )
-from .montecarlo import DEFAULT_CI_LEVEL, run_sweep, sample_mean_histogram
-from .reporting import HistogramReport, Report, format_value, to_csv, to_json, write_report
+from .montecarlo import DEFAULT_CI_LEVEL, METHODS, run_sweep, sample_mean_histogram
+from .reporting import ENCODERS, HistogramReport, Report, format_value, write_report
 from .suite import standard_suite
 
 EXIT_OK = 0
@@ -77,61 +78,46 @@ def _require(obj: dict, key: str, where: str):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ModelFileError(where, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal past the float range
+        raise ModelFileError(where, "number too large for a float") from None
 
 
-def _component_from_obj(obj, where: str):
+_COMPONENT_KINDS = {
+    "bernoulli": Bernoulli, "pointmass": PointMass, "discrete": DiscreteOnUnit, "beta": Beta,
+}
+_DENSITY_KINDS = {"uniform": UniformDensity, "truncated_beta": TruncatedBetaDensity}
+
+# per class, its fields in order: True where a field is a tuple, which a
+# file holds as a JSON list of numbers, False where it is one number
+_KIND_FIELDS = {
+    cls: {f.name: get_origin(get_type_hints(cls)[f.name]) is tuple for f in fields(cls)}
+    for cls in (*_COMPONENT_KINDS.values(), *_DENSITY_KINDS.values())
+}
+
+
+def _from_kind(obj, where: str, kinds: dict, noun: str):
+    """The ``kinds[obj["kind"]]`` built from the keys named after its fields."""
     if not isinstance(obj, dict):
         raise ModelFileError(where, "expected an object")
     kind = _require(obj, "kind", where)
+    cls = kinds.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ModelFileError(f"{where}.kind", f"unknown {noun} kind {kind!r}")
+    values = {}
+    for name, is_list in _KIND_FIELDS[cls].items():
+        value, path = _require(obj, name, where), f"{where}.{name}"
+        if not is_list:
+            values[name] = _number(value, path)
+        elif isinstance(value, list):
+            values[name] = [_number(x, f"{path}[{i}]") for i, x in enumerate(value)]
+        else:
+            raise ModelFileError(path, "expected a list")
     try:
-        if kind == "bernoulli":
-            return Bernoulli(_number(_require(obj, "p", where), f"{where}.p"))
-        if kind == "pointmass":
-            return PointMass(_number(_require(obj, "c", where), f"{where}.c"))
-        if kind == "discrete":
-            points = _require(obj, "points", where)
-            weights = _require(obj, "weights", where)
-            if not isinstance(points, list) or not isinstance(weights, list):
-                raise ModelFileError(f"{where}.points", "expected lists")
-            return DiscreteOnUnit(
-                points=[_number(x, f"{where}.points[{i}]") for i, x in enumerate(points)],
-                weights=[_number(w, f"{where}.weights[{i}]") for i, w in enumerate(weights)],
-            )
-        if kind == "beta":
-            return Beta(
-                alpha=_number(_require(obj, "alpha", where), f"{where}.alpha"),
-                beta=_number(_require(obj, "beta", where), f"{where}.beta"),
-            )
-    except ModelFileError:
-        raise
+        return cls(**values)
     except ExchboundError as e:
         raise ModelFileError(where, str(e)) from e
-    raise ModelFileError(f"{where}.kind", f"unknown component kind {kind!r}")
-
-
-def _density_from_obj(obj, where: str):
-    if not isinstance(obj, dict):
-        raise ModelFileError(where, "expected an object")
-    kind = _require(obj, "kind", where)
-    try:
-        if kind == "uniform":
-            return UniformDensity(
-                lo=_number(_require(obj, "lo", where), f"{where}.lo"),
-                hi=_number(_require(obj, "hi", where), f"{where}.hi"),
-            )
-        if kind == "truncated_beta":
-            return TruncatedBetaDensity(
-                alpha=_number(_require(obj, "alpha", where), f"{where}.alpha"),
-                beta=_number(_require(obj, "beta", where), f"{where}.beta"),
-                lo=_number(_require(obj, "lo", where), f"{where}.lo"),
-                hi=_number(_require(obj, "hi", where), f"{where}.hi"),
-            )
-    except ModelFileError:
-        raise
-    except ExchboundError as e:
-        raise ModelFileError(where, str(e)) from e
-    raise ModelFileError(f"{where}.kind", f"unknown density kind {kind!r}")
 
 
 def model_from_obj(obj) -> MixingMeasure:
@@ -145,19 +131,19 @@ def model_from_obj(obj) -> MixingMeasure:
             raise ModelFileError("atoms", "expected a non-empty list")
         atoms = []
         for i, atom in enumerate(atoms_obj):
+            where = f"atoms[{i}]"
             if not isinstance(atom, dict):
-                raise ModelFileError(f"atoms[{i}]", "expected an object")
-            weight = _number(_require(atom, "weight", f"atoms[{i}]"), f"atoms[{i}].weight")
-            component = _component_from_obj(
-                _require(atom, "component", f"atoms[{i}]"), f"atoms[{i}].component"
-            )
+                raise ModelFileError(where, "expected an object")
+            weight = _number(_require(atom, "weight", where), f"{where}.weight")
+            component = _require(atom, "component", where)
+            component = _from_kind(component, f"{where}.component", _COMPONENT_KINDS, "component")
             atoms.append((weight, component))
         try:
             return FiniteMixture(atoms)
         except ExchboundError as e:
             raise ModelFileError("atoms[*].weight", str(e)) from e
     if mtype == "bernoulli_param":
-        density = _density_from_obj(_require(obj, "density", ""), "density")
+        density = _from_kind(_require(obj, "density", ""), "density", _DENSITY_KINDS, "density")
         return BernoulliParamMixture(density)
     raise ModelFileError("type", f"unknown model type {mtype!r}")
 
@@ -193,32 +179,18 @@ def _bound_line(side: Side, mu_eff: float, anchor: float, M: int, t: float) -> s
     )
 
 
-def _parse_side(text: str) -> Side:
-    try:
-        return Side(text.lower())
-    except ValueError:
-        raise ExchboundError(f"side must be 'upper' or 'lower', got {text!r}")
-
-
-def _sides_from_arg(text: str) -> list[Side]:
-    if text == "both":
-        return [Side.UPPER, Side.LOWER]
-    return [_parse_side(text)]
+_SIDES = {"upper": [Side.UPPER], "lower": [Side.LOWER], "both": [Side.UPPER, Side.LOWER]}
 
 
 def _load_models(args) -> list[tuple[str, MixingMeasure]]:
-    models: list[tuple[str, MixingMeasure]] = []
-    if getattr(args, "models_dir", None):
+    models = []
+    if args.models_dir:
         paths = sorted(Path(args.models_dir).glob("*.json"))
         if not paths:
             raise ExchboundError(f"no *.json model files in {args.models_dir}")
-        for p in paths:
-            models.append((p.stem, load_model_file(str(p))))
-    for p in getattr(args, "model", None) or []:
-        models.append((Path(p).stem, load_model_file(p)))
-    if not models:
-        models = list(standard_suite())
-    return models
+        models = [(p.stem, load_model_file(str(p))) for p in paths]
+    models += [(Path(p).stem, load_model_file(p)) for p in args.model or []]
+    return models or list(standard_suite())
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +203,7 @@ def cmd_bounds(args) -> int:
     scale = r.b - r.a
     mu_plus, mu_minus = args.mu_plus, args.mu_minus
     if not (0.0 <= mu_minus <= mu_plus <= 1.0):
-        raise ExchboundError(
-            f"need 0 <= mu_minus <= mu_plus <= 1, got {mu_minus}, {mu_plus}"
-        )
+        raise ExchboundError(f"need 0 <= mu_minus <= mu_plus <= 1, got {mu_minus}, {mu_plus}")
     t = args.t / scale
     # both reports validate M and t before anything is printed
     upper = _bound_line(Side.UPPER, mu_plus, mu_plus, args.m, t)
@@ -271,7 +241,7 @@ def _write_or_fail(table: Union[Report, HistogramReport], out: Optional[str], fm
     went to stdout, so stdout stays one parseable CSV or JSON document.
     """
     if out is None:
-        sys.stdout.write(to_csv(table) if fmt == "csv" else to_json(table))
+        sys.stdout.write(ENCODERS[fmt](table))
         return sys.stderr
     try:
         write_report(table, out, fmt)
@@ -298,32 +268,43 @@ def _check_run_args(
         raise ExchboundError(f"--level must lie in (0,1), got {level!r}")
 
 
-def cmd_simulate(args) -> int:
-    _check_run_args([args.m], [args.t], args.level)
-    model = load_model_file(args.model)
-    model_id = Path(args.model).stem
+def _sweep_report(args, lines, **sweep_args) -> Report:
+    """Run one sweep and write its report, then the command's ``lines(report)``.
+
+    A failed cell is also counted on stderr, and its command exits 2.
+    """
     sweep = run_sweep(
-        models=[(model_id, model)],
-        M_grid=[args.m],
-        t_grid=[args.t],
-        sides=_sides_from_arg(args.side),
-        replications=args.reps,
-        master_seed=args.seed,
-        method="montecarlo",
-        level=args.level,
+        sides=_SIDES[args.side], replications=args.reps, master_seed=args.seed,
+        level=args.level, **sweep_args,
     )
     report = Report.from_sweep(sweep, __version__, _timestamp())
     log = _write_or_fail(report, args.out, args.format)
+    for line in lines(report):
+        print(line, file=log)
+    if report.failures:
+        print(f"error: {len(report.failures)} cells failed", file=sys.stderr)
+    return report
+
+
+def _estimate_lines(report: Report):
     for row in report.rows:
-        print(
+        yield (
             f"{row.model_id} M={row.M} t={format_value(row.t)} side={row.side} "
             f"p_hat={format_value(row.value)} "
             f"ci=[{format_value(row.ci_low)}, {format_value(row.ci_high)}] "
             f"hoeffding={format_value(row.hoeffding)} valid={format_value(row.valid)} "
-            f"violation={format_value(row.violation)}",
-            file=log,
+            f"violation={format_value(row.violation)}"
         )
-    return EXIT_OK
+
+
+def cmd_simulate(args) -> int:
+    _check_run_args([args.m], [args.t], args.level)
+    models = [(Path(args.model).stem, load_model_file(args.model))]
+    report = _sweep_report(
+        args, _estimate_lines, models=models, M_grid=[args.m], t_grid=[args.t],
+        method="montecarlo",
+    )
+    return EXIT_USAGE if report.failures else EXIT_OK
 
 
 def _parse_t_grid(tokens: Sequence[str]) -> Union[int, list[float]]:
@@ -350,38 +331,25 @@ def cmd_verify(args) -> int:
     t_grid = _parse_t_grid(args.t_grid or [DEFAULT_T_GRID])
     _check_run_args(m_grid, t_grid, args.level)
 
-    sweep = run_sweep(
-        models=models,
-        M_grid=m_grid,
-        t_grid=t_grid,
-        sides=_sides_from_arg(args.side),
-        replications=args.reps,
-        master_seed=args.seed,
-        method=args.method,
-        level=args.level,
+    def lines(report: Report):
+        yield (
+            f"cells={len(report.rows)} violations={len(report.violations)} "
+            f"errors={len(report.failures)} models={len(models)} reps={args.reps}"
+        )
+        for row in report.violations:
+            yield (
+                f"VIOLATION {row.model_id} M={row.M} t={format_value(row.t)} side={row.side} "
+                f"value={format_value(row.value)} ci_low={format_value(row.ci_low)} "
+                f"bound={format_value(row.hoeffding)}"
+            )
+
+    report = _sweep_report(
+        args, lines, models=models, M_grid=m_grid, t_grid=t_grid, method=args.method,
         bound_scale=args.bound_scale,
     )
-    report = Report.from_sweep(sweep, __version__, _timestamp())
-    log = _write_or_fail(report, args.out, args.format)
-    n_violations = len(report.violations)
-    n_errors = sum(row.method.startswith("error:") for row in report.rows)
-    print(
-        f"cells={len(report.rows)} violations={n_violations} errors={n_errors} "
-        f"models={len(models)} reps={args.reps}",
-        file=log,
-    )
-    for row in report.violations:
-        print(
-            f"VIOLATION {row.model_id} M={row.M} t={format_value(row.t)} side={row.side} "
-            f"value={format_value(row.value)} ci_low={format_value(row.ci_low)} "
-            f"bound={format_value(row.hoeffding)}",
-            file=log,
-        )
-    if n_errors:
-        print(f"error: {n_errors} cells failed", file=sys.stderr)
-    if n_violations:
+    if report.violations:
         return EXIT_VIOLATION
-    return EXIT_USAGE if n_errors else EXIT_OK
+    return EXIT_USAGE if report.failures else EXIT_OK
 
 
 def cmd_histogram(args) -> int:
@@ -424,11 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--model", required=True, help="model file (JSON)")
     p_sim.add_argument("--m", type=int, required=True)
     p_sim.add_argument("--t", type=float, required=True)
-    p_sim.add_argument("--side", default="upper", choices=["upper", "lower", "both"])
+    p_sim.add_argument("--side", default="upper", choices=_SIDES)
     p_sim.add_argument("--reps", type=int, default=100_000)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--level", type=float, default=DEFAULT_CI_LEVEL)
-    p_sim.add_argument("--format", default="csv", choices=["csv", "json"])
+    p_sim.add_argument("--format", default="csv", choices=ENCODERS)
     p_sim.add_argument("--out", default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -440,13 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--t-grid", dest="t_grid", nargs="+",
         help="deviations, or auto:N for N values spanning each validity window",
     )
-    p_ver.add_argument("--side", default="both", choices=["upper", "lower", "both"])
+    p_ver.add_argument("--side", default="both", choices=_SIDES)
     p_ver.add_argument("--reps", type=int, default=100_000)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--level", type=float, default=DEFAULT_CI_LEVEL)
-    p_ver.add_argument("--format", default="csv", choices=["csv", "json"])
+    p_ver.add_argument("--format", default="csv", choices=ENCODERS)
     p_ver.add_argument("--out", default=None)
-    p_ver.add_argument("--method", default="auto", choices=["auto", "exact", "montecarlo"])
+    p_ver.add_argument("--method", default="auto", choices=METHODS)
     p_ver.add_argument("--bound-scale", dest="bound_scale", type=float, default=1.0,
                        help=argparse.SUPPRESS)  # verification hook
     p_ver.set_defaults(func=cmd_verify)
@@ -466,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hist.add_argument("--reps", type=int, default=10_000)
     p_hist.add_argument("--bins", type=int, default=20)
     p_hist.add_argument("--seed", type=int, default=0)
-    p_hist.add_argument("--format", default="csv", choices=["csv", "json"])
+    p_hist.add_argument("--format", default="csv", choices=ENCODERS)
     p_hist.add_argument("--out", default=None)
     p_hist.set_defaults(func=cmd_histogram)
 

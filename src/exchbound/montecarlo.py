@@ -14,9 +14,10 @@ reference mechanism and the tests cross-validate the two.
 Replications are processed in fixed blocks of 2^16, one derived stream
 per (master_seed, block_index).  Within a block, the Beta sums of an atom
 are drawn in row chunks of about 2^17 variates from that one stream, so
-memory stays at one chunk however large replications x M grows, and the
-sums are those of drawing the whole block at once.  The drawn sums of
-one (model, M, replications, seed) form one empirical law
+memory stays at one chunk, or one row past 2^17, however large
+replications grows, and the sums are those of drawing the whole block
+at once.  A row is held whole, so M is at most 2^24 for a Beta atom.
+The drawn sums of one (model, M, replications, seed) form one empirical law
 (``_empirical_law``): sorted distinct sums with tail counts, kept in a
 small cache, from which every threshold reads an exact integer count
 and histograms bin.  Results
@@ -78,9 +79,13 @@ BLOCK_SIZE = 1 << 16
 
 BETA_CHUNK = 1 << 17  # Beta draws held at once: 1 MB of float64
 
+BETA_MAX_M = 1 << 24  # one row of M Beta draws, held whole: 128 MB of float64
+
 HISTOGRAM_MAX_BINS = 10**6
 
 DEFAULT_CI_LEVEL = 0.999
+
+METHODS = ("auto", "exact", "montecarlo")  # sweep engines, see run_sweep
 
 THREADS_ENV_VAR = "EXCHBOUND_THREADS"
 
@@ -246,8 +251,12 @@ def _empirical_law(
     """The sums S of ``replications`` batches of M draws, one table per scale.
 
     Every threshold of one (model, M, seed) reads the same draws, so a
-    tail estimate can only fall as t grows.
+    tail estimate can only fall as t grows.  A Beta atom needs one whole
+    row of M draws, so past BETA_MAX_M it raises DomainError before any draw.
     """
+    if M > BETA_MAX_M and isinstance(m, FiniteMixture):
+        if any(isinstance(c, Beta) for c in m.components):
+            raise DomainError(f"M must be <= {BETA_MAX_M} for a Beta component, got {M}")
     chunks: dict[Optional[int], list[np.ndarray]] = {}
     for block_index, size in _blocks(replications):
         gen = derive_stream(SeedSpec(master_seed=seed, replication_index=block_index))
@@ -377,6 +386,10 @@ class SweepResult:
     def violations(self) -> tuple[SweepRow, ...]:
         return tuple(r for r in self.rows if r.violation)
 
+    @property
+    def failures(self) -> tuple[SweepRow, ...]:
+        return tuple(r for r in self.rows if r.method.startswith("error:"))
+
 
 def window_t_grid(summary: ModelSummary, side: Side, n: int) -> list[float]:
     """n deviations spanning the side's validity window.
@@ -437,8 +450,6 @@ def _sweep_cell(
             except (UnsupportedModel, MTooLarge):
                 if method == "exact":
                     raise
-        elif method != "montecarlo":
-            raise DomainError(f"unknown sweep method {method!r}")
 
         if exact is not None:
             value = exact.probability
@@ -492,8 +503,9 @@ def run_sweep(
     ``method`` selects the engine per cell: "auto" prefers the exact
     oracle and falls back to Monte Carlo, "exact" and "montecarlo" force
     one engine.  Per-cell failures become rows with method "error:<name>"
-    rather than aborting the sweep.  Two cells with the same row key
-    (model_id, M, t, side) raise DomainError before any cell runs.
+    rather than aborting the sweep.  An unknown method, or two cells with
+    the same row key (model_id, M, t, side), raise DomainError before any
+    cell runs.
     ``bound_scale`` is a verification hook that scales the exp(-2Mt^2)
     value used in violation checks.
 
@@ -515,6 +527,8 @@ def run_sweep(
         raise EmptyGrid("sides list is empty")
     if replications < 1:
         raise DomainError(f"replications must be >= 1, got {replications}")
+    if method not in METHODS:
+        raise DomainError(f"unknown sweep method {method!r}")
     n_threads = _resolve_threads(threads)
 
     # one group of cells per (model, side, M): the cells that share a drawn law

@@ -203,12 +203,12 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+ENCODERS = {"csv": to_csv, "json": to_json}  # format -> table encoder
+
+
 def write_report(report, path: str, fmt: str) -> None:
     """Serialize a table and atomically replace ``path``."""
-    if fmt == "csv":
-        text = to_csv(report)
-    elif fmt == "json":
-        text = to_json(report)
-    else:
+    encode = ENCODERS.get(fmt) if isinstance(fmt, str) else None
+    if encode is None:
         raise ExchboundError(f"unknown report format {fmt!r}")
-    atomic_write_text(path, text)
+    atomic_write_text(path, encode(report))

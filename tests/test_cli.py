@@ -51,6 +51,26 @@ TRUNCATED_BETA_DOCS = {
 }
 
 
+def one_component_doc(component):
+    return {"type": "finite", "atoms": [{"weight": 1, "component": component}]}
+
+
+BETA_BERN_DOC = {
+    "type": "finite",
+    "atoms": [
+        {"weight": 0.6, "component": {"kind": "beta", "alpha": 2, "beta": 5}},
+        {"weight": 0.4, "component": {"kind": "bernoulli", "p": 0.7}},
+    ],
+}
+
+# model files the bad-argument test reads, besides the truncated-Beta ones
+ARGUMENT_TEST_DOCS = {
+    "huge-int": one_component_doc({"kind": "bernoulli", "p": 10**400}),
+    "kind-unhashable": one_component_doc({"kind": []}),
+    "beta-bern": BETA_BERN_DOC,
+}
+
+
 def write_model(tmp_path, doc, name="model.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -59,6 +79,55 @@ def write_model(tmp_path, doc, name="model.json"):
 
 def strip_timestamps(text: str) -> str:
     return re.sub(r"(\"?timestamp\"?[:,] ?)\"?[^\",\n]*\"?", r"\1", text)
+
+
+# one valid document of each component and density kind
+VALID_KINDS = {
+    "atoms[0].component": [
+        {"kind": "bernoulli", "p": 0.5},
+        {"kind": "pointmass", "c": 0.5},
+        {"kind": "discrete", "points": [0.0, 1.0], "weights": [0.5, 0.5]},
+        {"kind": "beta", "alpha": 2, "beta": 3},
+    ],
+    "density": [
+        {"kind": "uniform", "lo": 0.2, "hi": 0.8},
+        {"kind": "truncated_beta", "alpha": 2, "beta": 3, "lo": 0.1, "hi": 0.9},
+    ],
+}
+
+
+def _model_doc(where, obj):
+    if where == "density":
+        return {"type": "bernoulli_param", "density": obj}
+    return one_component_doc(obj)
+
+
+def _model_file_errors():
+    """(document, field path) for each way one field of one kind can be wrong."""
+    cases = []
+    for where, kinds in VALID_KINDS.items():
+        cases.append((_model_doc(where, []), where))
+        for valid in kinds:
+            bad_kind = {**valid, "kind": "no_such_kind"}
+            cases.append((_model_doc(where, bad_kind), f"{where}.kind"))
+            for name, value in valid.items():
+                path = f"{where}.{name}"
+                missing = {k: v for k, v in valid.items() if k != name}
+                cases.append((_model_doc(where, missing), path))
+                if name == "kind":
+                    continue
+                if isinstance(value, list):
+                    cases.append((_model_doc(where, {**valid, name: 0.5}), path))
+                    for bad in ("x", True):
+                        doc = _model_doc(where, {**valid, name: [bad, *value[1:]]})
+                        cases.append((doc, f"{path}[0]"))
+                else:
+                    for bad in ("x", True, [0.5]):
+                        cases.append((_model_doc(where, {**valid, name: bad}), path))
+    return cases
+
+
+MODEL_FILE_ERRORS = _model_file_errors()
 
 
 class TestModelFiles:
@@ -116,6 +185,13 @@ class TestModelFiles:
         with pytest.raises(ModelFileError) as err:
             model_from_obj(doc)
         assert "atoms[0].component" in str(err.value)
+
+    @pytest.mark.parametrize("doc,path", MODEL_FILE_ERRORS, ids=[p for _, p in MODEL_FILE_ERRORS])
+    def test_every_kind_and_field_error_names_its_path(self, doc, path):
+        with pytest.raises(ModelFileError) as err:
+            model_from_obj(doc)
+        assert err.value.field == path
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_invalid_json_is_reported(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -414,6 +490,9 @@ class TestCliCommands:
             ("verify", ["--model", "beta-no-mass-low.json"], None),
             ("verify", ["--model", "beta-no-mass-high.json"], None),
             ("histogram", ["--bins", "1000000000000"], None),
+            ("verify", ["--model", "huge-int.json"], None),
+            ("verify", ["--model", "kind-unhashable.json"], None),
+            ("histogram", ["--model", "beta-bern.json", "--m", "1000000000000"], None),
         ],
         ids=[
             "auto-abc", "auto-0", "inf", "nan", "abc", "level", "m-0", "threads-env",
@@ -421,7 +500,8 @@ class TestCliCommands:
             "simulate-inf", "simulate-t-0", "simulate-m-0", "simulate-level", "bounds-m-0",
             "auto-superscript", "threads-env-superscript", "ci-range-inf", "ci-range-nan",
             "bounds-range-inf", "ci-range-exponent", "beta-no-mass-low", "beta-no-mass-high",
-            "histogram-bins-huge",
+            "histogram-bins-huge", "model-huge-int", "model-kind-unhashable",
+            "histogram-beta-huge-m",
         ],
     )
     def test_verify_rejects_bad_arguments_before_any_cell(
@@ -433,7 +513,7 @@ class TestCliCommands:
         for sub in ("a", "b"):  # two model files that share the stem "m"
             (tmp_path / sub).mkdir()
             write_model(tmp_path / sub, TWO_ATOM_DOC, name="m.json")
-        for name, doc in TRUNCATED_BETA_DOCS.items():
+        for name, doc in {**TRUNCATED_BETA_DOCS, **ARGUMENT_TEST_DOCS}.items():
             write_model(tmp_path, doc, name=f"{name}.json")
         monkeypatch.chdir(tmp_path)
         out_path = tmp_path / "v.csv"
@@ -450,6 +530,22 @@ class TestCliCommands:
         assert "error:" in captured.err
         assert captured.out == ""
         assert not out_path.exists()
+        assert "0" * 20 not in captured.err  # a huge literal is not echoed
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_beta_at_huge_m_is_a_failed_cell_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # one row of 10^12 Beta draws would take 7.28 TiB
+        monkeypatch.setattr(montecarlo, "_block_sums", lambda *a: pytest.fail("a draw ran"))
+        model_path = write_model(tmp_path, BETA_BERN_DOC)
+        out_path = tmp_path / "r.csv"
+        grid = {"simulate": ["--m", "1000000000000", "--t", "0.1"],
+                "verify": ["--m-grid", "1000000000000", "--t-grid", "0.1", "--side", "upper"]}
+        args = [command, "--model", model_path, *grid[command], "--reps", "10"]
+        assert main(args + ["--out", str(out_path)]) == 2
+        assert "error: 1 cells failed" in capsys.readouterr().err
+        assert [r.method for r in from_csv(out_path.read_text()).rows] == ["error:DomainError"]
 
     def test_verify_answers_a_truncated_beta_deep_in_a_tail(self, tmp_path):
         model_path = write_model(tmp_path, TRUNCATED_BETA_DOCS["beta-deep"])

@@ -268,6 +268,29 @@ class TestHistogram:
         assert scale is None
         assert np.array_equal(sums, expected)
 
+    def test_beta_past_the_row_limit_is_refused_before_any_draw(self, monkeypatch):
+        drawn = []
+
+        def draw_nothing(m, M, n, gen):
+            drawn.append(M)
+            return iter(())
+
+        monkeypatch.setattr(montecarlo, "_block_sums", draw_nothing)
+        m = FiniteMixture([(0.5, Beta(2.0, 5.0)), (0.5, Bernoulli(0.7))])
+        M = montecarlo.BETA_MAX_M + 1
+        with pytest.raises(DomainError, match=f"M must be <= {montecarlo.BETA_MAX_M}"):
+            sample_mean_histogram(m, M=M, replications=10, bins=4, master_seed=1)
+        with pytest.raises(DomainError):
+            estimate_tail(m, TailQuery(M=M, t=0.1, side=Side.LOWER), 10, 1)
+        assert drawn == []
+        # the limit itself is allowed (the stub draws nothing)
+        sample_mean_histogram(m, M=M - 1, replications=10, bins=4, master_seed=1)
+        assert drawn == [M - 1]
+
+    def test_lattice_atoms_have_no_row_limit(self):
+        h = sample_mean_histogram(TWO_ATOM, M=10**12, replications=100, bins=10, master_seed=1)
+        assert sum(h.counts) == 100
+
     def test_beta_law_holds_about_one_chunk(self):
         # drawn in one piece, the 64 x 20,000 Beta variates alone take 10 MB
         m = FiniteMixture([(1.0, Beta(2.0, 5.0))])
@@ -320,6 +343,13 @@ class TestRunSweep:
         )
         with pytest.raises(DomainError, match="model_id='two_atom' M=2 t=0.1 side=upper"):
             run_sweep(models, M_grid, t_grid, [Side.UPPER], 10, 1)
+
+    def test_unknown_method_rejected_before_any_cell(self, monkeypatch):
+        monkeypatch.setattr(
+            montecarlo, "_sweep_cell", lambda *a, **k: pytest.fail("a cell ran")
+        )
+        with pytest.raises(DomainError, match="unknown sweep method 'exactt'"):
+            run_sweep([("two_atom", TWO_ATOM)], [2], [0.1], [Side.UPPER], 10, 1, method="exactt")
 
     def test_single_cell_matches_content_addressed_seed(self):
         q = TailQuery(M=4, t=0.07, side=Side.UPPER)
