@@ -53,6 +53,7 @@ from .model import (
     TruncatedBetaDensity,
     UniformDensity,
     component_mean,
+    flip_model,
     joint_law,
     summarize,
 )
@@ -66,7 +67,7 @@ from .montecarlo import (
     sample_mean_histogram,
     wilson_interval,
 )
-from .oracle import ExactTail, TailMethod, exact_sum_tail, exact_tail, flip_model
+from .oracle import ExactTail, TailMethod, exact_sum_tail, exact_tail
 from .sampler import SampleBatch, SeedSpec, derive_stream, sample_sequence
 from .suite import standard_suite, suite_model
 

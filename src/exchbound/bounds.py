@@ -64,6 +64,8 @@ from .errors import (
 )
 from .model import ModelSummary
 
+ENGINE_M_LIMIT = 1 << 63  # Monte Carlo hands M to numpy as an int64
+
 
 class Side(enum.Enum):
     """Which tail of the sample mean is queried."""
@@ -84,7 +86,7 @@ class TailQuery:
     side: Side
 
     def __post_init__(self) -> None:
-        _check_m(self.M)
+        check_engine_m(self.M)
         _check_t(self.t)
         if not math.isfinite(self.t):
             raise InvalidT(f"t must be finite, got {self.t!r}")
@@ -120,6 +122,19 @@ class BoundReport:
 def _check_m(M: int) -> None:
     if M < 1:
         raise DomainError(f"M must be >= 1, got {M}")
+    try:
+        float(M)
+    except OverflowError:  # the closed forms compute in floats
+        raise DomainError(f"M must fit in a float, got an M of {len(str(M))} digits") from None
+
+
+def check_engine_m(M: int) -> None:
+    """1 <= M < 2^63, the sample counts the exact and Monte Carlo engines take."""
+    _check_m(M)
+    if M >= ENGINE_M_LIMIT:
+        raise DomainError(
+            f"M must be below 2^63 = {ENGINE_M_LIMIT}, got an M of {len(str(M))} digits"
+        )
 
 
 def _check_mu(mu_tilde: float) -> None:

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union, get_origin, get_type_hints
 
 from . import __version__
-from .bounds import RangeBounds, Side, t_for_confidence, tail_bound_report
+from .bounds import RangeBounds, Side, check_engine_m, t_for_confidence, tail_bound_report
 from .errors import ExchboundError
 from .model import (
     Bernoulli,
@@ -258,8 +258,8 @@ def _check_run_args(
     m_grid: Sequence[int], t_grid: Union[int, Sequence[float]], level: float
 ) -> None:
     """Reject bad run-level arguments before any cell runs."""
-    if min(m_grid) < 1:
-        raise ExchboundError(f"M values must be >= 1, got {min(m_grid)}")
+    for M in m_grid:
+        check_engine_m(M)
     ts = [] if isinstance(t_grid, int) else t_grid  # auto:N is checked when parsed
     for t in ts:
         if not 0.0 < t < math.inf:

@@ -10,6 +10,12 @@ supported:
 * ``BernoulliParamMixture``: a continuous density (uniform or truncated
   Beta) over the success probability of a Bernoulli component.
 
+Each component kind carries the facts every engine starts from: its
+``mean()``, its finite support (``discrete_law()``, which a Beta lacks),
+its reflection x -> 1 - x (``reflect()``) and its inverse CDF
+(``quantile(u)``).  Densities and mixing measures reflect too, and
+:func:`flip_model` reflects a whole model.
+
 The quantities the tail bounds anchor on are the largest and smallest
 component means over the support of the mixing measure (``mu_plus`` and
 ``mu_minus``), together with the overall mean ``mu``.  For finite
@@ -22,11 +28,12 @@ across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 from scipy import special
@@ -38,11 +45,15 @@ WEIGHT_TOL = 1e-12  # machine-precision-scale slack for user-supplied weights
 JOINT_LAW_MAX_K = 6  # alphabet**k tuples are enumerated; guard the blowup
 
 # Component parameters are floats in normal use.  Model reflection
-# (oracle.flip_model) stores exact rational complements instead, because
+# (flip_model) stores exact rational complements instead, because
 # 1-(1-x) loses the last bit of x in float arithmetic and reflection must
 # be an exact involution.  Fraction and float compare and hash by value,
 # so reflected models still test equal to their float-parameter originals.
 Scalar = Union[float, Fraction]
+
+
+def _reflect(x: Scalar) -> Fraction:
+    return 1 - Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +71,20 @@ class Bernoulli:
         if not 0 <= self.p <= 1:  # False for NaN as well
             raise InvalidModel(f"Bernoulli p must lie in [0,1], got {self.p!r}")
 
+    def mean(self) -> float:
+        return float(self.p)
+
+    def discrete_law(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        p = float(self.p)
+        return (0.0, 1.0), (1.0 - p, p)
+
+    def reflect(self) -> Bernoulli:
+        return Bernoulli(_reflect(self.p))
+
+    def quantile(self, u) -> np.ndarray:
+        u = np.asarray(u, dtype=np.float64)
+        return (u > 1.0 - float(self.p)).astype(np.float64)  # 0 on [0, 1-p], 1 above
+
 
 @dataclass(frozen=True)
 class PointMass:
@@ -70,6 +95,19 @@ class PointMass:
     def __post_init__(self) -> None:
         if not 0 <= self.c <= 1:
             raise InvalidModel(f"PointMass c must lie in [0,1], got {self.c!r}")
+
+    def mean(self) -> float:
+        return float(self.c)
+
+    def discrete_law(self) -> tuple[tuple[Scalar, ...], tuple[float, ...]]:
+        return (self.c,), (1.0,)
+
+    def reflect(self) -> PointMass:
+        return PointMass(_reflect(self.c))
+
+    def quantile(self, u) -> np.ndarray:
+        u = np.asarray(u, dtype=np.float64)
+        return np.full(u.shape, float(self.c))
 
 
 @dataclass(frozen=True)
@@ -111,6 +149,39 @@ class DiscreteOnUnit:
                 f"DiscreteOnUnit weights sum to {total!r}, expected 1 within {WEIGHT_TOL}"
             )
 
+    def mean(self) -> float:
+        return math.fsum(w * x for w, x in zip(self.weights, self.points))
+
+    def discrete_law(self) -> tuple[tuple[Scalar, ...], tuple[float, ...]]:
+        return self.points, self.weights
+
+    def reflect(self) -> DiscreteOnUnit:
+        return DiscreteOnUnit(
+            points=[_reflect(x) for x in reversed(self.points)],
+            weights=list(reversed(self.weights)),
+        )
+
+    def quantile(self, u) -> np.ndarray:
+        return np.asarray(self.points, dtype=np.float64)[pick_index(self.weights, u)]
+
+
+@functools.lru_cache(maxsize=256)
+def _cumulative(weights: tuple[float, ...]) -> tuple[float, ...]:
+    """The cumulative weights, rounded as numpy's cumsum rounds them."""
+    return tuple(np.cumsum(np.asarray(weights, dtype=np.float64)).tolist())
+
+
+def pick_index(weights: Sequence[float], u: np.ndarray) -> np.ndarray:
+    """Inverse CDF of the index law given by ``weights``, over uniforms u.
+
+    Selects mixture atoms and discrete points alike: the first index
+    whose cumulative weight exceeds u, clamped to the last index.
+    """
+    cum = _cumulative(tuple(weights))
+    # asarray: a scalar u gives a scalar index, which cannot be an out=
+    idx = np.asarray(np.searchsorted(cum, np.asarray(u, dtype=np.float64), side="right"))
+    return np.minimum(idx, len(weights) - 1, out=idx)  # guard cum[-1] < 1 by rounding
+
 
 @dataclass(frozen=True)
 class Beta:
@@ -125,38 +196,25 @@ class Beta:
                 f"Beta parameters must be positive, got alpha={self.alpha!r}, beta={self.beta!r}"
             )
 
+    def mean(self) -> float:
+        return self.alpha / (self.alpha + self.beta)
+
+    def discrete_law(self):
+        raise UnsupportedModel("Beta components have no finite support")
+
+    def reflect(self) -> Beta:
+        return Beta(alpha=self.beta, beta=self.alpha)
+
+    def quantile(self, u) -> np.ndarray:
+        return np.asarray(special.betaincinv(self.alpha, self.beta, u), dtype=np.float64)
+
 
 Component = Union[Bernoulli, PointMass, DiscreteOnUnit, Beta]
 
 
 def component_mean(c: Component) -> float:
     """Exact mean of a component distribution (correctly rounded to float)."""
-    if isinstance(c, Bernoulli):
-        return float(c.p)
-    if isinstance(c, PointMass):
-        return float(c.c)
-    if isinstance(c, DiscreteOnUnit):
-        return math.fsum(w * x for w, x in zip(c.weights, c.points))
-    if isinstance(c, Beta):
-        return c.alpha / (c.alpha + c.beta)
-    raise TypeError(f"not a Component: {c!r}")
-
-
-def discrete_law(c: Component) -> tuple[tuple[Scalar, ...], tuple[float, ...]]:
-    """(points, weights) of a discrete component.
-
-    Raises UnsupportedModel for continuous components (Beta).
-    """
-    if isinstance(c, Bernoulli):
-        p = float(c.p)
-        return (0.0, 1.0), (1.0 - p, p)
-    if isinstance(c, PointMass):
-        return (c.c,), (1.0,)
-    if isinstance(c, DiscreteOnUnit):
-        return c.points, c.weights
-    if isinstance(c, Beta):
-        raise UnsupportedModel("Beta components have no finite support")
-    raise TypeError(f"not a Component: {c!r}")
+    return c.mean()
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +254,9 @@ class FiniteMixture:
     def components(self) -> tuple[Component, ...]:
         return tuple(c for _, c in self.atoms)
 
+    def reflect(self) -> FiniteMixture:
+        return FiniteMixture([(w, c.reflect()) for w, c in self.atoms])
+
 
 @dataclass(frozen=True)
 class UniformDensity:
@@ -223,6 +284,9 @@ class UniformDensity:
         """Inverse CDF; accepts a scalar or an ndarray of uniforms."""
         lo, hi = float(self.lo), float(self.hi)
         return lo + u * (hi - lo)
+
+    def reflect(self) -> UniformDensity:
+        return UniformDensity(lo=_reflect(self.hi), hi=_reflect(self.lo))
 
 
 @dataclass(frozen=True)
@@ -273,6 +337,11 @@ class TruncatedBetaDensity:
             p = special.betainccinv(a, b, g_lo - u * (g_lo - g_hi))
         return np.clip(p, lo, hi)  # the inversion may round an ulp past an end
 
+    def reflect(self) -> TruncatedBetaDensity:
+        return TruncatedBetaDensity(
+            alpha=self.beta, beta=self.alpha, lo=_reflect(self.hi), hi=_reflect(self.lo)
+        )
+
 
 def _lower_tail_is_smaller(a, b, hi: float):
     return a / (a + b) > hi
@@ -317,8 +386,22 @@ class BernoulliParamMixture:
         if not isinstance(self.density, (UniformDensity, TruncatedBetaDensity)):
             raise InvalidModel(f"unsupported density: {self.density!r}")
 
+    def reflect(self) -> BernoulliParamMixture:
+        return BernoulliParamMixture(self.density.reflect())
+
 
 MixingMeasure = Union[FiniteMixture, BernoulliParamMixture]
+
+
+def flip_model(m: MixingMeasure) -> MixingMeasure:
+    """Reflect every component through x -> 1 - x.
+
+    Reflection is carried out in exact rational arithmetic (the IEEE
+    value of each parameter is a rational, and 1 minus it is stored
+    exactly), so flip_model is an exact involution even for parameters
+    like 0.2 whose float complement is not losslessly re-complementable.
+    """
+    return m.reflect()
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +444,7 @@ def summarize(m: MixingMeasure) -> ModelSummary:
     are the density's support endpoints and mu is the density mean.
     """
     if isinstance(m, FiniteMixture):
-        means = [component_mean(c) for c in m.components]
+        means = [c.mean() for c in m.components]
         mu = math.fsum(w * x for w, x in zip(m.weights, means))
         # fsum can land an ulp outside [min, max] for near-degenerate mixtures
         mu = min(max(mu, min(means)), max(means))
@@ -405,7 +488,7 @@ def joint_law(m: MixingMeasure, k: int) -> JointLaw:
     if k > JOINT_LAW_MAX_K:
         raise KTooLarge(f"k={k} exceeds the enumeration guard {JOINT_LAW_MAX_K}")
 
-    laws = [discrete_law(c) for c in m.components]  # raises for Beta
+    laws = [c.discrete_law() for c in m.components]  # raises for Beta
     alphabet = sorted({x for points, _ in laws for x in points})
     pmfs = [dict(zip(points, weights)) for points, weights in laws]
 

@@ -60,7 +60,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 from scipy import special
 
-from .bounds import Side, TailQuery, effective_mu, tail_bound_report
+from .bounds import Side, TailQuery, check_engine_m, effective_mu, tail_bound_report
 from .errors import DomainError, EmptyGrid, ExchboundError, MTooLarge, UnsupportedModel
 from .model import (
     Bernoulli,
@@ -69,11 +69,12 @@ from .model import (
     FiniteMixture,
     MixingMeasure,
     ModelSummary,
-    discrete_law,
+    flip_model,
+    pick_index,
     summarize,
 )
-from .oracle import ExactTail, exact_tail, flip_model, lattice_points
-from .sampler import SeedSpec, derive_stream, mix64, pick_index
+from .oracle import ExactTail, exact_tail, lattice_points
+from .sampler import SeedSpec, derive_stream, mix64
 
 BLOCK_SIZE = 1 << 16
 
@@ -139,12 +140,8 @@ def _float_ceil(x: Fraction) -> float:
         f = float(x)
     except OverflowError:  # a positive x past the float range: no sum reaches it
         return math.inf
-    if Fraction(f) >= x:
-        g = math.nextafter(f, -math.inf)
-        while Fraction(g) >= x:
-            f, g = g, math.nextafter(g, -math.inf)
-        return f
-    return math.nextafter(f, math.inf)
+    # float(x) rounds to nearest, so no float below an f >= x is still >= x
+    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
 
 
 def _upper_threshold(summary: ModelSummary, M: int, t: float) -> Fraction:
@@ -171,7 +168,7 @@ def _block_sums(
 
     A lattice atom yields the integers S*scale: Bernoulli and
     parameter-mixture sums at scale 1, point masses and discrete atoms as
-    multinomial counts over the points of ``discrete_law``, scaled by the
+    multinomial counts over the points of their ``discrete_law()``, scaled by the
     lcm D of their denominators (``lattice_points``).  A Beta atom yields
     float sums at scale None.  ``_empirical_law`` only counts them, so the
     sums need not be put back in replication order.
@@ -191,7 +188,7 @@ def _block_sums(
         elif isinstance(c, Beta):
             yield None, _beta_sums(c, M, ni, gen)
         else:
-            points, weights = discrete_law(c)
+            points, weights = c.discrete_law()
             D, ints = lattice_points(points)
             w = np.asarray(weights, dtype=np.float64)
             # multinomial rejects weights whose leading sum passes 1 + 1e-12
@@ -334,8 +331,7 @@ def sample_mean_histogram(
         raise DomainError(f"bins must lie in [2, {HISTOGRAM_MAX_BINS}], got {bins}")
     if replications < 1:
         raise DomainError(f"replications must be >= 1, got {replications}")
-    if M < 1:
-        raise DomainError(f"M must be >= 1, got {M}")
+    check_engine_m(M)
     edges = np.linspace(0.0, 1.0, bins + 1)
     counts = np.zeros(bins, dtype=np.int64)
     for table in _empirical_law(m, M, replications, master_seed):

@@ -15,6 +15,7 @@ decomposes over the mixing measure:
   P(S >= k) = sum_{j>=k} BetaBin(j; M, a, b) mass(j+a, M-j+b) / mass(a, b),
   mass(a, b) = P(Beta(a, b) in [lo, hi]) taken from its smaller tail
   (``model.beta_interval_mass``); positive terms keep deep tails precise.
+  A sum of more than ``PARAM_MAX_TERMS`` terms is refused.
 
 Boundary convention: tail events use non-strict inequalities,
 S >= M*(mu_plus + t) and S <= M*(mu_minus - t).  Thresholds and lattice
@@ -44,25 +45,21 @@ import numpy as np
 from scipy import special
 
 from .bounds import Side, TailQuery
-from .errors import DomainError, MTooLarge, UnsupportedModel
+from .errors import DomainError, MTooLarge
 from .model import (
     Bernoulli,
-    Beta,
     BernoulliParamMixture,
-    Component,
-    DiscreteOnUnit,
     FiniteMixture,
     MixingMeasure,
-    PointMass,
     Scalar,
-    TruncatedBetaDensity,
-    UniformDensity,
     beta_interval_mass,
-    discrete_law,
+    flip_model,
     summarize,
 )
 
 LATTICE_MAX_STATES = 1024  # attainable sums a lattice law may hold (two points, M=1023: ~0.25 s)
+
+PARAM_MAX_TERMS = 1 << 18  # Beta-binomial terms a parameter-mixture tail may sum (~1.2 s)
 
 
 class TailMethod(enum.Enum):
@@ -80,53 +77,6 @@ class ExactTail:
 
     probability: float
     method: TailMethod
-
-
-def flip_model(m: MixingMeasure) -> MixingMeasure:
-    """Reflect every component through x -> 1 - x.
-
-    Reflection is carried out in exact rational arithmetic (the IEEE
-    value of each parameter is a rational, and 1 minus it is stored
-    exactly), so flip_model is an exact involution even for parameters
-    like 0.2 whose float complement is not losslessly re-complementable.
-    """
-    if isinstance(m, FiniteMixture):
-        return FiniteMixture(
-            [(w, _flip_component(c)) for w, c in m.atoms]
-        )
-    if isinstance(m, BernoulliParamMixture):
-        d = m.density
-        if isinstance(d, UniformDensity):
-            return BernoulliParamMixture(
-                UniformDensity(lo=_reflect(d.hi), hi=_reflect(d.lo))
-            )
-        if isinstance(d, TruncatedBetaDensity):
-            return BernoulliParamMixture(
-                TruncatedBetaDensity(
-                    alpha=d.beta, beta=d.alpha, lo=_reflect(d.hi), hi=_reflect(d.lo)
-                )
-            )
-        raise TypeError(f"unsupported density: {d!r}")
-    raise TypeError(f"not a MixingMeasure: {m!r}")
-
-
-def _reflect(x: Scalar) -> Fraction:
-    return 1 - Fraction(x)
-
-
-def _flip_component(c: Component) -> Component:
-    if isinstance(c, Bernoulli):
-        return Bernoulli(_reflect(c.p))
-    if isinstance(c, PointMass):
-        return PointMass(_reflect(c.c))
-    if isinstance(c, DiscreteOnUnit):
-        return DiscreteOnUnit(
-            points=[_reflect(x) for x in reversed(c.points)],
-            weights=list(reversed(c.weights)),
-        )
-    if isinstance(c, Beta):
-        return Beta(alpha=c.beta, beta=c.alpha)
-    raise TypeError(f"not a Component: {c!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -172,24 +122,21 @@ def exact_sum_tail(
 
 
 def _finite_mixture_sum_tail(m: FiniteMixture, M: int, thr: Fraction) -> ExactTail:
-    if any(isinstance(c, Beta) for c in m.components):
-        raise UnsupportedModel("Beta components admit no closed-form sum law; use Monte Carlo")
-    parts = []
-    method = TailMethod.BINOMIAL_CLOSED_FORM
-    for w, c in m.atoms:
-        if isinstance(c, Bernoulli):
-            parts.append(w * _binomial_sum_tail(M, float(c.p), thr))
-        else:
-            method = TailMethod.DISCRETE_CONVOLUTION
-            points, weights = discrete_law(c)
-            lattice = _lattice_law(points, weights, M)
-            if lattice is None:
-                raise MTooLarge(f"the sum of M={M} draws from {len(points)} points "
-                                f"takes more than {LATTICE_MAX_STATES} values")
-            D, law = lattice
-            k = math.ceil(thr * D)  # S >= thr iff S*D >= ceil(thr*D) on the lattice
-            parts.append(w * min(1.0, math.fsum(p for z, p in law if z >= k)))
-    prob = min(1.0, max(0.0, math.fsum(parts)))
+    # every support first: a Beta atom raises UnsupportedModel before any lattice law is built
+    laws = [(w, c.discrete_law()) for w, c in m.atoms if not isinstance(c, Bernoulli)]
+    parts = [
+        w * _binomial_sum_tail(M, float(c.p), thr) for w, c in m.atoms if isinstance(c, Bernoulli)
+    ]
+    for w, (points, weights) in laws:
+        lattice = _lattice_law(points, weights, M)
+        if lattice is None:
+            raise MTooLarge(f"the sum of M={M} draws from {len(points)} points "
+                            f"takes more than {LATTICE_MAX_STATES} values")
+        D, law = lattice
+        k = math.ceil(thr * D)  # S >= thr iff S*D >= ceil(thr*D) on the lattice
+        parts.append(w * min(1.0, math.fsum(p for z, p in law if z >= k)))
+    prob = min(1.0, max(0.0, math.fsum(parts)))  # fsum is exact, so atom order cannot matter
+    method = TailMethod.DISCRETE_CONVOLUTION if laws else TailMethod.BINOMIAL_CLOSED_FORM
     return ExactTail(probability=prob, method=method)
 
 
@@ -215,6 +162,8 @@ def _lattice_law(points: tuple, weights: tuple, M: int) -> Optional[tuple[int, t
     lattice_points; None past LATTICE_MAX_STATES sums, so that the cache
     keeps a refusal as it keeps a law."""
     D, ints = lattice_points(points)
+    if len(ints) == 1:  # one attainable sum at every M, reached in one step
+        return D, ((M * ints[0], weights[0] ** M),)
     step = list(zip(ints, weights))
     dist: dict[int, float] = {0: 1.0}
     for _ in range(M):
@@ -237,6 +186,9 @@ def _param_mixture_sum_tail(
         return ExactTail(1.0, TailMethod.QUADRATURE_OVER_BINOMIAL)
     if k > M:
         return ExactTail(0.0, TailMethod.QUADRATURE_OVER_BINOMIAL)
+    if M - k + 1 > PARAM_MAX_TERMS:
+        raise MTooLarge(f"the tail of M={M} draws sums {M - k + 1} terms, "
+                        f"more than {PARAM_MAX_TERMS}")
     a, b = d.alpha, d.beta
     j = np.arange(k, M + 1, dtype=float)
     # log_w = log((M+1) BetaBin(j; M, a, b)), as C(M, j) = 1 / ((M+1) B(j+1, M-j+1));

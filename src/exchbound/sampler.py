@@ -14,34 +14,31 @@ seed fields, so distinct replication indices give statistically
 independent streams and results do not depend on scheduling order.
 
 Every random draw is taken by inverse CDF from one uniform variate:
-component selection searches the cumulative atom weights, Bernoulli and
-discrete draws search their cumulative weights, and Beta draws (including
-the success-probability draw of a continuous mixture) invert the
-regularized incomplete beta function.  One uniform in, one value out;
-nothing else touches the stream.
+component selection searches the cumulative atom weights, and each
+observation is the drawn component's ``quantile`` of its uniform
+(Bernoulli and discrete draws search their cumulative weights, and Beta
+draws, like the success-probability draw of a continuous mixture, invert
+the regularized incomplete beta function).  One uniform in, one value
+out; nothing else touches the stream.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import threading
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
-from .model import (
+from .model import (  # pick_index stays importable from here, beside SeedSpec
     Bernoulli,
-    Beta,
     BernoulliParamMixture,
     Component,
-    DiscreteOnUnit,
     FiniteMixture,
     MixingMeasure,
-    PointMass,
+    _cumulative,
+    pick_index,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -123,39 +120,6 @@ class SampleBatch:
     drawn_component_index: int | None
 
 
-def component_quantile(c: Component, u: np.ndarray) -> np.ndarray:
-    """Inverse CDF of a component, vectorized over uniforms in [0, 1)."""
-    u = np.asarray(u, dtype=np.float64)
-    if isinstance(c, Bernoulli):
-        # quantile: 0 on [0, 1-p], 1 above
-        return (u > 1.0 - float(c.p)).astype(np.float64)
-    if isinstance(c, PointMass):
-        return np.full(u.shape, float(c.c))
-    if isinstance(c, DiscreteOnUnit):
-        return np.asarray(c.points, dtype=np.float64)[pick_index(c.weights, u)]
-    if isinstance(c, Beta):
-        return np.asarray(special.betaincinv(c.alpha, c.beta, u), dtype=np.float64)
-    raise TypeError(f"not a Component: {c!r}")
-
-
-@functools.lru_cache(maxsize=256)
-def _cumulative(weights: tuple[float, ...]) -> tuple[float, ...]:
-    """The cumulative weights, rounded as numpy's cumsum rounds them."""
-    return tuple(np.cumsum(np.asarray(weights, dtype=np.float64)).tolist())
-
-
-def pick_index(weights: Sequence[float], u: np.ndarray) -> np.ndarray:
-    """Inverse CDF of the index law given by ``weights``, over uniforms u.
-
-    Selects mixture atoms and discrete points alike: the first index
-    whose cumulative weight exceeds u, clamped to the last index.
-    """
-    cum = _cumulative(tuple(weights))
-    # asarray: a scalar u gives a scalar index, which cannot be an out=
-    idx = np.asarray(np.searchsorted(cum, np.asarray(u, dtype=np.float64), side="right"))
-    return np.minimum(idx, len(weights) - 1, out=idx)  # guard cum[-1] < 1 by rounding
-
-
 def sample_sequence(m: MixingMeasure, M: int, seed: SeedSpec) -> SampleBatch:
     """Draw one exchangeable batch of length M.
 
@@ -176,7 +140,7 @@ def sample_sequence(m: MixingMeasure, M: int, seed: SeedSpec) -> SampleBatch:
         component = Bernoulli(m.density.quantile(u0))
     else:
         raise TypeError(f"not a MixingMeasure: {m!r}")
-    values = component_quantile(component, gen.random(M))
+    values = component.quantile(gen.random(M))
     values.setflags(write=False)
     return SampleBatch(
         values=values,

@@ -16,6 +16,8 @@ from exchbound import (
     ModelSummary,
     OutOfValidityRange,
     RangeBounds,
+    Side,
+    TailQuery,
     big_g,
     big_h,
     chernoff_curve,
@@ -307,3 +309,18 @@ class TestTailBoundReport:
         assert not r.in_validity_range
         r0 = tail_bound_report(0.0, 10, 0.1)
         assert r0.in_validity_range and r0.kl_form is None
+
+
+class TestHugeM:
+    def test_closed_forms_take_any_m_that_fits_in_a_float(self):
+        assert tail_bound_report(0.5, 10**300, 0.1).hoeffding_form == 0.0
+        assert t_for_confidence(10**300, 0.1) > 0.0
+        with pytest.raises(DomainError):
+            tail_bound_report(0.5, 10**310, 0.1)
+        with pytest.raises(DomainError):
+            t_for_confidence(10**310, 0.1)
+
+    def test_engines_take_m_below_2_to_the_63(self):
+        assert TailQuery(M=2**63 - 1, t=0.1, side=Side.UPPER).M == 2**63 - 1
+        with pytest.raises(DomainError):
+            TailQuery(M=2**63, t=0.1, side=Side.UPPER)

@@ -68,7 +68,15 @@ ARGUMENT_TEST_DOCS = {
     "huge-int": one_component_doc({"kind": "bernoulli", "p": 10**400}),
     "kind-unhashable": one_component_doc({"kind": []}),
     "beta-bern": BETA_BERN_DOC,
+    "disc": one_component_doc(
+        {"kind": "discrete", "points": [0, 0.5, 1], "weights": [0.2, 0.3, 0.5]}
+    ),
+    "bern": one_component_doc({"kind": "bernoulli", "p": 0.3}),
+    "unif": {"type": "bernoulli_param", "density": {"kind": "uniform", "lo": 0.2, "hi": 0.8}},
 }
+
+M_PAST_INT64 = str(10**19)
+M_PAST_FLOAT = str(10**310)
 
 
 def write_model(tmp_path, doc, name="model.json"):
@@ -493,6 +501,12 @@ class TestCliCommands:
             ("verify", ["--model", "huge-int.json"], None),
             ("verify", ["--model", "kind-unhashable.json"], None),
             ("histogram", ["--model", "beta-bern.json", "--m", "1000000000000"], None),
+            ("verify", ["--model", "disc.json", "--m-grid", M_PAST_INT64], None),
+            ("verify", ["--model", "unif.json", "--m-grid", M_PAST_INT64], None),
+            ("simulate", ["--m", M_PAST_INT64], None),
+            ("histogram", ["--model", "bern.json", "--m", M_PAST_INT64], None),
+            ("ci", ["--m", M_PAST_FLOAT], None),
+            ("bounds", ["--m", M_PAST_FLOAT], None),
         ],
         ids=[
             "auto-abc", "auto-0", "inf", "nan", "abc", "level", "m-0", "threads-env",
@@ -501,7 +515,9 @@ class TestCliCommands:
             "auto-superscript", "threads-env-superscript", "ci-range-inf", "ci-range-nan",
             "bounds-range-inf", "ci-range-exponent", "beta-no-mass-low", "beta-no-mass-high",
             "histogram-bins-huge", "model-huge-int", "model-kind-unhashable",
-            "histogram-beta-huge-m",
+            "histogram-beta-huge-m", "verify-discrete-m-past-int64",
+            "verify-uniform-m-past-int64", "simulate-m-past-int64", "histogram-m-past-int64",
+            "ci-m-past-float", "bounds-m-past-float",
         ],
     )
     def test_verify_rejects_bad_arguments_before_any_cell(

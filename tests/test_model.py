@@ -25,6 +25,7 @@ from exchbound import (
     joint_law,
     summarize,
 )
+from exchbound.cli import _COMPONENT_KINDS, _DENSITY_KINDS
 
 TWO_ATOM = FiniteMixture([(0.5, Bernoulli(0.2)), (0.5, Bernoulli(0.8))])
 
@@ -154,6 +155,36 @@ class TestTruncatedBetaQuantile:
         u = np.linspace(0.0, 1.0, 11)
         cdf = [integrate.quad(d.pdf, 0.1, p, epsabs=0.0, epsrel=1e-12)[0] for p in d.quantile(u)]
         assert cdf == pytest.approx(list(u), abs=1e-10)
+
+
+# one instance of each model-file kind; a new kind needs one here
+KIND_SAMPLES = {
+    Bernoulli: Bernoulli(0.2),
+    PointMass: PointMass(0.7),
+    DiscreteOnUnit: DiscreteOnUnit(points=[0.1, 0.2, 0.7], weights=[0.3, 0.3, 0.4]),
+    Beta: Beta(2.0, 5.0),
+    UniformDensity: UniformDensity(0.2, 0.9),
+    TruncatedBetaDensity: TruncatedBetaDensity(2.0, 3.0, 0.1, 0.7),
+}
+
+
+@pytest.mark.parametrize(
+    "cls", [*_COMPONENT_KINDS.values(), *_DENSITY_KINDS.values()], ids=lambda cls: cls.__name__
+)
+def test_every_kind_carries_mean_support_reflection_and_quantile(cls):
+    obj = KIND_SAMPLES[cls]
+    assert obj.reflect().reflect() == obj
+    assert abs(obj.reflect().mean() - (1.0 - obj.mean())) <= 1e-15
+    q = np.asarray(obj.quantile(np.linspace(0.0, 1.0, 101, endpoint=False)))
+    assert np.all(np.diff(q) >= 0.0)
+    assert 0.0 <= q.min() and q.max() <= 1.0
+    if cls is Beta:
+        with pytest.raises(UnsupportedModel):
+            obj.discrete_law()
+    elif cls in _COMPONENT_KINDS.values():
+        points, weights = obj.discrete_law()
+        assert len(points) == len(weights)
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestJointLaw:

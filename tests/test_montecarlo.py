@@ -6,8 +6,12 @@ import statistics
 import tracemalloc
 from itertools import groupby
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import stats
 
 from exchbound import (
@@ -172,6 +176,26 @@ class TestEstimateTail:
         q = TailQuery(M=2, t=1e308, side=side)
         assert exact_tail(TWO_ATOM, q).probability == 0.0
         assert estimate_tail(TWO_ATOM, q, 1_000, master_seed=31).exceed_count == 0
+
+    @given(
+        st.one_of(
+            st.fractions(),
+            # floats, subnormal and huge ones too, and just either side of them
+            st.builds(
+                lambda f, k: Fraction(f) + Fraction(k, 10**400),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.integers(-1, 1),
+            ),
+            st.builds(lambda n, d: Fraction(n, d), st.integers(1, 2**1100), st.integers(1, 2**1100)),
+        )
+    )
+    @example(Fraction(2**1024))
+    @example(Fraction(1, 10**400))
+    @example(Fraction(-1, 10**400))
+    def test_float_ceil_is_the_smallest_float_at_least_x(self, x):
+        f = montecarlo._float_ceil(x)
+        assert f >= x
+        assert math.nextafter(f, -math.inf) < x
 
     def test_deterministic_and_exact_ratio(self):
         q = TailQuery(M=2, t=0.15, side=Side.UPPER)
@@ -433,6 +457,13 @@ class TestRunSweep:
             master_seed=59,
         )
         assert result.rows[0].method == "montecarlo"
+
+    def test_montecarlo_answers_a_parameter_mixture_past_the_term_cap(self):
+        # 1.9 * 10^6 Beta-binomial terms at M = 10^7, t = 0.01
+        m = BernoulliParamMixture(UniformDensity(0.2, 0.8))
+        args = ([("unif", m)], [10**7], [0.01], [Side.UPPER], 1_000, 7)
+        assert run_sweep(*args).rows[0].method == "montecarlo"
+        assert run_sweep(*args, method="exact").rows[0].method == "error:MTooLarge"
 
     def test_error_rows_do_not_abort(self):
         discrete = FiniteMixture(

@@ -28,7 +28,7 @@ from exchbound import (
     standard_suite,
     summarize,
 )
-from exchbound.model import discrete_law
+from exchbound import oracle
 from exchbound.oracle import LATTICE_MAX_STATES, _lattice_law
 
 TWO_ATOM = FiniteMixture([(0.5, Bernoulli(0.2)), (0.5, Bernoulli(0.8))])
@@ -155,7 +155,7 @@ class TestFiniteMixtureTails:
         attained = {
             sum(map(Fraction, combo))
             for c in m.components
-            for combo in itertools.product(discrete_law(c)[0], repeat=M)
+            for combo in itertools.product(c.discrete_law()[0], repeat=M)
         }
         for thr in sorted(attained):
             got = exact_sum_tail(m, M, thr, Side.UPPER)
@@ -183,6 +183,15 @@ class TestFiniteMixtureTails:
                 exact_tail(m, TailQuery(M=600, t=t, side=Side.UPPER))
         info = _lattice_law.cache_info()
         assert (info.misses, info.hits) == (1, 9)
+
+    def test_one_point_law_takes_no_steps(self):
+        # stepping M times would take hours at M = 10^12
+        assert _lattice_law((0.5,), (1.0,), 10**12) == (2, ((10**12, 1.0),))
+        zero_one = dict(standard_suite())["zero_one"]
+        for side in (Side.UPPER, Side.LOWER):
+            tail = exact_tail(zero_one, TailQuery(M=10**12, t=0.1, side=side))
+            assert tail.method is TailMethod.DISCRETE_CONVOLUTION
+            assert tail.probability == 0.0
 
     def test_beta_components_unsupported(self):
         m = FiniteMixture([(1.0, Beta(2.0, 2.0))])
@@ -355,6 +364,16 @@ class TestQuadratureTails:
             )
             got = exact_sum_tail(m, M, Fraction(k), Side.UPPER).probability
             assert got == pytest.approx(expected, rel=1e-9, abs=0.0), k
+
+    def test_term_cap_refuses_before_any_term_is_built(self, monkeypatch):
+        m = BernoulliParamMixture(UniformDensity(0.2, 0.8))
+        # the 10^15 terms would take 8 PB
+        with pytest.raises(MTooLarge):
+            exact_sum_tail(m, 10**15, Fraction(1), Side.UPPER)
+        monkeypatch.setattr(oracle, "PARAM_MAX_TERMS", 10)
+        assert exact_sum_tail(m, 10, Fraction(1), Side.UPPER).probability > 0.0  # 10 terms
+        with pytest.raises(MTooLarge):
+            exact_sum_tail(m, 11, Fraction(1), Side.UPPER)  # 11 terms
 
     def test_truncated_beta_density_integrates_to_one(self):
         m = BernoulliParamMixture(TruncatedBetaDensity(2.0, 3.0, 0.1, 0.9))

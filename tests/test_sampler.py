@@ -24,7 +24,6 @@ from exchbound import (
     sample_sequence,
     standard_suite,
 )
-from exchbound.sampler import component_quantile
 
 TWO_ATOM = FiniteMixture([(0.5, Bernoulli(0.2)), (0.5, Bernoulli(0.8))])
 
@@ -110,7 +109,7 @@ class TestSampleSequence:
         c = Beta(2.0, 5.0)
         m = FiniteMixture([(1.0, c)])
         seeds = [SeedSpec(master_seed=61, replication_index=i) for i in range(200)]
-        expected = [component_quantile(c, derive_stream(s).random(9)[1:]) for s in seeds]
+        expected = [c.quantile(derive_stream(s).random(9)[1:]) for s in seeds]
 
         def replay(order):
             return [(i, sample_sequence(m, 8, seeds[i]).values) for i in order]
