@@ -50,7 +50,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from fractions import Fraction
+from typing import Optional, Union
 
 import numpy as np
 
@@ -75,6 +76,19 @@ class Side(enum.Enum):
 
     def __str__(self) -> str:  # CSV/report spelling
         return self.value
+
+
+def side_anchor(summary: ModelSummary, side: Side) -> Fraction:
+    """The side's upper-side anchor mean a, exactly: mu_plus, or 1 - mu_minus.
+
+    The lower tail of a model is the upper tail of its reflection 1 - X,
+    whose largest component mean is 1 - mu_minus.  Taken in rationals on
+    the IEEE means, the reflected event S' >= M*(a + t) is the lower event
+    S <= M*(mu_minus - t), and the window t < 1 - a is t < mu_minus.
+    """
+    if side is Side.UPPER:
+        return Fraction(summary.mu_plus)
+    return 1 - Fraction(summary.mu_minus)
 
 
 @dataclass(frozen=True)
@@ -106,10 +120,11 @@ class RangeBounds:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All closed-form bound values for one (mu_tilde, M, t) query.
+    """All closed-form bound values for one (anchor, M, t) query.
 
     ``h0``, ``chernoff_at_h0`` and ``kl_form`` are None when the query
-    lies outside the validity window (no guarantee exists there).
+    lies outside the validity window (no guarantee exists there), and
+    within an ulp of the window's end, where the float forms are undefined.
     """
 
     hoeffding_form: float
@@ -271,8 +286,8 @@ def lower_tail_bound_by_flip(model_summary: ModelSummary, M: int, t: float) -> f
     """Lower-tail bound P(mu_minus - Xbar >= t) <= exp(-2 M t^2).
 
     Obtained by applying the upper-tail bound to the reflected variables
-    1 - X_m, whose largest component mean is 1 - mu_minus; the validity
-    window t < 1 - (1 - mu_minus) = mu_minus is checked here.
+    1 - X_m, whose anchor is a = 1 - mu_minus (:func:`side_anchor`); the
+    validity window t < 1 - a, which is exactly t < mu_minus, is checked here.
     """
     _check_m(M)
     _check_t(t)
@@ -283,42 +298,23 @@ def lower_tail_bound_by_flip(model_summary: ModelSummary, M: int, t: float) -> f
     return hoeffding_tail_bound(M, t)
 
 
-def effective_mu(summary: ModelSummary, side: Side) -> float:
-    """Upper-side anchor mean for the queried side.
-
-    The lower tail of a model is the upper tail of its reflection, whose
-    anchor is 1 - mu_minus; both sides then share the window t < 1 - mu.
-    """
-    if side is Side.UPPER:
-        return summary.mu_plus
-    return 1.0 - summary.mu_minus
-
-
-def tail_bound_report(mu_tilde: float, M: int, t: float) -> BoundReport:
+def tail_bound_report(anchor: Union[float, Fraction], M: int, t: float) -> BoundReport:
     """All bound forms for one query against an upper-side anchor mean.
 
-    ``mu_tilde`` is the anchor mean of the queried side (pass
-    1 - mu_minus for lower tails).  Outside the window 0 < t < 1 - mu,
-    or when mu lies on the boundary of (0,1), the optimized forms are
-    None and only the raw exp(-2Mt^2) value is reported.
+    ``anchor`` is the queried side's anchor a (:func:`side_anchor`).  The
+    window 0 < t < 1 - a is decided exactly.  The optimized forms are
+    evaluated at mu = float(a) and are None outside the window, within an
+    ulp of its end (where t < 1 - mu fails in floats), or when mu lies on
+    the boundary of (0,1); only the raw exp(-2Mt^2) value is then reported.
     """
-    _check_m(M)
-    _check_t(t)
-    hoeffding = hoeffding_tail_bound(M, t)
-    in_range = t < 1.0 - mu_tilde
-    if not in_range or not (0.0 < mu_tilde < 1.0):
-        return BoundReport(
-            hoeffding_form=hoeffding,
-            h0=None,
-            chernoff_at_h0=None,
-            kl_form=None,
-            in_validity_range=in_range,
-        )
-    h0 = optimal_h(mu_tilde, t)
+    hoeffding = hoeffding_tail_bound(M, t)  # checks M and t before the window
+    in_range = t < 1 - Fraction(anchor)  # a float against a Fraction compares exactly
+    mu = float(anchor)
+    h0 = optimal_h(mu, t) if in_range and 0.0 < mu < 1.0 and t < 1.0 - mu else None
     return BoundReport(
         hoeffding_form=hoeffding,
         h0=h0,
-        chernoff_at_h0=chernoff_curve(mu_tilde, t, M, h0),
-        kl_form=kl_form_bound(mu_tilde, t, M),
-        in_validity_range=True,
+        chernoff_at_h0=None if h0 is None else chernoff_curve(mu, t, M, h0),
+        kl_form=None if h0 is None else kl_form_bound(mu, t, M),
+        in_validity_range=in_range,
     )

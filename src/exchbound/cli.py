@@ -30,7 +30,14 @@ from pathlib import Path
 from typing import Optional, Sequence, Union, get_origin, get_type_hints
 
 from . import __version__
-from .bounds import RangeBounds, Side, check_engine_m, t_for_confidence, tail_bound_report
+from .bounds import (
+    RangeBounds,
+    Side,
+    check_engine_m,
+    side_anchor,
+    t_for_confidence,
+    tail_bound_report,
+)
 from .errors import ExchboundError
 from .model import (
     Bernoulli,
@@ -39,6 +46,7 @@ from .model import (
     DiscreteOnUnit,
     FiniteMixture,
     MixingMeasure,
+    ModelSummary,
     PointMass,
     TruncatedBetaDensity,
     UniformDensity,
@@ -169,11 +177,13 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _bound_line(side: Side, mu_eff: float, anchor: float, M: int, t: float) -> str:
-    report = tail_bound_report(mu_eff, M, t)
+def _bound_line(side: Side, summary: ModelSummary, M: int, t: float) -> str:
+    a = side_anchor(summary, side)
+    report = tail_bound_report(a, M, t)
+    mean = summary.mu_plus if side is Side.UPPER else summary.mu_minus
     return (
-        f"side={side} anchor_mu={format_value(anchor)} "
-        f"t_max={format_value(1.0 - mu_eff)} valid={format_value(report.in_validity_range)} "
+        f"side={side} anchor_mu={format_value(mean)} "
+        f"t_max={format_value(float(1 - a))} valid={format_value(report.in_validity_range)} "
         f"hoeffding={format_value(report.hoeffding_form)} h0={format_value(report.h0)} "
         f"kl_form={format_value(report.kl_form)}"
     )
@@ -205,9 +215,10 @@ def cmd_bounds(args) -> int:
     if not (0.0 <= mu_minus <= mu_plus <= 1.0):
         raise ExchboundError(f"need 0 <= mu_minus <= mu_plus <= 1, got {mu_minus}, {mu_plus}")
     t = args.t / scale
+    summary = ModelSummary(mu_plus=mu_plus, mu_minus=mu_minus, mu=mu_minus)  # mu is not read
     # both reports validate M and t before anything is printed
-    upper = _bound_line(Side.UPPER, mu_plus, mu_plus, args.m, t)
-    lower = _bound_line(Side.LOWER, 1.0 - mu_minus, mu_minus, args.m, t)
+    upper = _bound_line(Side.UPPER, summary, args.m, t)
+    lower = _bound_line(Side.LOWER, summary, args.m, t)
     print(
         f"M={args.m} t={format_value(t)}"
         + (f" (data units: {format_value(args.t)})" if scale != 1.0 else "")
@@ -345,7 +356,6 @@ def cmd_verify(args) -> int:
 
     report = _sweep_report(
         args, lines, models=models, M_grid=m_grid, t_grid=t_grid, method=args.method,
-        bound_scale=args.bound_scale,
     )
     if report.violations:
         return EXIT_VIOLATION
@@ -415,8 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--format", default="csv", choices=ENCODERS)
     p_ver.add_argument("--out", default=None)
     p_ver.add_argument("--method", default="auto", choices=METHODS)
-    p_ver.add_argument("--bound-scale", dest="bound_scale", type=float, default=1.0,
-                       help=argparse.SUPPRESS)  # verification hook
     p_ver.set_defaults(func=cmd_verify)
 
     p_ci = sub.add_parser("ci", help="deviation for a two-sided confidence level")

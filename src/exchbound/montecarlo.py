@@ -24,8 +24,10 @@ and histograms bin.  Results
 therefore do not depend on execution order or thread count, and an
 estimate can only fall as t grows.  Estimation computes upper tails
 only: a lower-tail query is the reflected model's upper tail, exactly as
-in the oracle.  The event S >= M*(mu_plus + t) is decided against the
-exact rational threshold.  Lattice sums (Bernoulli, parameter-mixture,
+in the oracle.  The event S >= M*(a + t) is decided against the exact
+rational threshold, with a the side's anchor (``bounds.side_anchor``):
+mu_plus, or 1 - mu_minus for the reflected model, so that the lower event
+is S <= M*(mu_minus - t) exactly.  Lattice sums (Bernoulli, parameter-mixture,
 point-mass and discrete components) are integers S*D, D the lcm of the
 points' denominators, and the decision S*D >= ceil(thr*D) is the
 oracle's own; Beta sums are float sums, exact only up to their
@@ -38,10 +40,11 @@ deviations spanning each (model, side) validity window.  The seed of a
 Monte Carlo cell is derived from the master seed and the cell's (model,
 M, side), so the t values of one window share one drawn law, and an
 estimate does not depend on the rest of the grid, the other models or
-the thread count.  A cell inside the validity window is flagged as a
-violation when its exact value (or the lower confidence limit of its
-estimate) exceeds the exp(-2Mt^2) bound; exact cells are additionally
-checked against the optimized envelope.
+the thread count.  The window t < 1 - a is decided exactly.  A cell
+inside it is flagged as a violation when its exact value (or the lower
+confidence limit of its estimate) exceeds the exp(-2Mt^2) bound; exact
+cells are additionally checked against the optimized envelope, which is
+None, and so not checked, within an ulp of the window's end.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 from scipy import special
 
-from .bounds import Side, TailQuery, check_engine_m, effective_mu, tail_bound_report
+from .bounds import Side, TailQuery, check_engine_m, side_anchor, tail_bound_report
 from .errors import DomainError, EmptyGrid, ExchboundError, MTooLarge, UnsupportedModel
 from .model import (
     Bernoulli,
@@ -68,7 +71,6 @@ from .model import (
     BernoulliParamMixture,
     FiniteMixture,
     MixingMeasure,
-    ModelSummary,
     flip_model,
     pick_index,
     summarize,
@@ -142,10 +144,6 @@ def _float_ceil(x: Fraction) -> float:
         return math.inf
     # float(x) rounds to nearest, so no float below an f >= x is still >= x
     return f if Fraction(f) >= x else math.nextafter(f, math.inf)
-
-
-def _upper_threshold(summary: ModelSummary, M: int, t: float) -> Fraction:
-    return Fraction(M) * (Fraction(summary.mu_plus) + Fraction(t))
 
 
 def _lattice_sums(counts: np.ndarray, ints: Sequence[int], bound: int) -> np.ndarray:
@@ -286,15 +284,10 @@ def estimate_tail(
     """
     if replications < 1:
         raise DomainError(f"replications must be >= 1, got {replications}")
+    a = side_anchor(summarize(m), q.side)
     if q.side is Side.LOWER:
-        return estimate_tail(
-            flip_model(m),
-            TailQuery(M=q.M, t=q.t, side=Side.UPPER),
-            replications,
-            master_seed,
-            level,
-        )
-    thr = _upper_threshold(summarize(m), q.M, q.t)
+        m = flip_model(m)
+    thr = q.M * (a + Fraction(q.t))
     exceed = sum(table.count(thr) for table in _empirical_law(m, q.M, replications, master_seed))
     ci_low, ci_high = wilson_interval(exceed, replications, level)
     return TailEstimate(
@@ -387,13 +380,13 @@ class SweepResult:
         return tuple(r for r in self.rows if r.method.startswith("error:"))
 
 
-def window_t_grid(summary: ModelSummary, side: Side, n: int) -> list[float]:
-    """n deviations spanning the side's validity window.
+def window_t_grid(anchor: Fraction, n: int) -> list[float]:
+    """n deviations spanning the validity window t < 1 - anchor of a side.
 
     An empty window (degenerate models) falls back to spanning (0, 1) so
     the sweep still exercises and flags the invalid cells.
     """
-    t_max = summary.t_max_upper if side is Side.UPPER else summary.t_max_lower
+    t_max = float(1 - anchor)
     if t_max <= 0.0:
         t_max = 1.0
     return [t_max * i / (n + 1) for i in range(1, n + 1)]
@@ -415,8 +408,8 @@ def _law_seed(master_seed: int, model_id: str, M: int, side: Side) -> int:
     return mix64(master_seed, int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
 
 
-# (model_id, model, summary, M, t, side)
-_Cell = tuple[str, MixingMeasure, ModelSummary, int, float, Side]
+# (model_id, model, side_anchor(summary, side), M, t, side)
+_Cell = tuple[str, MixingMeasure, Fraction, int, float, Side]
 
 
 def _sweep_cell(
@@ -425,16 +418,14 @@ def _sweep_cell(
     master_seed: int,
     method: str,
     level: float,
-    bound_scale: float,
 ) -> SweepRow:
-    model_id, m, summary, M, t, side = cell
+    model_id, m, anchor, M, t, side = cell
     row = dict(model_id=model_id, M=M, t=t, side=str(side))
     try:
         query = TailQuery(M=M, t=t, side=side)
-        report = tail_bound_report(effective_mu(summary, side), M, t)
-        hoeffding = report.hoeffding_form * bound_scale
+        report = tail_bound_report(anchor, M, t)
         row.update(
-            hoeffding=hoeffding,
+            hoeffding=report.hoeffding_form,
             kl_form=report.kl_form,
             h0=report.h0,
             valid=report.in_validity_range,
@@ -453,7 +444,7 @@ def _sweep_cell(
                 method=str(exact.method),
                 value=value,
                 violation=report.in_validity_range and (
-                    value > hoeffding
+                    value > report.hoeffding_form
                     or (report.kl_form is not None and value > report.kl_form)
                 ),
             )
@@ -465,7 +456,7 @@ def _sweep_cell(
                 value=estimate.p_hat,
                 ci_low=estimate.ci_low,
                 ci_high=estimate.ci_high,
-                violation=report.in_validity_range and estimate.ci_low > hoeffding,
+                violation=report.in_validity_range and estimate.ci_low > report.hoeffding_form,
             )
     except ExchboundError as e:
         row["method"] = f"error:{type(e).__name__}"
@@ -486,7 +477,6 @@ def run_sweep(
     *,
     method: str = "auto",
     level: float = DEFAULT_CI_LEVEL,
-    bound_scale: float = 1.0,
     threads: Optional[int] = None,
 ) -> SweepResult:
     """Evaluate every (model, M, t, side) cell of the grid.
@@ -502,8 +492,6 @@ def run_sweep(
     rather than aborting the sweep.  An unknown method, or two cells with
     the same row key (model_id, M, t, side), raise DomainError before any
     cell runs.
-    ``bound_scale`` is a verification hook that scales the exp(-2Mt^2)
-    value used in violation checks.
 
     With ``threads`` > 1 (or the EXCHBOUND_THREADS environment variable)
     the cells are evaluated concurrently, one (model, side, M) group per
@@ -533,7 +521,8 @@ def run_sweep(
     for model_id, m in models:
         summary = summarize(m)
         for side in sides:
-            ts = window_t_grid(summary, side, t_grid) if isinstance(t_grid, int) else t_grid
+            anchor = side_anchor(summary, side)
+            ts = window_t_grid(anchor, t_grid) if isinstance(t_grid, int) else t_grid
             for M in M_grid:
                 groups.append([])
                 for t in ts:
@@ -544,7 +533,7 @@ def run_sweep(
                             f"duplicate cell model_id={model_id!r} M={M} t={t!r} side={side}"
                         )
                     keys.add(key)
-                    groups[-1].append((model_id, m, summary, M, t, side))
+                    groups[-1].append((model_id, m, anchor, M, t, side))
 
     evaluate = functools.partial(
         _sweep_group,
@@ -552,7 +541,6 @@ def run_sweep(
         master_seed=master_seed,
         method=method,
         level=level,
-        bound_scale=bound_scale,
     )
     if n_threads == 1:
         done = list(map(evaluate, groups))

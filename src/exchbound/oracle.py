@@ -24,12 +24,15 @@ inputs, so boundary atoms are never dropped or double-counted by float
 rounding.
 
 Lower tails are computed by reflection: mu_minus - Xbar >= t holds for a
-model exactly when Xbar' - mu_plus' >= t holds for the reflected model
-(X' = 1 - X), whose largest component mean is 1 - mu_minus, and
-S <= thr holds exactly when S' >= M - thr.  ``exact_tail`` and
-``exact_sum_tail`` route lower queries through :func:`flip_model` and
-the one upper-tail code path, which makes that duality an identity of
-the implementation, not merely of the mathematics.
+model exactly when the reflected model (X' = 1 - X) has
+S' >= M*(a + t), where a = 1 - mu_minus is the lower side's anchor taken
+exactly (``bounds.side_anchor``), and S <= thr holds exactly when
+S' >= M - thr.  ``exact_tail`` and ``exact_sum_tail`` route lower queries
+through :func:`flip_model` and the one upper-tail code path, which makes
+that duality an identity of the implementation, not merely of the
+mathematics.  The validity window t < 1 - a of the same anchor is
+decided exactly by ``bounds.tail_bound_report``, whose float forms are
+None within an ulp of the window's end.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import special
 
-from .bounds import Side, TailQuery
+from .bounds import Side, TailQuery, side_anchor
 from .errors import DomainError, MTooLarge
 from .model import (
     Bernoulli,
@@ -89,14 +92,13 @@ def exact_tail(m: MixingMeasure, q: TailQuery) -> ExactTail:
 
     Thresholds are anchored at the model's own summary:
     S >= M*(mu_plus + t) for the upper side, S <= M*(mu_minus - t) for
-    the lower side (computed as the flipped model's upper tail).
+    the lower side, answered as the flipped model's S' >= M*(a + t) with
+    a = 1 - mu_minus.
     """
+    a = side_anchor(summarize(m), q.side)
     if q.side is Side.LOWER:
-        flipped = flip_model(m)
-        return exact_tail(flipped, TailQuery(M=q.M, t=q.t, side=Side.UPPER))
-    summary = summarize(m)
-    threshold = Fraction(q.M) * (Fraction(summary.mu_plus) + Fraction(q.t))
-    return exact_sum_tail(m, q.M, threshold, Side.UPPER)
+        m = flip_model(m)
+    return exact_sum_tail(m, q.M, q.M * (a + Fraction(q.t)), Side.UPPER)
 
 
 def exact_sum_tail(

@@ -1,6 +1,7 @@
 """Model-file ingestion, report encodings, and CLI contracts."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -83,6 +84,17 @@ def write_model(tmp_path, doc, name="model.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def shrink_bounds(monkeypatch):
+    """Scale every sweep cell's exp(-2Mt^2) value by 0.01, so that cells violate it."""
+    report_of = montecarlo.tail_bound_report
+
+    def shrunk(*args):
+        report = report_of(*args)
+        return dataclasses.replace(report, hoeffding_form=0.01 * report.hoeffding_form)
+
+    monkeypatch.setattr(montecarlo, "tail_bound_report", shrunk)
 
 
 def strip_timestamps(text: str) -> str:
@@ -369,6 +381,18 @@ class TestCliCommands:
         assert "valid=false" in upper_line
         assert "valid=true" in lower_line
 
+    @pytest.mark.parametrize("mu_minus,t,valid", [
+        ("0.2", "0.1", "true"), ("0.1", "0.1", "false"), ("0.3", "0.3", "false"),
+        ("0.2", "0.19999999999999998", "true"),
+    ])
+    def test_bounds_lower_window_ends_at_mu_minus(self, capsys, mu_minus, t, valid):
+        argv = ["bounds", "--mu-plus", "0.8", "--mu-minus", mu_minus, "--m", "10", "--t", t]
+        assert main(argv) == 0
+        lower = [l for l in capsys.readouterr().out.splitlines() if "side=lower" in l][0]
+        fields = dict(item.split("=", 1) for item in lower.split())
+        assert float(fields["t_max"]) == float(mu_minus)
+        assert fields["valid"] == valid
+
     def test_bounds_rejects_bad_ordering(self, capsys):
         assert main(["bounds", "--mu-plus", "0.2", "--mu-minus", "0.8", "--m", "10", "--t", "0.1"]) == 2
 
@@ -459,12 +483,13 @@ class TestCliCommands:
         assert len(report.rows) == 60
         assert not any(r.violation for r in report.rows)
 
-    def test_verify_corrupted_bound_exits_1(self, tmp_path, capsys):
+    def test_verify_corrupted_bound_exits_1(self, tmp_path, capsys, monkeypatch):
+        shrink_bounds(monkeypatch)
         code = main(
             [
                 "verify", "--m-grid", "2", "--t-grid", "0.1",
                 "--reps", "2000", "--seed", "3",
-                "--out", str(tmp_path / "v.csv"), "--bound-scale", "0.01",
+                "--out", str(tmp_path / "v.csv"),
             ]
         )
         assert code == 1
@@ -600,10 +625,11 @@ class TestCliCommands:
         assert from_csv(to_csv(report)) == report
 
     @pytest.mark.parametrize("fmt,decode", [("csv", from_csv), ("json", from_json)])
-    def test_verify_to_stdout_is_one_document(self, capsys, fmt, decode):
+    def test_verify_to_stdout_is_one_document(self, capsys, monkeypatch, fmt, decode):
         # a bound shrunk 100-fold adds VIOLATION lines, which go to stderr too
+        shrink_bounds(monkeypatch)
         args = ["verify", "--m-grid", "2", "--t-grid", "0.1", "--reps", "1000", "--format", fmt]
-        assert main(args + ["--bound-scale", "0.01"]) == 1
+        assert main(args) == 1
         captured = capsys.readouterr()
         if fmt == "json":
             json.loads(captured.out)

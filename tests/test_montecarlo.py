@@ -1,5 +1,6 @@
 """Estimator correctness, determinism, histograms, and sweeps."""
 
+import dataclasses
 import hashlib
 import math
 import statistics
@@ -22,26 +23,43 @@ from exchbound import (
     DomainError,
     EmptyGrid,
     FiniteMixture,
+    OutOfValidityRange,
     PointMass,
     SeedSpec,
     Side,
     TailQuery,
     UniformDensity,
     estimate_tail,
+    exact_sum_tail,
     exact_tail,
+    lower_tail_bound_by_flip,
     run_sweep,
     sample_mean_histogram,
     sample_sequence,
     standard_suite,
     suite_model,
+    summarize,
     wilson_interval,
 )
 from exchbound import montecarlo
+from exchbound.bounds import side_anchor
+from exchbound.montecarlo import window_t_grid
 from exchbound.oracle import lattice_points
 from exchbound.sampler import derive_stream, mix64, pick_index
 
 TWO_ATOM = FiniteMixture([(0.5, Bernoulli(0.2)), (0.5, Bernoulli(0.8))])
 ZERO_ONE = FiniteMixture([(0.5, PointMass(0.0)), (0.5, PointMass(1.0))])
+
+
+def shrink_bounds(monkeypatch):
+    """Scale every sweep cell's exp(-2Mt^2) value by 0.01, so that cells violate it."""
+    report_of = montecarlo.tail_bound_report
+
+    def shrunk(*args):
+        report = report_of(*args)
+        return dataclasses.replace(report, hoeffding_form=0.01 * report.hoeffding_form)
+
+    monkeypatch.setattr(montecarlo, "tail_bound_report", shrunk)
 
 
 class TestWilsonInterval:
@@ -109,6 +127,14 @@ class TestEstimateTail:
         est = estimate_tail(TWO_ATOM, q, 100_000, master_seed=13)
         se = math.sqrt(exact * (1 - exact) / 100_000)
         assert abs(est.p_hat - exact) < 4.5 * se
+
+    def test_lower_side_counts_the_documented_event(self):
+        # 5*(0.3 - 0.1) lies just below 1 in rationals, so the event is S = 0;
+        # the float anchor 1.0 - 0.3 would count S <= 1, with P = 0.528
+        m = suite_model("bern03")
+        est = estimate_tail(m, TailQuery(M=5, t=0.1, side=Side.LOWER), 100_000, master_seed=23)
+        p = 0.7**5
+        assert abs(est.p_hat - p) < 5 * math.sqrt(p * (1 - p) / 100_000)
 
     def test_param_mixture_against_oracle(self):
         m = BernoulliParamMixture(UniformDensity(0.2, 0.8))
@@ -512,7 +538,8 @@ class TestRunSweep:
         from_env = run_sweep(**kwargs)
         assert from_env.rows == serial.rows
 
-    def test_corrupted_bound_hook_flags_violations(self):
+    def test_corrupted_bound_hook_flags_violations(self, monkeypatch):
+        shrink_bounds(monkeypatch)
         result = run_sweep(
             models=[("two_atom", TWO_ATOM)],
             M_grid=[2],
@@ -520,7 +547,6 @@ class TestRunSweep:
             sides=[Side.UPPER],
             replications=10,
             master_seed=1,
-            bound_scale=0.01,
         )
         assert result.rows[0].violation
 
@@ -535,6 +561,47 @@ class TestRunSweep:
         )
         assert all(not row.valid for row in result.rows)
         assert all(not row.violation for row in result.rows)
+
+
+BERN02 = FiniteMixture([(1.0, Bernoulli(0.2))])
+
+
+class TestWindowEdges:
+    """At the end of each window, t = float(1 - a) for a = side_anchor(...),
+    and an ulp either side, a sweep cell decides its documented event, its
+    valid flag and lower_tail_bound_by_flip follow the exact window
+    t < 1 - a, and window_t_grid spans up to float(1 - a)."""
+
+    @pytest.mark.parametrize("model_id,m", [*standard_suite(), ("bern02", BERN02)])
+    @pytest.mark.parametrize("side", [Side.UPPER, Side.LOWER])
+    def test_edges_follow_the_exact_window(self, model_id, m, side):
+        s = summarize(m)
+        a = side_anchor(s, side)
+        end = float(1 - a)
+        if end > 0:
+            assert window_t_grid(a, 1) == [end / 2]
+        for t in (math.nextafter(end, 0.0), end, math.nextafter(end, 1.0)):
+            if t <= 0:
+                continue
+            inside = Fraction(t) < 1 - a
+            (row,) = run_sweep(
+                models=[(model_id, m)], M_grid=[2], t_grid=[t], sides=[side],
+                replications=100, master_seed=29, method="exact",
+            ).rows
+            assert row.valid == inside, t
+            assert not row.violation
+            if side is Side.UPPER:
+                thr = 2 * (Fraction(s.mu_plus) + Fraction(t))
+            else:
+                thr = 2 * (Fraction(s.mu_minus) - Fraction(t))
+            assert row.value == exact_sum_tail(m, 2, thr, side).probability, t
+            # the float forms exist only where the window also holds in floats
+            assert (row.kl_form is not None) == (inside and t < 1.0 - float(a)), t
+            if side is Side.LOWER and inside:
+                assert lower_tail_bound_by_flip(s, 2, t) == row.hoeffding
+            elif side is Side.LOWER:
+                with pytest.raises(OutOfValidityRange):
+                    lower_tail_bound_by_flip(s, 2, t)
 
 
 class TestOracleAgreement:

@@ -293,6 +293,42 @@ class TestFlip:
             assert got == pytest.approx(enumerate_tail(m, M, thr, Side.LOWER), abs=1e-12)
 
 
+class TestDecimalGridEvents:
+    """Each side decides its documented event: S >= M*(mu_plus + t) for the
+    upper side, S <= M*(mu_minus - t) for the lower side, on the rational
+    values of the IEEE inputs.  1.0 - mu_minus rounds in floats, so a lower
+    anchor taken in floats moves thresholds that land on the lattice."""
+
+    def test_suite_decimal_grid_decides_the_documented_event(self):
+        wrong = []
+        for model_id, m in standard_suite():
+            s = summarize(m)
+            for side in (Side.UPPER, Side.LOWER):
+                for M in (1, 2, 5, 10, 50, 200):
+                    for t in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3):
+                        if side is Side.UPPER:
+                            thr = M * (Fraction(s.mu_plus) + Fraction(t))
+                        else:
+                            thr = M * (Fraction(s.mu_minus) - Fraction(t))
+                        try:
+                            got = exact_tail(m, TailQuery(M=M, t=t, side=side))
+                        except MTooLarge:
+                            with pytest.raises(MTooLarge):
+                                exact_sum_tail(m, M, thr, side)
+                            continue
+                        if got != exact_sum_tail(m, M, thr, side):  # bit for bit
+                            wrong.append((model_id, str(side), M, t))
+        assert wrong == []
+
+    def test_bernoulli_lower_tail_on_the_lattice(self):
+        # 10*(0.2 - 0.1) is just above 1 in rationals, so the event is S <= 1
+        m = FiniteMixture([(1.0, Bernoulli(0.2))])
+        thr = 10 * (Fraction(0.2) - Fraction(0.1))
+        got = exact_tail(m, TailQuery(M=10, t=0.1, side=Side.LOWER)).probability
+        assert got == pytest.approx(enumerate_tail(m, 10, thr, Side.LOWER), abs=1e-12)
+        assert got == pytest.approx(0.8**10 + 10 * 0.2 * 0.8**9, abs=1e-12)  # 0.376
+
+
 def uniform_window_tail(lo, hi, M: int, k: int) -> Fraction:
     """P(S >= k) for p ~ Uniform(lo, hi) in exact rationals, 1 <= k <= M, from
     int_0^x P(Bin(M, p) >= k) dp = E[(Bin(M+1, x) - k)^+] / (M+1)."""
