@@ -202,12 +202,18 @@ def optimal_h(mu_tilde: float, t: float) -> float:
     """Closed-form minimizer of the exponential-moment envelope.
 
     h0 = ln((1 - mu)(t + mu) / ((1 - mu - t) mu)), strictly positive for
-    0 < t < 1 - mu.
+    0 < t < 1 - mu.  Evaluated as log1p(t/(1-mu-t)) + log1p(t/mu), a sum
+    of two positive terms, so that h0 stays finite and positive where the
+    quotient would round to 1, underflow or overflow (tiny t, tiny mu);
+    where t/mu overflows, the second term is log(t+mu) - log(mu).
     """
     _check_window(mu_tilde, t)
-    return math.log(
-        (1.0 - mu_tilde) * (t + mu_tilde) / ((1.0 - mu_tilde - t) * mu_tilde)
-    )
+    ratio = t / mu_tilde
+    if ratio < math.inf:
+        upper = math.log1p(ratio)
+    else:
+        upper = math.log(t + mu_tilde) - math.log(mu_tilde)
+    return math.log1p(t / (1.0 - mu_tilde - t)) + upper
 
 
 def kl_form_bound(mu_tilde: float, t: float, M: int) -> float:

@@ -8,14 +8,23 @@ decomposes over the mixing measure:
   tails from ``scipy.special``.
 * Point masses and discrete components: the pmf convolved M times over
   the points scaled to integers, one cached lattice law per
-  (component, M) shared by every threshold, guarded by its number of
-  attainable sums (``LATTICE_MAX_STATES``); a refusal is cached too.
+  (component, M) shared by every threshold; a refusal is cached too.
+  Points on a common grid (after subtracting the smallest and dividing
+  by the gcd g of the gaps, the step law is a dense vector of span + 1
+  entries) are raised to the M-th power by repeated squaring with
+  direct convolution (``np.convolve``), while the M*span + 1 possible
+  sums are at most ``LATTICE_DENSE_MAX``.  Otherwise, as for
+  incommensurate IEEE values such as [0.1, 0.2, 0.7], the law is built
+  one draw at a time in a dict of attainable sums, guarded by their
+  number (``LATTICE_MAX_STATES``).  Terms are summed directly, never by
+  FFT: all are positive, so deep tails keep their relative precision.
 * Continuous Bernoulli-parameter mixtures, density proportional to
   p^(a-1) (1-p)^(b-1) on [lo, hi] (a = b = 1 if uniform), in closed form:
   P(S >= k) = sum_{j>=k} BetaBin(j; M, a, b) mass(j+a, M-j+b) / mass(a, b),
   mass(a, b) = P(Beta(a, b) in [lo, hi]) taken from its smaller tail
   (``model.beta_interval_mass``); positive terms keep deep tails precise.
-  A sum of more than ``PARAM_MAX_TERMS`` terms is refused.
+  One table of terms per (density, M) serves every threshold.  A sum of
+  more than ``PARAM_MAX_TERMS`` terms is refused.
 
 Boundary convention: tail events use non-strict inequalities,
 S >= M*(mu_plus + t) and S <= M*(mu_minus - t).  Thresholds and lattice
@@ -37,6 +46,7 @@ None within an ulp of the window's end.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import math
@@ -54,13 +64,15 @@ from .model import (
     BernoulliParamMixture,
     FiniteMixture,
     MixingMeasure,
+    ParamDensity,
     Scalar,
     beta_interval_mass,
     flip_model,
     summarize,
 )
 
-LATTICE_MAX_STATES = 1024  # attainable sums a lattice law may hold (two points, M=1023: ~0.25 s)
+LATTICE_DENSE_MAX = 1 << 14  # sums a dense lattice law may hold ([0, 0.5, 1], M=8191: ~45 ms)
+LATTICE_MAX_STATES = 1024  # attainable sums a sparse lattice law may hold
 
 PARAM_MAX_TERMS = 1 << 18  # Beta-binomial terms a parameter-mixture tail may sum (~1.2 s)
 
@@ -130,13 +142,12 @@ def _finite_mixture_sum_tail(m: FiniteMixture, M: int, thr: Fraction) -> ExactTa
         w * _binomial_sum_tail(M, float(c.p), thr) for w, c in m.atoms if isinstance(c, Bernoulli)
     ]
     for w, (points, weights) in laws:
-        lattice = _lattice_law(points, weights, M)
-        if lattice is None:
-            raise MTooLarge(f"the sum of M={M} draws from {len(points)} points "
-                            f"takes more than {LATTICE_MAX_STATES} values")
-        D, law = lattice
-        k = math.ceil(thr * D)  # S >= thr iff S*D >= ceil(thr*D) on the lattice
-        parts.append(w * min(1.0, math.fsum(p for z, p in law if z >= k)))
+        law = _lattice_law(points, weights, M)
+        if law is None:
+            raise MTooLarge(f"the sum of M={M} draws from {len(points)} points lies on more "
+                            f"than {LATTICE_DENSE_MAX} grid sums and takes more than "
+                            f"{LATTICE_MAX_STATES} values")
+        parts.append(w * _lattice_tail(law, thr))
     prob = min(1.0, max(0.0, math.fsum(parts)))  # fsum is exact, so atom order cannot matter
     method = TailMethod.DISCRETE_CONVOLUTION if laws else TailMethod.BINOMIAL_CLOSED_FORM
     return ExactTail(probability=prob, method=method)
@@ -158,14 +169,46 @@ def lattice_points(points: Sequence[Scalar]) -> tuple[int, tuple[int, ...]]:
     return D, tuple(int(Fraction(x) * D) for x in points)
 
 
+LatticeLaw = tuple[int, Sequence[int], np.ndarray]
+
+
 @functools.lru_cache(maxsize=128)
-def _lattice_law(points: tuple, weights: tuple, M: int) -> Optional[tuple[int, tuple]]:
-    """(D, ((D*s, P(S = s)), ...)) for the sum S of M draws, D as in
-    lattice_points; None past LATTICE_MAX_STATES sums, so that the cache
-    keeps a refusal as it keeps a law."""
+def _lattice_law(points: tuple, weights: tuple, M: int) -> Optional[LatticeLaw]:
+    """(D, sums, probs) for the sum S of M draws: P(S*D = sums[i]) = probs[i],
+    sums ascending, D as in lattice_points.  None past both guards, so that
+    the cache keeps a refusal as it keeps a law."""
     D, ints = lattice_points(points)
     if len(ints) == 1:  # one attainable sum at every M, reached in one step
-        return D, ((M * ints[0], weights[0] ** M),)
+        return D, (M * ints[0],), np.array([weights[0] ** M])
+    low = min(ints)
+    g = math.gcd(*(z - low for z in ints))
+    span = (max(ints) - low) // g
+    if M * span + 1 <= LATTICE_DENSE_MAX:
+        step = np.zeros(span + 1)
+        for z, w in zip(ints, weights):
+            step[(z - low) // g] = w
+        return D, range(M * low, M * (low + span * g) + 1, g), _dense_power(step, M)
+    sparse = _sparse_law(ints, weights, M)
+    return None if sparse is None else (D, *sparse)
+
+
+def _dense_power(step: np.ndarray, M: int) -> np.ndarray:
+    """The M-fold convolution power of step, by repeated squaring."""
+    law = None
+    while True:
+        if M & 1:
+            law = step if law is None else np.convolve(law, step)
+        M >>= 1
+        if not M:
+            return law
+        step = np.convolve(step, step)
+
+
+def _sparse_law(ints: tuple, weights: tuple, M: int) -> Optional[tuple[tuple, np.ndarray]]:
+    """(sums, probs) of M draws of the points ints, one draw at a time; None
+    past LATTICE_MAX_STATES attainable sums."""
+    if M * (len(ints) - 1) + 1 > LATTICE_MAX_STATES:  # M draws of n reals take >= M(n-1)+1 sums
+        return None
     step = list(zip(ints, weights))
     dist: dict[int, float] = {0: 1.0}
     for _ in range(M):
@@ -176,7 +219,15 @@ def _lattice_law(points: tuple, weights: tuple, M: int) -> Optional[tuple[int, t
             if len(nxt) > LATTICE_MAX_STATES:
                 return None
         dist = nxt
-    return D, tuple(dist.items())
+    sums = tuple(sorted(dist))
+    return sums, np.array([dist[s] for s in sums])
+
+
+def _lattice_tail(law: LatticeLaw, thr: Fraction) -> float:
+    """P(S >= thr) read from a lattice law."""
+    D, sums, probs = law
+    k = math.ceil(thr * D)  # S >= thr iff S*D >= ceil(thr*D) on the lattice
+    return min(1.0, math.fsum(probs[bisect.bisect_left(sums, k):].tolist()))
 
 
 def _param_mixture_sum_tail(
@@ -191,8 +242,40 @@ def _param_mixture_sum_tail(
     if M - k + 1 > PARAM_MAX_TERMS:
         raise MTooLarge(f"the tail of M={M} draws sums {M - k + 1} terms, "
                         f"more than {PARAM_MAX_TERMS}")
+    terms = _term_table(d, M).from_index(k)
+    return ExactTail(
+        probability=min(1.0, math.fsum(terms.tolist()) / (M + 1)),
+        method=TailMethod.QUADRATURE_OVER_BINOMIAL,
+    )
+
+
+class _TermTable:
+    """The terms of one (density, M) for j = k0..M, extended down to a
+    smaller k when a threshold asks for one.  Every term is computed
+    elementwise, so a slice equals the terms computed for its k alone, and
+    a concurrent extension only replaces the table with another valid one."""
+
+    def __init__(self, d: ParamDensity, M: int):
+        self.d, self.M = d, M
+        self.table = (M + 1, np.empty(0))  # (k0, terms for j = k0..M)
+
+    def from_index(self, k: int) -> np.ndarray:
+        k0, terms = self.table
+        if k < k0:
+            terms = np.concatenate((_beta_binomial_terms(self.d, self.M, k, k0), terms))
+            self.table = k0, terms = k, terms
+        return terms[k - k0:]
+
+
+@functools.lru_cache(maxsize=16)  # a table of PARAM_MAX_TERMS terms holds 2 MB
+def _term_table(d: ParamDensity, M: int) -> _TermTable:
+    return _TermTable(d, M)
+
+
+def _beta_binomial_terms(d: ParamDensity, M: int, start: int, stop: int) -> np.ndarray:
+    """(M+1) BetaBin(j; M, a, b) mass(j+a, M-j+b) / mass(a, b) for start <= j < stop."""
     a, b = d.alpha, d.beta
-    j = np.arange(k, M + 1, dtype=float)
+    j = np.arange(start, stop, dtype=float)
     # log_w = log((M+1) BetaBin(j; M, a, b)), as C(M, j) = 1 / ((M+1) B(j+1, M-j+1));
     # it is exactly 0 for the uniform density (a = b = 1)
     log_w = (
@@ -200,8 +283,4 @@ def _param_mixture_sum_tail(
     )
     with np.errstate(divide="ignore"):  # a mass that underflows to 0 adds a term 0
         log_mass = np.log(beta_interval_mass(j + a, M - j + b, d.lo, d.hi))
-    terms = np.exp(log_w + log_mass - math.log(beta_interval_mass(a, b, d.lo, d.hi)))
-    return ExactTail(
-        probability=min(1.0, math.fsum(terms) / (M + 1)),
-        method=TailMethod.QUADRATURE_OVER_BINOMIAL,
-    )
+    return np.exp(log_w + log_mass - math.log(beta_interval_mass(a, b, d.lo, d.hi)))

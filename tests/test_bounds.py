@@ -1,6 +1,7 @@
 """Closed-form bound values and the internal inequality chain."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,37 @@ class TestOptimalH:
         # h0 ~ t / (mu (1 - mu)) as t -> 0; equals 4t at mu = 1/2
         t = 1e-8
         assert optimal_h(0.5, t) == pytest.approx(4.0 * t, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "mu,t",
+        [
+            (5e-324, 0.5),  # (1 - mu - t) * mu underflows to 0 in the quotient
+            (1e-300, 0.9999999999999999),  # the quotient overflows to inf
+            (0.3, 1e-17),  # the quotient rounds to 1, so its log is 0
+            (0.7, 1e-320),
+        ],
+    )
+    def test_window_edges_give_a_finite_positive_h0(self, mu, t):
+        h0 = optimal_h(mu, t)
+        assert math.isfinite(h0) and h0 > 0.0
+        r = tail_bound_report(mu, 10, t)
+        assert r.h0 == h0 and not math.isnan(r.chernoff_at_h0)
+
+    @given(
+        st.one_of(st.floats(5e-324, 1e-290), st.floats(0.0, 1.0, exclude_min=True)),
+        st.one_of(st.floats(5e-324, 1e-290), st.floats(0.0, 1.0, exclude_min=True)),
+        st.sampled_from([1, 10, 10**6]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_tiny_and_subnormal_mu_and_t(self, mu, t, M):
+        if not (mu < 1.0 and t < 1.0 - mu):
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's NaN RuntimeWarning included
+            h0 = optimal_h(mu, t)
+            assert math.isfinite(h0) and h0 > 0.0
+            assert not math.isnan(chernoff_curve(mu, t, M, h0))
+            assert tail_bound_report(mu, M, t).h0 == h0
 
     def test_out_of_window(self):
         with pytest.raises(OutOfValidityRange):

@@ -393,6 +393,25 @@ class TestCliCommands:
         assert float(fields["t_max"]) == float(mu_minus)
         assert fields["valid"] == valid
 
+    @pytest.mark.parametrize("mu_plus,t", [
+        ("5e-324", "0.5"), ("1e-300", "0.9999999999999999"), ("0.7", "1e-320"),
+    ])
+    def test_bounds_at_the_window_edges_print_a_finite_h0(self, capsys, mu_plus, t):
+        argv = ["bounds", "--mu-plus", mu_plus, "--mu-minus", "0", "--m", "10", "--t", t]
+        assert main(argv) == 0
+        upper = [l for l in capsys.readouterr().out.splitlines() if "side=upper" in l][0]
+        h0 = float(dict(item.split("=", 1) for item in upper.split())["h0"])
+        assert math.isfinite(h0) and h0 > 0.0
+
+    def test_verify_at_a_tiny_t_writes_no_error_rows(self, tmp_path):
+        # at t = 1e-17 the quotient inside h0's log rounds to 1
+        out_path = tmp_path / "v.csv"
+        args = ["verify", "--m-grid", "2", "--t-grid", "1e-17", "--out", str(out_path)]
+        assert main(args) == 0
+        rows = from_csv(out_path.read_text()).rows
+        assert len(rows) == 10 and not [r for r in rows if r.method.startswith("error:")]
+        assert all(r.h0 > 0.0 for r in rows if r.valid)
+
     def test_bounds_rejects_bad_ordering(self, capsys):
         assert main(["bounds", "--mu-plus", "0.2", "--mu-minus", "0.8", "--m", "10", "--t", "0.1"]) == 2
 
@@ -599,18 +618,18 @@ class TestCliCommands:
         assert all(0.0 <= r.value <= 1.0 for r in rows)
 
     def test_verify_failed_cells_exit_2_after_writing_the_report(self, tmp_path, capsys):
-        # the sum of M draws from three_atom_discrete's [0, 0.5, 1] component takes
-        # 2M+1 values: M=511 fits the lattice guard of 1024 states, M=512 does not
+        # the sum of M draws from three_atom_discrete's [0, 0.5, 1] component lies on
+        # 2M+1 lattice sums: M=8191 fits the dense guard of 2^14 sums, M=8192 does not
         out_path = tmp_path / "v.csv"
-        args = ["verify", "--method", "exact", "--m-grid", "511", "512", "--t-grid", "0.1"]
+        args = ["verify", "--method", "exact", "--m-grid", "8191", "8192", "--t-grid", "0.1"]
         assert main(args + ["--out", str(out_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out.startswith("cells=20 violations=0 errors=2 ")
         assert "error: 2 cells failed" in captured.err
         rows = from_csv(out_path.read_text()).rows
         failed = [(r.model_id, r.M) for r in rows if r.method == "error:MTooLarge"]
-        assert failed == [("three_atom_discrete", 512)] * 2
-        assert [r.method for r in rows if (r.model_id, r.M) == ("three_atom_discrete", 511)] == [
+        assert failed == [("three_atom_discrete", 8192)] * 2
+        assert [r.method for r in rows if (r.model_id, r.M) == ("three_atom_discrete", 8191)] == [
             "convolution", "convolution"
         ]
         assert len(rows) == 20

@@ -495,11 +495,11 @@ class TestRunSweep:
         discrete = FiniteMixture(
             [(1.0, DiscreteOnUnit(points=[0.0, 0.5, 1.0], weights=[0.3, 0.4, 0.3]))]
         )
-        # M draws from [0, 0.5, 1] sum to 2M+1 values: M=511 fits the lattice
-        # guard of 1024 states, M=512 does not
+        # M draws from [0, 0.5, 1] lie on 2M+1 lattice sums: M=8191 fits the
+        # dense guard of 2^14 sums, M=8192 does not
         result = run_sweep(
             models=[("discrete", discrete)],
-            M_grid=[511, 512],
+            M_grid=[8191, 8192],
             t_grid=[0.0, 0.1, math.inf],
             sides=[Side.UPPER],
             replications=100,

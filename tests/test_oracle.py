@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from exchbound import (
@@ -29,7 +31,16 @@ from exchbound import (
     summarize,
 )
 from exchbound import oracle
-from exchbound.oracle import LATTICE_MAX_STATES, _lattice_law
+from exchbound.oracle import (
+    LATTICE_DENSE_MAX,
+    LATTICE_MAX_STATES,
+    _beta_binomial_terms,
+    _lattice_law,
+    _lattice_tail,
+    _sparse_law,
+    _term_table,
+    lattice_points,
+)
 
 TWO_ATOM = FiniteMixture([(0.5, Bernoulli(0.2)), (0.5, Bernoulli(0.8))])
 
@@ -118,16 +129,16 @@ class TestFiniteMixtureTails:
         assert got.probability == pytest.approx(enumerate_tail(m, M, thr), abs=1e-12)
 
     def test_convolution_guard(self):
-        assert LATTICE_MAX_STATES == 1024
-        # M draws from [0, 0.5, 1] sum to 2M+1 values: M=511 fits, M=512 does not
+        assert (LATTICE_DENSE_MAX, LATTICE_MAX_STATES) == (1 << 14, 1024)
+        # M draws from [0, 0.5, 1] lie on 2M+1 lattice sums: M=8191 fits, M=8192 does not
         m = FiniteMixture(
             [(1.0, DiscreteOnUnit(points=[0.0, 0.5, 1.0], weights=[0.3, 0.4, 0.3]))]
         )
-        tail = exact_tail(m, TailQuery(M=511, t=0.1, side=Side.UPPER))
+        tail = exact_tail(m, TailQuery(M=8191, t=0.1, side=Side.UPPER))
         assert tail.method is TailMethod.DISCRETE_CONVOLUTION
-        assert 0.0 < tail.probability <= hoeffding_tail_bound(511, 0.1)
+        assert 0.0 < tail.probability <= hoeffding_tail_bound(8191, 0.1)
         with pytest.raises(MTooLarge):
-            exact_tail(m, TailQuery(M=512, t=0.1, side=Side.UPPER))
+            exact_tail(m, TailQuery(M=8192, t=0.1, side=Side.UPPER))
         # five generic points: 976 sums of 10 draws, more than 1024 of 11
         generic = FiniteMixture(
             [(1.0, DiscreteOnUnit(points=[0.1, 0.3, 0.45, 0.8, 0.95], weights=[0.2] * 5))]
@@ -173,20 +184,21 @@ class TestFiniteMixtureTails:
         assert (info.misses, info.hits) == (1, 9)
 
     def test_lattice_refusal_is_cached(self):
-        # [0, 0.5, 1] at M=600 is past the guard; the refusal is cached like a law
+        # [0, 0.5, 1] at M=8200 is past both guards; the refusal is cached like a law
         m = FiniteMixture(
             [(1.0, DiscreteOnUnit(points=[0.0, 0.5, 1.0], weights=[0.2, 0.3, 0.5]))]
         )
         _lattice_law.cache_clear()
         for t in [0.01 * k for k in range(1, 11)]:
             with pytest.raises(MTooLarge):
-                exact_tail(m, TailQuery(M=600, t=t, side=Side.UPPER))
+                exact_tail(m, TailQuery(M=8200, t=t, side=Side.UPPER))
         info = _lattice_law.cache_info()
         assert (info.misses, info.hits) == (1, 9)
 
     def test_one_point_law_takes_no_steps(self):
         # stepping M times would take hours at M = 10^12
-        assert _lattice_law((0.5,), (1.0,), 10**12) == (2, ((10**12, 1.0),))
+        D, sums, probs = _lattice_law((0.5,), (1.0,), 10**12)
+        assert (D, tuple(sums), probs.tolist()) == (2, (10**12,), [1.0])
         zero_one = dict(standard_suite())["zero_one"]
         for side in (Side.UPPER, Side.LOWER):
             tail = exact_tail(zero_one, TailQuery(M=10**12, t=0.1, side=side))
@@ -329,6 +341,80 @@ class TestDecimalGridEvents:
         assert got == pytest.approx(0.8**10 + 10 * 0.2 * 0.8**9, abs=1e-12)  # 0.376
 
 
+@st.composite
+def grid_laws(draw):
+    """(points, weights, M): 2 to 5 points on a grid of step 1/q, q <= 10,
+    weights as small as 1e-6, M small enough for the sparse path too."""
+    q = draw(st.integers(1, 10))
+    ticks = draw(st.lists(st.integers(0, q), min_size=2, max_size=5, unique=True))
+    raw = draw(st.lists(st.floats(1e-6, 1.0), min_size=len(ticks), max_size=len(ticks)))
+    weights = tuple(w / math.fsum(raw) for w in raw)
+    return tuple(Fraction(i, q) for i in sorted(ticks)), weights, draw(st.integers(1, 60))
+
+
+class TestLatticeLaws:
+    """The dense law (repeated squaring over the gcd grid) and the sparse law
+    (a dict of sums, one draw at a time) against each other and references."""
+
+    @given(grid_laws())
+    @settings(max_examples=150, deadline=None)
+    def test_dense_and_sparse_laws_agree(self, law):
+        points, weights, M = law
+        D, sums, probs = _lattice_law(points, weights, M)
+        assert isinstance(sums, range)  # the dense path
+        dense = dict(zip(sums, probs.tolist()))
+        sparse_sums, sparse_probs = _sparse_law(lattice_points(points)[1], weights, M)
+        sparse = dict(zip(sparse_sums, sparse_probs.tolist()))
+        assert set(sparse) <= set(dense)
+        for s in dense:
+            a, b = dense[s], sparse.get(s, 0.0)
+            if max(a, b) > 1e-300:
+                assert a == pytest.approx(b, rel=1e-12, abs=0.0), s
+
+    @pytest.mark.parametrize("M,rel", [(200, 1e-13), (8000, 2e-12)])
+    def test_two_point_law_against_incomplete_beta(self, M, rel):
+        p = 0.3
+        law = _lattice_law((0.0, 1.0), (1.0 - p, p), M)
+        assert isinstance(law[1], range)
+        for k in sorted({*range(1, M + 1, M // 100), *range(M - 60, M + 1)}):
+            expected = float(special.betainc(k, M - k + 1, p))  # P(Bin(M, p) >= k)
+            if expected > 1e-300:
+                assert _lattice_tail(law, Fraction(k)) == pytest.approx(expected, rel=rel, abs=0.0)
+
+    def test_incommensurate_points_take_the_sparse_path(self):
+        points, weights = (0.1, 0.2, 0.7), (0.2, 0.3, 0.5)
+        D, sums, _ = _lattice_law(points, weights, 5)
+        assert isinstance(sums, tuple) and len(sums) == 21  # C(5+2, 2) attainable sums
+        # M draws of 3 points take C(M+2, 2) sums: 990 at M=43, 1035 at M=44
+        assert _lattice_law(points, weights, 43) is not None
+        m = FiniteMixture([(1.0, DiscreteOnUnit(points=points, weights=weights))])
+        _lattice_law.cache_clear()
+        for t in [0.01 * k for k in range(1, 11)]:
+            with pytest.raises(MTooLarge):
+                exact_tail(m, TailQuery(M=44, t=t, side=Side.UPPER))
+        info = _lattice_law.cache_info()
+        assert (info.misses, info.hits) == (1, 9)
+
+    @pytest.mark.parametrize(
+        "points,weights,M",
+        [
+            ((0.0, 0.5, 1.0), (0.2, 0.3, 0.5), 300),  # dense
+            ((0.1, 0.2, 0.7), (0.2, 0.3, 0.5), 12),  # sparse
+            ((0.25,), (1.0,), 7),  # one point
+        ],
+    )
+    def test_tail_read_matches_fsum_over_the_law(self, points, weights, M):
+        law = _lattice_law(points, weights, M)
+        D, sums, probs = law
+        pairs = list(zip(sums, probs.tolist()))
+        lo, hi = Fraction(sums[0], D), Fraction(sums[-1], D)
+        thresholds = {lo - 1, lo, hi, hi + Fraction(1, 3 * D), M * Fraction(0.3), Fraction(M, 3)}
+        thresholds |= {Fraction(s, D) for s in sums[:: max(1, len(sums) // 25)]}
+        for thr in thresholds:
+            expected = min(1.0, math.fsum(p for s, p in pairs if Fraction(s, D) >= thr))
+            assert _lattice_tail(law, thr) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
 def uniform_window_tail(lo, hi, M: int, k: int) -> Fraction:
     """P(S >= k) for p ~ Uniform(lo, hi) in exact rationals, 1 <= k <= M, from
     int_0^x P(Bin(M, p) >= k) dp = E[(Bin(M+1, x) - k)^+] / (M+1)."""
@@ -410,6 +496,33 @@ class TestQuadratureTails:
         assert exact_sum_tail(m, 10, Fraction(1), Side.UPPER).probability > 0.0  # 10 terms
         with pytest.raises(MTooLarge):
             exact_sum_tail(m, 11, Fraction(1), Side.UPPER)  # 11 terms
+
+    @pytest.mark.parametrize(
+        "density",
+        [UniformDensity(0.2, 0.8), TruncatedBetaDensity(2.0, 5.0, 0.1, 0.7)],
+    )
+    def test_one_term_table_serves_every_threshold_bit_for_bit(self, density):
+        m = BernoulliParamMixture(density)
+        M = 500
+        ks = [300, 450, 120, 499, 121, 500, 1, 260]
+        _term_table.cache_clear()
+        warm = [exact_sum_tail(m, M, Fraction(k), Side.UPPER) for k in ks]
+        assert _term_table.cache_info().misses == 1
+        table = _term_table(density, M)
+        for k, got in zip(ks, warm):
+            cold_terms = _beta_binomial_terms(density, M, k, M + 1)
+            assert table.from_index(k).tobytes() == cold_terms.tobytes()
+            _term_table.cache_clear()
+            assert got == exact_sum_tail(m, M, Fraction(k), Side.UPPER)  # bit for bit
+
+    def test_term_cap_counts_each_cells_own_terms(self, monkeypatch):
+        m = BernoulliParamMixture(UniformDensity(0.2, 0.8))
+        _term_table.cache_clear()
+        exact_sum_tail(m, 20, Fraction(1), Side.UPPER)  # a table of all 20 terms
+        monkeypatch.setattr(oracle, "PARAM_MAX_TERMS", 10)
+        assert exact_sum_tail(m, 20, Fraction(11), Side.UPPER).probability > 0.0  # 10 terms
+        with pytest.raises(MTooLarge):
+            exact_sum_tail(m, 20, Fraction(10), Side.UPPER)  # 11 terms, though tabled
 
     def test_truncated_beta_density_integrates_to_one(self):
         m = BernoulliParamMixture(TruncatedBetaDensity(2.0, 3.0, 0.1, 0.9))
