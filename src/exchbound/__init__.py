@@ -62,10 +62,10 @@ from .montecarlo import (
     SweepResult,
     SweepRow,
     TailEstimate,
+    clopper_pearson_interval,
     estimate_tail,
     run_sweep,
     sample_mean_histogram,
-    wilson_interval,
 )
 from .oracle import ExactTail, TailMethod, exact_sum_tail, exact_tail
 from .sampler import SampleBatch, SeedSpec, derive_stream, sample_sequence
@@ -123,10 +123,10 @@ __all__ = [
     "SweepResult",
     "SweepRow",
     "TailEstimate",
+    "clopper_pearson_interval",
     "estimate_tail",
     "run_sweep",
     "sample_mean_histogram",
-    "wilson_interval",
     # suite
     "standard_suite",
     "suite_model",

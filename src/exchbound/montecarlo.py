@@ -18,20 +18,19 @@ memory stays at one chunk, or one row past 2^17, however large
 replications grows, and the sums are those of drawing the whole block
 at once.  A row is held whole, so M is at most 2^24 for a Beta atom.
 The drawn sums of one (model, M, replications, seed) form one empirical law
-(``_empirical_law``): sorted distinct sums with tail counts, kept in a
-small cache, from which every threshold reads an exact integer count
-and histograms bin.  Results
+(``_empirical_law``): one ``oracle.SumTable`` of draw counts per scale,
+kept in a small cache, from which every threshold reads an exact
+integer count and histograms bin.  Results
 therefore do not depend on execution order or thread count, and an
 estimate can only fall as t grows.  Estimation computes upper tails
 only: a lower-tail query is the reflected model's upper tail, exactly as
 in the oracle.  The event S >= M*(a + t) is decided against the exact
 rational threshold, with a the side's anchor (``bounds.side_anchor``):
 mu_plus, or 1 - mu_minus for the reflected model, so that the lower event
-is S <= M*(mu_minus - t) exactly.  Lattice sums (Bernoulli, parameter-mixture,
-point-mass and discrete components) are integers S*D, D the lcm of the
-points' denominators, and the decision S*D >= ceil(thr*D) is the
-oracle's own; Beta sums are float sums, exact only up to their
-summation rounding.
+is S <= M*(mu_minus - t) exactly.  The oracle's own ``SumTable.tail``
+decides it: lattice sums (Bernoulli, parameter-mixture, point-mass and
+discrete components) are exact integers, and Beta sums are float sums,
+exact only up to their summation rounding.
 
 Sweeps evaluate a grid of (model, M, t, side) cells, preferring the
 exact oracle and falling back to Monte Carlo where no exact path exists.
@@ -42,17 +41,15 @@ M, side), so the t values of one window share one drawn law, and an
 estimate does not depend on the rest of the grid, the other models or
 the thread count.  The window t < 1 - a is decided exactly.  A cell
 inside it is flagged as a violation when its exact value (or the lower
-confidence limit of its estimate) exceeds the exp(-2Mt^2) bound; exact
+Clopper-Pearson limit of its estimate) exceeds the exp(-2Mt^2) bound; exact
 cells are additionally checked against the optimized envelope, which is
 None, and so not checked, within an ulp of the window's end.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import hashlib
-import math
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -75,7 +72,7 @@ from .model import (
     pick_index,
     summarize,
 )
-from .oracle import ExactTail, exact_tail, lattice_points
+from .oracle import ExactTail, SumTable, exact_tail, lattice_points
 from .sampler import SeedSpec, derive_stream, mix64
 
 BLOCK_SIZE = 1 << 16
@@ -97,7 +94,7 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 @dataclass(frozen=True)
 class TailEstimate:
-    """Monte Carlo estimate of a tail probability with a score interval."""
+    """Monte Carlo estimate of a tail probability with its Clopper-Pearson interval."""
 
     p_hat: float
     ci_low: float
@@ -107,11 +104,14 @@ class TailEstimate:
     master_seed: int
 
 
-def wilson_interval(successes: int, n: int, level: float = DEFAULT_CI_LEVEL):
-    """Two-sided Wilson score interval for a binomial proportion.
+def clopper_pearson_interval(successes: int, n: int, level: float = DEFAULT_CI_LEVEL):
+    """Two-sided Clopper-Pearson interval for a binomial proportion.
 
-    Chosen over the normal approximation because it stays honest at
-    p_hat in {0, 1}, which degenerate models produce routinely.
+    Each limit inverts the exact binomial tail at (1 - level)/2, so a true
+    proportion lies below the lower limit with probability at most
+    (1 - level)/2, whatever it is.  Wilson's score interval passes that
+    rate several-fold near 0 (Brown, Cai and DasGupta, Statist. Sci. 2001),
+    where the bounds of large M lie.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -119,31 +119,12 @@ def wilson_interval(successes: int, n: int, level: float = DEFAULT_CI_LEVEL):
         raise DomainError(f"successes must lie in [0, {n}], got {successes}")
     if not (0.0 < level < 1.0):
         raise DomainError(f"level must lie in (0,1), got {level!r}")
-    z = float(special.ndtri(0.5 + 0.5 * level))
-    p = successes / n
-    denom = 1.0 + z * z / n
-    center = (p + z * z / (2.0 * n)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
-    # the score interval always contains p; rounding must not lose that
-    # at the extremes, where the exact endpoints are 0 and 1
-    lo = min(p, max(0.0, center - half))
-    hi = max(p, min(1.0, center + half))
-    return lo, hi
-
-
-# ---------------------------------------------------------------------------
-# Exact-boundary comparisons for float-valued sums
-# ---------------------------------------------------------------------------
-
-
-def _float_ceil(x: Fraction) -> float:
-    """Smallest float >= x; compares float sums against exact thresholds."""
-    try:
-        f = float(x)
-    except OverflowError:  # a positive x past the float range: no sum reaches it
-        return math.inf
-    # float(x) rounds to nearest, so no float below an f >= x is still >= x
-    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
+    k, alpha = successes, 1.0 - level
+    lo = 0.0 if k == 0 else float(special.betaincinv(k, n - k + 1, alpha / 2))
+    hi = 1.0 if k == n else float(special.betaincinv(k + 1, n - k, 1.0 - alpha / 2))
+    # the exact interval always contains k/n; rounding must not lose that
+    p = k / n
+    return min(p, lo), max(p, hi)
 
 
 def _lattice_sums(counts: np.ndarray, ints: Sequence[int], bound: int) -> np.ndarray:
@@ -218,31 +199,10 @@ def _blocks(replications: int):
         index += 1
 
 
-@dataclass(frozen=True)
-class _SumTable:
-    """The drawn sums of one scale: sorted distinct keys with tail counts.
-
-    ``keys`` are S*scale in integers, or float sums S when ``scale`` is
-    None; ``at_least[i]`` counts the draws whose key is >= keys[i], and
-    ``at_least[-1]`` is 0.
-    """
-
-    scale: Optional[int]
-    keys: np.ndarray
-    at_least: np.ndarray
-
-    def count(self, thr: Fraction) -> int:
-        """Draws with S >= thr."""
-        # on the lattice S >= thr iff S*D >= ceil(thr*D);
-        # a float S >= thr iff S >= _float_ceil(thr)
-        k = _float_ceil(thr) if self.scale is None else math.ceil(thr * self.scale)
-        return int(self.at_least[bisect.bisect_left(self.keys, k)])
-
-
 @functools.lru_cache(maxsize=16)  # a 10^5-replication Beta table holds 1.6 MB
 def _empirical_law(
     m: MixingMeasure, M: int, replications: int, seed: int
-) -> tuple[_SumTable, ...]:
+) -> tuple[SumTable, ...]:
     """The sums S of ``replications`` batches of M draws, one table per scale.
 
     Every threshold of one (model, M, seed) reads the same draws, so a
@@ -257,14 +217,10 @@ def _empirical_law(
         gen = derive_stream(SeedSpec(master_seed=seed, replication_index=block_index))
         for scale, keys in _block_sums(m, M, size, gen):
             chunks.setdefault(scale, []).append(keys)
-    tables = []
-    for scale, parts in chunks.items():
-        keys, counts = np.unique(np.concatenate(parts), return_counts=True)
-        at_least = np.append(np.cumsum(counts[::-1])[::-1], 0)
-        for array in (keys, at_least):  # every caller of the cache shares them
-            array.setflags(write=False)
-        tables.append(_SumTable(scale, keys, at_least))
-    return tuple(tables)
+    return tuple(
+        SumTable(scale, *np.unique(np.concatenate(parts), return_counts=True))
+        for scale, parts in chunks.items()
+    )
 
 
 def estimate_tail(
@@ -288,8 +244,9 @@ def estimate_tail(
     if q.side is Side.LOWER:
         m = flip_model(m)
     thr = q.M * (a + Fraction(q.t))
-    exceed = sum(table.count(thr) for table in _empirical_law(m, q.M, replications, master_seed))
-    ci_low, ci_high = wilson_interval(exceed, replications, level)
+    law = _empirical_law(m, q.M, replications, master_seed)
+    exceed = sum(int(table.tail(thr)) for table in law)
+    ci_low, ci_high = clopper_pearson_interval(exceed, replications, level)
     return TailEstimate(
         p_hat=exceed / replications,
         ci_low=ci_low,
@@ -383,13 +340,14 @@ class SweepResult:
 def window_t_grid(anchor: Fraction, n: int) -> list[float]:
     """n deviations spanning the validity window t < 1 - anchor of a side.
 
-    An empty window (degenerate models) falls back to spanning (0, 1) so
-    the sweep still exercises and flags the invalid cells.
+    A window that cannot hold n distinct positive floats, such as an empty
+    one (degenerate models) or a subnormal one, falls back to spanning
+    (0, 1) so the sweep still exercises and flags the invalid cells.
     """
-    t_max = float(1 - anchor)
-    if t_max <= 0.0:
-        t_max = 1.0
-    return [t_max * i / (n + 1) for i in range(1, n + 1)]
+    grid = [float(1 - anchor) * i / (n + 1) for i in range(1, n + 1)]
+    if grid[0] > 0.0 and all(a < b for a, b in zip(grid, grid[1:])):
+        return grid
+    return [i / (n + 1) for i in range(1, n + 1)]
 
 
 def _resolve_threads(threads: Optional[int]) -> int:

@@ -8,7 +8,8 @@ decomposes over the mixing measure:
   tails from ``scipy.special``.
 * Point masses and discrete components: the pmf convolved M times over
   the points scaled to integers, one cached lattice law per
-  (component, M) shared by every threshold; a refusal is cached too.
+  (component, M), a :class:`SumTable` shared by every threshold; a
+  refusal is cached too.
   Points on a common grid (after subtracting the smallest and dividing
   by the gcd g of the gaps, the step law is a dense vector of span + 1
   entries) are raised to the M-th power by repeated squaring with
@@ -30,7 +31,8 @@ Boundary convention: tail events use non-strict inequalities,
 S >= M*(mu_plus + t) and S <= M*(mu_minus - t).  Thresholds and lattice
 sums are handled in exact rational arithmetic on the IEEE values of the
 inputs, so boundary atoms are never dropped or double-counted by float
-rounding.
+rounding.  ``SumTable.tail`` is the one place a threshold meets a law,
+here and in the Monte Carlo engine's drawn laws.
 
 Lower tails are computed by reflection: mu_minus - Xbar >= t holds for a
 model exactly when the reflected model (X' = 1 - X) has
@@ -142,12 +144,12 @@ def _finite_mixture_sum_tail(m: FiniteMixture, M: int, thr: Fraction) -> ExactTa
         w * _binomial_sum_tail(M, float(c.p), thr) for w, c in m.atoms if isinstance(c, Bernoulli)
     ]
     for w, (points, weights) in laws:
-        law = _lattice_law(points, weights, M)
-        if law is None:
+        table = _lattice_law(points, weights, M)
+        if table is None:
             raise MTooLarge(f"the sum of M={M} draws from {len(points)} points lies on more "
                             f"than {LATTICE_DENSE_MAX} grid sums and takes more than "
                             f"{LATTICE_MAX_STATES} values")
-        parts.append(w * _lattice_tail(law, thr))
+        parts.append(w * float(table.tail(thr)))
     prob = min(1.0, max(0.0, math.fsum(parts)))  # fsum is exact, so atom order cannot matter
     method = TailMethod.DISCRETE_CONVOLUTION if laws else TailMethod.BINOMIAL_CLOSED_FORM
     return ExactTail(probability=prob, method=method)
@@ -169,17 +171,49 @@ def lattice_points(points: Sequence[Scalar]) -> tuple[int, tuple[int, ...]]:
     return D, tuple(int(Fraction(x) * D) for x in points)
 
 
-LatticeLaw = tuple[int, Sequence[int], np.ndarray]
+class SumTable:
+    """A law of the sum S: ascending distinct keys with their tail masses.
+
+    ``keys`` are the integers S*scale on a lattice of factor ``scale``
+    (``lattice_points``), or float sums S when ``scale`` is None;
+    ``at_least[i]`` is the mass (a probability, or a count of draws) of the
+    keys >= keys[i], and ``at_least[-1]`` is 0.  Both engines read every
+    event through :meth:`tail`.
+    """
+
+    def __init__(self, scale: Optional[int], keys: Sequence, masses: np.ndarray):
+        """keys ascending, masses[i] the mass of keys[i]; cached tables are shared,
+        so the arrays are read-only."""
+        self.scale, self.keys = scale, keys
+        self.at_least = np.append(np.cumsum(masses[::-1])[::-1], 0)
+        for array in (keys, self.at_least):
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
+
+    def tail(self, thr: Fraction):
+        """The mass of the sums S >= thr."""
+        # on the lattice S >= thr iff S*D >= ceil(thr*D); a float S >= thr iff S >= _float_ceil(thr)
+        k = _float_ceil(thr) if self.scale is None else math.ceil(thr * self.scale)
+        return self.at_least[bisect.bisect_left(self.keys, k)]
+
+
+def _float_ceil(x: Fraction) -> float:
+    """Smallest float >= x; compares float sums against exact thresholds."""
+    try:
+        f = float(x)
+    except OverflowError:  # a positive x past the float range: no sum reaches it
+        return math.inf
+    # float(x) rounds to nearest, so no float below an f >= x is still >= x
+    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
 
 
 @functools.lru_cache(maxsize=128)
-def _lattice_law(points: tuple, weights: tuple, M: int) -> Optional[LatticeLaw]:
-    """(D, sums, probs) for the sum S of M draws: P(S*D = sums[i]) = probs[i],
-    sums ascending, D as in lattice_points.  None past both guards, so that
-    the cache keeps a refusal as it keeps a law."""
+def _lattice_law(points: tuple, weights: tuple, M: int) -> Optional[SumTable]:
+    """The law of the sum S of M draws, keyed by S*D, D as in lattice_points.
+    None past both guards, so that the cache keeps a refusal as it keeps a law."""
     D, ints = lattice_points(points)
     if len(ints) == 1:  # one attainable sum at every M, reached in one step
-        return D, (M * ints[0],), np.array([weights[0] ** M])
+        return SumTable(D, (M * ints[0],), np.array([weights[0] ** M]))
     low = min(ints)
     g = math.gcd(*(z - low for z in ints))
     span = (max(ints) - low) // g
@@ -187,9 +221,9 @@ def _lattice_law(points: tuple, weights: tuple, M: int) -> Optional[LatticeLaw]:
         step = np.zeros(span + 1)
         for z, w in zip(ints, weights):
             step[(z - low) // g] = w
-        return D, range(M * low, M * (low + span * g) + 1, g), _dense_power(step, M)
+        return SumTable(D, range(M * low, M * (low + span * g) + 1, g), _dense_power(step, M))
     sparse = _sparse_law(ints, weights, M)
-    return None if sparse is None else (D, *sparse)
+    return None if sparse is None else SumTable(D, *sparse)
 
 
 def _dense_power(step: np.ndarray, M: int) -> np.ndarray:
@@ -221,13 +255,6 @@ def _sparse_law(ints: tuple, weights: tuple, M: int) -> Optional[tuple[tuple, np
         dist = nxt
     sums = tuple(sorted(dist))
     return sums, np.array([dist[s] for s in sums])
-
-
-def _lattice_tail(law: LatticeLaw, thr: Fraction) -> float:
-    """P(S >= thr) read from a lattice law."""
-    D, sums, probs = law
-    k = math.ceil(thr * D)  # S >= thr iff S*D >= ceil(thr*D) on the lattice
-    return min(1.0, math.fsum(probs[bisect.bisect_left(sums, k):].tolist()))
 
 
 def _param_mixture_sum_tail(

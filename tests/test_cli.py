@@ -412,6 +412,19 @@ class TestCliCommands:
         assert len(rows) == 10 and not [r for r in rows if r.method.startswith("error:")]
         assert all(r.h0 > 0.0 for r in rows if r.valid)
 
+    @pytest.mark.parametrize("c", [5e-324, 1e-320])
+    def test_verify_a_subnormal_point_mass_writes_its_report(self, tmp_path, c):
+        # its lower window (0, c) holds no 10 distinct floats at 5e-324
+        model_path = write_model(tmp_path, one_component_doc({"kind": "pointmass", "c": c}))
+        out_path = tmp_path / "v.csv"
+        assert main(["verify", "--model", model_path, "--m-grid", "1", "10",
+                     "--out", str(out_path)]) == 0
+        rows = from_csv(out_path.read_text()).rows
+        assert len(rows) == 40 and not [r for r in rows if r.method.startswith("error:")]
+        for side in ("upper", "lower"):
+            ts = [r.t for r in rows if r.side == side and r.M == 1]
+            assert len(set(ts)) == 10 and min(ts) > 0.0
+
     def test_bounds_rejects_bad_ordering(self, capsys):
         assert main(["bounds", "--mu-plus", "0.2", "--mu-minus", "0.8", "--m", "10", "--t", "0.1"]) == 2
 

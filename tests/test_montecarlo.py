@@ -11,9 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from exchbound import (
     Bernoulli,
@@ -29,6 +27,7 @@ from exchbound import (
     Side,
     TailQuery,
     UniformDensity,
+    clopper_pearson_interval,
     estimate_tail,
     exact_sum_tail,
     exact_tail,
@@ -39,7 +38,6 @@ from exchbound import (
     standard_suite,
     suite_model,
     summarize,
-    wilson_interval,
 )
 from exchbound import montecarlo
 from exchbound.bounds import side_anchor
@@ -62,41 +60,52 @@ def shrink_bounds(monkeypatch):
     monkeypatch.setattr(montecarlo, "tail_bound_report", shrunk)
 
 
-class TestWilsonInterval:
+class TestClopperPearsonInterval:
     def test_contains_point_estimate(self):
         for k, n in [(0, 100), (1, 100), (50, 100), (100, 100), (3, 7)]:
-            lo, hi = wilson_interval(k, n, 0.999)
+            lo, hi = clopper_pearson_interval(k, n, 0.999)
             assert lo <= k / n <= hi
             assert 0.0 <= lo <= hi <= 1.0
 
-    def test_zero_successes_has_zero_lower_limit(self):
-        lo, hi = wilson_interval(0, 10_000, 0.999)
-        assert lo == 0.0
-        assert 0.0 < hi < 0.002
+    def test_endpoints_in_closed_form(self):
+        # k = 0: [0, 1 - (alpha/2)^(1/n)]; k = n: [(alpha/2)^(1/n), 1]
+        n = 1000
+        assert clopper_pearson_interval(0, n, 0.999) == (0.0, pytest.approx(1 - 0.0005 ** (1 / n), abs=1e-15))
+        assert clopper_pearson_interval(n, n, 0.999) == (pytest.approx(0.0005 ** (1 / n), abs=1e-15), 1.0)
 
-    def test_against_direct_formula(self):
+    def test_limits_invert_the_binomial_tails(self):
         k, n, level = 37, 250, 0.95
-        z = stats.norm.ppf(0.975)
-        p = k / n
-        denom = 1 + z * z / n
-        center = (p + z * z / (2 * n)) / denom
-        half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
-        lo, hi = wilson_interval(k, n, level)
-        assert lo == pytest.approx(center - half, abs=1e-12)
-        assert hi == pytest.approx(center + half, abs=1e-12)
+        lo, hi = clopper_pearson_interval(k, n, level)
+        assert stats.binom.sf(k - 1, n, lo) == pytest.approx(0.025, rel=1e-9)  # P(Bin >= k) at lo
+        assert stats.binom.cdf(k, n, hi) == pytest.approx(0.025, rel=1e-9)  # P(Bin <= k) at hi
 
     def test_narrower_at_lower_level(self):
-        lo99, hi99 = wilson_interval(40, 100, 0.99)
-        lo90, hi90 = wilson_interval(40, 100, 0.90)
+        lo99, hi99 = clopper_pearson_interval(40, 100, 0.99)
+        lo90, hi90 = clopper_pearson_interval(40, 100, 0.90)
         assert lo99 < lo90 and hi90 < hi99
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            wilson_interval(5, 0)
+            clopper_pearson_interval(5, 0)
         with pytest.raises(DomainError):
-            wilson_interval(11, 10)
+            clopper_pearson_interval(11, 10)
         with pytest.raises(DomainError):
-            wilson_interval(1, 10, level=1.0)
+            clopper_pearson_interval(1, 10, level=1.0)
+
+    @pytest.mark.parametrize("n", [10**4, 10**5])
+    def test_false_alarm_rate_is_nominal_at_every_p(self, n):
+        # a cell whose true tail p sits at its bound is flagged when the lower
+        # limit passes p; that must happen with probability <= (1 - level)/2
+        for p in np.geomspace(1e-6, 0.5, 400).tolist():
+            lo, hi = 0, n  # the smallest count that flags lies in (lo, hi]
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if clopper_pearson_interval(mid, n, 0.999)[0] > p:
+                    hi = mid
+                else:
+                    lo = mid
+            assert clopper_pearson_interval(hi, n, 0.999)[0] > p
+            assert special.betainc(hi, n - hi + 1, p) <= 5e-4 * (1 + 1e-9), p  # P(Bin(n, p) >= hi)
 
 
 class TestEstimateTail:
@@ -202,26 +211,6 @@ class TestEstimateTail:
         q = TailQuery(M=2, t=1e308, side=side)
         assert exact_tail(TWO_ATOM, q).probability == 0.0
         assert estimate_tail(TWO_ATOM, q, 1_000, master_seed=31).exceed_count == 0
-
-    @given(
-        st.one_of(
-            st.fractions(),
-            # floats, subnormal and huge ones too, and just either side of them
-            st.builds(
-                lambda f, k: Fraction(f) + Fraction(k, 10**400),
-                st.floats(allow_nan=False, allow_infinity=False),
-                st.integers(-1, 1),
-            ),
-            st.builds(lambda n, d: Fraction(n, d), st.integers(1, 2**1100), st.integers(1, 2**1100)),
-        )
-    )
-    @example(Fraction(2**1024))
-    @example(Fraction(1, 10**400))
-    @example(Fraction(-1, 10**400))
-    def test_float_ceil_is_the_smallest_float_at_least_x(self, x):
-        f = montecarlo._float_ceil(x)
-        assert f >= x
-        assert math.nextafter(f, -math.inf) < x
 
     def test_deterministic_and_exact_ratio(self):
         q = TailQuery(M=2, t=0.15, side=Side.UPPER)
@@ -604,10 +593,21 @@ class TestWindowEdges:
                     lower_tail_bound_by_flip(s, 2, t)
 
 
+    @pytest.mark.parametrize("c", [5e-324, 1e-320])
+    @pytest.mark.parametrize("side", [Side.UPPER, Side.LOWER])
+    @pytest.mark.parametrize("n", [1, 2, 10, 1000])
+    def test_auto_grid_is_distinct_and_positive_in_a_subnormal_window(self, c, side, n):
+        # the lower window of a point mass at c is (0, c): too narrow for n floats at 5e-324
+        a = side_anchor(summarize(FiniteMixture([(1.0, PointMass(c))])), side)
+        grid = window_t_grid(a, n)
+        assert len(grid) == n and grid[0] > 0.0
+        assert all(s < t for s, t in zip(grid, grid[1:]))
+
+
 class TestOracleAgreement:
     @pytest.mark.parametrize("model_id,m", [s for s in standard_suite() if s[0] != "zero_one"])
     def test_estimates_cover_oracle_at_million_reps(self, model_id, m):
-        # 99.9% Wilson intervals should cover the exact value; the cells
+        # 99.9% Clopper-Pearson intervals should cover the exact value; the cells
         # here keep reps*M modest so the check stays inside the time budget
         failures = 0
         cells = 0

@@ -4,8 +4,9 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
@@ -30,13 +31,14 @@ from exchbound import (
     standard_suite,
     summarize,
 )
-from exchbound import oracle
+from exchbound import montecarlo, oracle
 from exchbound.oracle import (
     LATTICE_DENSE_MAX,
     LATTICE_MAX_STATES,
+    SumTable,
     _beta_binomial_terms,
+    _float_ceil,
     _lattice_law,
-    _lattice_tail,
     _sparse_law,
     _term_table,
     lattice_points,
@@ -197,8 +199,8 @@ class TestFiniteMixtureTails:
 
     def test_one_point_law_takes_no_steps(self):
         # stepping M times would take hours at M = 10^12
-        D, sums, probs = _lattice_law((0.5,), (1.0,), 10**12)
-        assert (D, tuple(sums), probs.tolist()) == (2, (10**12,), [1.0])
+        table = _lattice_law((0.5,), (1.0,), 10**12)
+        assert (table.scale, tuple(table.keys), table.at_least.tolist()) == (2, (10**12,), [1.0, 0.0])
         zero_one = dict(standard_suite())["zero_one"]
         for side in (Side.UPPER, Side.LOWER):
             tail = exact_tail(zero_one, TailQuery(M=10**12, t=0.1, side=side))
@@ -360,31 +362,30 @@ class TestLatticeLaws:
     @settings(max_examples=150, deadline=None)
     def test_dense_and_sparse_laws_agree(self, law):
         points, weights, M = law
-        D, sums, probs = _lattice_law(points, weights, M)
-        assert isinstance(sums, range)  # the dense path
-        dense = dict(zip(sums, probs.tolist()))
-        sparse_sums, sparse_probs = _sparse_law(lattice_points(points)[1], weights, M)
-        sparse = dict(zip(sparse_sums, sparse_probs.tolist()))
-        assert set(sparse) <= set(dense)
-        for s in dense:
-            a, b = dense[s], sparse.get(s, 0.0)
+        dense = _lattice_law(points, weights, M)
+        assert isinstance(dense.keys, range)  # the dense path
+        D, ints = lattice_points(points)
+        sparse = SumTable(D, *_sparse_law(ints, weights, M))
+        assert set(sparse.keys) <= set(dense.keys)
+        for s, a in zip(dense.keys, dense.at_least.tolist()):
+            b = float(sparse.tail(Fraction(s, D)))
             if max(a, b) > 1e-300:
                 assert a == pytest.approx(b, rel=1e-12, abs=0.0), s
 
     @pytest.mark.parametrize("M,rel", [(200, 1e-13), (8000, 2e-12)])
     def test_two_point_law_against_incomplete_beta(self, M, rel):
         p = 0.3
-        law = _lattice_law((0.0, 1.0), (1.0 - p, p), M)
-        assert isinstance(law[1], range)
+        table = _lattice_law((0.0, 1.0), (1.0 - p, p), M)
+        assert isinstance(table.keys, range)
         for k in sorted({*range(1, M + 1, M // 100), *range(M - 60, M + 1)}):
             expected = float(special.betainc(k, M - k + 1, p))  # P(Bin(M, p) >= k)
             if expected > 1e-300:
-                assert _lattice_tail(law, Fraction(k)) == pytest.approx(expected, rel=rel, abs=0.0)
+                assert table.tail(Fraction(k)) == pytest.approx(expected, rel=rel, abs=0.0)
 
     def test_incommensurate_points_take_the_sparse_path(self):
         points, weights = (0.1, 0.2, 0.7), (0.2, 0.3, 0.5)
-        D, sums, _ = _lattice_law(points, weights, 5)
-        assert isinstance(sums, tuple) and len(sums) == 21  # C(5+2, 2) attainable sums
+        keys = _lattice_law(points, weights, 5).keys
+        assert isinstance(keys, tuple) and len(keys) == 21  # C(5+2, 2) attainable sums
         # M draws of 3 points take C(M+2, 2) sums: 990 at M=43, 1035 at M=44
         assert _lattice_law(points, weights, 43) is not None
         m = FiniteMixture([(1.0, DiscreteOnUnit(points=points, weights=weights))])
@@ -403,16 +404,79 @@ class TestLatticeLaws:
             ((0.25,), (1.0,), 7),  # one point
         ],
     )
-    def test_tail_read_matches_fsum_over_the_law(self, points, weights, M):
-        law = _lattice_law(points, weights, M)
-        D, sums, probs = law
-        pairs = list(zip(sums, probs.tolist()))
+    def test_tail_read_matches_fsum_over_the_law(self, points, weights, M, monkeypatch):
+        built = []  # the per-sum probabilities each table is built from
+
+        class Recorded(SumTable):
+            def __init__(self, scale, keys, masses):
+                built.append((scale, keys, masses.tolist()))
+                super().__init__(scale, keys, masses)
+
+        monkeypatch.setattr(oracle, "SumTable", Recorded)
+        table = _lattice_law.__wrapped__(points, weights, M)
+        ((D, sums, probs),) = built
+        pairs = list(zip(sums, probs))
         lo, hi = Fraction(sums[0], D), Fraction(sums[-1], D)
         thresholds = {lo - 1, lo, hi, hi + Fraction(1, 3 * D), M * Fraction(0.3), Fraction(M, 3)}
         thresholds |= {Fraction(s, D) for s in sums[:: max(1, len(sums) // 25)]}
         for thr in thresholds:
             expected = min(1.0, math.fsum(p for s, p in pairs if Fraction(s, D) >= thr))
-            assert _lattice_tail(law, thr) == pytest.approx(expected, rel=1e-13, abs=0.0)
+            assert table.tail(thr) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+class TestSumTable:
+    """The one law type of both engines: an oracle lattice law and a drawn law
+    on the same lattice map every threshold to the same index."""
+
+    def test_oracle_and_monte_carlo_tables_read_the_same_index(self):
+        points, weights, M = (0.0, 0.5, 1.0), (0.2, 0.3, 0.5), 3
+        exact = _lattice_law(points, weights, M)
+        m = FiniteMixture([(1.0, DiscreteOnUnit(points=list(points), weights=list(weights)))])
+        (drawn,) = montecarlo._empirical_law(m, M, 20_000, 7)
+        assert drawn.scale == exact.scale == 2
+        assert list(drawn.keys) == list(exact.keys) == list(range(7))  # every sum was drawn
+
+        def index(table, thr):  # at_least falls strictly, so its value names its index
+            return table.at_least.tolist().index(table.tail(thr))
+
+        for table in (exact, drawn):
+            assert all(np.diff(table.at_least) < 0)
+        eps = Fraction(1, 10**30)
+        thresholds = [Fraction(-1), Fraction(M + 1), Fraction(-1, 10**30), M + eps]
+        thresholds += [Fraction(s, 2) + d for s in range(7) for d in (-eps, 0, eps)]
+        for thr in thresholds:
+            assert index(exact, thr) == index(drawn, thr), thr
+        assert index(exact, Fraction(3, 2)) == 3 and index(exact, Fraction(3, 2) + eps) == 4
+        assert (exact.tail(M + eps), drawn.tail(M + eps)) == (0.0, 0)
+        assert exact.tail(Fraction(-1)) == pytest.approx(1.0) and drawn.tail(Fraction(-1)) == 20_000
+
+    def test_float_keys_are_read_against_the_exact_threshold(self):
+        table = SumTable(None, np.array([0.1, 0.3, 0.5]), np.array([1, 2, 3]))
+        assert table.at_least.tolist() == [6, 5, 3, 0]
+        assert not table.at_least.flags.writeable and not table.keys.flags.writeable
+        assert table.tail(Fraction(0.3)) == 5  # the float 0.3 is its own exact value
+        assert table.tail(Fraction(3, 10)) == 3  # 0.3 < 3/10 exactly
+        assert table.tail(Fraction(10**400)) == 0
+
+    @given(
+        st.one_of(
+            st.fractions(),
+            # floats, subnormal and huge ones too, and just either side of them
+            st.builds(
+                lambda f, k: Fraction(f) + Fraction(k, 10**400),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.integers(-1, 1),
+            ),
+            st.builds(lambda n, d: Fraction(n, d), st.integers(1, 2**1100), st.integers(1, 2**1100)),
+        )
+    )
+    @example(Fraction(2**1024))
+    @example(Fraction(1, 10**400))
+    @example(Fraction(-1, 10**400))
+    def test_float_ceil_is_the_smallest_float_at_least_x(self, x):
+        f = _float_ceil(x)
+        assert f >= x
+        assert math.nextafter(f, -math.inf) < x
 
 
 def uniform_window_tail(lo, hi, M: int, k: int) -> Fraction:
