@@ -6,141 +6,109 @@ smallest and largest component means of the mixture representation of
 its law.  This package provides the closed-form bounds, exact tail
 oracles for verifiable model families, a reproducible Monte Carlo
 harness, and a CLI that sweeps models against the bounds.
+
+Public names load lazily (PEP 562): a name's module is imported the first
+time the name is read.  The closed forms and their errors (``bounds``,
+``errors``) need only the standard library; numpy and scipy load the first
+time a model, oracle, sampler, Monte Carlo or suite name is used.
 """
 
-from .bounds import (
-    BoundReport,
-    RangeBounds,
-    Side,
-    TailQuery,
-    big_g,
-    big_h,
-    chernoff_curve,
-    hoeffding_tail_bound,
-    kl_form_bound,
-    little_g,
-    lower_tail_bound_by_flip,
-    mgf_convexity_bound,
-    optimal_h,
-    t_for_confidence,
-    tail_bound_report,
-)
-from .errors import (
-    DomainError,
-    EmptyGrid,
-    ExchboundError,
-    InvalidDelta,
-    InvalidH,
-    InvalidModel,
-    InvalidT,
-    KTooLarge,
-    MeanOutOfRange,
-    MTooLarge,
-    OutOfValidityRange,
-    UnsupportedModel,
-)
-from .model import (
-    Bernoulli,
-    Beta,
-    BernoulliParamMixture,
-    Component,
-    DiscreteOnUnit,
-    FiniteMixture,
-    JointLaw,
-    MixingMeasure,
-    ModelSummary,
-    PointMass,
-    TruncatedBetaDensity,
-    UniformDensity,
-    component_mean,
-    flip_model,
-    joint_law,
-    summarize,
-)
-from .montecarlo import (
-    HistogramResult,
-    SweepResult,
-    SweepRow,
-    TailEstimate,
-    clopper_pearson_interval,
-    estimate_tail,
-    run_sweep,
-    sample_mean_histogram,
-)
-from .oracle import ExactTail, TailMethod, exact_sum_tail, exact_tail
-from .sampler import SampleBatch, SeedSpec, derive_stream, sample_sequence
-from .suite import standard_suite, suite_model
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # model
-    "Bernoulli",
-    "Beta",
-    "BernoulliParamMixture",
-    "Component",
-    "DiscreteOnUnit",
-    "FiniteMixture",
-    "JointLaw",
-    "MixingMeasure",
-    "ModelSummary",
-    "PointMass",
-    "TruncatedBetaDensity",
-    "UniformDensity",
-    "component_mean",
-    "joint_law",
-    "summarize",
-    # bounds
-    "BoundReport",
-    "RangeBounds",
-    "Side",
-    "TailQuery",
-    "big_g",
-    "big_h",
-    "chernoff_curve",
-    "hoeffding_tail_bound",
-    "kl_form_bound",
-    "little_g",
-    "lower_tail_bound_by_flip",
-    "mgf_convexity_bound",
-    "optimal_h",
-    "t_for_confidence",
-    "tail_bound_report",
-    # oracle
-    "ExactTail",
-    "TailMethod",
-    "exact_sum_tail",
-    "exact_tail",
-    "flip_model",
-    # sampler
-    "SampleBatch",
-    "SeedSpec",
-    "derive_stream",
-    "sample_sequence",
-    # montecarlo
-    "HistogramResult",
-    "SweepResult",
-    "SweepRow",
-    "TailEstimate",
-    "clopper_pearson_interval",
-    "estimate_tail",
-    "run_sweep",
-    "sample_mean_histogram",
-    # suite
-    "standard_suite",
-    "suite_model",
-    # errors
-    "ExchboundError",
-    "InvalidModel",
-    "UnsupportedModel",
-    "KTooLarge",
-    "MTooLarge",
-    "DomainError",
-    "InvalidT",
-    "InvalidH",
-    "InvalidDelta",
-    "MeanOutOfRange",
-    "OutOfValidityRange",
-    "EmptyGrid",
-]
+# each submodule with the public names it defines
+_EXPORTS = {
+    "bounds": (
+        "BoundReport",
+        "RangeBounds",
+        "Side",
+        "TailQuery",
+        "big_g",
+        "big_h",
+        "chernoff_curve",
+        "hoeffding_tail_bound",
+        "kl_form_bound",
+        "little_g",
+        "lower_tail_bound_by_flip",
+        "mgf_convexity_bound",
+        "optimal_h",
+        "t_for_confidence",
+        "tail_bound_report",
+    ),
+    "errors": (
+        "DomainError",
+        "EmptyGrid",
+        "ExchboundError",
+        "InvalidDelta",
+        "InvalidH",
+        "InvalidModel",
+        "InvalidT",
+        "KTooLarge",
+        "MeanOutOfRange",
+        "MTooLarge",
+        "OutOfValidityRange",
+        "UnsupportedModel",
+    ),
+    "model": (
+        "Bernoulli",
+        "Beta",
+        "BernoulliParamMixture",
+        "Component",
+        "DiscreteOnUnit",
+        "FiniteMixture",
+        "JointLaw",
+        "MixingMeasure",
+        "ModelSummary",
+        "PointMass",
+        "TruncatedBetaDensity",
+        "UniformDensity",
+        "component_mean",
+        "flip_model",
+        "joint_law",
+        "summarize",
+    ),
+    "montecarlo": (
+        "HistogramResult",
+        "SweepResult",
+        "SweepRow",
+        "TailEstimate",
+        "clopper_pearson_interval",
+        "estimate_tail",
+        "run_sweep",
+        "sample_mean_histogram",
+    ),
+    "oracle": (
+        "ExactTail",
+        "TailMethod",
+        "exact_sum_tail",
+        "exact_tail",
+    ),
+    "sampler": (
+        "SampleBatch",
+        "SeedSpec",
+        "derive_stream",
+        "sample_sequence",
+    ),
+    "suite": (
+        "standard_suite",
+        "suite_model",
+    ),
+}
+
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_OWNER]
+
+
+def __getattr__(name: str):
+    """Import the module that defines ``name``, or the submodule ``name``."""
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _OWNER:
+        return getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -49,11 +49,10 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import (
     DomainError,
@@ -63,7 +62,9 @@ from .errors import (
     MeanOutOfRange,
     OutOfValidityRange,
 )
-from .model import ModelSummary
+
+if TYPE_CHECKING:  # only its attributes are read; importing model would load numpy and scipy
+    from .model import ModelSummary
 
 ENGINE_M_LIMIT = 1 << 63  # Monte Carlo hands M to numpy as an int64
 
@@ -144,7 +145,11 @@ def _check_m(M: int) -> None:
 
 
 def check_engine_m(M: int) -> None:
-    """1 <= M < 2^63, the sample counts the exact and Monte Carlo engines take."""
+    """An integer 1 <= M < 2^63, the sample counts the exact and Monte Carlo engines take."""
+    try:
+        operator.index(M)  # an int or a numpy integer; numpy would truncate a fractional M
+    except TypeError:
+        raise DomainError(f"M must be an integer, got {M!r}") from None
     _check_m(M)
     if M >= ENGINE_M_LIMIT:
         raise DomainError(
@@ -189,11 +194,11 @@ def chernoff_curve(mu_tilde: float, t: float, M: int, h: float) -> float:
     _check_t(t)
     if not h > 0.0:
         raise InvalidH(f"h must be > 0, got {h!r}")
-    log_factor = (-mu_tilde - t) * h + np.logaddexp(
-        math.log1p(-mu_tilde), math.log(mu_tilde) + h
-    )
+    x, y = math.log1p(-mu_tilde), math.log(mu_tilde) + h
+    # log(e^x + e^y) as np.logaddexp computes it; the grouping keeps every bit
+    log_factor = (-mu_tilde - t) * h + (max(x, y) + math.log1p(math.exp(-abs(x - y))))
     try:
-        return float(math.exp(M * log_factor))
+        return math.exp(M * log_factor)
     except OverflowError:  # envelope diverges for large h; saturate honestly
         return math.inf
 
@@ -312,8 +317,11 @@ def tail_bound_report(anchor: Union[float, Fraction], M: int, t: float) -> Bound
     evaluated at mu = float(a) and are None outside the window, within an
     ulp of its end (where t < 1 - mu fails in floats), or when mu lies on
     the boundary of (0,1); only the raw exp(-2Mt^2) value is then reported.
+    An anchor outside [0, 1], or NaN, raises DomainError.
     """
     hoeffding = hoeffding_tail_bound(M, t)  # checks M and t before the window
+    if not 0 <= anchor <= 1:
+        raise DomainError(f"anchor must lie in [0,1], got {anchor!r}")
     in_range = t < 1 - Fraction(anchor)  # a float against a Fraction compares exactly
     mu = float(anchor)
     h0 = optimal_h(mu, t) if in_range and 0.0 < mu < 1.0 and t < 1.0 - mu else None

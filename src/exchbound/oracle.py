@@ -59,7 +59,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import special
 
-from .bounds import Side, TailQuery, side_anchor
+from .bounds import Side, TailQuery, check_engine_m, side_anchor
 from .errors import DomainError, MTooLarge
 from .model import (
     Bernoulli,
@@ -122,12 +122,14 @@ def exact_sum_tail(
 
     Upper side: P(S >= threshold); lower side: P(S <= threshold),
     computed as P(S' >= M - threshold) for the reflected model.  The
-    threshold may be any real (float or Fraction); comparisons are exact
-    in rational arithmetic.
+    threshold may be any finite real (float or Fraction); comparisons are
+    exact in rational arithmetic.
     """
-    if M < 1:
-        raise DomainError(f"M must be >= 1, got {M}")
-    thr = Fraction(threshold)
+    check_engine_m(M)
+    try:
+        thr = Fraction(threshold)
+    except (ValueError, OverflowError):  # NaN or an infinity
+        raise DomainError(f"threshold must be finite, got {threshold!r}") from None
     if side is Side.LOWER:
         return exact_sum_tail(flip_model(m), M, M - thr, Side.UPPER)
     if isinstance(m, FiniteMixture):

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import check_engine_m
 from .errors import DomainError
 from .model import (  # pick_index stays importable from here, beside SeedSpec
     Bernoulli,
@@ -126,8 +127,7 @@ def sample_sequence(m: MixingMeasure, M: int, seed: SeedSpec) -> SampleBatch:
     Consumes exactly 1 + M uniforms from the SeedSpec's stream: one for
     the component draw, then one per observation.
     """
-    if M < 1:
-        raise DomainError(f"M must be >= 1, got {M}")
+    check_engine_m(M)
     gen = _replay_stream(seed)
     u0 = gen.random()
     if isinstance(m, FiniteMixture):

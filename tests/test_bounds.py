@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -75,6 +76,29 @@ class TestChernoffCurve:
     def test_rejects_nonpositive_h(self):
         with pytest.raises(InvalidH):
             chernoff_curve(0.5, 0.25, 1, 0.0)
+
+    def test_bit_identical_to_numpy_logaddexp(self):
+        # the envelope as np.logaddexp computes it, on a seeded grid up to M = 10^6
+        rng = np.random.default_rng(59)
+        mus = rng.uniform(0.0, 1.0, 4000)
+        cases = [
+            (mu, t, M, h)
+            for mu, t, h in zip(mus, rng.uniform(0.0, 1.0 - mus), 10.0 ** rng.uniform(-9, 1, 4000))
+            for M in (1, 7, 1000, 10**6)
+        ]
+        # log1p(-mu) == log(mu) + h: the two exponents tie
+        cases += [(mu, 0.1, 10, math.log1p(-mu) - math.log(mu)) for mu in (0.125, 0.25, 0.375)]
+        inside = 0
+        for mu, t, M, h in cases:
+            mu, t, h = float(mu), float(t), float(h)
+            log_factor = (-mu - t) * h + np.logaddexp(math.log1p(-mu), math.log(mu) + h)
+            try:
+                expected = float(math.exp(M * log_factor))
+            except OverflowError:
+                expected = math.inf
+            assert chernoff_curve(mu, t, M, h) == expected, (mu, t, M, h)
+            inside += 0.0 < expected < 1.0
+        assert inside > len(cases) // 4
 
     def test_large_h_and_m_never_raise(self):
         # diverging envelope saturates to inf; shrinking one underflows to 0
@@ -336,6 +360,11 @@ class TestTailBoundReport:
         assert r.h0 is None and r.kl_form is None and r.chernoff_at_h0 is None
         assert r.hoeffding_form == pytest.approx(math.exp(-2.0), abs=1e-15)
 
+    @pytest.mark.parametrize("anchor", [-0.5, 1.5, Fraction(-1, 2), math.nan, -math.inf])
+    def test_rejects_anchor_outside_unit_interval(self, anchor):
+        with pytest.raises(DomainError, match="anchor must lie in"):
+            tail_bound_report(anchor, 2, 0.1)
+
     def test_boundary_mu_yields_no_optimized_forms(self):
         r = tail_bound_report(1.0, 10, 0.1)
         assert not r.in_validity_range
@@ -356,3 +385,9 @@ class TestHugeM:
         assert TailQuery(M=2**63 - 1, t=0.1, side=Side.UPPER).M == 2**63 - 1
         with pytest.raises(DomainError):
             TailQuery(M=2**63, t=0.1, side=Side.UPPER)
+
+    @pytest.mark.parametrize("M", [2.5, 3.0, np.float64(3.0), "3"])
+    def test_engines_take_only_integer_m(self, M):
+        with pytest.raises(DomainError, match="M must be an integer"):
+            TailQuery(M=M, t=0.1, side=Side.UPPER)
+        assert TailQuery(M=np.int64(3), t=0.1, side=Side.UPPER).M == 3

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -771,16 +772,62 @@ class TestCliCommands:
         assert sum(int(l.split(",")[2]) for l in lines[1:]) == 1000
 
 
+def fresh_interpreter(code: str) -> str:
+    """stdout of ``python -c code`` with this exchbound first on the path."""
+    env = {**os.environ, "PYTHONPATH": str(Path(exchbound.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return done.stdout.strip()
+
+
 def test_cli_import_leaves_out_heavy_scipy_modules():
     code = (
         "import sys, exchbound.cli; "
         "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(exchbound.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    assert fresh_interpreter(code) == "[]"
+
+
+def test_closed_forms_load_without_numpy_or_scipy():
+    code = (
+        "import sys; from exchbound import (tail_bound_report, t_for_confidence, "
+        "hoeffding_tail_bound, kl_form_bound, Side, TailQuery); "
+        "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'scipy', 'exchbound.'))))"
     )
-    assert done.stdout.strip() == "[]"
+    assert fresh_interpreter(code) == "['exchbound.bounds', 'exchbound.errors']"
+
+
+SUBMODULES = ("bounds", "errors", "model", "montecarlo", "oracle", "sampler", "suite")
+
+
+def test_submodules_resolve_after_a_bare_import():
+    code = (
+        "import exchbound; "
+        f"print([getattr(exchbound, name).__name__ for name in {SUBMODULES!r}])"
+    )
+    assert fresh_interpreter(code) == repr([f"exchbound.{name}" for name in SUBMODULES])
+
+
+def test_every_public_name_is_its_module_attribute():
+    modules = [importlib.import_module(f"exchbound.{name}") for name in SUBMODULES]
+    listed = dir(exchbound)
+    assert set(SUBMODULES) <= set(listed)
+    for name in exchbound.__all__:
+        assert name in listed
+        if name == "__version__":
+            continue
+        holders = [module for module in modules if hasattr(module, name)]
+        assert holders, name
+        for module in holders:
+            assert getattr(exchbound, name) is getattr(module, name)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        exchbound.no_such_name
+    with pytest.raises(ImportError):
+        from exchbound import no_such_name  # noqa: F401
 
 
 # ---------------------------------------------------------------------------

@@ -555,6 +555,41 @@ class TestRunSweep:
 BERN02 = FiniteMixture([(1.0, Bernoulli(0.2))])
 
 
+class TestFractionalM:
+    """numpy would truncate a fractional M, so every engine refuses one."""
+
+    BERN03 = suite_model("bern03")
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: exact_tail(m, TailQuery(M=2.5, t=0.1, side=Side.UPPER)),
+            lambda m: estimate_tail(m, TailQuery(M=2.5, t=0.1, side=Side.UPPER), 1_000, 1),
+            lambda m: exact_sum_tail(m, 2.5, 1, Side.UPPER),
+            lambda m: sample_mean_histogram(m, 2.5, 1_000, 10, 1),
+            lambda m: sample_sequence(m, 2.5, SeedSpec(1, 0)),
+        ],
+        ids=["exact_tail", "estimate_tail", "exact_sum_tail", "histogram", "sample_sequence"],
+    )
+    def test_entry_points_refuse_a_fractional_m(self, call):
+        with pytest.raises(DomainError, match="M must be an integer"):
+            call(self.BERN03)
+
+    def test_numpy_integers_are_taken(self):
+        q = TailQuery(M=np.int64(3), t=0.1, side=Side.UPPER)
+        assert exact_tail(self.BERN03, q) == exact_tail(self.BERN03, TailQuery(3, 0.1, Side.UPPER))
+        assert len(sample_sequence(self.BERN03, np.int64(3), SeedSpec(1, 0)).values) == 3
+
+    def test_sweep_gives_error_rows_and_keeps_going(self):
+        result = run_sweep(
+            list(standard_suite()), [2.5, 3], [0.1], [Side.UPPER, Side.LOWER], 1_000, 1
+        )
+        methods = {M: {r.method for r in result.rows if r.M == M} for M in (2.5, 3)}
+        assert methods[2.5] == {"error:DomainError"}
+        assert not any(method.startswith("error:") for method in methods[3])
+        assert len(result.rows) == 2 * 2 * len(standard_suite())
+
+
 class TestWindowEdges:
     """At the end of each window, t = float(1 - a) for a = side_anchor(...),
     and an ulp either side, a sweep cell decides its documented event, its

@@ -15,6 +15,7 @@ from exchbound import (
     Beta,
     BernoulliParamMixture,
     DiscreteOnUnit,
+    DomainError,
     FiniteMixture,
     MTooLarge,
     PointMass,
@@ -227,6 +228,12 @@ class TestDegenerateModel:
         for M in (1, 2, 5, 10, 64):
             tail = exact_sum_tail(self.ZERO_ONE, M, Fraction(9, 10) * M, Side.UPPER)
             assert tail.probability == 0.5
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", [Side.UPPER, Side.LOWER])
+    def test_non_finite_threshold_is_a_domain_error(self, threshold, side):
+        with pytest.raises(DomainError, match="threshold must be finite"):
+            exact_sum_tail(self.ZERO_ONE, 3, threshold, side)
 
 
 class TestFlip:
