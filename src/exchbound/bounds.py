@@ -102,9 +102,7 @@ class TailQuery:
 
     def __post_init__(self) -> None:
         check_engine_m(self.M)
-        _check_t(self.t)
-        if not math.isfinite(self.t):
-            raise InvalidT(f"t must be finite, got {self.t!r}")
+        check_t(self.t)
 
 
 @dataclass(frozen=True)
@@ -162,9 +160,10 @@ def _check_mu(mu_tilde: float) -> None:
         raise DomainError(f"mu_tilde must lie in (0,1), got {mu_tilde!r}")
 
 
-def _check_t(t: float) -> None:
-    if not t > 0.0:
-        raise InvalidT(f"t must be > 0, got {t!r}")
+def check_t(t: float) -> None:
+    """t finite and > 0: the one rule for a deviation, in the bound forms, engines and CLI."""
+    if not 0.0 < t < math.inf:
+        raise InvalidT(f"t must be finite and > 0, got {t!r}")
 
 
 def _check_window(mu_tilde: float, t: float) -> None:
@@ -179,7 +178,7 @@ def _check_window(mu_tilde: float, t: float) -> None:
 def hoeffding_tail_bound(M: int, t: float) -> float:
     """The sub-Gaussian tail value exp(-2 M t^2)."""
     _check_m(M)
-    _check_t(t)
+    check_t(t)
     return math.exp(-2.0 * M * t * t)
 
 
@@ -191,9 +190,9 @@ def chernoff_curve(mu_tilde: float, t: float, M: int, h: float) -> float:
     """
     _check_mu(mu_tilde)
     _check_m(M)
-    _check_t(t)
-    if not h > 0.0:
-        raise InvalidH(f"h must be > 0, got {h!r}")
+    check_t(t)
+    if not 0.0 < h < math.inf:
+        raise InvalidH(f"h must be finite and > 0, got {h!r}")
     x, y = math.log1p(-mu_tilde), math.log(mu_tilde) + h
     # log(e^x + e^y) as np.logaddexp computes it; the grouping keeps every bit
     log_factor = (-mu_tilde - t) * h + (max(x, y) + math.log1p(math.exp(-abs(x - y))))
@@ -281,7 +280,7 @@ def mgf_convexity_bound(mean_x: float, r: RangeBounds, h: float) -> float:
 
 
 def t_for_confidence(M: int, delta: float) -> float:
-    """Deviation t with exp(-2 M t^2) = delta, i.e. sqrt(ln(1/delta)/(2M)).
+    """Deviation t with exp(-2 M t^2) = delta, i.e. sqrt(-ln(delta)/(2M)).
 
     With this t, Xbar lies in [mu_minus - t, mu_plus + t] with probability
     at least 1 - 2*delta, provided t falls inside both validity windows
@@ -290,7 +289,9 @@ def t_for_confidence(M: int, delta: float) -> float:
     _check_m(M)
     if not (0.0 < delta <= 1.0):
         raise InvalidDelta(f"delta must lie in (0,1], got {delta!r}")
-    return math.sqrt(math.log(1.0 / delta) / (2.0 * M))
+    # -ln(delta), as 1/delta overflows for a subnormal delta; written
+    # 0.0 - ln(delta) so that delta = 1 gives t = 0.0, not -0.0
+    return math.sqrt((0.0 - math.log(delta)) / (2.0 * M))
 
 
 def lower_tail_bound_by_flip(model_summary: ModelSummary, M: int, t: float) -> float:
@@ -301,7 +302,7 @@ def lower_tail_bound_by_flip(model_summary: ModelSummary, M: int, t: float) -> f
     validity window t < 1 - a, which is exactly t < mu_minus, is checked here.
     """
     _check_m(M)
-    _check_t(t)
+    check_t(t)
     if not t < model_summary.mu_minus:
         raise OutOfValidityRange(
             f"t={t!r} outside (0, {model_summary.mu_minus!r}) for the lower tail"

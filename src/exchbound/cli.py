@@ -9,9 +9,9 @@ ci         deviation radius for a target two-sided confidence level
 histogram  empirical distribution of the sample mean
 
 Exit codes: 0 success (verify: every cell evaluated, zero violations),
-1 verify found violations, 2 invalid arguments or model file (verify and
-simulate: also when a cell failed; the report is still written), 3
-output I/O failure.
+1 verify found violations (a valid cell beat either bound form), 2
+invalid arguments or model file (verify and simulate: also when a cell
+failed; the report is still written), 3 output I/O failure.
 
 Observations on a general range [a, b] are supported by affine
 rescaling at this boundary only: pass ``--range a b`` to bounds/ci and
@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -34,6 +33,7 @@ from .bounds import (
     RangeBounds,
     Side,
     check_engine_m,
+    check_t,
     side_anchor,
     t_for_confidence,
     tail_bound_report,
@@ -271,10 +271,8 @@ def _check_run_args(
     """Reject bad run-level arguments before any cell runs."""
     for M in m_grid:
         check_engine_m(M)
-    ts = [] if isinstance(t_grid, int) else t_grid  # auto:N is checked when parsed
-    for t in ts:
-        if not 0.0 < t < math.inf:
-            raise ExchboundError(f"t values must be finite and > 0, got {t!r}")
+    for t in [] if isinstance(t_grid, int) else t_grid:  # auto:N is checked when parsed
+        check_t(t)
     if not 0.0 < level < 1.0:
         raise ExchboundError(f"--level must lie in (0,1), got {level!r}")
 
@@ -303,8 +301,8 @@ def _estimate_lines(report: Report):
             f"{row.model_id} M={row.M} t={format_value(row.t)} side={row.side} "
             f"p_hat={format_value(row.value)} "
             f"ci=[{format_value(row.ci_low)}, {format_value(row.ci_high)}] "
-            f"hoeffding={format_value(row.hoeffding)} valid={format_value(row.valid)} "
-            f"violation={format_value(row.violation)}"
+            f"hoeffding={format_value(row.hoeffding)} kl_form={format_value(row.kl_form)} "
+            f"valid={format_value(row.valid)} violation={format_value(row.violation)}"
         )
 
 
@@ -351,7 +349,7 @@ def cmd_verify(args) -> int:
             yield (
                 f"VIOLATION {row.model_id} M={row.M} t={format_value(row.t)} side={row.side} "
                 f"value={format_value(row.value)} ci_low={format_value(row.ci_low)} "
-                f"bound={format_value(row.hoeffding)}"
+                f"hoeffding={format_value(row.hoeffding)} kl_form={format_value(row.kl_form)}"
             )
 
     report = _sweep_report(

@@ -30,11 +30,11 @@ class DomainError(ExchboundError, ValueError):
 
 
 class InvalidT(DomainError):
-    """Deviation t must be strictly positive."""
+    """Deviation t must be finite and strictly positive."""
 
 
 class InvalidH(DomainError):
-    """Exponential-moment parameter h must be strictly positive."""
+    """Exponential-moment parameter h must be finite and strictly positive."""
 
 
 class InvalidDelta(DomainError):

@@ -39,11 +39,12 @@ deviations spanning each (model, side) validity window.  The seed of a
 Monte Carlo cell is derived from the master seed and the cell's (model,
 M, side), so the t values of one window share one drawn law, and an
 estimate does not depend on the rest of the grid, the other models or
-the thread count.  The window t < 1 - a is decided exactly.  A cell
-inside it is flagged as a violation when its exact value (or the lower
-Clopper-Pearson limit of its estimate) exceeds the exp(-2Mt^2) bound; exact
-cells are additionally checked against the optimized envelope, which is
-None, and so not checked, within an ulp of the window's end.
+the thread count.  The window t < 1 - a is decided exactly.  One rule
+flags a cell inside it, whichever engine answered: the least value the
+engine vouches for (the exact value, or the lower Clopper-Pearson limit
+of the estimate) exceeds either bound form, exp(-2Mt^2) or the optimized
+envelope.  The envelope is None, and so not checked, within an ulp of
+the window's end.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from .model import (
     pick_index,
     summarize,
 )
-from .oracle import ExactTail, SumTable, exact_tail, lattice_points
+from .oracle import SumTable, exact_tail, lattice_points
 from .sampler import SeedSpec, derive_stream, mix64
 
 BLOCK_SIZE = 1 << 16
@@ -190,15 +191,6 @@ def _beta_sums(c: Beta, M: int, n: int, gen: np.random.Generator) -> np.ndarray:
     return sums
 
 
-def _blocks(replications: int):
-    start = 0
-    index = 0
-    while start < replications:
-        yield index, min(BLOCK_SIZE, replications - start)
-        start += BLOCK_SIZE
-        index += 1
-
-
 @functools.lru_cache(maxsize=16)  # a 10^5-replication Beta table holds 1.6 MB
 def _empirical_law(
     m: MixingMeasure, M: int, replications: int, seed: int
@@ -213,8 +205,9 @@ def _empirical_law(
         if any(isinstance(c, Beta) for c in m.components):
             raise DomainError(f"M must be <= {BETA_MAX_M} for a Beta component, got {M}")
     chunks: dict[Optional[int], list[np.ndarray]] = {}
-    for block_index, size in _blocks(replications):
+    for block_index, start in enumerate(range(0, replications, BLOCK_SIZE)):
         gen = derive_stream(SeedSpec(master_seed=seed, replication_index=block_index))
+        size = min(BLOCK_SIZE, replications - start)
         for scale, keys in _block_sums(m, M, size, gen):
             chunks.setdefault(scale, []).append(keys)
     return tuple(
@@ -370,14 +363,30 @@ def _law_seed(master_seed: int, model_id: str, M: int, side: Side) -> int:
 _Cell = tuple[str, MixingMeasure, Fraction, int, float, Side]
 
 
-def _sweep_cell(
+def _answer(
     cell: _Cell,
+    query: TailQuery,
     replications: int,
     master_seed: int,
     method: str,
     level: float,
-) -> SweepRow:
-    model_id, m, anchor, M, t, side = cell
+) -> tuple[str, float, Optional[float], Optional[float]]:
+    """(method, value, ci_low, ci_high): exact where asked and possible, else Monte Carlo."""
+    model_id, m, _, M, _, side = cell
+    if method != "montecarlo":
+        try:
+            exact = exact_tail(m, query)
+            return str(exact.method), exact.probability, None, None
+        except (UnsupportedModel, MTooLarge):
+            if method == "exact":
+                raise
+    seed = _law_seed(master_seed, model_id, M, side)
+    estimate = estimate_tail(m, query, replications, seed, level)
+    return "montecarlo", estimate.p_hat, estimate.ci_low, estimate.ci_high
+
+
+def _sweep_cell(cell: _Cell, **engine_args) -> SweepRow:
+    model_id, _, anchor, M, t, side = cell
     row = dict(model_id=model_id, M=M, t=t, side=str(side))
     try:
         query = TailQuery(M=M, t=t, side=side)
@@ -388,34 +397,18 @@ def _sweep_cell(
             h0=report.h0,
             valid=report.in_validity_range,
         )
-        exact: Optional[ExactTail] = None
-        if method in ("auto", "exact"):
-            try:
-                exact = exact_tail(m, query)
-            except (UnsupportedModel, MTooLarge):
-                if method == "exact":
-                    raise
-
-        if exact is not None:
-            value = exact.probability
-            row.update(
-                method=str(exact.method),
-                value=value,
-                violation=report.in_validity_range and (
-                    value > report.hoeffding_form
-                    or (report.kl_form is not None and value > report.kl_form)
-                ),
-            )
-        else:
-            seed = _law_seed(master_seed, model_id, M, side)
-            estimate = estimate_tail(m, query, replications, seed, level)
-            row.update(
-                method="montecarlo",
-                value=estimate.p_hat,
-                ci_low=estimate.ci_low,
-                ci_high=estimate.ci_high,
-                violation=report.in_validity_range and estimate.ci_low > report.hoeffding_form,
-            )
+        method, value, ci_low, ci_high = _answer(cell, query, **engine_args)
+        low = value if ci_low is None else ci_low
+        row.update(
+            method=method,
+            value=value,
+            ci_low=ci_low,
+            ci_high=ci_high,
+            violation=report.in_validity_range and (
+                low > report.hoeffding_form
+                or (report.kl_form is not None and low > report.kl_form)
+            ),
+        )
     except ExchboundError as e:
         row["method"] = f"error:{type(e).__name__}"
     return SweepRow(**row)

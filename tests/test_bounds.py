@@ -57,6 +57,16 @@ class TestHoeffdingForm:
         with pytest.raises(DomainError):
             hoeffding_tail_bound(0, 0.1)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_every_t_check_rejects_a_non_finite_t(self, t):
+        for call in (
+            lambda: hoeffding_tail_bound(10, t),
+            lambda: tail_bound_report(0.5, 10, t),
+            lambda: TailQuery(M=10, t=t, side=Side.UPPER),
+        ):
+            with pytest.raises(InvalidT):
+                call()
+
 
 class TestChernoffCurve:
     def test_h_to_zero_limit_is_one(self):
@@ -76,6 +86,12 @@ class TestChernoffCurve:
     def test_rejects_nonpositive_h(self):
         with pytest.raises(InvalidH):
             chernoff_curve(0.5, 0.25, 1, 0.0)
+
+    @pytest.mark.parametrize("h", [math.inf, math.nan])
+    def test_rejects_non_finite_h(self, h):
+        # at h = inf the envelope's exponent is -inf + inf
+        with pytest.raises(InvalidH):
+            chernoff_curve(0.5, 0.25, 1, h)
 
     def test_bit_identical_to_numpy_logaddexp(self):
         # the envelope as np.logaddexp computes it, on a seeded grid up to M = 10^6
@@ -292,6 +308,15 @@ class TestMgfConvexityBound:
 class TestConfidenceInversion:
     def test_delta_one_gives_zero(self):
         assert t_for_confidence(7, 1.0) == 0.0
+        assert math.copysign(1.0, t_for_confidence(7, 1.0)) == 1.0  # not -0.0
+
+    @pytest.mark.parametrize("delta", [1e-320, 5e-324])
+    def test_subnormal_delta_gives_a_finite_t(self, delta):
+        # 1/delta overflows to inf; delta is k * 2^-1074, so -ln(delta) = 1074 ln 2 - ln k
+        k = delta / 5e-324
+        assert t_for_confidence(10, delta) == pytest.approx(
+            math.sqrt((1074 * math.log(2.0) - math.log(k)) / 20.0), rel=1e-14
+        )
 
     def test_reference_value(self):
         # sqrt(ln 20 / 400)

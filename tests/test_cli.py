@@ -441,6 +441,14 @@ class TestCliCommands:
         assert t800 == pytest.approx(0.5 * 0.08654091913011426, abs=1e-12)
         assert main(["ci", "--m", "10", "--delta", "0"]) == 2
 
+    @pytest.mark.parametrize("delta,printed", [
+        ("1e-320", "6.069708563394844"), ("5e-324", "6.1009838219806038"), ("1", "0"),
+    ])
+    def test_ci_prints_a_finite_nonnegative_t(self, capsys, delta, printed):
+        # 1/delta overflows for a subnormal delta; delta = 1 prints 0, not -0
+        assert main(["ci", "--m", "10", "--delta", delta]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"t={printed}"
+
     def test_ci_range_rescaling(self, capsys):
         assert main(["ci", "--m", "200", "--delta", "0.05", "--range", "0", "10"]) == 0
         out = capsys.readouterr().out
@@ -468,7 +476,9 @@ class TestCliCommands:
         row = report.rows[0]
         assert abs(row.value - 0.34) < 0.002
         assert row.hoeffding == pytest.approx(math.exp(-2 * 2 * 0.15**2), abs=1e-12)
-        assert "p_hat=" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "p_hat=" in out
+        assert f" kl_form={format_value(row.kl_form)} " in out
 
     def test_simulate_parse_error_exit_2(self, tmp_path, capsys):
         doc = {
@@ -526,7 +536,17 @@ class TestCliCommands:
             ]
         )
         assert code == 1
-        assert "VIOLATION" in capsys.readouterr().out
+        report = from_csv((tmp_path / "v.csv").read_text())
+        rows = {(r.model_id, r.M, r.t, r.side): r for r in report.rows}
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("VIOLATION ")]
+        assert lines
+        for line in lines:  # each line prints both forms the verdict compares against
+            _, model_id, *items = line.split()
+            fields = dict(item.split("=", 1) for item in items)
+            row = rows[(model_id, int(fields["M"]), float(fields["t"]), fields["side"])]
+            assert row.violation
+            assert fields["hoeffding"] == format_value(row.hoeffding)
+            assert fields["kl_form"] == format_value(row.kl_form)
 
     @pytest.mark.parametrize(
         "command,extra,threads_env",
@@ -547,6 +567,7 @@ class TestCliCommands:
             ("simulate", ["--m", "0"], None),
             ("simulate", ["--level", "1.5"], None),
             ("bounds", ["--m", "0"], None),
+            ("bounds", ["--t", "inf"], None),
             ("verify", ["--t-grid", "auto:\u00b2"], None),
             ("verify", [], "\u00b2"),
             ("ci", ["--range", "0", "inf"], None),
@@ -570,6 +591,7 @@ class TestCliCommands:
             "auto-abc", "auto-0", "inf", "nan", "abc", "level", "m-0", "threads-env",
             "m-duplicate", "t-duplicate", "model-id-duplicate",
             "simulate-inf", "simulate-t-0", "simulate-m-0", "simulate-level", "bounds-m-0",
+            "bounds-t-inf",
             "auto-superscript", "threads-env-superscript", "ci-range-inf", "ci-range-nan",
             "bounds-range-inf", "ci-range-exponent", "beta-no-mass-low", "beta-no-mass-high",
             "histogram-bins-huge", "model-huge-int", "model-kind-unhashable",

@@ -49,13 +49,14 @@ TWO_ATOM = FiniteMixture([(0.5, Bernoulli(0.2)), (0.5, Bernoulli(0.8))])
 ZERO_ONE = FiniteMixture([(0.5, PointMass(0.0)), (0.5, PointMass(1.0))])
 
 
-def shrink_bounds(monkeypatch):
-    """Scale every sweep cell's exp(-2Mt^2) value by 0.01, so that cells violate it."""
+def shrink_bounds(monkeypatch, form="hoeffding_form"):
+    """Scale one bound form of every sweep cell by 0.01, so that cells violate it."""
     report_of = montecarlo.tail_bound_report
 
     def shrunk(*args):
         report = report_of(*args)
-        return dataclasses.replace(report, hoeffding_form=0.01 * report.hoeffding_form)
+        value = getattr(report, form)
+        return dataclasses.replace(report, **{form: None if value is None else 0.01 * value})
 
     monkeypatch.setattr(montecarlo, "tail_bound_report", shrunk)
 
@@ -527,16 +528,21 @@ class TestRunSweep:
         from_env = run_sweep(**kwargs)
         assert from_env.rows == serial.rows
 
-    def test_corrupted_bound_hook_flags_violations(self, monkeypatch):
-        shrink_bounds(monkeypatch)
+    @pytest.mark.parametrize("form", ["hoeffding_form", "kl_form"])
+    @pytest.mark.parametrize("method,engine", [("auto", "binomial"), ("montecarlo", "montecarlo")])
+    def test_corrupted_bound_hook_flags_violations(self, monkeypatch, form, method, engine):
+        # one verdict rule: either form, whichever engine answered the cell
+        shrink_bounds(monkeypatch, form)
         result = run_sweep(
             models=[("two_atom", TWO_ATOM)],
             M_grid=[2],
             t_grid=[0.15],
             sides=[Side.UPPER],
-            replications=10,
+            replications=10_000,
             master_seed=1,
+            method=method,
         )
+        assert result.rows[0].method == engine
         assert result.rows[0].violation
 
     def test_invalid_window_cells_never_flagged(self):
