@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -38,7 +39,7 @@ from .bounds import (
     t_for_confidence,
     tail_bound_report,
 )
-from .errors import ExchboundError
+from .errors import DomainError, ExchboundError
 from .model import (
     Bernoulli,
     Beta,
@@ -233,14 +234,19 @@ def cmd_ci(args) -> int:
     scale = r.b - r.a
     t = t_for_confidence(args.m, args.delta)
     t_data = t * scale
+    if not math.isfinite(t_data):  # a finite width can still carry t past the float range
+        raise DomainError(f"t in data units passes the float range: t={format_value(t)} at "
+                          f"unit scale times a width of {format_value(scale)}")
     print(
         f"t={format_value(t_data)}"
         + (f" (unit scale: {format_value(t)})" if scale != 1.0 else "")
     )
+    confidence = 1.0 - 2.0 * args.delta
     print(
-        f"Xbar lies in [mu_minus - t, mu_plus + t] with probability >= "
-        f"1 - 2*delta = {format_value(1.0 - 2.0 * args.delta)}, provided "
-        f"t < 1 - mu_plus and t < mu_minus (validity windows)."
+        "Xbar lies in [mu_minus - t, mu_plus + t] with probability >= "
+        + (f"1 - 2*delta = {format_value(confidence)}, provided t < 1 - mu_plus and "
+           "t < mu_minus (validity windows)." if confidence > 0.0
+           else "0: for delta >= 0.5 the two-sided statement is vacuous.")
     )
     return EXIT_OK
 

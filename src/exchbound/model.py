@@ -393,6 +393,7 @@ class BernoulliParamMixture:
 MixingMeasure = Union[FiniteMixture, BernoulliParamMixture]
 
 
+@functools.lru_cache(maxsize=64)
 def flip_model(m: MixingMeasure) -> MixingMeasure:
     """Reflect every component through x -> 1 - x.
 
@@ -400,6 +401,8 @@ def flip_model(m: MixingMeasure) -> MixingMeasure:
     value of each parameter is a rational, and 1 minus it is stored
     exactly), so flip_model is an exact involution even for parameters
     like 0.2 whose float complement is not losslessly re-complementable.
+    Models are immutable, so each is reflected once and then shared by
+    every lower-tail query on it.
     """
     return m.reflect()
 
@@ -436,12 +439,14 @@ class ModelSummary:
         return self.mu_minus
 
 
+@functools.lru_cache(maxsize=64)
 def summarize(m: MixingMeasure) -> ModelSummary:
     """Compute mu_plus, mu_minus and mu for a mixing measure.
 
     For a finite mixture these are the max, min and weight-average of the
     atom means.  For a Bernoulli-parameter mixture the support endpoints
-    are the density's support endpoints and mu is the density mean.
+    are the density's support endpoints and mu is the density mean.  Each
+    model is summarized once and shared by every query on it.
     """
     if isinstance(m, FiniteMixture):
         means = [c.mean() for c in m.components]

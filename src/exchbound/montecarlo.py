@@ -4,7 +4,8 @@ One sampler, ``_block_sums``, draws the conditional law of the batch
 sum: given the drawn component, S = X_1 + ... + X_M is Binomial(M, p)
 for Bernoulli components, a sum of M Beta draws for Beta components, and
 for point masses and discrete components a multinomial count vector over
-the component's points, which costs O(k) for k points rather than O(M).
+the component's points, which costs O(k) for k points rather than O(M);
+a one-point atom draws nothing, its sum being M times its point.
 This is distributionally identical to materializing the M individual
 observations (the batch is conditionally i.i.d.), and it is what makes
 10^5-replication sweeps over hundreds of cells affordable.  The
@@ -12,7 +13,12 @@ per-observation sampler in :mod:`exchbound.sampler` remains the
 reference mechanism and the tests cross-validate the two.
 
 Replications are processed in fixed blocks of 2^16, one derived stream
-per (master_seed, block_index).  Within a block, the Beta sums of an atom
+per (master_seed, block_index).  The mixing weights of a finite mixture
+fix only how many of a block's n replications each atom gets, so a
+block first draws those counts as one Multinomial(n, weights), then
+each atom's sums in atom order (a one-atom mixture's count takes no
+draw).  A parameter-mixture block draws n Bernoulli parameters, then
+their n binomial sums.  Within a block, the Beta sums of an atom
 are drawn in row chunks of about 2^17 variates from that one stream, so
 memory stays at one chunk, or one row past 2^17, however large
 replications grows, and the sums are those of drawing the whole block
@@ -70,7 +76,6 @@ from .model import (
     FiniteMixture,
     MixingMeasure,
     flip_model,
-    pick_index,
     summarize,
 )
 from .oracle import SumTable, exact_tail, lattice_points
@@ -146,21 +151,23 @@ def _block_sums(
 ) -> Iterator[tuple[Optional[int], np.ndarray]]:
     """Draw n conditional sums S as (scale, keys), per drawn atom in atom order.
 
-    A lattice atom yields the integers S*scale: Bernoulli and
-    parameter-mixture sums at scale 1, point masses and discrete atoms as
-    multinomial counts over the points of their ``discrete_law()``, scaled by the
-    lcm D of their denominators (``lattice_points``).  A Beta atom yields
-    float sums at scale None.  ``_empirical_law`` only counts them, so the
-    sums need not be put back in replication order.
+    A finite mixture's weights fix only how many of the n batches each
+    atom gets, so one multinomial draw gives those counts, and the sums
+    of each atom are then drawn in atom order.  A lattice atom yields the
+    integers S*scale: Bernoulli and parameter-mixture sums at scale 1,
+    point masses and discrete atoms as multinomial counts over the points
+    of their ``discrete_law()``, scaled by the lcm D of their denominators
+    (``lattice_points``); a one-point atom's sum is the constant M*D*x,
+    drawn with no randomness.  A Beta atom yields float sums at scale
+    None.  ``_empirical_law`` only counts the sums, so they need not come
+    in replication order.
     """
     if isinstance(m, BernoulliParamMixture):
         p = m.density.quantile(gen.random(n))
         yield 1, gen.binomial(M, p)
         return
     assert isinstance(m, FiniteMixture)
-    idx = pick_index(m.weights, gen.random(n))
-    for i, (_, c) in enumerate(m.atoms):
-        ni = int(np.count_nonzero(idx == i))
+    for ni, c in zip(_multinomial(gen, n, m.weights).tolist(), m.components):
         if ni == 0:
             continue
         if isinstance(c, Bernoulli):
@@ -170,10 +177,17 @@ def _block_sums(
         else:
             points, weights = c.discrete_law()
             D, ints = lattice_points(points)
-            w = np.asarray(weights, dtype=np.float64)
-            # multinomial rejects weights whose leading sum passes 1 + 1e-12
-            counts = gen.multinomial(M, w / w.sum(), size=ni)
-            yield D, _lattice_sums(counts, ints, M * D)
+            if len(ints) == 1:  # in int64 or Python ints, as _lattice_sums decides
+                yield D, np.full(ni, M * ints[0], dtype=np.int64 if M * D <= _INT64_MAX else object)
+            else:
+                yield D, _lattice_sums(_multinomial(gen, M, weights, size=ni), ints, M * D)
+
+
+def _multinomial(gen: np.random.Generator, n: int, weights: Sequence[float], size=None):
+    """Counts of n draws over the categories of ``weights``; one category takes no draw."""
+    w = np.asarray(weights, dtype=np.float64)
+    # multinomial rejects weights whose leading sum passes 1 + 1e-12
+    return gen.multinomial(n, w / w.sum(), size=size)
 
 
 def _beta_sums(c: Beta, M: int, n: int, gen: np.random.Generator) -> np.ndarray:
@@ -352,27 +366,31 @@ def _resolve_threads(threads: Optional[int]) -> int:
     return int(text)
 
 
-def _law_seed(master_seed: int, model_id: str, M: int, side: Side) -> int:
-    """mix64(master_seed, k), k a 64-bit digest of (model_id, M, side)."""
+def _law_seed(master_seed: int, model_id: str, M: int, side: Side) -> Optional[int]:
+    """mix64(master_seed, k), k a 64-bit digest of (model_id, M, side); None for an
+    M that is not an integer, whose cells are error rows before any engine runs."""
+    try:
+        M = operator.index(M)  # a numpy integer keys as the int it holds
+    except TypeError:
+        return None
     # hashlib, not hash(): the built-in is salted per process
-    key = repr((model_id, int(M), str(side))).encode()
+    key = repr((model_id, M, str(side))).encode()
     return mix64(master_seed, int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
 
 
-# (model_id, model, side_anchor(summary, side), M, t, side)
-_Cell = tuple[str, MixingMeasure, Fraction, int, float, Side]
+# (model_id, model, side_anchor(summary, side), M, t, side, _law_seed(...))
+_Cell = tuple[str, MixingMeasure, Fraction, int, float, Side, Optional[int]]
 
 
 def _answer(
     cell: _Cell,
     query: TailQuery,
     replications: int,
-    master_seed: int,
     method: str,
     level: float,
 ) -> tuple[str, float, Optional[float], Optional[float]]:
     """(method, value, ci_low, ci_high): exact where asked and possible, else Monte Carlo."""
-    model_id, m, _, M, _, side = cell
+    _, m, *_, seed = cell
     if method != "montecarlo":
         try:
             exact = exact_tail(m, query)
@@ -380,13 +398,12 @@ def _answer(
         except (UnsupportedModel, MTooLarge):
             if method == "exact":
                 raise
-    seed = _law_seed(master_seed, model_id, M, side)
     estimate = estimate_tail(m, query, replications, seed, level)
     return "montecarlo", estimate.p_hat, estimate.ci_low, estimate.ci_high
 
 
 def _sweep_cell(cell: _Cell, **engine_args) -> SweepRow:
-    model_id, _, anchor, M, t, side = cell
+    model_id, _, anchor, M, t, side, _ = cell
     row = dict(model_id=model_id, M=M, t=t, side=str(side))
     try:
         query = TailQuery(M=M, t=t, side=side)
@@ -475,6 +492,7 @@ def run_sweep(
             anchor = side_anchor(summary, side)
             ts = window_t_grid(anchor, t_grid) if isinstance(t_grid, int) else t_grid
             for M in M_grid:
+                seed = _law_seed(master_seed, model_id, M, side)
                 groups.append([])
                 for t in ts:
                     # a repeated key would repeat a row and share its random stream
@@ -484,12 +502,11 @@ def run_sweep(
                             f"duplicate cell model_id={model_id!r} M={M} t={t!r} side={side}"
                         )
                     keys.add(key)
-                    groups[-1].append((model_id, m, anchor, M, t, side))
+                    groups[-1].append((model_id, m, anchor, M, t, side, seed))
 
     evaluate = functools.partial(
         _sweep_group,
         replications=replications,
-        master_seed=master_seed,
         method=method,
         level=level,
     )

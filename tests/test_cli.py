@@ -449,6 +449,15 @@ class TestCliCommands:
         assert main(["ci", "--m", "10", "--delta", delta]) == 0
         assert capsys.readouterr().out.splitlines()[0] == f"t={printed}"
 
+    @pytest.mark.parametrize("delta", ["0.5", "0.9"])
+    def test_ci_never_prints_a_negative_probability(self, capsys, delta):
+        # 1 - 2*delta is no probability bound for delta >= 0.5
+        assert main(["ci", "--m", "10", "--delta", delta]) == 0
+        out = capsys.readouterr().out
+        assert "vacuous" in out
+        assert "1 - 2*delta" not in out
+        assert not re.search(r"-\s*\d", out)  # no negative number
+
     def test_ci_range_rescaling(self, capsys):
         assert main(["ci", "--m", "200", "--delta", "0.05", "--range", "0", "10"]) == 0
         out = capsys.readouterr().out
@@ -586,6 +595,7 @@ class TestCliCommands:
             ("histogram", ["--model", "bern.json", "--m", M_PAST_INT64], None),
             ("ci", ["--m", M_PAST_FLOAT], None),
             ("bounds", ["--m", M_PAST_FLOAT], None),
+            ("ci", ["--m", "1", "--delta", "1e-5", "--range", "0", "1e308"], None),
         ],
         ids=[
             "auto-abc", "auto-0", "inf", "nan", "abc", "level", "m-0", "threads-env",
@@ -597,7 +607,7 @@ class TestCliCommands:
             "histogram-bins-huge", "model-huge-int", "model-kind-unhashable",
             "histogram-beta-huge-m", "verify-discrete-m-past-int64",
             "verify-uniform-m-past-int64", "simulate-m-past-int64", "histogram-m-past-int64",
-            "ci-m-past-float", "bounds-m-past-float",
+            "ci-m-past-float", "bounds-m-past-float", "ci-t-past-float",
         ],
     )
     def test_verify_rejects_bad_arguments_before_any_cell(

@@ -20,6 +20,7 @@ from exchbound import (
     DiscreteOnUnit,
     DomainError,
     EmptyGrid,
+    ExchboundError,
     FiniteMixture,
     OutOfValidityRange,
     PointMass,
@@ -38,15 +39,21 @@ from exchbound import (
     standard_suite,
     suite_model,
     summarize,
+    tail_bound_report,
 )
 from exchbound import montecarlo
 from exchbound.bounds import side_anchor
 from exchbound.montecarlo import window_t_grid
 from exchbound.oracle import lattice_points
-from exchbound.sampler import derive_stream, mix64, pick_index
+from exchbound.sampler import derive_stream, mix64
 
 TWO_ATOM = FiniteMixture([(0.5, Bernoulli(0.2)), (0.5, Bernoulli(0.8))])
 ZERO_ONE = FiniteMixture([(0.5, PointMass(0.0)), (0.5, PointMass(1.0))])
+
+
+def same_position(a, b):
+    """Whether two generators of one stream have consumed the same draws."""
+    return np.array_equal(a.bit_generator.random_raw(8), b.bit_generator.random_raw(8))
 
 
 def shrink_bounds(monkeypatch, form="hoeffding_form"):
@@ -278,16 +285,17 @@ class TestHistogram:
 
     @pytest.mark.parametrize("M", [1, 10, 60])
     def test_beta_bernoulli_draws_bin_block_by_block(self, M):
-        # reference: the draws of each 2^16-replication block binned as drawn
+        # reference: the draws of each 2^16-replication block binned as drawn,
+        # the atoms' counts first, then each atom's sums in atom order
         m = FiniteMixture([(0.3, Beta(2.0, 5.0)), (0.7, Bernoulli(0.4))])
         reps, bins, seed = 70_000, 97, 43
         edges = np.linspace(0.0, 1.0, bins + 1)
         expected = np.zeros(bins, dtype=np.int64)
+        w = np.array(m.weights)
         for block, start in enumerate(range(0, reps, montecarlo.BLOCK_SIZE)):
             n = min(montecarlo.BLOCK_SIZE, reps - start)
             gen = derive_stream(SeedSpec(seed, block))
-            idx = pick_index(m.weights, gen.random(n))
-            n_beta, n_bern = int(np.count_nonzero(idx == 0)), int(np.count_nonzero(idx == 1))
+            n_beta, n_bern = gen.multinomial(n, w / w.sum()).tolist()
             for sums in (gen.beta(2.0, 5.0, size=(n_beta, M)).sum(axis=1),
                          gen.binomial(M, 0.4, size=n_bern)):
                 expected += np.histogram(np.clip(sums / M, 0.0, 1.0), bins=edges)[0]
@@ -301,12 +309,52 @@ class TestHistogram:
         n = 2 * max(1, montecarlo.BETA_CHUNK // M) + 3
         m = FiniteMixture([(1.0, Beta(2.0, 5.0))])
         seed = SeedSpec(master_seed=47, replication_index=2)
-        reference = derive_stream(seed)
-        reference.random(n)  # the atom picks
+        reference = derive_stream(seed)  # one atom: its count takes no draw
         expected = reference.beta(2.0, 5.0, size=(n, M)).sum(axis=1)
         ((scale, sums),) = montecarlo._block_sums(m, M, n, derive_stream(seed))
         assert scale is None
         assert np.array_equal(sums, expected)
+
+    def test_a_block_draws_the_atom_counts_first(self):
+        # one multinomial gives each atom's share of the block, then each
+        # atom's sums are drawn in atom order from the same stream
+        points, point_weights = (0.0, 0.5, 1.0), (0.2, 0.3, 0.5)
+        m = FiniteMixture([
+            (0.2, Bernoulli(0.3)),
+            (0.5, DiscreteOnUnit(points=points, weights=point_weights)),
+            (0.3, Beta(2.0, 5.0)),
+        ])
+        M, n, seed = 7, 1_000, SeedSpec(master_seed=59, replication_index=3)
+        reference = derive_stream(seed)
+        w, pw = np.array(m.weights), np.array(point_weights)
+        n_bern, n_disc, n_beta = reference.multinomial(n, w / w.sum()).tolist()
+        expected = [
+            (1, reference.binomial(M, 0.3, size=n_bern)),
+            (2, reference.multinomial(M, pw / pw.sum(), size=n_disc) @ np.array([0, 1, 2])),
+            (None, reference.beta(2.0, 5.0, size=(n_beta, M)).sum(axis=1)),
+        ]
+        gen = derive_stream(seed)
+        drawn = list(montecarlo._block_sums(m, M, n, gen))
+        assert [scale for scale, _ in drawn] == [scale for scale, _ in expected]
+        for (_, sums), (_, want) in zip(drawn, expected):
+            assert np.array_equal(sums, want)
+        assert same_position(gen, reference)
+
+    @pytest.mark.parametrize(
+        "c", [PointMass(0.3), DiscreteOnUnit(points=[0.3], weights=[1.0])],
+        ids=["point-mass", "one-point-discrete"],
+    )
+    @pytest.mark.parametrize("M,dtype", [(200, np.int64), (1_000, object)], ids=["int64", "object"])
+    def test_a_one_point_atom_draws_nothing(self, c, M, dtype):
+        # 0.3 has denominator 2^54, so M*D passes int64 between M = 200 and M = 1000
+        D, (z,) = lattice_points((0.3,))
+        assert D == 2**54 and (M * D <= np.iinfo(np.int64).max) == (dtype is np.int64)
+        seed = SeedSpec(master_seed=61, replication_index=0)
+        gen = derive_stream(seed)
+        ((scale, keys),) = montecarlo._block_sums(FiniteMixture([(1.0, c)]), M, 1_000, gen)
+        assert scale == D and keys.dtype == dtype
+        assert keys.tolist() == [M * z] * 1_000
+        assert same_position(gen, derive_stream(seed))
 
     def test_beta_past_the_row_limit_is_refused_before_any_draw(self, monkeypatch):
         drawn = []
@@ -544,6 +592,51 @@ class TestRunSweep:
         )
         assert result.rows[0].method == engine
         assert result.rows[0].violation
+
+    @pytest.mark.parametrize("method", montecarlo.METHODS)
+    def test_every_row_is_its_direct_engine_call(self, method):
+        # a row holds what exact_tail or estimate_tail answers for its cell alone
+        models = [
+            ("two_atom", TWO_ATOM),
+            ("three_atom_discrete", suite_model("three_atom_discrete")),
+            ("beta_point", FiniteMixture([(0.5, Beta(2.0, 5.0)), (0.5, PointMass(0.5))])),
+        ]
+        sides = [Side.UPPER, Side.LOWER]
+        result = run_sweep(models, [2, 2.5, 9], [0.05, 0.2], sides, 3_000, 89, method=method)
+        assert len(result.rows) == 3 * 2 * 3 * 2
+        by_id = dict(models)
+        for row in result.rows:
+            m, side = by_id[row.model_id], Side(row.side)
+            if row.M == 2.5:  # not an engine M: the row keeps every default
+                assert row == montecarlo.SweepRow(row.model_id, 2.5, row.t, row.side,
+                                                  "error:DomainError")
+                continue
+            report = tail_bound_report(side_anchor(summarize(m), side), row.M, row.t)
+            assert (row.hoeffding, row.kl_form, row.h0, row.valid) == (
+                report.hoeffding_form, report.kl_form, report.h0, report.in_validity_range)
+            q = TailQuery(M=row.M, t=row.t, side=side)
+            if row.method == "montecarlo":
+                key = repr((row.model_id, row.M, row.side)).encode()
+                seed = mix64(89, int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
+                estimate = estimate_tail(m, q, 3_000, seed)
+                assert (row.value, row.ci_low, row.ci_high) == (
+                    estimate.p_hat, estimate.ci_low, estimate.ci_high)
+            elif row.method.startswith("error:"):
+                with pytest.raises(ExchboundError) as raised:
+                    exact_tail(m, q)
+                assert row.method == f"error:{type(raised.value).__name__}"
+                assert row.value is None
+            else:
+                exact = exact_tail(m, q)
+                assert (row.method, row.value, row.ci_low, row.ci_high) == (
+                    str(exact.method), exact.probability, None, None)
+            assert not row.violation
+        engines = {
+            "auto": {"binomial", "convolution", "montecarlo", "error:DomainError"},
+            "exact": {"binomial", "convolution", "error:UnsupportedModel", "error:DomainError"},
+            "montecarlo": {"montecarlo", "error:DomainError"},
+        }
+        assert {row.method for row in result.rows} == engines[method]
 
     def test_invalid_window_cells_never_flagged(self):
         result = run_sweep(
