@@ -126,6 +126,11 @@ class DiscreteOnUnit:
         object.__setattr__(self, "points", tuple(points))
         object.__setattr__(self, "weights", tuple(float(w) for w in weights))
         self._validate()
+        # quantile's arrays, built once and read-only; not dataclass fields
+        values = np.asarray(self.points, dtype=np.float64)
+        values.setflags(write=False)
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_cum", _cumulative(self.weights))
 
     def _validate(self) -> None:
         if not self.points:
@@ -162,25 +167,25 @@ class DiscreteOnUnit:
         )
 
     def quantile(self, u) -> np.ndarray:
-        return np.asarray(self.points, dtype=np.float64)[pick_index(self.weights, u)]
+        return self._values[pick_index(self._cum, u)]
 
 
-@functools.lru_cache(maxsize=256)
-def _cumulative(weights: tuple[float, ...]) -> tuple[float, ...]:
-    """The cumulative weights, rounded as numpy's cumsum rounds them."""
-    return tuple(np.cumsum(np.asarray(weights, dtype=np.float64)).tolist())
+def _cumulative(weights: Sequence[float]) -> np.ndarray:
+    """The cumulative weights as numpy's cumsum rounds them, read-only."""
+    cum = np.cumsum(np.asarray(weights, dtype=np.float64))
+    cum.setflags(write=False)
+    return cum
 
 
-def pick_index(weights: Sequence[float], u: np.ndarray) -> np.ndarray:
-    """Inverse CDF of the index law given by ``weights``, over uniforms u.
+def pick_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse CDF of the index law with cumulative weights ``cum``, over uniforms u.
 
     Selects mixture atoms and discrete points alike: the first index
     whose cumulative weight exceeds u, clamped to the last index.
     """
-    cum = _cumulative(tuple(weights))
     # asarray: a scalar u gives a scalar index, which cannot be an out=
     idx = np.asarray(np.searchsorted(cum, np.asarray(u, dtype=np.float64), side="right"))
-    return np.minimum(idx, len(weights) - 1, out=idx)  # guard cum[-1] < 1 by rounding
+    return np.minimum(idx, len(cum) - 1, out=idx)  # guard cum[-1] < 1 by rounding
 
 
 @dataclass(frozen=True)
@@ -224,7 +229,11 @@ def component_mean(c: Component) -> float:
 
 @dataclass(frozen=True)
 class FiniteMixture:
-    """Finitely many atoms (weight, component) with weights summing to 1."""
+    """Finitely many atoms (weight, component) with weights summing to 1.
+
+    ``cumulative_weights`` (not a dataclass field) holds the running sums
+    of the weights, as numpy's cumsum rounds them, for drawing an atom.
+    """
 
     atoms: tuple[tuple[float, Component], ...]
 
@@ -233,6 +242,7 @@ class FiniteMixture:
             self, "atoms", tuple((float(w), comp) for w, comp in atoms)
         )
         self._validate()
+        object.__setattr__(self, "cumulative_weights", tuple(_cumulative(self.weights).tolist()))
 
     def _validate(self) -> None:
         if not self.atoms:

@@ -45,7 +45,7 @@ from exchbound import montecarlo
 from exchbound.bounds import side_anchor
 from exchbound.montecarlo import window_t_grid
 from exchbound.oracle import lattice_points
-from exchbound.sampler import derive_stream, mix64
+from exchbound.sampler import _block_stream, derive_stream, mix64
 
 TWO_ATOM = FiniteMixture([(0.5, Bernoulli(0.2)), (0.5, Bernoulli(0.8))])
 ZERO_ONE = FiniteMixture([(0.5, PointMass(0.0)), (0.5, PointMass(1.0))])
@@ -294,7 +294,7 @@ class TestHistogram:
         w = np.array(m.weights)
         for block, start in enumerate(range(0, reps, montecarlo.BLOCK_SIZE)):
             n = min(montecarlo.BLOCK_SIZE, reps - start)
-            gen = derive_stream(SeedSpec(seed, block))
+            gen = _block_stream(SeedSpec(seed, block))
             n_beta, n_bern = gen.multinomial(n, w / w.sum()).tolist()
             for sums in (gen.beta(2.0, 5.0, size=(n_beta, M)).sum(axis=1),
                          gen.binomial(M, 0.4, size=n_bern)):

@@ -24,6 +24,7 @@ from exchbound import (
     sample_sequence,
     standard_suite,
 )
+from exchbound.sampler import _block_stream, _sfc64
 
 TWO_ATOM = FiniteMixture([(0.5, Bernoulli(0.2)), (0.5, Bernoulli(0.8))])
 
@@ -61,6 +62,49 @@ class TestStreams:
     def test_negative_replication_index_rejected(self):
         with pytest.raises(DomainError):
             SeedSpec(master_seed=1, replication_index=-1)
+
+
+class TestBlockStreams:
+    """Monte Carlo blocks draw from SFC64; derive_stream and replays stay on Philox."""
+
+    @pytest.mark.parametrize("entropy", [0, 1, 2**64 - 1, 12345678901234567890123])
+    def test_recipe_is_numpys_sfc64_seeding(self, entropy):
+        ss = np.random.SeedSequence(entropy)
+        ours = _sfc64(ss.generate_state(3, np.uint64))
+        assert np.array_equal(ours.random_raw(64), np.random.SFC64(ss).random_raw(64))
+
+    def test_generator_kinds(self):
+        seed = SeedSpec(master_seed=5, replication_index=2)
+        assert isinstance(derive_stream(seed).bit_generator, np.random.Philox)
+        assert isinstance(_block_stream(seed).bit_generator, np.random.SFC64)
+
+    def test_first_outputs_uniform_chi_square(self):
+        # first uniform of 10^4 consecutive blocks, 20 bins, chi-square
+        # accepted at the 0.001 level, as for derive_stream
+        n, bins = 10_000, 20
+        firsts = np.array(
+            [_block_stream(SeedSpec(master_seed=99, replication_index=i)).random() for i in range(n)]
+        )
+        counts, _ = np.histogram(firsts, bins=np.linspace(0.0, 1.0, bins + 1))
+        expected = n / bins
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 < stats.chi2.ppf(0.999, df=bins - 1)
+
+    def test_distinct_blocks_and_masters_distinct_first_output(self):
+        firsts = {
+            int(_block_stream(SeedSpec(master_seed=s, replication_index=i)).bit_generator.random_raw())
+            for s in (0, 1, 2, 2**64 - 1)
+            for i in range(64)
+        }
+        assert len(firsts) == 4 * 64
+
+    def test_block_and_replay_streams_differ(self):
+        # the same SeedSpec keys both, but they must not draw the same words
+        seed = SeedSpec(master_seed=7, replication_index=0)
+        assert not np.array_equal(
+            _block_stream(seed).bit_generator.random_raw(8),
+            derive_stream(seed).bit_generator.random_raw(8),
+        )
 
 
 class TestSampleSequence:
