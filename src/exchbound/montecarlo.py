@@ -5,7 +5,12 @@ sum: given the drawn component, S = X_1 + ... + X_M is Binomial(M, p)
 for Bernoulli components, a sum of M Beta draws for Beta components, and
 for point masses and discrete components a multinomial count vector over
 the component's points, which costs O(k) for k points rather than O(M);
-a one-point atom draws nothing, its sum being M times its point.
+a one-point atom draws nothing, its sum being M times its point.  Only
+the count of each sum is kept, so a Bernoulli atom given n > M batches
+of a block draws those counts over the M + 1 sums as one Multinomial(n,
+Binomial(M, p) pmf), outcomes in ascending order of mass (Devroye,
+Non-Uniform Random Variate Generation, 1986, ch. XI), rather than n
+binomials; with n <= M, as at huge M, it draws the n binomials.
 This is distributionally identical to materializing the M individual
 observations (the batch is conditionally i.i.d.), and it is what makes
 10^5-replication sweeps over hundreds of cells affordable.  The
@@ -83,7 +88,7 @@ from .model import (
     summarize,
 )
 from .oracle import SumTable, exact_tail, lattice_points
-from .sampler import SeedSpec, _block_stream, mix64
+from .sampler import SeedSpec, _block_stream, check_master_seed, mix64
 from .sampler import derive_stream  # noqa: F401  perfbench/tracing.py wraps this name
 
 BLOCK_SIZE = 1 << 16
@@ -153,8 +158,8 @@ def _lattice_sums(counts: np.ndarray, ints: Sequence[int], bound: int) -> np.nda
 
 def _block_sums(
     m: MixingMeasure, M: int, n: int, gen: np.random.Generator
-) -> Iterator[tuple[Optional[int], np.ndarray]]:
-    """Draw n conditional sums S as (scale, keys), per drawn atom in atom order.
+) -> Iterator[tuple[Optional[int], np.ndarray, Optional[np.ndarray]]]:
+    """Draw n conditional sums S as (scale, keys, counts), per drawn atom in atom order.
 
     A finite mixture's weights fix only how many of the n batches each
     atom gets, so one multinomial draw gives those counts, and the sums
@@ -162,30 +167,40 @@ def _block_sums(
     integers S*scale: Bernoulli and parameter-mixture sums at scale 1,
     point masses and discrete atoms as multinomial counts over the points
     of their ``discrete_law()``, scaled by the lcm D of their denominators
-    (``lattice_points``); a one-point atom's sum is the constant M*D*x,
-    drawn with no randomness.  A Beta atom yields float sums at scale
-    None.  ``_empirical_law`` only counts the sums, so they need not come
-    in replication order.
+    (``lattice_points``).  A Beta atom yields float sums at scale None.
+
+    ``counts`` is None when ``keys`` holds one raw sum per batch.
+    Otherwise ``keys`` are distinct sums and ``counts`` how many batches
+    reached each.  A one-point atom's sum is the constant M*D*x, so it
+    yields that key with count ni and draws nothing.  A Bernoulli(p) atom
+    with ni > M batches draws their counts over the sums 0..M as one
+    multinomial (``_counted_binomial``) rather than ni binomials; with
+    ni <= M, as at huge M, it draws the ni binomials.  ``_empirical_law``
+    only counts the sums, so they need not come in replication order.
     """
     if isinstance(m, BernoulliParamMixture):
         p = m.density.quantile(gen.random(n))
-        yield 1, gen.binomial(M, p)
+        yield 1, gen.binomial(M, p), None
         return
     assert isinstance(m, FiniteMixture)
     for ni, c in zip(_multinomial(gen, n, m.weights).tolist(), m.components):
         if ni == 0:
             continue
         if isinstance(c, Bernoulli):
-            yield 1, gen.binomial(M, float(c.p), size=ni)
+            if ni > M:
+                yield 1, *_counted_binomial(gen, ni, M, float(c.p))
+            else:
+                yield 1, gen.binomial(M, float(c.p), size=ni), None
         elif isinstance(c, Beta):
-            yield None, _beta_sums(c, M, ni, gen)
+            yield None, _beta_sums(c, M, ni, gen), None
         else:
             points, weights = c.discrete_law()
             D, ints = lattice_points(points)
             if len(ints) == 1:  # in int64 or Python ints, as _lattice_sums decides
-                yield D, np.full(ni, M * ints[0], dtype=np.int64 if M * D <= _INT64_MAX else object)
+                key = np.array([M * ints[0]], dtype=np.int64 if M * D <= _INT64_MAX else object)
+                yield D, key, np.array([ni])
             else:
-                yield D, _lattice_sums(_multinomial(gen, M, weights, size=ni), ints, M * D)
+                yield D, _lattice_sums(_multinomial(gen, M, weights, size=ni), ints, M * D), None
 
 
 def _multinomial(gen: np.random.Generator, n: int, weights: Sequence[float], size=None):
@@ -193,6 +208,32 @@ def _multinomial(gen: np.random.Generator, n: int, weights: Sequence[float], siz
     w = np.asarray(weights, dtype=np.float64)
     # multinomial rejects weights whose leading sum passes 1 + 1e-12
     return gen.multinomial(n, w / w.sum(), size=size)
+
+
+def _binomial_pmf(M: int, p: float) -> np.ndarray:
+    """The Binomial(M, p) masses of 0..M, each within about 1e-10 relative up to M = 2^16."""
+    k = np.arange(M + 1, dtype=np.float64)
+    log_choose = special.gammaln(M + 1) - special.gammaln(k + 1) - special.gammaln(M - k + 1)
+    return np.exp(log_choose + special.xlogy(k, p) + special.xlog1py(M - k, -p))
+
+
+def _counted_binomial(
+    gen: np.random.Generator, n: int, M: int, p: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, counts) of n Binomial(M, p) draws, drawn as one multinomial over 0..M.
+
+    The counts of n i.i.d. draws are Multinomial(n, pmf).  numpy draws a
+    multinomial one category at a time, each as a binomial with
+    probability p_j / (1 - p_0 - ... - p_{j-1}); that remainder cancels if
+    the bulk comes first, so the outcomes are drawn in ascending order of
+    mass.  Only sums drawn at least once are returned.
+    """
+    pmf = _binomial_pmf(M, p)
+    order = np.argsort(pmf, kind="stable")
+    counts = np.empty(M + 1, dtype=np.int64)
+    counts[order] = _multinomial(gen, n, pmf[order])
+    sums = np.flatnonzero(counts)
+    return sums, counts[sums]
 
 
 def _beta_sums(c: Beta, M: int, n: int, gen: np.random.Generator) -> np.ndarray:
@@ -223,16 +264,30 @@ def _empirical_law(
     if M > BETA_MAX_M and isinstance(m, FiniteMixture):
         if any(isinstance(c, Beta) for c in m.components):
             raise DomainError(f"M must be <= {BETA_MAX_M} for a Beta component, got {M}")
-    chunks: dict[Optional[int], list[np.ndarray]] = {}
+    parts: dict[Optional[int], list[tuple[np.ndarray, Optional[np.ndarray]]]] = {}
     for block_index, start in enumerate(range(0, replications, BLOCK_SIZE)):
         gen = _block_stream(SeedSpec(master_seed=seed, replication_index=block_index))
         size = min(BLOCK_SIZE, replications - start)
-        for scale, keys in _block_sums(m, M, size, gen):
-            chunks.setdefault(scale, []).append(keys)
-    return tuple(
-        SumTable(scale, *np.unique(np.concatenate(parts), return_counts=True))
-        for scale, parts in chunks.items()
-    )
+        for scale, keys, counts in _block_sums(m, M, size, gen):
+            parts.setdefault(scale, []).append((keys, counts))
+    return tuple(SumTable(scale, *_merge_counts(pieces)) for scale, pieces in parts.items())
+
+
+def _merge_counts(
+    pieces: list[tuple[np.ndarray, Optional[np.ndarray]]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending distinct keys and their total counts, over raw sums (counts None)
+    and counted ones."""
+    raw = [keys for keys, counts in pieces if counts is None]
+    counted = [(keys, counts) for keys, counts in pieces if counts is not None]
+    if raw:
+        counted.append(np.unique(np.concatenate(raw), return_counts=True))
+    if len(counted) == 1:
+        return counted[0]
+    keys, inverse = np.unique(np.concatenate([k for k, _ in counted]), return_inverse=True)
+    totals = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(totals, inverse.reshape(-1), np.concatenate([c for _, c in counted]))
+    return keys, totals
 
 
 def estimate_tail(
@@ -462,9 +517,9 @@ def run_sweep(
     ``method`` selects the engine per cell: "auto" prefers the exact
     oracle and falls back to Monte Carlo, "exact" and "montecarlo" force
     one engine.  Per-cell failures become rows with method "error:<name>"
-    rather than aborting the sweep.  An unknown method, or two cells with
-    the same row key (model_id, M, t, side), raise DomainError before any
-    cell runs.
+    rather than aborting the sweep.  An unknown method, a master seed
+    outside [0, 2^64), or two cells with the same row key (model_id, M, t,
+    side), raise DomainError before any cell runs.
 
     With ``threads`` > 1 (or the EXCHBOUND_THREADS environment variable)
     the cells are evaluated concurrently, one (model, side, M) group per
@@ -486,6 +541,7 @@ def run_sweep(
         raise DomainError(f"replications must be >= 1, got {replications}")
     if method not in METHODS:
         raise DomainError(f"unknown sweep method {method!r}")
+    check_master_seed(master_seed)
     n_threads = _resolve_threads(threads)
 
     # one group of cells per (model, side, M): the cells that share a drawn law

@@ -12,6 +12,8 @@ Every batch is a pure function of the model and a :class:`SeedSpec`
 Philox counter-based generator keyed by a SplitMix64 hash of the two
 seed fields, so distinct replication indices give statistically
 independent streams and results do not depend on scheduling order.
+The master seed lies in [0, 2^64): the hash reads 64 bits, so a wider
+seed would alias another.
 A Monte Carlo block (:mod:`exchbound.montecarlo`) draws from an SFC64
 generator instead, seeded with the first three words of its SeedSpec's
 Philox stream (:func:`_block_stream`): a block's Beta draws are bound by
@@ -31,6 +33,7 @@ out; nothing else touches the stream.
 from __future__ import annotations
 
 import bisect
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -62,10 +65,25 @@ class SeedSpec:
     replication_index: int
 
     def __post_init__(self) -> None:
+        check_master_seed(self.master_seed)
         if self.replication_index < 0:
             raise DomainError(
                 f"replication_index must be >= 0, got {self.replication_index}"
             )
+
+
+def check_master_seed(master_seed: int) -> None:
+    """An integer master seed in [0, 2^64).  Streams are keyed by its 64 bits, so
+    a seed outside would draw the rows of the seed it equals modulo 2^64."""
+    try:
+        operator.index(master_seed)
+    except TypeError:
+        raise DomainError(f"master_seed must be an integer, got {master_seed!r}") from None
+    if not 0 <= master_seed <= _MASK64:
+        shown = master_seed if abs(master_seed) <= 2 * _MASK64 else (
+            f"a seed of {len(str(abs(master_seed)))} digits"
+        )
+        raise DomainError(f"master_seed must lie in [0, 2^64), got {shown}")
 
 
 def mix64(master_seed: int, index: int) -> int:
@@ -77,7 +95,7 @@ def mix64(master_seed: int, index: int) -> int:
 
 
 def _stream_key(seed: SeedSpec) -> int:
-    return mix64(seed.master_seed & _MASK64, seed.replication_index)
+    return mix64(seed.master_seed, seed.replication_index)
 
 
 def derive_stream(seed: SeedSpec) -> np.random.Generator:

@@ -596,6 +596,9 @@ class TestCliCommands:
             ("ci", ["--m", M_PAST_FLOAT], None),
             ("bounds", ["--m", M_PAST_FLOAT], None),
             ("ci", ["--m", "1", "--delta", "1e-5", "--range", "0", "1e308"], None),
+            ("simulate", ["--seed", str(2**64)], None),
+            ("verify", ["--seed", "-1"], None),
+            ("histogram", ["--seed", str(2**64)], None),
         ],
         ids=[
             "auto-abc", "auto-0", "inf", "nan", "abc", "level", "m-0", "threads-env",
@@ -608,6 +611,7 @@ class TestCliCommands:
             "histogram-beta-huge-m", "verify-discrete-m-past-int64",
             "verify-uniform-m-past-int64", "simulate-m-past-int64", "histogram-m-past-int64",
             "ci-m-past-float", "bounds-m-past-float", "ci-t-past-float",
+            "simulate-seed-2^64", "verify-seed-negative", "histogram-seed-2^64",
         ],
     )
     def test_verify_rejects_bad_arguments_before_any_cell(

@@ -56,6 +56,17 @@ def same_position(a, b):
     return np.array_equal(a.bit_generator.random_raw(8), b.bit_generator.random_raw(8))
 
 
+def counted_binomial(gen, n, M, p):
+    """Counts of n Binomial(M, p) sums over 0..M: one multinomial, drawn in
+    ascending order of mass."""
+    pmf = montecarlo._binomial_pmf(M, p)
+    order = np.argsort(pmf, kind="stable")
+    ascending = pmf[order]
+    counts = np.empty(M + 1, dtype=np.int64)
+    counts[order] = gen.multinomial(n, ascending / ascending.sum())
+    return counts
+
+
 def shrink_bounds(monkeypatch, form="hoeffding_form"):
     """Scale one bound form of every sweep cell by 0.01, so that cells violate it."""
     report_of = montecarlo.tail_bound_report
@@ -296,9 +307,11 @@ class TestHistogram:
             n = min(montecarlo.BLOCK_SIZE, reps - start)
             gen = _block_stream(SeedSpec(seed, block))
             n_beta, n_bern = gen.multinomial(n, w / w.sum()).tolist()
-            for sums in (gen.beta(2.0, 5.0, size=(n_beta, M)).sum(axis=1),
-                         gen.binomial(M, 0.4, size=n_bern)):
-                expected += np.histogram(np.clip(sums / M, 0.0, 1.0), bins=edges)[0]
+            beta_sums = gen.beta(2.0, 5.0, size=(n_beta, M)).sum(axis=1)
+            expected += np.histogram(np.clip(beta_sums / M, 0.0, 1.0), bins=edges)[0]
+            assert n_bern > M  # so the Bernoulli sums are counted
+            bern_counts = counted_binomial(gen, n_bern, M, 0.4)
+            expected += np.histogram(np.arange(M + 1) / M, bins=edges, weights=bern_counts)[0]
         h = sample_mean_histogram(m, M, reps, bins, seed)
         assert h.counts == tuple(int(c) for c in expected)
 
@@ -311,8 +324,8 @@ class TestHistogram:
         seed = SeedSpec(master_seed=47, replication_index=2)
         reference = derive_stream(seed)  # one atom: its count takes no draw
         expected = reference.beta(2.0, 5.0, size=(n, M)).sum(axis=1)
-        ((scale, sums),) = montecarlo._block_sums(m, M, n, derive_stream(seed))
-        assert scale is None
+        ((scale, sums, counts),) = montecarlo._block_sums(m, M, n, derive_stream(seed))
+        assert scale is None and counts is None
         assert np.array_equal(sums, expected)
 
     def test_a_block_draws_the_atom_counts_first(self):
@@ -328,16 +341,20 @@ class TestHistogram:
         reference = derive_stream(seed)
         w, pw = np.array(m.weights), np.array(point_weights)
         n_bern, n_disc, n_beta = reference.multinomial(n, w / w.sum()).tolist()
+        assert n_bern > M  # so the Bernoulli sums are counted
+        bern_counts = counted_binomial(reference, n_bern, M, 0.3)
         expected = [
-            (1, reference.binomial(M, 0.3, size=n_bern)),
-            (2, reference.multinomial(M, pw / pw.sum(), size=n_disc) @ np.array([0, 1, 2])),
-            (None, reference.beta(2.0, 5.0, size=(n_beta, M)).sum(axis=1)),
+            (1, np.flatnonzero(bern_counts), bern_counts[bern_counts > 0]),
+            (2, reference.multinomial(M, pw / pw.sum(), size=n_disc) @ np.array([0, 1, 2]), None),
+            (None, reference.beta(2.0, 5.0, size=(n_beta, M)).sum(axis=1), None),
         ]
         gen = derive_stream(seed)
         drawn = list(montecarlo._block_sums(m, M, n, gen))
-        assert [scale for scale, _ in drawn] == [scale for scale, _ in expected]
-        for (_, sums), (_, want) in zip(drawn, expected):
+        assert [scale for scale, *_ in drawn] == [scale for scale, *_ in expected]
+        for (_, sums, counts), (_, want, want_counts) in zip(drawn, expected):
             assert np.array_equal(sums, want)
+            assert (counts is None) == (want_counts is None)
+            assert counts is None or np.array_equal(counts, want_counts)
         assert same_position(gen, reference)
 
     @pytest.mark.parametrize(
@@ -351,9 +368,9 @@ class TestHistogram:
         assert D == 2**54 and (M * D <= np.iinfo(np.int64).max) == (dtype is np.int64)
         seed = SeedSpec(master_seed=61, replication_index=0)
         gen = derive_stream(seed)
-        ((scale, keys),) = montecarlo._block_sums(FiniteMixture([(1.0, c)]), M, 1_000, gen)
+        ((scale, keys, counts),) = montecarlo._block_sums(FiniteMixture([(1.0, c)]), M, 1_000, gen)
         assert scale == D and keys.dtype == dtype
-        assert keys.tolist() == [M * z] * 1_000
+        assert keys.tolist() == [M * z] and counts.tolist() == [1_000]
         assert same_position(gen, derive_stream(seed))
 
     def test_beta_past_the_row_limit_is_refused_before_any_draw(self, monkeypatch):
@@ -389,6 +406,77 @@ class TestHistogram:
         finally:
             tracemalloc.stop()
         assert peak < 2 * montecarlo.BETA_CHUNK * 8
+
+
+class TestCountedBinomial:
+    """A Bernoulli atom with more batches than outcomes draws their counts as one multinomial."""
+
+    def test_counted_law_fits_the_binomial_pmf(self):
+        # chi-square of 40 blocks of 2^16 against the exact rational pmf, outcomes
+        # pooled in order until each cell expects at least 5; accepted at 0.001
+        M, p, reps = 50, 0.3, 40 * montecarlo.BLOCK_SIZE
+        (table,) = montecarlo._empirical_law.__wrapped__(
+            FiniteMixture([(1.0, Bernoulli(p))]), M, reps, 67
+        )
+        assert table.scale == 1
+        drawn = dict(zip(table.keys.tolist(), (-np.diff(table.at_least)).tolist()))
+        q = Fraction(p)
+        expected, observed = [0.0], [0]
+        for k in range(M + 1):
+            if expected[-1] >= 5:
+                expected.append(0.0)
+                observed.append(0)
+            expected[-1] += float(reps * math.comb(M, k) * q**k * (1 - q) ** (M - k))
+            observed[-1] += drawn.get(k, 0)
+        if expected[-1] < 5:  # fold a short last cell into the one before
+            short_e, short_o = expected.pop(), observed.pop()
+            expected[-1] += short_e
+            observed[-1] += short_o
+        assert sum(observed) == reps
+        chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+        assert chi2 < stats.chi2.ppf(0.999, df=len(expected) - 1)
+
+    @pytest.mark.parametrize("M", [1, 200, 65535])
+    @pytest.mark.parametrize("p", [0.25, 0.5])
+    def test_pmf_is_within_1e_9_of_the_rational_pmf(self, p, M):
+        # p = 1/d: the mass of k is C(M, k) (d-1)^(M-k) / d^M, in Python ints;
+        # int / int rounds correctly however large both are
+        d = round(1 / p)
+        denominator = d**M
+        term = (d - 1) ** M
+        for k, mass in enumerate(montecarlo._binomial_pmf(M, p).tolist()):
+            exact = term / denominator
+            if exact > 1e-300:
+                assert abs(mass - exact) <= 1e-9 * exact, k
+            term = term * (M - k) // ((k + 1) * (d - 1))
+
+    @pytest.mark.parametrize("n", [1, 200])
+    def test_at_most_m_batches_draw_their_binomials(self, n):
+        M, seed = 200, SeedSpec(master_seed=71, replication_index=1)
+        reference = derive_stream(seed)
+        expected = reference.binomial(M, 0.3, size=n)
+        gen = derive_stream(seed)
+        m = FiniteMixture([(1.0, Bernoulli(0.3))])
+        ((scale, sums, counts),) = montecarlo._block_sums(m, M, n, gen)
+        assert scale == 1 and counts is None
+        assert np.array_equal(sums, expected)
+        assert same_position(gen, reference)
+
+    @pytest.mark.parametrize("p,key", [(0.0, 0), (1.0, 50)])
+    def test_a_sure_outcome_takes_every_batch(self, p, key):
+        gen = derive_stream(SeedSpec(master_seed=73, replication_index=0))
+        m = FiniteMixture([(1.0, Bernoulli(p))])
+        ((scale, keys, counts),) = montecarlo._block_sums(m, 50, 1_000, gen)
+        assert scale == 1 and keys.tolist() == [key] and counts.tolist() == [1_000]
+
+    @pytest.mark.parametrize("M,p", [(1, 0.3), (200, 0.3), (1_000, 1e-300), (65_535, 0.5)])
+    def test_counts_fill_the_batches_on_outcomes_of_positive_mass(self, M, p):
+        n = montecarlo.BLOCK_SIZE
+        gen = _block_stream(SeedSpec(master_seed=79, replication_index=0))
+        sums, counts = montecarlo._counted_binomial(gen, n, M, p)
+        assert int(counts.sum()) == n and (counts > 0).all()
+        assert (np.diff(sums) > 0).all()
+        assert (montecarlo._binomial_pmf(M, p)[sums] > 0).all()
 
 
 class TestRunSweep:
@@ -431,6 +519,12 @@ class TestRunSweep:
         )
         with pytest.raises(DomainError, match="model_id='two_atom' M=2 t=0.1 side=upper"):
             run_sweep(models, M_grid, t_grid, [Side.UPPER], 10, 1)
+
+    @pytest.mark.parametrize("master_seed", [-1, 2**64], ids=["-1", "2^64"])
+    def test_master_seed_outside_64_bits_rejected_before_any_cell(self, monkeypatch, master_seed):
+        monkeypatch.setattr(montecarlo, "_sweep_cell", lambda *a, **k: pytest.fail("a cell ran"))
+        with pytest.raises(DomainError, match=r"master_seed must lie in \[0, 2\^64\)"):
+            run_sweep([("two_atom", TWO_ATOM)], [2], [0.1], [Side.UPPER], 10, master_seed)
 
     def test_unknown_method_rejected_before_any_cell(self, monkeypatch):
         monkeypatch.setattr(

@@ -93,6 +93,23 @@ class TestFiniteMixtureTails:
         tail = exact_tail(m, TailQuery(M=4, t=0.25, side=Side.UPPER))
         assert tail.probability == pytest.approx(5.0 / 16.0, abs=1e-15)  # S in {3, 4}
 
+    @pytest.mark.parametrize("t", [0.01, 0.05])
+    def test_fair_coin_tail_at_large_m_is_precise(self, t):
+        # where the bound is nearly tight (values 1.7e-4 and 5.0e-72), against
+        # the exact sum of C(M, k)/2^M over k >= ceil(M*(1/2 + t)), in Python ints
+        M = 32_000
+        k = math.ceil(M * (Fraction(1, 2) + Fraction(t)))
+        term = math.comb(M, k)
+        total = 0
+        for j in range(k, M + 1):
+            total += term
+            term = term * (M - j) // (j + 1)
+        exact = total / 2**M
+        m = FiniteMixture([(1.0, Bernoulli(0.5))])
+        got = exact_tail(m, TailQuery(M=M, t=t, side=Side.UPPER))
+        assert got.method is TailMethod.BINOMIAL_CLOSED_FORM
+        assert abs(got.probability - exact) <= 1e-12 * exact
+
     @pytest.mark.parametrize("M", [1, 2, 3, 4, 5])
     def test_binomial_path_matches_enumeration(self, M):
         for t in (0.05, 0.11, 0.19):

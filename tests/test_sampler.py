@@ -63,6 +63,20 @@ class TestStreams:
         with pytest.raises(DomainError):
             SeedSpec(master_seed=1, replication_index=-1)
 
+    @pytest.mark.parametrize("master_seed", [-1, 2**64, 10**400], ids=["-1", "2^64", "10^400"])
+    def test_master_seed_outside_64_bits_rejected(self, master_seed):
+        # the stream reads 64 bits, so 2^64 would alias 0 and -1 alias 2^64 - 1
+        with pytest.raises(DomainError, match=r"\[0, 2\^64\)"):
+            SeedSpec(master_seed=master_seed, replication_index=0)
+
+    def test_fractional_master_seed_rejected(self):
+        with pytest.raises(DomainError, match="master_seed must be an integer"):
+            SeedSpec(master_seed=1.5, replication_index=0)
+
+    def test_master_seed_range_edges_accepted(self):
+        for master_seed in (0, 2**64 - 1):
+            assert SeedSpec(master_seed=master_seed, replication_index=0).master_seed == master_seed
+
 
 class TestBlockStreams:
     """Monte Carlo blocks draw from SFC64; derive_stream and replays stay on Philox."""
