@@ -1,16 +1,20 @@
 """Replicated simulation of tail events, and verification sweeps.
 
 One sampler, ``_block_sums``, draws the conditional law of the batch
-sum: given the drawn component, S = X_1 + ... + X_M is Binomial(M, p)
-for Bernoulli components, a sum of M Beta draws for Beta components, and
-for point masses and discrete components a multinomial count vector over
-the component's points, which costs O(k) for k points rather than O(M);
-a one-point atom draws nothing, its sum being M times its point.  Only
-the count of each sum is kept, so a Bernoulli atom given n > M batches
-of a block draws those counts over the M + 1 sums as one Multinomial(n,
-Binomial(M, p) pmf), outcomes in ascending order of mass (Devroye,
-Non-Uniform Random Variate Generation, 1986, ch. XI), rather than n
-binomials; with n <= M, as at huge M, it draws the n binomials.
+sum: given the drawn component, S = X_1 + ... + X_M is a sum of M Beta
+draws for a Beta component, and for a Bernoulli, point-mass or discrete
+component the count vector of M draws over its points, Multinomial(M,
+weights), which costs O(k) binomials for k points rather than O(M) draws.
+Only the count of each sum is kept, so the n batches of a block draw
+their count vectors stage by stage, one point per stage (the chain rule
+of the multinomial; Devroye, Non-Uniform Random Variate Generation, 1986,
+ch. XI): the batches that share the counts placed so far form a group,
+and a group of r batches with more batches than draws left, r > left,
+draws how many reach each next count as one multinomial over 0..left,
+outcomes in ascending order of mass, rather than r binomials.  Smaller
+groups draw their binomials batch by batch, in one vectorized call per
+stage, as at huge M.  A Bernoulli atom has one stage; a one-point atom
+has none and draws nothing, its sum being M times its point.
 This is distributionally identical to materializing the M individual
 observations (the batch is conditionally i.i.d.), and it is what makes
 10^5-replication sweeps over hundreds of cells affordable.  The
@@ -79,7 +83,6 @@ from scipy import special
 from .bounds import Side, TailQuery, check_engine_m, side_anchor, tail_bound_report
 from .errors import DomainError, EmptyGrid, ExchboundError, MTooLarge, UnsupportedModel
 from .model import (
-    Bernoulli,
     Beta,
     BernoulliParamMixture,
     FiniteMixture,
@@ -164,19 +167,19 @@ def _block_sums(
     A finite mixture's weights fix only how many of the n batches each
     atom gets, so one multinomial draw gives those counts, and the sums
     of each atom are then drawn in atom order.  A lattice atom yields the
-    integers S*scale: Bernoulli and parameter-mixture sums at scale 1,
-    point masses and discrete atoms as multinomial counts over the points
-    of their ``discrete_law()``, scaled by the lcm D of their denominators
-    (``lattice_points``).  A Beta atom yields float sums at scale None.
+    integers S*scale: parameter-mixture sums at scale 1, and Bernoulli,
+    point-mass and discrete atoms as count vectors over the points of
+    their ``discrete_law()`` (``_counted_multinomial``), scaled by the lcm
+    D of their denominators (``lattice_points``).  A Beta atom yields
+    float sums at scale None.
 
     ``counts`` is None when ``keys`` holds one raw sum per batch.
-    Otherwise ``keys`` are distinct sums and ``counts`` how many batches
-    reached each.  A one-point atom's sum is the constant M*D*x, so it
-    yields that key with count ni and draws nothing.  A Bernoulli(p) atom
-    with ni > M batches draws their counts over the sums 0..M as one
-    multinomial (``_counted_binomial``) rather than ni binomials; with
-    ni <= M, as at huge M, it draws the ni binomials.  ``_empirical_law``
-    only counts the sums, so they need not come in replication order.
+    Otherwise ``keys`` are distinct ascending sums and ``counts`` how many
+    batches reached each.  A one-point atom's sum is the constant M*D*x,
+    so it yields that key with count ni and draws nothing.  A Bernoulli(p)
+    atom's one stage is ``_counted_binomial`` over the sums 0..M when it
+    has ni > M batches, else the ni binomials.  ``_empirical_law`` only
+    counts the sums, so they need not come in replication order.
     """
     if isinstance(m, BernoulliParamMixture):
         p = m.density.quantile(gen.random(n))
@@ -186,33 +189,90 @@ def _block_sums(
     for ni, c in zip(_multinomial(gen, n, m.weights).tolist(), m.components):
         if ni == 0:
             continue
-        if isinstance(c, Bernoulli):
-            if ni > M:
-                yield 1, *_counted_binomial(gen, ni, M, float(c.p))
-            else:
-                yield 1, gen.binomial(M, float(c.p), size=ni), None
-        elif isinstance(c, Beta):
+        if isinstance(c, Beta):
             yield None, _beta_sums(c, M, ni, gen), None
-        else:
-            points, weights = c.discrete_law()
-            D, ints = lattice_points(points)
-            if len(ints) == 1:  # in int64 or Python ints, as _lattice_sums decides
-                key = np.array([M * ints[0]], dtype=np.int64 if M * D <= _INT64_MAX else object)
-                yield D, key, np.array([ni])
-            else:
-                yield D, _lattice_sums(_multinomial(gen, M, weights, size=ni), ints, M * D), None
+            continue
+        points, weights = c.discrete_law()
+        D, ints = lattice_points(points)
+        vectors, counts = _counted_multinomial(gen, ni, M, weights)
+        keys = _lattice_sums(vectors, ints, M * D)
+        yield D, *((keys, None) if counts is None else _add_by_key(keys, counts))
 
 
-def _multinomial(gen: np.random.Generator, n: int, weights: Sequence[float], size=None):
+def _multinomial(gen: np.random.Generator, n: int, weights: Sequence[float]) -> np.ndarray:
     """Counts of n draws over the categories of ``weights``; one category takes no draw."""
     w = np.asarray(weights, dtype=np.float64)
     # multinomial rejects weights whose leading sum passes 1 + 1e-12
-    return gen.multinomial(n, w / w.sum(), size=size)
+    return gen.multinomial(n, w / w.sum())
 
 
-def _binomial_pmf(M: int, p: float) -> np.ndarray:
-    """The Binomial(M, p) masses of 0..M, each within about 1e-10 relative up to M = 2^16."""
-    k = np.arange(M + 1, dtype=np.float64)
+def _counted_multinomial(
+    gen: np.random.Generator, n: int, M: int, weights: Sequence[float]
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(vectors, counts): the count vectors of n Multinomial(M, weights) draws as
+    rows, and how many of the n batches each row stands for.
+
+    The chain rule places one point per stage, from the last point down:
+    given the counts already placed, n_j ~ Binomial(left, w_j / (w_1 + ... +
+    w_j)), with ``left`` the draws not yet placed, and the first point
+    takes what is left (Devroye, Non-Uniform Random Variate Generation,
+    1986, ch. XI).  A group of r batches with r > left draws how many of
+    them reach each n_j as one multinomial and splits by it; these draws
+    go group by group, in one call (``_counted_binomials``).  Then a group
+    with r <= left splits into its r batches, and all of those draw their
+    binomials in one ``gen.binomial`` call, in row order.  A stage with one
+    group, such as the first, draws the same numbers with scalar arguments
+    (``_counted_binomial``, or ``gen.binomial(left, q, size=r)``).  A group with
+    nothing left, or a point of zero weight, draws nothing, so a one-point
+    atom draws nothing at all.  Two rows may hold one vector.  ``counts``
+    is None when every row is one batch.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    below = np.cumsum(w)  # below[j] = w_1 + ... + w_j
+    vectors = np.zeros((1, len(w)), dtype=np.int64)
+    reps, left = np.array([n], dtype=np.int64), np.array([M], dtype=np.int64)
+    for j in range(len(w) - 1, 0, -1):
+        if w[j] == 0:
+            continue
+        q = float(w[j] / below[j])
+        if len(reps) == 1:  # one group, as at the first stage: scalar draws, no bookkeeping
+            r, k = int(reps[0]), int(left[0])
+            sums, counts = _counted_binomial(gen, r, k, q) if r > k else (
+                gen.binomial(k, q, size=r), np.ones(r, dtype=np.int64)
+            )
+            vectors = np.repeat(vectors, len(sums), axis=0)
+            vectors[:, j] = sums
+            reps, left = counts, k - sums
+            continue
+        raw = reps <= left
+        counted = ~raw & (left > 0)
+        spawn = np.where(raw, reps, 1)  # the rows each group splits into
+        if counted.any():
+            group, sums, counts = _counted_binomials(gen, reps[counted], left[counted], q)
+            spawn[counted] = np.bincount(group, minlength=np.count_nonzero(counted))
+        if spawn.sum() > len(spawn):  # some group splits: one row per part
+            rows = np.repeat(np.arange(len(reps)), spawn)
+            vectors, reps, left, raw, counted = (
+                a[rows] for a in (vectors, reps, left, raw, counted)
+            )
+        if counted.any():
+            vectors[counted, j] = sums
+            reps[counted] = counts
+        if raw.any():
+            vectors[raw, j] = gen.binomial(left[raw], q)
+            reps[raw] = 1
+        left -= vectors[:, j]
+    vectors[:, 0] = left
+    return vectors, None if len(reps) == n else reps
+
+
+def _binomial_pmf(M, p: float) -> np.ndarray:
+    """The Binomial(M, p) masses of 0..M, each within about 1e-10 relative up to M = 2^16.
+
+    For a column of M, one row per M, as long as the largest; a row
+    repeats its mass at M past its M.
+    """
+    k = np.minimum(np.arange(np.max(M) + 1, dtype=np.float64), M)
     log_choose = special.gammaln(M + 1) - special.gammaln(k + 1) - special.gammaln(M - k + 1)
     return np.exp(log_choose + special.xlogy(k, p) + special.xlog1py(M - k, -p))
 
@@ -222,11 +282,10 @@ def _counted_binomial(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(sums, counts) of n Binomial(M, p) draws, drawn as one multinomial over 0..M.
 
-    The counts of n i.i.d. draws are Multinomial(n, pmf).  numpy draws a
-    multinomial one category at a time, each as a binomial with
-    probability p_j / (1 - p_0 - ... - p_{j-1}); that remainder cancels if
-    the bulk comes first, so the outcomes are drawn in ascending order of
-    mass.  Only sums drawn at least once are returned.
+    The one-group case of ``_counted_binomials``, bit for bit, in scalar
+    draws: numpy's array-argument ``multinomial`` costs about 12 us a call
+    more, which a Bernoulli atom would pay on every block.  Only sums drawn
+    at least once are returned.
     """
     pmf = _binomial_pmf(M, p)
     order = np.argsort(pmf, kind="stable")
@@ -234,6 +293,37 @@ def _counted_binomial(
     counts[order] = _multinomial(gen, n, pmf[order])
     sums = np.flatnonzero(counts)
     return sums, counts[sums]
+
+
+def _counted_binomials(
+    gen: np.random.Generator, n: np.ndarray, M: np.ndarray, p: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(group, sums, counts): for each group g, the sums that n[g] Binomial(M[g], p)
+    draws reached, ascending, and how many reached each; group by group.
+
+    The counts of n i.i.d. draws are Multinomial(n, pmf), one multinomial
+    per group, drawn in group order in one call.  numpy draws a
+    multinomial one category at a time, each as a binomial with
+    probability p_j / (1 - p_0 - ... - p_{j-1}); that remainder cancels if
+    the bulk comes first, so the outcomes are drawn in ascending order of
+    mass.  A group's row is padded in front to the longest with categories
+    of mass 0, which draw nothing and leave the remainder as it is, and
+    is normalized over its own outcomes, so each group draws as
+    ``gen.multinomial(n[g], pmf / pmf.sum())`` alone would.
+    """
+    M = M[:, None]
+    pmf = _binomial_pmf(M, p)
+    pmf[np.arange(pmf.shape[1]) > M] = -1.0  # the padding sorts first
+    order = np.argsort(pmf, axis=1, kind="stable")
+    rows = np.arange(len(M))[:, None]
+    ascending = pmf[rows, order]
+    for row, pad in zip(ascending, (np.max(M) - M).ravel().tolist()):
+        row[:pad] = 0.0
+        row[pad:] /= row[pad:].sum()
+    counts = np.empty_like(order)
+    counts[rows, order] = gen.multinomial(n, ascending)
+    group, sums = np.nonzero(counts)
+    return group, sums, counts[group, sums]
 
 
 def _beta_sums(c: Beta, M: int, n: int, gen: np.random.Generator) -> np.ndarray:
@@ -284,9 +374,16 @@ def _merge_counts(
         counted.append(np.unique(np.concatenate(raw), return_counts=True))
     if len(counted) == 1:
         return counted[0]
-    keys, inverse = np.unique(np.concatenate([k for k, _ in counted]), return_inverse=True)
+    return _add_by_key(*(np.concatenate(part) for part in zip(*counted)))
+
+
+def _add_by_key(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending distinct keys, and the total of the counts of each."""
+    if (keys[1:] > keys[:-1]).all():  # already so, as a one-stage chain's are
+        return keys, counts
+    keys, inverse = np.unique(keys, return_inverse=True)
     totals = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(totals, inverse.reshape(-1), np.concatenate([c for _, c in counted]))
+    np.add.at(totals, inverse.reshape(-1), counts)
     return keys, totals
 
 
@@ -307,6 +404,7 @@ def estimate_tail(
     """
     if replications < 1:
         raise DomainError(f"replications must be >= 1, got {replications}")
+    master_seed = check_master_seed(master_seed)
     a = side_anchor(summarize(m), q.side)
     if q.side is Side.LOWER:
         m = flip_model(m)
@@ -349,6 +447,7 @@ def sample_mean_histogram(
     if replications < 1:
         raise DomainError(f"replications must be >= 1, got {replications}")
     check_engine_m(M)
+    master_seed = check_master_seed(master_seed)
     edges = np.linspace(0.0, 1.0, bins + 1)
     counts = np.zeros(bins, dtype=np.int64)
     for table in _empirical_law(m, M, replications, master_seed):
@@ -541,7 +640,7 @@ def run_sweep(
         raise DomainError(f"replications must be >= 1, got {replications}")
     if method not in METHODS:
         raise DomainError(f"unknown sweep method {method!r}")
-    check_master_seed(master_seed)
+    master_seed = check_master_seed(master_seed)
     n_threads = _resolve_threads(threads)
 
     # one group of cells per (model, side, M): the cells that share a drawn law

@@ -65,18 +65,27 @@ class SeedSpec:
     replication_index: int
 
     def __post_init__(self) -> None:
-        check_master_seed(self.master_seed)
+        # frozen: both fields become Python ints, which the stream hash needs
+        object.__setattr__(self, "master_seed", check_master_seed(self.master_seed))
+        try:
+            object.__setattr__(self, "replication_index", operator.index(self.replication_index))
+        except TypeError:
+            raise DomainError(
+                f"replication_index must be an integer, got {self.replication_index!r}"
+            ) from None
         if self.replication_index < 0:
             raise DomainError(
                 f"replication_index must be >= 0, got {self.replication_index}"
             )
 
 
-def check_master_seed(master_seed: int) -> None:
-    """An integer master seed in [0, 2^64).  Streams are keyed by its 64 bits, so
-    a seed outside would draw the rows of the seed it equals modulo 2^64."""
+def check_master_seed(master_seed: int) -> int:
+    """The master seed as a Python int, which must lie in [0, 2^64).  Streams are
+    keyed by its 64 bits, so a seed outside would draw the rows of the seed it
+    equals modulo 2^64.  A numpy integer keys as the int it holds: the stream
+    hash needs Python ints, which do not wrap or overflow."""
     try:
-        operator.index(master_seed)
+        master_seed = operator.index(master_seed)
     except TypeError:
         raise DomainError(f"master_seed must be an integer, got {master_seed!r}") from None
     if not 0 <= master_seed <= _MASK64:
@@ -84,6 +93,7 @@ def check_master_seed(master_seed: int) -> None:
             f"a seed of {len(str(abs(master_seed)))} digits"
         )
         raise DomainError(f"master_seed must lie in [0, 2^64), got {shown}")
+    return master_seed
 
 
 def mix64(master_seed: int, index: int) -> int:

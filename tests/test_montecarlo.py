@@ -67,6 +67,92 @@ def counted_binomial(gen, n, M, p):
     return counts
 
 
+def counted_multinomial(gen, n, M, weights):
+    """{count vector: batches} of n Multinomial(M, weights) draws, placed from
+    the last point down: a group of r batches with r > left draws its counts
+    as one multinomial (counted_binomial), row by row; then every batch of a
+    group with r <= left draws one binomial, all in one call."""
+    w = np.asarray(weights, dtype=np.float64)
+    below = np.cumsum(w)
+    groups = [((), n, M)]  # (counts placed, from the last point down; batches; left)
+    for j in range(len(w) - 1, 0, -1):
+        if w[j] == 0:  # a point of zero weight draws nothing
+            groups = [(placed + (0,), r, left) for placed, r, left in groups]
+            continue
+        q = float(w[j] / below[j])
+        split, raw = [], []
+        for placed, r, left in groups:
+            if r <= left:
+                raw.extend(range(len(split), len(split) + r))
+                split.extend([(placed, 1, left)] * r)
+            elif left == 0:
+                split.append((placed + (0,), r, left))
+            else:
+                counts = counted_binomial(gen, r, left, q)
+                split.extend(
+                    (placed + (v,), int(counts[v]), left - v)
+                    for v in np.flatnonzero(counts).tolist()
+                )
+        drawn = gen.binomial([split[i][2] for i in raw], q) if raw else []
+        for i, v in zip(raw, np.asarray(drawn).tolist()):
+            placed, _, left = split[i]
+            split[i] = (placed + (v,), 1, left - v)
+        groups = split
+    law = {}
+    for placed, r, left in groups:
+        vector = (left, *reversed(placed))
+        law[vector] = law.get(vector, 0) + r
+    return law
+
+
+def lattice_counts(law, ints):
+    """Ascending distinct sums of a {count vector: batches} law, and their batches."""
+    totals = {}
+    for vector, r in law.items():
+        key = sum(c * z for c, z in zip(vector, ints))
+        totals[key] = totals.get(key, 0) + r
+    keys = sorted(totals)
+    return np.array(keys), np.array([totals[k] for k in keys])
+
+
+def exact_lattice_pmf(weights, ints, M):
+    """{sum key: mass} of M draws, the multinomial terms pushed onto the sums, in
+    Fractions of the float weights."""
+    w = [Fraction(x) for x in weights]
+    w = [x / sum(w) for x in w]
+    pmf = {}
+
+    def place(j, left, coefficient, mass, key):
+        if j == len(w) - 1:
+            term = coefficient * mass * w[j] ** left
+            pmf[key + left * ints[j]] = pmf.get(key + left * ints[j], 0) + term
+            return
+        for c in range(left + 1):
+            place(j + 1, left - c, coefficient * math.comb(left, c), mass * w[j] ** c,
+                  key + c * ints[j])
+
+    place(0, M, 1, Fraction(1), 0)
+    return {k: v for k, v in pmf.items() if v > 0}
+
+
+def chi_square_fits(drawn, pmf, reps):
+    """Whether drawn {sum: count} fits the pmf at 0.001: sums pooled in order
+    until each cell expects at least 5."""
+    expected, observed = [0.0], [0]
+    for key in sorted(pmf):
+        if expected[-1] >= 5:
+            expected.append(0.0)
+            observed.append(0)
+        expected[-1] += float(reps * pmf[key])
+        observed[-1] += drawn.get(key, 0)
+    if expected[-1] < 5:  # fold a short last cell into the one before
+        short_e, short_o = expected.pop(), observed.pop()
+        expected[-1] += short_e
+        observed[-1] += short_o
+    chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    return sum(observed) == reps and chi2 < stats.chi2.ppf(0.999, df=len(expected) - 1)
+
+
 def shrink_bounds(monkeypatch, form="hoeffding_form"):
     """Scale one bound form of every sweep cell by 0.01, so that cells violate it."""
     report_of = montecarlo.tail_bound_report
@@ -330,7 +416,8 @@ class TestHistogram:
 
     def test_a_block_draws_the_atom_counts_first(self):
         # one multinomial gives each atom's share of the block, then each
-        # atom's sums are drawn in atom order from the same stream
+        # atom's sums are drawn in atom order from the same stream, the
+        # discrete atom's as a chain of counted binomials
         points, point_weights = (0.0, 0.5, 1.0), (0.2, 0.3, 0.5)
         m = FiniteMixture([
             (0.2, Bernoulli(0.3)),
@@ -343,9 +430,10 @@ class TestHistogram:
         n_bern, n_disc, n_beta = reference.multinomial(n, w / w.sum()).tolist()
         assert n_bern > M  # so the Bernoulli sums are counted
         bern_counts = counted_binomial(reference, n_bern, M, 0.3)
+        assert n_disc > M  # so the discrete chain starts with a counted stage
         expected = [
             (1, np.flatnonzero(bern_counts), bern_counts[bern_counts > 0]),
-            (2, reference.multinomial(M, pw / pw.sum(), size=n_disc) @ np.array([0, 1, 2]), None),
+            (2, *lattice_counts(counted_multinomial(reference, n_disc, M, pw), [0, 1, 2])),
             (None, reference.beta(2.0, 5.0, size=(n_beta, M)).sum(axis=1), None),
         ]
         gen = derive_stream(seed)
@@ -477,6 +565,151 @@ class TestCountedBinomial:
         assert int(counts.sum()) == n and (counts > 0).all()
         assert (np.diff(sums) > 0).all()
         assert (montecarlo._binomial_pmf(M, p)[sums] > 0).all()
+
+
+class TestCountedMultinomial:
+    """A lattice atom's share of a block is drawn stage by stage, one point per stage."""
+
+    POINTS = {3: (0.0, 0.5, 1.0), 4: (0.0, 0.25, 0.5, 1.0)}
+
+    def atom(self, weights, points=None):
+        points = points or self.POINTS[len(weights)]
+        return FiniteMixture([(1.0, DiscreteOnUnit(points=points, weights=weights))])
+
+    @pytest.mark.parametrize("M", [10, 50])
+    def test_chain_fits_the_lattice_pmf(self, M):
+        # chi-square of 40 blocks of 2^16 against the exact rational pmf
+        weights, reps = (0.2, 0.3, 0.5), 40 * montecarlo.BLOCK_SIZE
+        (table,) = montecarlo._empirical_law.__wrapped__(self.atom(weights), M, reps, 83)
+        assert table.scale == 2
+        drawn = dict(zip(table.keys.tolist(), (-np.diff(table.at_least)).tolist()))
+        assert chi_square_fits(drawn, exact_lattice_pmf(weights, (0, 1, 2), M), reps)
+
+    @pytest.mark.parametrize(
+        "weights", [(0.3, 0.0, 0.45, 0.25), (0.0, 0.3, 0.7, 0.0)], ids=["inner", "both-ends"]
+    )
+    def test_a_zero_weight_point_is_never_reached(self, weights):
+        # keys are 4 times the sums; with no mass on 0.25 every key is even
+        M, reps = 20, 10 * montecarlo.BLOCK_SIZE
+        (table,) = montecarlo._empirical_law.__wrapped__(self.atom(weights), M, reps, 89)
+        assert table.scale == 4
+        drawn = dict(zip(table.keys.tolist(), (-np.diff(table.at_least)).tolist()))
+        pmf = exact_lattice_pmf(weights, (0, 1, 2, 4), M)
+        assert set(drawn) <= set(pmf)
+        assert chi_square_fits(drawn, pmf, reps)
+
+    @pytest.mark.parametrize(
+        "M,weights",
+        [(1, (0.2, 0.3, 0.5)), (40, (0.2, 0.3, 0.5)), (7, (0.3, 0.0, 0.45, 0.25)),
+         (30, (0.0, 0.3, 0.7, 0.0)), (25, (0.0, 0.0, 1.0))],
+    )
+    def test_counts_fill_the_block_on_sums_of_positive_mass(self, M, weights):
+        n = montecarlo.BLOCK_SIZE
+        gen = _block_stream(SeedSpec(master_seed=97, replication_index=0))
+        vectors, counts = montecarlo._counted_multinomial(gen, n, M, weights)
+        assert int(counts.sum()) == n and (counts > 0).all()
+        assert (vectors >= 0).all() and (vectors.sum(axis=1) == M).all()
+        assert not vectors[:, np.array(weights) == 0].any()
+        D, ints = lattice_points(self.POINTS[len(weights)])
+        gen = _block_stream(SeedSpec(master_seed=97, replication_index=1))
+        ((scale, keys, counts),) = montecarlo._block_sums(self.atom(weights), M, n, gen)
+        assert scale == D and int(counts.sum()) == n and (counts > 0).all()
+        assert (np.diff(keys) > 0).all()
+        assert set(keys.tolist()) <= set(exact_lattice_pmf(weights, ints, M))
+
+    @pytest.mark.parametrize("n", [1, 200])
+    @pytest.mark.parametrize("weights", [(0.2, 0.3, 0.5), (0.3, 0.0, 0.45, 0.25)], ids=["3", "4"])
+    def test_at_most_m_batches_draw_sequential_binomials(self, weights, n):
+        # each batch draws n_j ~ Binomial(left, w_j / (w_1 + ... + w_j)), last point first
+        M, seed = 200, SeedSpec(master_seed=101, replication_index=1)
+        reference = derive_stream(seed)
+        w = np.array(weights)
+        vectors = np.zeros((n, len(w)), dtype=np.int64)
+        left = np.full(n, M)
+        for j in range(len(w) - 1, 0, -1):
+            vectors[:, j] = reference.binomial(left, w[j] / w[: j + 1].sum())
+            left -= vectors[:, j]
+        vectors[:, 0] = left
+        D, ints = lattice_points(self.POINTS[len(weights)])
+        gen = derive_stream(seed)
+        ((scale, keys, counts),) = montecarlo._block_sums(self.atom(weights), M, n, gen)
+        assert scale == D and counts is None
+        assert np.array_equal(keys, vectors @ np.array(ints))
+        assert same_position(gen, reference)
+
+    @pytest.mark.parametrize(
+        "M,weights", [(30, (0.3, 0.0, 0.45, 0.25)), (200, (0.2, 0.3, 0.5)), (9, (0.1, 0.2, 0.3, 0.4))]
+    )
+    def test_a_block_draws_stage_by_stage(self, M, weights):
+        # counted groups of one stage draw in group order, then the single batches
+        seed = SeedSpec(master_seed=107, replication_index=2)
+        gen, reference = derive_stream(seed), derive_stream(seed)
+        n = montecarlo.BLOCK_SIZE
+        D, ints = lattice_points(self.POINTS[len(weights)])
+        ((scale, keys, counts),) = montecarlo._block_sums(self.atom(weights), M, n, gen)
+        want_keys, want_counts = lattice_counts(counted_multinomial(reference, n, M, weights), ints)
+        assert scale == D and np.array_equal(keys, want_keys) and np.array_equal(counts, want_counts)
+        assert same_position(gen, reference)
+
+    @pytest.mark.parametrize("n", [100, montecarlo.BLOCK_SIZE], ids=["raw", "counted"])
+    def test_sums_past_int64_are_python_int_keys(self, n):
+        # 0.1 has denominator 2^55, so 1000 draws pass 2^63 on the lattice
+        points, weights, M = (0.1, 0.2, 0.7), (0.2, 0.5, 0.3), 1_000
+        D, ints = lattice_points(points)
+        assert M * D > np.iinfo(np.int64).max
+        seed = SeedSpec(master_seed=103, replication_index=0)
+        gen = derive_stream(seed)
+        ((scale, keys, counts),) = montecarlo._block_sums(self.atom(weights, points), M, n, gen)
+        assert scale == D and keys.dtype == object
+        assert all(type(key) is int for key in keys.tolist())
+        assert (counts is None) == (n <= M)
+        drawn = dict(zip(*np.unique(keys, return_counts=True))) if counts is None else dict(
+            zip(keys, counts)
+        )
+        reference = derive_stream(seed)
+        want_keys, want_counts = lattice_counts(counted_multinomial(reference, n, M, weights), ints)
+        assert drawn == dict(zip(want_keys, want_counts))
+        assert same_position(gen, reference)
+
+
+class TestNumpyIntegerSeeds:
+    """A numpy-integer master seed draws the rows of the Python int it holds."""
+
+    SEEDS = [np.int64(5), np.uint64(5)]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", SEEDS, ids=["int64", "uint64"])
+    def test_estimate_tail(self, seed):
+        q = TailQuery(M=10, t=0.1, side=Side.LOWER)
+        m = suite_model("three_atom_discrete")
+        montecarlo._empirical_law.cache_clear()
+        estimate = estimate_tail(m, q, 70_000, master_seed=seed)
+        montecarlo._empirical_law.cache_clear()
+        assert type(estimate.master_seed) is int
+        assert estimate == estimate_tail(m, q, 70_000, master_seed=5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", SEEDS, ids=["int64", "uint64"])
+    def test_histogram(self, seed):
+        m = suite_model("two_atom")
+        montecarlo._empirical_law.cache_clear()
+        histogram = sample_mean_histogram(m, 20, replications=10_000, bins=8, master_seed=seed)
+        montecarlo._empirical_law.cache_clear()
+        assert type(histogram.master_seed) is int
+        assert histogram == sample_mean_histogram(m, 20, replications=10_000, bins=8, master_seed=5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", SEEDS, ids=["int64", "uint64"])
+    def test_run_sweep(self, seed):
+        def sweep(master_seed):
+            montecarlo._empirical_law.cache_clear()
+            return run_sweep(
+                list(standard_suite()), [3, 50], [0.05, 0.2], [Side.UPPER, Side.LOWER],
+                10_000, master_seed, method="montecarlo",
+            )
+
+        result = sweep(seed)
+        assert type(result.master_seed) is int and result == sweep(5)
 
 
 class TestRunSweep:

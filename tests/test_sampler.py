@@ -73,9 +73,29 @@ class TestStreams:
         with pytest.raises(DomainError, match="master_seed must be an integer"):
             SeedSpec(master_seed=1.5, replication_index=0)
 
+    def test_fractional_replication_index_rejected(self):
+        with pytest.raises(DomainError, match="replication_index must be an integer"):
+            SeedSpec(master_seed=1, replication_index=1.5)
+
     def test_master_seed_range_edges_accepted(self):
         for master_seed in (0, 2**64 - 1):
             assert SeedSpec(master_seed=master_seed, replication_index=0).master_seed == master_seed
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "master_seed", [np.int64(5), np.uint64(5), np.uint64(2**64 - 1)],
+        ids=["int64", "uint64", "uint64-max"],
+    )
+    def test_numpy_integer_seed_fields_are_the_ints_they_hold(self, master_seed):
+        # the stream hash works in Python ints; a numpy integer overflowed or warned there
+        spec, same = SeedSpec(master_seed, type(master_seed)(3)), SeedSpec(int(master_seed), 3)
+        assert type(spec.master_seed) is int and type(spec.replication_index) is int
+        assert spec == same
+        for stream in (derive_stream, _block_stream):
+            words = stream(spec).bit_generator.random_raw(4)
+            assert np.array_equal(words, stream(same).bit_generator.random_raw(4))
+        batch = sample_sequence(TWO_ATOM, 5, spec)
+        assert np.array_equal(batch.values, sample_sequence(TWO_ATOM, 5, same).values)
 
 
 class TestBlockStreams:
