@@ -63,7 +63,6 @@ _EXPORTS = {
         "PointMass",
         "TruncatedBetaDensity",
         "UniformDensity",
-        "component_mean",
         "flip_model",
         "joint_law",
         "summarize",

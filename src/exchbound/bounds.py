@@ -121,14 +121,13 @@ class RangeBounds:
 class BoundReport:
     """All closed-form bound values for one (anchor, M, t) query.
 
-    ``h0``, ``chernoff_at_h0`` and ``kl_form`` are None when the query
-    lies outside the validity window (no guarantee exists there), and
-    within an ulp of the window's end, where the float forms are undefined.
+    ``h0`` and ``kl_form`` are None when the query lies outside the
+    validity window (no guarantee exists there), and within an ulp of the
+    window's end, where the float forms are undefined.
     """
 
     hoeffding_form: float
     h0: Optional[float]
-    chernoff_at_h0: Optional[float]
     kl_form: Optional[float]
     in_validity_range: bool
 
@@ -329,7 +328,6 @@ def tail_bound_report(anchor: Union[float, Fraction], M: int, t: float) -> Bound
     return BoundReport(
         hoeffding_form=hoeffding,
         h0=h0,
-        chernoff_at_h0=None if h0 is None else chernoff_curve(mu, t, M, h0),
         kl_form=None if h0 is None else kl_form_bound(mu, t, M),
         in_validity_range=in_range,
     )

@@ -217,11 +217,6 @@ class Beta:
 Component = Union[Bernoulli, PointMass, DiscreteOnUnit, Beta]
 
 
-def component_mean(c: Component) -> float:
-    """Exact mean of a component distribution (correctly rounded to float)."""
-    return c.mean()
-
-
 # ---------------------------------------------------------------------------
 # Mixing measures
 # ---------------------------------------------------------------------------

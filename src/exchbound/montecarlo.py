@@ -149,14 +149,10 @@ def clopper_pearson_interval(successes: int, n: int, level: float = DEFAULT_CI_L
 def _lattice_sums(counts: np.ndarray, ints: Sequence[int], bound: int) -> np.ndarray:
     """counts @ ints, row by row, for sums known to be at most ``bound``.
 
-    In int64 when the bound fits; otherwise in Python ints (an object
-    array), one dot product per distinct count vector.
+    In int64 when the bound fits; otherwise in Python ints (an object array).
     """
-    if bound <= _INT64_MAX:
-        return counts @ np.array(ints, dtype=np.int64)
-    rows, inverse = np.unique(counts, axis=0, return_inverse=True)
-    keys = np.array([sum(map(operator.mul, row, ints)) for row in rows.tolist()], dtype=object)
-    return keys[inverse.reshape(-1)]
+    dtype = np.int64 if bound <= _INT64_MAX else object
+    return counts.astype(dtype, copy=False) @ np.array(ints, dtype=dtype)
 
 
 def _block_sums(
@@ -537,61 +533,60 @@ def _law_seed(master_seed: int, model_id: str, M: int, side: Side) -> Optional[i
     return mix64(master_seed, int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
 
 
-# (model_id, model, side_anchor(summary, side), M, t, side, _law_seed(...))
-_Cell = tuple[str, MixingMeasure, Fraction, int, float, Side, Optional[int]]
+@dataclass(frozen=True)
+class _Group:
+    """The cells of one (model, side, M): one anchor, one seed, so one drawn law."""
+
+    model_id: str
+    model: MixingMeasure
+    anchor: Fraction  # side_anchor(summarize(model), side)
+    M: int
+    side: Side
+    seed: Optional[int]  # _law_seed(master_seed, model_id, M, side)
+    ts: Sequence[float]
 
 
-def _answer(
-    cell: _Cell,
-    query: TailQuery,
-    replications: int,
-    method: str,
-    level: float,
-) -> tuple[str, float, Optional[float], Optional[float]]:
-    """(method, value, ci_low, ci_high): exact where asked and possible, else Monte Carlo."""
-    _, m, *_, seed = cell
-    if method != "montecarlo":
+def _sweep_group(group: _Group, replications: int, method: str, level: float) -> list[SweepRow]:
+    """One row per t of the group: exact where asked and possible, else Monte Carlo."""
+    rows = []
+    for t in group.ts:
+        row = dict(model_id=group.model_id, M=group.M, t=t, side=str(group.side))
         try:
-            exact = exact_tail(m, query)
-            return str(exact.method), exact.probability, None, None
-        except (UnsupportedModel, MTooLarge):
-            if method == "exact":
-                raise
-    estimate = estimate_tail(m, query, replications, seed, level)
-    return "montecarlo", estimate.p_hat, estimate.ci_low, estimate.ci_high
-
-
-def _sweep_cell(cell: _Cell, **engine_args) -> SweepRow:
-    model_id, _, anchor, M, t, side, _ = cell
-    row = dict(model_id=model_id, M=M, t=t, side=str(side))
-    try:
-        query = TailQuery(M=M, t=t, side=side)
-        report = tail_bound_report(anchor, M, t)
-        row.update(
-            hoeffding=report.hoeffding_form,
-            kl_form=report.kl_form,
-            h0=report.h0,
-            valid=report.in_validity_range,
-        )
-        method, value, ci_low, ci_high = _answer(cell, query, **engine_args)
-        low = value if ci_low is None else ci_low
-        row.update(
-            method=method,
-            value=value,
-            ci_low=ci_low,
-            ci_high=ci_high,
-            violation=report.in_validity_range and (
+            query = TailQuery(M=group.M, t=t, side=group.side)
+            report = tail_bound_report(group.anchor, group.M, t)
+            row.update(
+                hoeffding=report.hoeffding_form,
+                kl_form=report.kl_form,
+                h0=report.h0,
+                valid=report.in_validity_range,
+            )
+            exact = None
+            if method != "montecarlo":
+                try:
+                    exact = exact_tail(group.model, query)
+                except (UnsupportedModel, MTooLarge):
+                    if method == "exact":
+                        raise
+            if exact is not None:
+                row.update(method=str(exact.method), value=exact.probability)
+                low = exact.probability
+            else:
+                estimate = estimate_tail(group.model, query, replications, group.seed, level)
+                row.update(
+                    method="montecarlo",
+                    value=estimate.p_hat,
+                    ci_low=estimate.ci_low,
+                    ci_high=estimate.ci_high,
+                )
+                low = estimate.ci_low
+            row["violation"] = report.in_validity_range and (
                 low > report.hoeffding_form
                 or (report.kl_form is not None and low > report.kl_form)
-            ),
-        )
-    except ExchboundError as e:
-        row["method"] = f"error:{type(e).__name__}"
-    return SweepRow(**row)
-
-
-def _sweep_group(cells: list[_Cell], **kwargs) -> list[SweepRow]:
-    return [_sweep_cell(cell, **kwargs) for cell in cells]
+            )
+        except ExchboundError as e:
+            row["method"] = f"error:{type(e).__name__}"
+        rows.append(SweepRow(**row))
+    return rows
 
 
 def run_sweep(
@@ -610,21 +605,23 @@ def run_sweep(
 
     ``t_grid`` is either a list of deviations shared by every model and
     side, or an int n: n deviations spanning each (model, side) validity
-    window (:func:`window_t_grid`).  Rows come out model by model, then
-    side, then M, then t.
+    window (:func:`window_t_grid`).  The sweep's unit is the group of the
+    cells of one (model, side, M), which share an anchor and a drawn law.
+    Rows come out model by model, then side, then M, then t.
 
     ``method`` selects the engine per cell: "auto" prefers the exact
     oracle and falls back to Monte Carlo, "exact" and "montecarlo" force
     one engine.  Per-cell failures become rows with method "error:<name>"
     rather than aborting the sweep.  An unknown method, a master seed
-    outside [0, 2^64), or two cells with the same row key (model_id, M, t,
-    side), raise DomainError before any cell runs.
+    outside [0, 2^64), two groups with one key (model_id, M, side), even
+    of different models or t grids, or a t repeated within a group, raise
+    DomainError before any cell runs.
 
     With ``threads`` > 1 (or the EXCHBOUND_THREADS environment variable)
-    the cells are evaluated concurrently, one (model, side, M) group per
-    task.  A Monte Carlo cell is seeded with mix64(master_seed, k), where
-    k is a 64-bit SHA-256 digest of (model_id, M, side): every t of the
-    group reads one drawn law.  A cell's result therefore depends only on
+    the groups are evaluated concurrently, one group per task.  A Monte
+    Carlo cell is seeded with mix64(master_seed, k), where k is a 64-bit
+    SHA-256 digest of (model_id, M, side): every t of the group reads one
+    drawn law.  A cell's result therefore depends only on
     the master seed and the cell itself: not on the grid, the other
     models, the thread count or the caller.
     """
@@ -643,8 +640,7 @@ def run_sweep(
     master_seed = check_master_seed(master_seed)
     n_threads = _resolve_threads(threads)
 
-    # one group of cells per (model, side, M): the cells that share a drawn law
-    groups: list[list[_Cell]] = []
+    groups: list[_Group] = []
     keys = set()
     for model_id, m in models:
         summary = summarize(m)
@@ -652,17 +648,17 @@ def run_sweep(
             anchor = side_anchor(summary, side)
             ts = window_t_grid(anchor, t_grid) if isinstance(t_grid, int) else t_grid
             for M in M_grid:
-                seed = _law_seed(master_seed, model_id, M, side)
-                groups.append([])
+                # a repeated group would repeat its rows and draw from its stream
+                seen = set(ts) if (model_id, M, side) in keys else set()
                 for t in ts:
-                    # a repeated key would repeat a row and share its random stream
-                    key = (model_id, M, t, side)
-                    if key in keys:
+                    if t in seen:
                         raise DomainError(
                             f"duplicate cell model_id={model_id!r} M={M} t={t!r} side={side}"
                         )
-                    keys.add(key)
-                    groups[-1].append((model_id, m, anchor, M, t, side, seed))
+                    seen.add(t)
+                keys.add((model_id, M, side))
+                seed = _law_seed(master_seed, model_id, M, side)
+                groups.append(_Group(model_id, m, anchor, M, side, seed, ts))
 
     evaluate = functools.partial(
         _sweep_group,
@@ -675,7 +671,7 @@ def run_sweep(
     else:
         # a group per task, so two threads never draw one law; largest M
         # first, so the longest draws do not start last
-        order = sorted(range(len(groups)), key=lambda i: -groups[i][0][3])
+        order = sorted(range(len(groups)), key=lambda i: -groups[i].M)
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             futures = {i: pool.submit(evaluate, groups[i]) for i in order}
             done = [futures[i].result() for i in range(len(groups))]

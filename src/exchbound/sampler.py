@@ -41,14 +41,7 @@ import numpy as np
 
 from .bounds import check_engine_m
 from .errors import DomainError
-from .model import (  # pick_index stays importable from here, beside SeedSpec
-    Bernoulli,
-    BernoulliParamMixture,
-    Component,
-    FiniteMixture,
-    MixingMeasure,
-    pick_index,
-)
+from .model import Bernoulli, BernoulliParamMixture, Component, FiniteMixture, MixingMeasure
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # SplitMix64 stream increment
@@ -187,7 +180,7 @@ def sample_sequence(m: MixingMeasure, M: int, seed: SeedSpec) -> SampleBatch:
     gen = _replay_stream(seed)
     u0 = gen.random()
     if isinstance(m, FiniteMixture):
-        # pick_index's rule on one float, without numpy's per-call set-up
+        # model.pick_index's rule on one float, without numpy's per-call set-up
         cum = m.cumulative_weights
         idx = min(bisect.bisect_right(cum, u0), len(cum) - 1)
         component: Component = m.atoms[idx][1]

@@ -145,7 +145,7 @@ class TestOptimalH:
         h0 = optimal_h(mu, t)
         assert math.isfinite(h0) and h0 > 0.0
         r = tail_bound_report(mu, 10, t)
-        assert r.h0 == h0 and not math.isnan(r.chernoff_at_h0)
+        assert r.h0 == h0 and not math.isnan(chernoff_curve(mu, t, 10, r.h0))
 
     @given(
         st.one_of(st.floats(5e-324, 1e-290), st.floats(0.0, 1.0, exclude_min=True)),
@@ -376,13 +376,13 @@ class TestTailBoundReport:
         r = tail_bound_report(0.5, 1, 0.25)
         assert r.in_validity_range
         assert r.h0 == pytest.approx(math.log(3), abs=1e-15)
-        assert r.chernoff_at_h0 == pytest.approx(r.kl_form, abs=1e-12)
+        assert chernoff_curve(0.5, 0.25, 1, r.h0) == pytest.approx(r.kl_form, abs=1e-12)
         assert r.kl_form <= r.hoeffding_form
 
     def test_outside_window(self):
         r = tail_bound_report(0.95, 100, 0.1)
         assert not r.in_validity_range
-        assert r.h0 is None and r.kl_form is None and r.chernoff_at_h0 is None
+        assert r.h0 is None and r.kl_form is None
         assert r.hoeffding_form == pytest.approx(math.exp(-2.0), abs=1e-15)
 
     @pytest.mark.parametrize("anchor", [-0.5, 1.5, Fraction(-1, 2), math.nan, -math.inf])

@@ -571,6 +571,7 @@ class TestCliCommands:
             ("verify", ["--m-grid", "2", "2"], None),
             ("verify", ["--t-grid", "0.1", "0.1"], None),
             ("verify", ["--model", "a/m.json", "--model", "b/m.json"], None),
+            ("verify", ["--model", "a/m.json", "--model", "c/m.json", "--t-grid", "auto:3"], None),
             ("simulate", ["--t", "inf"], None),
             ("simulate", ["--t", "0"], None),
             ("simulate", ["--m", "0"], None),
@@ -602,7 +603,7 @@ class TestCliCommands:
         ],
         ids=[
             "auto-abc", "auto-0", "inf", "nan", "abc", "level", "m-0", "threads-env",
-            "m-duplicate", "t-duplicate", "model-id-duplicate",
+            "m-duplicate", "t-duplicate", "model-id-duplicate", "model-id-of-two-models",
             "simulate-inf", "simulate-t-0", "simulate-m-0", "simulate-level", "bounds-m-0",
             "bounds-t-inf",
             "auto-superscript", "threads-env-superscript", "ci-range-inf", "ci-range-nan",
@@ -617,12 +618,14 @@ class TestCliCommands:
     def test_verify_rejects_bad_arguments_before_any_cell(
         self, tmp_path, capsys, monkeypatch, command, extra, threads_env
     ):
-        monkeypatch.setattr(montecarlo, "_sweep_cell", lambda *a, **k: pytest.fail("a cell ran"))
+        monkeypatch.setattr(montecarlo, "_sweep_group", lambda *a, **k: pytest.fail("a cell ran"))
         if threads_env is not None:
             monkeypatch.setenv("EXCHBOUND_THREADS", threads_env)
-        for sub in ("a", "b"):  # two model files that share the stem "m"
+        # three model files that share the stem "m", the third a different model
+        stem_docs = {"a": TWO_ATOM_DOC, "b": TWO_ATOM_DOC, "c": ARGUMENT_TEST_DOCS["bern"]}
+        for sub, doc in stem_docs.items():
             (tmp_path / sub).mkdir()
-            write_model(tmp_path / sub, TWO_ATOM_DOC, name="m.json")
+            write_model(tmp_path / sub, doc, name="m.json")
         for name, doc in {**TRUNCATED_BETA_DOCS, **ARGUMENT_TEST_DOCS}.items():
             write_model(tmp_path, doc, name=f"{name}.json")
         monkeypatch.chdir(tmp_path)

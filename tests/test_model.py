@@ -21,7 +21,6 @@ from exchbound import (
     TruncatedBetaDensity,
     UniformDensity,
     UnsupportedModel,
-    component_mean,
     joint_law,
     summarize,
 )
@@ -40,19 +39,19 @@ THREE_ATOM = FiniteMixture(
 
 class TestComponentMean:
     def test_bernoulli_is_parameter(self):
-        assert component_mean(Bernoulli(0.2)) == 0.2
+        assert Bernoulli(0.2).mean() == 0.2
 
     def test_pointmass_is_location(self):
-        assert component_mean(PointMass(0.7)) == 0.7
+        assert PointMass(0.7).mean() == 0.7
 
     def test_beta_closed_form(self):
         # alpha / (alpha + beta)
-        assert component_mean(Beta(2.0, 2.0)) == 0.5
-        assert component_mean(Beta(1.0, 3.0)) == pytest.approx(0.25, abs=1e-15)
+        assert Beta(2.0, 2.0).mean() == 0.5
+        assert Beta(1.0, 3.0).mean() == pytest.approx(0.25, abs=1e-15)
 
     def test_discrete_weighted_sum(self):
         c = DiscreteOnUnit(points=[0.0, 0.5, 1.0], weights=[0.2, 0.3, 0.5])
-        assert component_mean(c) == pytest.approx(0.3 * 0.5 + 0.5, abs=1e-15)
+        assert c.mean() == pytest.approx(0.3 * 0.5 + 0.5, abs=1e-15)
 
 
 class TestValidation:

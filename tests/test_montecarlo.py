@@ -748,20 +748,27 @@ class TestRunSweep:
     )
     def test_duplicate_row_keys_rejected(self, monkeypatch, models, M_grid, t_grid):
         monkeypatch.setattr(
-            montecarlo, "_sweep_cell", lambda *a, **k: pytest.fail("a cell ran")
+            montecarlo, "_sweep_group", lambda *a, **k: pytest.fail("a cell ran")
         )
         with pytest.raises(DomainError, match="model_id='two_atom' M=2 t=0.1 side=upper"):
             run_sweep(models, M_grid, t_grid, [Side.UPPER], 10, 1)
 
+    def test_two_models_with_one_model_id_rejected_before_any_group(self, monkeypatch):
+        # their auto t grids differ, so no row repeats, but both would draw one stream
+        monkeypatch.setattr(montecarlo, "_sweep_group", lambda *a, **k: pytest.fail("a group ran"))
+        models = [("m", FiniteMixture([(1.0, Bernoulli(p))])) for p in (0.3, 0.4)]
+        with pytest.raises(DomainError, match="duplicate cell model_id='m' M=10 t=.* side=upper"):
+            run_sweep(models, [10], 10, [Side.UPPER], 10, 1)
+
     @pytest.mark.parametrize("master_seed", [-1, 2**64], ids=["-1", "2^64"])
     def test_master_seed_outside_64_bits_rejected_before_any_cell(self, monkeypatch, master_seed):
-        monkeypatch.setattr(montecarlo, "_sweep_cell", lambda *a, **k: pytest.fail("a cell ran"))
+        monkeypatch.setattr(montecarlo, "_sweep_group", lambda *a, **k: pytest.fail("a cell ran"))
         with pytest.raises(DomainError, match=r"master_seed must lie in \[0, 2\^64\)"):
             run_sweep([("two_atom", TWO_ATOM)], [2], [0.1], [Side.UPPER], 10, master_seed)
 
     def test_unknown_method_rejected_before_any_cell(self, monkeypatch):
         monkeypatch.setattr(
-            montecarlo, "_sweep_cell", lambda *a, **k: pytest.fail("a cell ran")
+            montecarlo, "_sweep_group", lambda *a, **k: pytest.fail("a cell ran")
         )
         with pytest.raises(DomainError, match="unknown sweep method 'exactt'"):
             run_sweep([("two_atom", TWO_ATOM)], [2], [0.1], [Side.UPPER], 10, 1, method="exactt")
