@@ -159,13 +159,17 @@ def model_from_obj(obj) -> MixingMeasure:
 
 def load_model_file(path: str) -> MixingMeasure:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ModelFileError("$", f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ModelFileError("$", f"not UTF-8 text: {e}") from e
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ModelFileError("$", f"not valid JSON: {e}") from e
+    except RecursionError:  # the parser recurses once per nested array or object
+        raise ModelFileError("$", "JSON nested too deeply to parse") from None
     return model_from_obj(obj)
 
 

@@ -122,7 +122,9 @@ class DiscreteOnUnit:
     weights: tuple[float, ...]
 
     def __init__(self, points, weights) -> None:
-        # points are stored as given (reflection may supply exact rationals)
+        # points are stored as given (reflection may supply exact rationals), a
+        # numpy scalar as the Python number it holds, so that each has as_integer_ratio
+        points = (x.item() if isinstance(x, np.generic) else x for x in points)
         object.__setattr__(self, "points", tuple(points))
         object.__setattr__(self, "weights", tuple(float(w) for w in weights))
         self._validate()
@@ -196,9 +198,11 @@ class Beta:
     beta: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0.0 and self.beta > 0.0):
+        # a sum past the float range would make the mean alpha / (alpha + beta) 0
+        if not (self.alpha > 0.0 and self.beta > 0.0 and math.isfinite(self.alpha + self.beta)):
             raise InvalidModel(
-                f"Beta parameters must be positive, got alpha={self.alpha!r}, beta={self.beta!r}"
+                f"Beta parameters must be positive with a finite sum, got "
+                f"alpha={self.alpha!r}, beta={self.beta!r}"
             )
 
     def mean(self) -> float:

@@ -32,12 +32,14 @@ gets, so a block first draws those counts as one Multinomial(n,
 weights), then each atom's sums in atom order (a one-atom mixture's
 count takes no draw).  A parameter-mixture block draws n Bernoulli
 parameters, then their n binomial sums.  Within a block, the Beta sums
-of an atom are drawn in row chunks of about 2^17 variates from that one stream, so
-memory stays at one chunk, or one row past 2^17, however large
+of an atom are drawn in row chunks of about 2^17 variates from that one
+stream, so memory stays at one chunk, or one row past 2^17, however large
 replications grows, and the sums are those of drawing the whole block
 at once.  A row is held whole, so M is at most 2^24 for a Beta atom.
-The drawn sums of one (model, M, replications, seed) form one empirical law
-(``_empirical_law``): one ``oracle.SumTable`` of draw counts per scale,
+Every atom's share of a block is counted: distinct ascending sums, each
+with how many batches reached it.  The drawn sums of one (model, M,
+replications, seed) form one empirical law (``_empirical_law``): one
+``oracle.SumTable`` of draw counts per scale, its pieces added by sum,
 kept in a small cache, from which every threshold reads an exact
 integer count and histograms bin.  Results
 therefore do not depend on execution order or thread count, and an
@@ -157,7 +159,7 @@ def _lattice_sums(counts: np.ndarray, ints: Sequence[int], bound: int) -> np.nda
 
 def _block_sums(
     m: MixingMeasure, M: int, n: int, gen: np.random.Generator
-) -> Iterator[tuple[Optional[int], np.ndarray, Optional[np.ndarray]]]:
+) -> Iterator[tuple[Optional[int], np.ndarray, np.ndarray]]:
     """Draw n conditional sums S as (scale, keys, counts), per drawn atom in atom order.
 
     A finite mixture's weights fix only how many of the n batches each
@@ -169,30 +171,29 @@ def _block_sums(
     D of their denominators (``lattice_points``).  A Beta atom yields
     float sums at scale None.
 
-    ``counts`` is None when ``keys`` holds one raw sum per batch.
-    Otherwise ``keys`` are distinct ascending sums and ``counts`` how many
-    batches reached each.  A one-point atom's sum is the constant M*D*x,
-    so it yields that key with count ni and draws nothing.  A Bernoulli(p)
-    atom's one stage is ``_counted_binomial`` over the sums 0..M when it
-    has ni > M batches, else the ni binomials.  ``_empirical_law`` only
-    counts the sums, so they need not come in replication order.
+    ``keys`` are distinct ascending sums and ``counts`` how many batches
+    reached each (``np.unique`` counts Beta and parameter-mixture sums).
+    A one-point atom's sum is the constant M*D*x, so it yields that key
+    with count ni and draws nothing.  A Bernoulli(p) atom's one stage is
+    ``_counted_binomial`` over the sums 0..M when it has ni > M batches,
+    else the ni binomials.
     """
     if isinstance(m, BernoulliParamMixture):
         p = m.density.quantile(gen.random(n))
-        yield 1, gen.binomial(M, p), None
+        yield 1, *np.unique(gen.binomial(M, p), return_counts=True)
         return
     assert isinstance(m, FiniteMixture)
     for ni, c in zip(_multinomial(gen, n, m.weights).tolist(), m.components):
         if ni == 0:
             continue
         if isinstance(c, Beta):
-            yield None, _beta_sums(c, M, ni, gen), None
+            yield None, *np.unique(_beta_sums(c, M, ni, gen), return_counts=True)
             continue
         points, weights = c.discrete_law()
         D, ints = lattice_points(points)
         vectors, counts = _counted_multinomial(gen, ni, M, weights)
         keys = _lattice_sums(vectors, ints, M * D)
-        yield D, *((keys, None) if counts is None else _add_by_key(keys, counts))
+        yield D, *_add_by_key(keys, counts)
 
 
 def _multinomial(gen: np.random.Generator, n: int, weights: Sequence[float]) -> np.ndarray:
@@ -204,7 +205,7 @@ def _multinomial(gen: np.random.Generator, n: int, weights: Sequence[float]) -> 
 
 def _counted_multinomial(
     gen: np.random.Generator, n: int, M: int, weights: Sequence[float]
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """(vectors, counts): the count vectors of n Multinomial(M, weights) draws as
     rows, and how many of the n batches each row stands for.
 
@@ -220,8 +221,8 @@ def _counted_multinomial(
     group, such as the first, draws the same numbers with scalar arguments
     (``_counted_binomial``, or ``gen.binomial(left, q, size=r)``).  A group with
     nothing left, or a point of zero weight, draws nothing, so a one-point
-    atom draws nothing at all.  Two rows may hold one vector.  ``counts``
-    is None when every row is one batch.
+    atom draws nothing at all.  Two rows may hold one vector; with no
+    counted group, each row is one batch, in row order.
     """
     w = np.asarray(weights, dtype=np.float64)
     below = np.cumsum(w)  # below[j] = w_1 + ... + w_j
@@ -259,7 +260,7 @@ def _counted_multinomial(
             reps[raw] = 1
         left -= vectors[:, j]
     vectors[:, 0] = left
-    return vectors, None if len(reps) == n else reps
+    return vectors, reps
 
 
 def _binomial_pmf(M, p: float) -> np.ndarray:
@@ -350,32 +351,19 @@ def _empirical_law(
     if M > BETA_MAX_M and isinstance(m, FiniteMixture):
         if any(isinstance(c, Beta) for c in m.components):
             raise DomainError(f"M must be <= {BETA_MAX_M} for a Beta component, got {M}")
-    parts: dict[Optional[int], list[tuple[np.ndarray, Optional[np.ndarray]]]] = {}
+    parts: dict[Optional[int], list[tuple[np.ndarray, np.ndarray]]] = {}
     for block_index, start in enumerate(range(0, replications, BLOCK_SIZE)):
         gen = _block_stream(SeedSpec(master_seed=seed, replication_index=block_index))
         size = min(BLOCK_SIZE, replications - start)
         for scale, keys, counts in _block_sums(m, M, size, gen):
             parts.setdefault(scale, []).append((keys, counts))
-    return tuple(SumTable(scale, *_merge_counts(pieces)) for scale, pieces in parts.items())
-
-
-def _merge_counts(
-    pieces: list[tuple[np.ndarray, Optional[np.ndarray]]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending distinct keys and their total counts, over raw sums (counts None)
-    and counted ones."""
-    raw = [keys for keys, counts in pieces if counts is None]
-    counted = [(keys, counts) for keys, counts in pieces if counts is not None]
-    if raw:
-        counted.append(np.unique(np.concatenate(raw), return_counts=True))
-    if len(counted) == 1:
-        return counted[0]
-    return _add_by_key(*(np.concatenate(part) for part in zip(*counted)))
+    return tuple(SumTable(scale, *_add_by_key(*map(np.concatenate, zip(*pieces))))
+                 for scale, pieces in parts.items())
 
 
 def _add_by_key(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending distinct keys, and the total of the counts of each."""
-    if (keys[1:] > keys[:-1]).all():  # already so, as a one-stage chain's are
+    if (keys[1:] > keys[:-1]).all():  # already so, as a single piece's are
         return keys, counts
     keys, inverse = np.unique(keys, return_inverse=True)
     totals = np.zeros(len(keys), dtype=np.int64)

@@ -4,12 +4,15 @@ Conditional on the drawn component, the sum S = X_1 + ... + X_M of a
 batch is a sum of i.i.d. draws, so the tail of the sample mean
 decomposes over the mixing measure:
 
-* Bernoulli components: S is Binomial(M, p); regularized-incomplete-beta
-  tails from ``scipy.special``.
-* Point masses and discrete components: the pmf convolved M times over
-  the points scaled to integers, one cached lattice law per
-  (component, M), a :class:`SumTable` shared by every threshold; a
-  refusal is cached too.
+* Atoms of two points x0 < x1, Bernoulli or discrete, at any M:
+  S = M*x0 + (x1 - x0)*B with B ~ Binomial(M, w1), w1 the weight of x1,
+  so S >= thr iff B >= k, one exact ceiling in integers, and the tail is
+  one regularized incomplete beta from ``scipy.special``.  A mixture of
+  such atoms only is labelled ``binomial``, any other ``convolution``.
+* Point masses and discrete atoms of three or more points: the pmf
+  convolved M times over the points scaled to integers, one cached
+  lattice law per (component, M), a :class:`SumTable` shared by every
+  threshold; a refusal is cached too.
   Points on a common grid (after subtracting the smallest and dividing
   by the gcd g of the gaps, the step law is a dense vector of span + 1
   entries) are raised to the M-th power by repeated squaring with
@@ -62,7 +65,6 @@ from scipy import special
 from .bounds import Side, TailQuery, check_engine_m, side_anchor
 from .errors import DomainError, MTooLarge
 from .model import (
-    Bernoulli,
     BernoulliParamMixture,
     FiniteMixture,
     MixingMeasure,
@@ -141,11 +143,12 @@ def exact_sum_tail(
 
 def _finite_mixture_sum_tail(m: FiniteMixture, M: int, thr: Fraction) -> ExactTail:
     # every support first: a Beta atom raises UnsupportedModel before any lattice law is built
-    laws = [(w, c.discrete_law()) for w, c in m.atoms if not isinstance(c, Bernoulli)]
-    parts = [
-        w * _binomial_sum_tail(M, float(c.p), thr) for w, c in m.atoms if isinstance(c, Bernoulli)
-    ]
+    laws = [(w, c.discrete_law()) for w, c in m.atoms]
+    parts = []
     for w, (points, weights) in laws:
+        if len(points) == 2:
+            parts.append(w * _two_point_sum_tail(points, weights[1], M, thr))
+            continue
         table = _lattice_law(points, weights, M)
         if table is None:
             raise MTooLarge(f"the sum of M={M} draws from {len(points)} points lies on more "
@@ -153,17 +156,22 @@ def _finite_mixture_sum_tail(m: FiniteMixture, M: int, thr: Fraction) -> ExactTa
                             f"{LATTICE_MAX_STATES} values")
         parts.append(w * float(table.tail(thr)))
     prob = min(1.0, max(0.0, math.fsum(parts)))  # fsum is exact, so atom order cannot matter
-    method = TailMethod.DISCRETE_CONVOLUTION if laws else TailMethod.BINOMIAL_CLOSED_FORM
+    two_point = all(len(points) == 2 for _, (points, _) in laws)
+    method = TailMethod.BINOMIAL_CLOSED_FORM if two_point else TailMethod.DISCRETE_CONVOLUTION
     return ExactTail(probability=prob, method=method)
 
 
-def _binomial_sum_tail(M: int, p: float, thr: Fraction) -> float:
-    k = math.ceil(thr)  # S >= thr iff S >= ceil(thr) on the integer lattice
+def _two_point_sum_tail(points: tuple, w1: float, M: int, thr: Fraction) -> float:
+    """P(S >= thr) for M draws from x0 < x1, x1 of weight w1: S = M*x0 + (x1 - x0)*B
+    with B ~ Binomial(M, w1), so S >= thr iff B >= k = ceil((thr - M*x0) / (x1 - x0))."""
+    (a0, b0), (a1, b1) = (x.as_integer_ratio() for x in points)
+    num = (thr.numerator * b0 - M * a0 * thr.denominator) * b1
+    k = -(-num // (thr.denominator * (a1 * b0 - a0 * b1)))  # an exact ceiling in ints
     if k <= 0:
         return 1.0
     if k > M:
         return 0.0
-    return float(special.betainc(k, M - k + 1, p))  # P(Bin(M, p) >= k)
+    return float(special.betainc(k, M - k + 1, w1))  # P(Bin(M, w1) >= k)
 
 
 def lattice_points(points: Sequence[Scalar]) -> tuple[int, tuple[int, ...]]:

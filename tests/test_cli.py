@@ -220,6 +220,38 @@ class TestModelFiles:
         with pytest.raises(ModelFileError):
             load_model_file(str(path))
 
+    # the bytes of a model file, and the start of the one error line it exits 2 with
+    BAD_FILES = {
+        "not-utf8": (b"\xff\xfe\x00", "error: $: not UTF-8 text"),
+        "nested-too-deeply": (b"[" * 100_000, "error: $: JSON nested too deeply"),
+        "infinite-beta-alpha": (
+            b'{"type": "finite", "atoms": [{"weight": 1, '
+            b'"component": {"kind": "beta", "alpha": 1e999, "beta": 2}}]}',
+            "error: atoms[0].component: Beta parameters must be positive with a finite sum",
+        ),
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD_FILES))
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["verify", "--m-grid", "5", "--out", "report.csv"],
+            ["simulate", "--m", "5", "--t", "0.1", "--reps", "10"],
+            ["histogram", "--m", "5", "--reps", "100"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_a_bad_model_file_exits_2_without_a_traceback(
+        self, tmp_path, monkeypatch, capsys, command, bad
+    ):
+        content, message = self.BAD_FILES[bad]
+        (tmp_path / "model.json").write_bytes(content)
+        monkeypatch.chdir(tmp_path)
+        assert main([command[0], "--model", "model.json", *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "Traceback" not in err
+        assert not (tmp_path / "report.csv").exists()
+
 
 def make_report(reps=2_000, seed=5):
     sweep = run_sweep(

@@ -69,6 +69,22 @@ class TestValidation:
         with pytest.raises(InvalidModel):
             Beta(1.0, -2.0)
 
+    @pytest.mark.parametrize(
+        "alpha,beta", [(math.inf, 2.0), (2.0, math.inf), (math.nan, 1.0), (1e308, 1e308)]
+    )
+    def test_beta_needs_finite_parameters_with_a_finite_sum(self, alpha, beta):
+        # at 1e308 each, alpha + beta overflows and the mean alpha / (alpha + beta) read 0
+        with pytest.raises(InvalidModel, match="finite sum"):
+            Beta(alpha, beta)
+
+    def test_beta_near_the_float_range_keeps_its_mean(self):
+        assert Beta(8.9e307, 8.9e307).mean() == 0.5
+
+    def test_numpy_scalar_points_are_stored_as_python_numbers(self):
+        c = DiscreteOnUnit(points=np.array([0, 1]), weights=[0.5, 0.5])
+        assert [type(x) for x in c.points] == [int, int]
+        assert c == DiscreteOnUnit(points=[0, 1], weights=[0.5, 0.5])
+
     def test_discrete_points_strictly_increasing(self):
         with pytest.raises(InvalidModel):
             DiscreteOnUnit(points=[0.5, 0.5], weights=[0.5, 0.5])

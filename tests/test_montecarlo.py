@@ -51,9 +51,10 @@ TWO_ATOM = FiniteMixture([(0.5, Bernoulli(0.2)), (0.5, Bernoulli(0.8))])
 ZERO_ONE = FiniteMixture([(0.5, PointMass(0.0)), (0.5, PointMass(1.0))])
 
 
-def same_position(a, b):
-    """Whether two generators of one stream have consumed the same draws."""
-    return np.array_equal(a.bit_generator.random_raw(8), b.bit_generator.random_raw(8))
+def same_position(*gens):
+    """Whether generators of one stream have all consumed the same draws."""
+    first, *rest = (g.bit_generator.random_raw(8) for g in gens)
+    return all(np.array_equal(first, other) for other in rest)
 
 
 def counted_binomial(gen, n, M, p):
@@ -410,9 +411,12 @@ class TestHistogram:
         seed = SeedSpec(master_seed=47, replication_index=2)
         reference = derive_stream(seed)  # one atom: its count takes no draw
         expected = reference.beta(2.0, 5.0, size=(n, M)).sum(axis=1)
-        ((scale, sums, counts),) = montecarlo._block_sums(m, M, n, derive_stream(seed))
-        assert scale is None and counts is None
+        sums = montecarlo._beta_sums(m.components[0], M, n, derive_stream(seed))
         assert np.array_equal(sums, expected)
+        ((scale, sums, counts),) = montecarlo._block_sums(m, M, n, derive_stream(seed))
+        assert scale is None
+        want, want_counts = np.unique(expected, return_counts=True)
+        assert np.array_equal(sums, want) and np.array_equal(counts, want_counts)
 
     def test_a_block_draws_the_atom_counts_first(self):
         # one multinomial gives each atom's share of the block, then each
@@ -434,15 +438,14 @@ class TestHistogram:
         expected = [
             (1, np.flatnonzero(bern_counts), bern_counts[bern_counts > 0]),
             (2, *lattice_counts(counted_multinomial(reference, n_disc, M, pw), [0, 1, 2])),
-            (None, reference.beta(2.0, 5.0, size=(n_beta, M)).sum(axis=1), None),
         ]
+        beta_sums = reference.beta(2.0, 5.0, size=(n_beta, M)).sum(axis=1)
+        expected.append((None, *np.unique(beta_sums, return_counts=True)))
         gen = derive_stream(seed)
         drawn = list(montecarlo._block_sums(m, M, n, gen))
         assert [scale for scale, *_ in drawn] == [scale for scale, *_ in expected]
         for (_, sums, counts), (_, want, want_counts) in zip(drawn, expected):
-            assert np.array_equal(sums, want)
-            assert (counts is None) == (want_counts is None)
-            assert counts is None or np.array_equal(counts, want_counts)
+            assert np.array_equal(sums, want) and np.array_equal(counts, want_counts)
         assert same_position(gen, reference)
 
     @pytest.mark.parametrize(
@@ -543,12 +546,16 @@ class TestCountedBinomial:
         M, seed = 200, SeedSpec(master_seed=71, replication_index=1)
         reference = derive_stream(seed)
         expected = reference.binomial(M, 0.3, size=n)
-        gen = derive_stream(seed)
         m = FiniteMixture([(1.0, Bernoulli(0.3))])
+        gen, chain = derive_stream(seed), derive_stream(seed)
+        _, weights = m.components[0].discrete_law()
+        vectors, counts = montecarlo._counted_multinomial(chain, n, M, weights)
+        assert counts.tolist() == [1] * n
+        assert np.array_equal(vectors[:, 1], expected)
         ((scale, sums, counts),) = montecarlo._block_sums(m, M, n, gen)
-        assert scale == 1 and counts is None
-        assert np.array_equal(sums, expected)
-        assert same_position(gen, reference)
+        want, want_counts = np.unique(expected, return_counts=True)
+        assert scale == 1 and np.array_equal(sums, want) and np.array_equal(counts, want_counts)
+        assert same_position(gen, chain, reference)
 
     @pytest.mark.parametrize("p,key", [(0.0, 0), (1.0, 50)])
     def test_a_sure_outcome_takes_every_batch(self, p, key):
@@ -630,12 +637,15 @@ class TestCountedMultinomial:
             vectors[:, j] = reference.binomial(left, w[j] / w[: j + 1].sum())
             left -= vectors[:, j]
         vectors[:, 0] = left
+        gen, chain = derive_stream(seed), derive_stream(seed)
+        drawn, counts = montecarlo._counted_multinomial(chain, n, M, weights)
+        assert counts.tolist() == [1] * n
+        assert np.array_equal(drawn, vectors)
         D, ints = lattice_points(self.POINTS[len(weights)])
-        gen = derive_stream(seed)
         ((scale, keys, counts),) = montecarlo._block_sums(self.atom(weights), M, n, gen)
-        assert scale == D and counts is None
-        assert np.array_equal(keys, vectors @ np.array(ints))
-        assert same_position(gen, reference)
+        want, want_counts = np.unique(vectors @ np.array(ints), return_counts=True)
+        assert scale == D and np.array_equal(keys, want) and np.array_equal(counts, want_counts)
+        assert same_position(gen, chain, reference)
 
     @pytest.mark.parametrize(
         "M,weights", [(30, (0.3, 0.0, 0.45, 0.25)), (200, (0.2, 0.3, 0.5)), (9, (0.1, 0.2, 0.3, 0.4))]
@@ -662,10 +672,8 @@ class TestCountedMultinomial:
         ((scale, keys, counts),) = montecarlo._block_sums(self.atom(weights, points), M, n, gen)
         assert scale == D and keys.dtype == object
         assert all(type(key) is int for key in keys.tolist())
-        assert (counts is None) == (n <= M)
-        drawn = dict(zip(*np.unique(keys, return_counts=True))) if counts is None else dict(
-            zip(keys, counts)
-        )
+        assert (np.diff(keys) > 0).all() and int(counts.sum()) == n
+        drawn = dict(zip(keys, counts))
         reference = derive_stream(seed)
         want_keys, want_counts = lattice_counts(counted_multinomial(reference, n, M, weights), ints)
         assert drawn == dict(zip(want_keys, want_counts))

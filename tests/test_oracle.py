@@ -33,6 +33,7 @@ from exchbound import (
     summarize,
 )
 from exchbound import montecarlo, oracle
+from exchbound.bounds import side_anchor
 from exchbound.oracle import (
     LATTICE_DENSE_MAX,
     LATTICE_MAX_STATES,
@@ -229,6 +230,120 @@ class TestFiniteMixtureTails:
         m = FiniteMixture([(1.0, Beta(2.0, 2.0))])
         with pytest.raises(UnsupportedModel):
             exact_tail(m, TailQuery(M=2, t=0.1, side=Side.UPPER))
+
+
+def two_point(points, weights):
+    return FiniteMixture([(1.0, DiscreteOnUnit(points=points, weights=weights))])
+
+
+def two_point_tail(points, w1, M, thr, side) -> Fraction:
+    """P(S >= thr) (upper) or P(S <= thr) (lower) for M draws from two points, the
+    upper of weight w1, summed over the M + 1 sums in exact rationals."""
+    x0, x1 = map(Fraction, points)
+    q = Fraction(w1)
+    return sum(
+        math.comb(M, b) * q**b * (1 - q) ** (M - b)
+        for b in range(M + 1)
+        if (M * x0 + (x1 - x0) * b >= thr if side is Side.UPPER else M * x0 + (x1 - x0) * b <= thr)
+    )
+
+
+class TestTwoPointAtoms:
+    """Every atom of two points, Bernoulli or discrete, is one incomplete beta at any M."""
+
+    MODELS = [((0.2, 0.9), (0.3, 0.7)), ((0.1, 0.6), (0.4, 0.6))]
+
+    @pytest.mark.parametrize("M", range(1, 9))
+    @pytest.mark.parametrize("points,weights", MODELS, ids=["0.2-0.9", "0.1-0.6"])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_matches_exact_rational_enumeration(self, points, weights, M, flip):
+        m = two_point(points, weights)
+        if flip:  # points become exact rational complements such as 1 - Fraction(0.9)
+            m = flip_model(m)
+        ((_, c),) = m.atoms
+        x0, x1 = map(Fraction, c.points)
+        sums = [M * x0 + (x1 - x0) * b for b in range(M + 1)]
+        gap = (x1 - x0) / 3
+        for side in (Side.UPPER, Side.LOWER):
+            for thr in {*sums, *(s + gap for s in sums), *(s - gap for s in sums)}:
+                got = exact_sum_tail(m, M, thr, side)
+                assert got.method is TailMethod.BINOMIAL_CLOSED_FORM
+                expected = float(two_point_tail(c.points, c.weights[1], M, thr, side))
+                assert got.probability == pytest.approx(expected, rel=1e-13, abs=0.0), thr
+            for t in (0.01, 0.1, 0.25):
+                got = exact_tail(m, TailQuery(M=M, t=t, side=side))
+                a = side_anchor(summarize(m), side)
+                thr = M * (a + Fraction(t)) if side is Side.UPPER else M * (1 - a - Fraction(t))
+                expected = float(two_point_tail(c.points, c.weights[1], M, thr, side))
+                assert got.probability == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("M", [100, 1_000, LATTICE_DENSE_MAX - 1])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_agrees_with_the_lattice_law_up_to_its_cap(self, M, flip):
+        m = two_point((0.2, 0.9), (0.3, 0.7))
+        if flip:
+            m = flip_model(m)
+        ((_, c),) = m.atoms
+        table = _lattice_law(c.points, c.weights, M)
+        assert isinstance(table.keys, range)  # the dense law, one step per sum
+        x0, x1 = map(Fraction, c.points)
+        for b in sorted({*range(0, M + 1, max(1, M // 200)), *range(M - 40, M + 1)}):
+            thr = M * x0 + (x1 - x0) * b
+            expected = float(table.tail(thr))
+            got = exact_sum_tail(m, M, thr, Side.UPPER).probability
+            if expected > 1e-300:
+                assert got == pytest.approx(expected, rel=1e-11, abs=0.0), b
+
+    @pytest.mark.parametrize("M", [LATTICE_DENSE_MAX, 10**6])
+    @pytest.mark.parametrize("side", [Side.UPPER, Side.LOWER])
+    def test_past_the_lattice_cap_is_one_incomplete_beta(self, M, side):
+        m = two_point((0.2, 0.9), (0.3, 0.7))
+        got = exact_tail(m, TailQuery(M=M, t=0.01, side=side))
+        assert got.method is TailMethod.BINOMIAL_CLOSED_FORM
+        # the upper side's count of 0.9s, or the lower side's count of 0.2s, reaches k
+        c = flip_model(m).atoms[0][1] if side is Side.LOWER else m.atoms[0][1]
+        x0, x1 = map(Fraction, c.points)
+        a = side_anchor(summarize(m), side)
+        k = math.ceil((M * (a + Fraction(0.01)) - M * x0) / (x1 - x0))
+        assert 0 < k <= M
+        assert got.probability == float(special.betainc(k, M - k + 1, c.weights[1]))
+        assert 0.0 < got.probability <= hoeffding_tail_bound(M, 0.01)
+
+    @pytest.mark.parametrize("p", [0.3, 0.25, 1e-3, 0.999])
+    def test_a_two_point_atom_on_0_1_is_the_bernoulli_bit_for_bit(self, p):
+        bern = FiniteMixture([(1.0, Bernoulli(p))])
+        disc = two_point((0, 1), (1 - p, p))
+        for M in (1, 7, 200, 10**5):
+            for side in (Side.UPPER, Side.LOWER):
+                for t in (1e-4, 0.01, 0.1, 0.3):
+                    q = TailQuery(M=M, t=t, side=side)
+                    assert exact_tail(disc, q) == exact_tail(bern, q)
+
+    @pytest.mark.parametrize("weights,x", [((1.0, 0.0), 0.2), ((0.0, 1.0), 0.9)])
+    def test_a_zero_weight_point_is_never_reached(self, weights, x):
+        # every draw is x, so S = M*x exactly, at every M
+        m = two_point((0.2, 0.9), weights)
+        for M in (1, 3, 10**6):
+            s = M * Fraction(x)
+            for thr, upper, lower in ((s, 1.0, 1.0), (s + Fraction(1, 10**9), 0.0, 1.0),
+                                      (s - Fraction(1, 10**9), 1.0, 0.0)):
+                assert exact_sum_tail(m, M, thr, Side.UPPER).probability == upper
+                assert exact_sum_tail(m, M, thr, Side.LOWER).probability == lower
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4])
+    def test_a_mixture_is_binomial_only_if_every_atom_has_two_points(self, M):
+        two = (0.6, DiscreteOnUnit(points=[0.2, 0.9], weights=[0.3, 0.7]))
+        for other, method in (
+            (Bernoulli(0.4), TailMethod.BINOMIAL_CLOSED_FORM),
+            (DiscreteOnUnit(points=[0.0, 0.3, 1.0], weights=[0.5, 0.25, 0.25]),
+             TailMethod.DISCRETE_CONVOLUTION),
+            (PointMass(0.5), TailMethod.DISCRETE_CONVOLUTION),
+        ):
+            m = FiniteMixture([two, (0.4, other)])
+            thr = Fraction(M) * (Fraction(summarize(m).mu_plus) + Fraction(0.05))
+            got = exact_sum_tail(m, M, thr, Side.UPPER)
+            assert got.method is method
+            assert got.probability == pytest.approx(enumerate_tail(m, M, thr), rel=1e-12)
 
 
 class TestDegenerateModel:
