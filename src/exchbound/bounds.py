@@ -89,7 +89,20 @@ def side_anchor(summary: ModelSummary, side: Side) -> Fraction:
     """
     if side is Side.UPPER:
         return Fraction(summary.mu_plus)
-    return 1 - Fraction(summary.mu_minus)
+    n, d = exact_ratio(summary.mu_minus)
+    return Fraction(d - n, d)
+
+
+def exact_ratio(x) -> tuple[int, int]:
+    """The exact value of a float, int, Fraction or numpy integer as (numerator, denominator).
+
+    Thresholds and windows are decided on these ints: Fraction arithmetic
+    costs microseconds an operation, a per-cell cost of every sweep.
+    """
+    try:
+        return x.as_integer_ratio()
+    except AttributeError:  # a numpy integer
+        return operator.index(x), 1
 
 
 @dataclass(frozen=True)
@@ -322,7 +335,8 @@ def tail_bound_report(anchor: Union[float, Fraction], M: int, t: float) -> Bound
     hoeffding = hoeffding_tail_bound(M, t)  # checks M and t before the window
     if not 0 <= anchor <= 1:
         raise DomainError(f"anchor must lie in [0,1], got {anchor!r}")
-    in_range = t < 1 - Fraction(anchor)  # a float against a Fraction compares exactly
+    (tn, td), (an, ad) = exact_ratio(t), exact_ratio(anchor)
+    in_range = tn * ad < (ad - an) * td  # t < 1 - a, exactly
     mu = float(anchor)
     h0 = optimal_h(mu, t) if in_range and 0.0 < mu < 1.0 and t < 1.0 - mu else None
     return BoundReport(

@@ -44,6 +44,12 @@ WEIGHT_TOL = 1e-12  # machine-precision-scale slack for user-supplied weights
 
 JOINT_LAW_MAX_K = 6  # alphabet**k tuples are enumerated; guard the blowup
 
+# the oracle's Beta-binomial weights difference log-beta values of size
+# about alpha + beta, so their relative error grows with it: measured at
+# M in {5, 50, 200}, 4e-9 at 1e6, 7e-5 at 1e10 and a tail of 1.0 for 1/32
+# at 1e15 (README, "Known precision limit")
+TRUNCATED_BETA_MAX_SUM = 1e6
+
 # Component parameters are floats in normal use.  Model reflection
 # (flip_model) stores exact rational complements instead, because
 # 1-(1-x) loses the last bit of x in float arithmetic and reflection must
@@ -232,6 +238,8 @@ class FiniteMixture:
 
     ``cumulative_weights`` (not a dataclass field) holds the running sums
     of the weights, as numpy's cumsum rounds them, for drawing an atom.
+    The hash is taken once: every memoized engine keys on the model, and
+    a reflected model's ``Fraction`` points are slow to hash.
     """
 
     atoms: tuple[tuple[float, Component], ...]
@@ -242,6 +250,10 @@ class FiniteMixture:
         )
         self._validate()
         object.__setattr__(self, "cumulative_weights", tuple(_cumulative(self.weights).tolist()))
+        object.__setattr__(self, "_hash", hash(self.atoms))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def _validate(self) -> None:
         if not self.atoms:
@@ -308,10 +320,11 @@ class TruncatedBetaDensity:
     hi: Scalar
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0.0 and self.beta > 0.0):
+        a, b = self.alpha, self.beta
+        if not (a > 0.0 and b > 0.0 and a + b <= TRUNCATED_BETA_MAX_SUM):
             raise InvalidModel(
-                f"TruncatedBeta parameters must be positive, got "
-                f"alpha={self.alpha!r}, beta={self.beta!r}"
+                f"TruncatedBeta parameters must be positive with alpha + beta <= "
+                f"{TRUNCATED_BETA_MAX_SUM:g}, got alpha={a!r}, beta={b!r}"
             )
         _check_support(self)
 
@@ -387,13 +400,20 @@ def _check_support(d: ParamDensity) -> None:
 
 @dataclass(frozen=True)
 class BernoulliParamMixture:
-    """Continuous mixture over Bernoulli(p) with p drawn from ``density``."""
+    """Continuous mixture over Bernoulli(p) with p drawn from ``density``.
+
+    Hashed once, as ``FiniteMixture`` is.
+    """
 
     density: ParamDensity
 
     def __post_init__(self) -> None:
         if not isinstance(self.density, (UniformDensity, TruncatedBetaDensity)):
             raise InvalidModel(f"unsupported density: {self.density!r}")
+        object.__setattr__(self, "_hash", hash(self.density))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def reflect(self) -> BernoulliParamMixture:
         return BernoulliParamMixture(self.density.reflect())

@@ -14,7 +14,12 @@ draws how many reach each next count as one multinomial over 0..left,
 outcomes in ascending order of mass, rather than r binomials.  Smaller
 groups draw their binomials batch by batch, in one vectorized call per
 stage, as at huge M.  A Bernoulli atom has one stage; a one-point atom
-has none and draws nothing, its sum being M times its point.
+has none and draws nothing, its sum being M times its point.  A uniform
+parameter mixture draws no parameter: with X_i = 1{U_i <= p} and p
+uniform on [lo, hi], the draws below lo, inside [lo, hi] and above hi
+are a three-point chain, and p is one more uniform inside, so its rank
+among the N draws inside is uniform on 0..N (Bayes' billiard); the sum
+is the count below lo plus that rank.
 This is distributionally identical to materializing the M individual
 observations (the batch is conditionally i.i.d.), and it is what makes
 10^5-replication sweeps over hundreds of cells affordable.  The
@@ -30,12 +35,12 @@ replays (``sample_sequence``) stay on Philox.  The mixing weights of a
 finite mixture fix only how many of a block's n replications each atom
 gets, so a block first draws those counts as one Multinomial(n,
 weights), then each atom's sums in atom order (a one-atom mixture's
-count takes no draw).  A parameter-mixture block draws n Bernoulli
-parameters, then their n binomial sums.  Within a block, the Beta sums
-of an atom are drawn in row chunks of about 2^17 variates from that one
-stream, so memory stays at one chunk, or one row past 2^17, however large
-replications grows, and the sums are those of drawing the whole block
-at once.  A row is held whole, so M is at most 2^24 for a Beta atom.
+count takes no draw).  A truncated-Beta parameter-mixture block draws n
+Bernoulli parameters, then their n binomial sums.  Within a block, the
+Beta sums of an atom are drawn in row chunks of about 2^17 variates from
+that one stream, so memory stays at one chunk, or one row past 2^17,
+however large replications grows, and the sums are those of drawing the
+whole block at once.  A row is held whole, so M is at most 2^24 for a Beta atom.
 Every atom's share of a block is counted: distinct ascending sums, each
 with how many batches reached it.  The drawn sums of one (model, M,
 replications, seed) form one empirical law (``_empirical_law``): one
@@ -89,10 +94,11 @@ from .model import (
     BernoulliParamMixture,
     FiniteMixture,
     MixingMeasure,
+    UniformDensity,
     flip_model,
     summarize,
 )
-from .oracle import SumTable, exact_tail, lattice_points
+from .oracle import SumTable, exact_tail, lattice_points, sum_threshold
 from .sampler import SeedSpec, _block_stream, check_master_seed, mix64
 from .sampler import derive_stream  # noqa: F401  perfbench/tracing.py wraps this name
 
@@ -177,10 +183,24 @@ def _block_sums(
     with count ni and draws nothing.  A Bernoulli(p) atom's one stage is
     ``_counted_binomial`` over the sums 0..M when it has ni > M batches,
     else the ni binomials.
+
+    A truncated Beta density draws n parameters by ``quantile``, then n
+    binomial sums.  A uniform density on [lo, hi] draws the count vectors
+    (above hi, inside, below lo) over the weights (1 - hi, hi - lo, lo)
+    by ``_counted_multinomial``, then one rank uniform on 0..inside per
+    batch, rows in order: the sum is below + rank.  ``endpoint=True``
+    keeps the rank's bound at M, which fits int64 where M + 1 may not.
     """
     if isinstance(m, BernoulliParamMixture):
-        p = m.density.quantile(gen.random(n))
-        yield 1, *np.unique(gen.binomial(M, p), return_counts=True)
+        d = m.density
+        if isinstance(d, UniformDensity):
+            lo, hi = float(d.lo), float(d.hi)
+            vectors, counts = _counted_multinomial(gen, n, M, [1.0 - hi, hi - lo, lo])
+            below, inside = (np.repeat(vectors[:, j], counts) for j in (2, 1))
+            sums = below + gen.integers(0, inside, endpoint=True)  # the rank of p
+        else:
+            sums = gen.binomial(M, d.quantile(gen.random(n)))
+        yield 1, *np.unique(sums, return_counts=True)
         return
     assert isinstance(m, FiniteMixture)
     for ni, c in zip(_multinomial(gen, n, m.weights).tolist(), m.components):
@@ -362,13 +382,21 @@ def _empirical_law(
 
 
 def _add_by_key(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending distinct keys, and the total of the counts of each."""
+    """Ascending distinct keys, and the total of the counts of each.
+
+    A law's pieces arrive concatenated, each ascending, and a stable sort
+    merges such runs in about linear time; a block's lattice keys come in
+    row order.
+    """
     if (keys[1:] > keys[:-1]).all():  # already so, as a single piece's are
         return keys, counts
-    keys, inverse = np.unique(keys, return_inverse=True)
-    totals = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(totals, inverse.reshape(-1), counts)
-    return keys, totals
+    order = np.argsort(keys, kind="stable")
+    keys, counts = keys[order], counts[order]
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    if first.all():  # distinct, as a Beta atom's float sums nearly always are
+        return keys, counts
+    first = np.flatnonzero(first)
+    return keys[first], np.add.reduceat(counts, first)
 
 
 def estimate_tail(
@@ -392,7 +420,7 @@ def estimate_tail(
     a = side_anchor(summarize(m), q.side)
     if q.side is Side.LOWER:
         m = flip_model(m)
-    thr = q.M * (a + Fraction(q.t))
+    thr = sum_threshold(q.M, a, q.t)
     law = _empirical_law(m, q.M, replications, master_seed)
     exceed = sum(int(table.tail(thr)) for table in law)
     ci_low, ci_high = clopper_pearson_interval(exceed, replications, level)

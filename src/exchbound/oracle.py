@@ -55,6 +55,7 @@ import bisect
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -62,7 +63,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import special
 
-from .bounds import Side, TailQuery, check_engine_m, side_anchor
+from .bounds import Side, TailQuery, check_engine_m, exact_ratio, side_anchor
 from .errors import DomainError, MTooLarge
 from .model import (
     BernoulliParamMixture,
@@ -114,7 +115,16 @@ def exact_tail(m: MixingMeasure, q: TailQuery) -> ExactTail:
     a = side_anchor(summarize(m), q.side)
     if q.side is Side.LOWER:
         m = flip_model(m)
-    return exact_sum_tail(m, q.M, q.M * (a + Fraction(q.t)), Side.UPPER)
+    return exact_sum_tail(m, q.M, sum_threshold(q.M, a, q.t), Side.UPPER)
+
+
+def sum_threshold(M: int, a: Fraction, t: float) -> Fraction:
+    """M*(a + t) exactly, t taken at its IEEE value, built in ints (``bounds.exact_ratio``).
+
+    M may be a numpy integer, whose products would overflow int64.
+    """
+    (an, ad), (tn, td) = (a.numerator, a.denominator), exact_ratio(t)
+    return Fraction(operator.index(M) * (an * td + tn * ad), ad * td)
 
 
 def exact_sum_tail(
@@ -202,8 +212,12 @@ class SumTable:
 
     def tail(self, thr: Fraction):
         """The mass of the sums S >= thr."""
-        # on the lattice S >= thr iff S*D >= ceil(thr*D); a float S >= thr iff S >= _float_ceil(thr)
-        k = _float_ceil(thr) if self.scale is None else math.ceil(thr * self.scale)
+        # on the lattice S >= thr iff S*D >= ceil(thr*D), an exact ceiling in ints;
+        # a float S >= thr iff S >= _float_ceil(thr)
+        if self.scale is None:
+            k = _float_ceil(thr)
+        else:
+            k = -(-thr.numerator * self.scale // thr.denominator)
         return self.at_least[bisect.bisect_left(self.keys, k)]
 
 

@@ -390,6 +390,14 @@ class TestTailBoundReport:
         with pytest.raises(DomainError, match="anchor must lie in"):
             tail_bound_report(anchor, 2, 0.1)
 
+    @pytest.mark.parametrize(
+        "anchor", [0.7, Fraction(7, 10), 1 - Fraction(0.3), np.float64(0.7), np.int64(0), 1]
+    )
+    @pytest.mark.parametrize("t", [0.3, np.float64(0.3), 0.30000000000000004, np.int64(1)])
+    def test_window_is_decided_exactly_on_any_number_type(self, anchor, t):
+        expected = bool(Fraction(t) < 1 - Fraction(anchor))
+        assert tail_bound_report(anchor, 10, t).in_validity_range is expected
+
     def test_boundary_mu_yields_no_optimized_forms(self):
         r = tail_bound_report(1.0, 10, 0.1)
         assert not r.in_validity_range

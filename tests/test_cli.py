@@ -229,6 +229,11 @@ class TestModelFiles:
             b'"component": {"kind": "beta", "alpha": 1e999, "beta": 2}}]}',
             "error: atoms[0].component: Beta parameters must be positive with a finite sum",
         ),
+        "concentrated-truncated-beta": (
+            b'{"type": "bernoulli_param", "density": {"kind": "truncated_beta", '
+            b'"alpha": 1e15, "beta": 1e15, "lo": 0.2, "hi": 0.8}}',
+            "error: density: TruncatedBeta parameters must be positive with alpha + beta <= 1e+06",
+        ),
     }
 
     @pytest.mark.parametrize("bad", sorted(BAD_FILES))

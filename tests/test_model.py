@@ -24,6 +24,7 @@ from exchbound import (
     joint_law,
     summarize,
 )
+from exchbound import model
 from exchbound.cli import _COMPONENT_KINDS, _DENSITY_KINDS
 
 TWO_ATOM = FiniteMixture([(0.5, Bernoulli(0.2)), (0.5, Bernoulli(0.8))])
@@ -116,6 +117,19 @@ class TestValidation:
         # Beta(800, 800) puts less than the smallest float on either end
         with pytest.raises(InvalidModel):
             TruncatedBetaDensity(alpha=800.0, beta=800.0, lo=lo, hi=hi)
+
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [(5e5, 5e5 + 1.0), (1e15, 1e15), (math.inf, 2.0), (math.nan, 2.0)],
+    )
+    def test_truncated_beta_refuses_a_sum_past_the_limit(self, alpha, beta):
+        # past alpha + beta = 1e6 the oracle's log-beta weights lose more than 4e-9
+        with pytest.raises(InvalidModel, match="alpha \\+ beta <= 1e\\+06"):
+            TruncatedBetaDensity(alpha=alpha, beta=beta, lo=0.2, hi=0.8)
+
+    def test_truncated_beta_takes_the_limit_itself(self):
+        d = TruncatedBetaDensity(alpha=5e5, beta=5e5, lo=0.2, hi=0.8)
+        assert d.alpha + d.beta == model.TRUNCATED_BETA_MAX_SUM
 
     def test_truncated_beta_deep_in_a_tail(self):
         # true mass 6.4e-30: a difference of lower-tail values rounds it to 0

@@ -27,11 +27,13 @@ from exchbound import (
     SeedSpec,
     Side,
     TailQuery,
+    TruncatedBetaDensity,
     UniformDensity,
     clopper_pearson_interval,
     estimate_tail,
     exact_sum_tail,
     exact_tail,
+    flip_model,
     lower_tail_bound_by_flip,
     run_sweep,
     sample_mean_histogram,
@@ -678,6 +680,100 @@ class TestCountedMultinomial:
         want_keys, want_counts = lattice_counts(counted_multinomial(reference, n, M, weights), ints)
         assert drawn == dict(zip(want_keys, want_counts))
         assert same_position(gen, reference)
+
+
+def law_digest(law):
+    """A short SHA-256 of every table of a drawn law: scale, keys and tail counts."""
+    h = hashlib.sha256()
+    for table in law:
+        h.update(repr(table.scale).encode())
+        h.update(np.asarray(table.keys).tobytes())
+        h.update(table.at_least.astype(np.int64).tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestParamMixtureBlocks:
+    """A uniform density's block is a chain over the draws below lo, inside
+    [lo, hi] and above hi, plus the rank of p among those inside (Bayes'
+    billiard); a truncated Beta density draws p, then a binomial sum."""
+
+    @pytest.mark.parametrize("side", [Side.UPPER, Side.LOWER])
+    @pytest.mark.parametrize("lo,hi", [(0.2, 0.8), (0.0, 1.0), (0.0, 0.3), (0.65, 1.0)])
+    def test_rank_draw_fits_the_exact_pmf(self, lo, hi, side):
+        # chi-square of 10^6 draws against the oracle's pmf; the lower side
+        # is the reflected model's upper tail
+        m = BernoulliParamMixture(UniformDensity(lo, hi))
+        m = m if side is Side.UPPER else flip_model(m)
+        reps = 10**6
+        for M in (1, 3, 10, 50):
+            (table,) = montecarlo._empirical_law.__wrapped__(m, M, reps, mix64(107, M))
+            assert table.scale == 1
+            drawn = dict(zip(table.keys.tolist(), (-np.diff(table.at_least)).tolist()))
+            tails = [exact_sum_tail(m, M, k, Side.UPPER).probability for k in range(M + 2)]
+            pmf = {k: tails[k] - tails[k + 1] for k in range(M + 1)}
+            assert chi_square_fits(drawn, pmf, reps), M
+
+    @pytest.mark.parametrize("side", [Side.UPPER, Side.LOWER])
+    def test_rank_draw_at_the_largest_m(self, side):
+        # every draw lands inside [0, 1], so a rank lies in 0..M: numpy's
+        # exclusive bound M + 1 would pass int64
+        m, M = BernoulliParamMixture(UniformDensity(0.0, 1.0)), (1 << 63) - 1
+        est = estimate_tail(m, TailQuery(M=M, t=0.1, side=side), 1_000, master_seed=109)
+        assert est.exceed_count == 0  # the window of a [0, 1] support is empty
+        hist = sample_mean_histogram(m, M, 10_000, bins=10, master_seed=109)
+        assert all(850 < c < 1_150 for c in hist.counts)  # Xbar is uniform: 1000 +- 5 sd
+
+    # digests of the laws before the rank draw; the truncated Beta density
+    # keeps its quantile and binomial draw bit for bit, and pieces of every
+    # law add up by key as before
+    TBETA = BernoulliParamMixture(TruncatedBetaDensity(2.0, 5.0, 0.1, 0.9))
+    PINNED = [
+        (TBETA, 10, 100_000, 7, "baa5f52cdb634e6a"),
+        (TBETA, 200, 100_000, 7, "daca5a7828f5049c"),
+        (flip_model(TBETA), 10, 100_000, 7, "83850e941686f9c4"),
+        (FiniteMixture([(0.6, Beta(2.0, 5.0)), (0.4, Bernoulli(0.7))]), 10, 200_000, 12345,
+         "ce51b4e362cd5329"),
+    ]
+
+    @pytest.mark.parametrize(
+        "m,M,reps,seed,digest", PINNED, ids=["tbeta-10", "tbeta-200", "tbeta-lower", "beta-bern"]
+    )
+    def test_pinned_laws(self, m, M, reps, seed, digest):
+        assert law_digest(montecarlo._empirical_law.__wrapped__(m, M, reps, seed)) == digest
+
+
+class TestModelKeys:
+    """A model hashes once, by value, so equal models share every cache entry."""
+
+    @staticmethod
+    def build():
+        return [
+            FiniteMixture([(0.4, Bernoulli(0.3)),
+                           (0.6, DiscreteOnUnit(points=[0.0, 0.5, 1.0], weights=[0.2, 0.3, 0.5]))]),
+            BernoulliParamMixture(UniformDensity(0.2, 0.8)),
+        ]
+
+    def test_equal_models_share_one_summary_and_one_law(self):
+        for a, b in zip(self.build(), self.build()):
+            assert a is not b and a == b and hash(a) == hash(b)
+            summarize.cache_clear()
+            montecarlo._empirical_law.cache_clear()
+            assert summarize(a) is summarize(b)
+            assert summarize.cache_info().misses == 1
+            q = TailQuery(M=5, t=0.1, side=Side.UPPER)
+            assert estimate_tail(a, q, 1_000, 3) == estimate_tail(b, q, 1_000, 3)
+            info = montecarlo._empirical_law.cache_info()
+            assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "m",
+        [m for _, m in standard_suite()]
+        + [BernoulliParamMixture(TruncatedBetaDensity(2.0, 5.0, 0.1, 0.7))],
+    )
+    def test_reflecting_twice_hashes_as_the_model(self, m):
+        # the reflected parameters are exact Fractions, equal to the floats in value
+        twice = flip_model(flip_model(m))
+        assert twice == m and hash(twice) == hash(m)
 
 
 class TestNumpyIntegerSeeds:

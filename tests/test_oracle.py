@@ -34,6 +34,7 @@ from exchbound import (
 )
 from exchbound import montecarlo, oracle
 from exchbound.bounds import side_anchor
+from exchbound.model import beta_interval_mass
 from exchbound.oracle import (
     LATTICE_DENSE_MAX,
     LATTICE_MAX_STATES,
@@ -689,6 +690,28 @@ class TestQuadratureTails:
             )
             got = exact_sum_tail(m, M, Fraction(k), Side.UPPER).probability
             assert got == pytest.approx(expected, rel=1e-9, abs=0.0), k
+
+    @pytest.mark.parametrize("M", [5, 50, 200])
+    @pytest.mark.parametrize(
+        "a,b,lo,hi", [(5e5, 5e5, 0.2, 0.8), (3e5, 7e5, 0.0, 0.3), (9.5e5, 5e4, 0.65, 1.0)]
+    )
+    def test_truncated_beta_at_the_parameter_limit(self, a, b, lo, hi, M):
+        # reference weights in the stable product form
+        # C(M, j) B(a+j, b+M-j) / B(a, b) = C(M, j) prod(a+i) prod(b+i) / prod(a+b+l),
+        # summed in logs; past alpha + beta = 1e6 the closed form is refused
+        d = TruncatedBetaDensity(a, b, lo, hi)
+        assert a + b == 1e6
+        m, mass = BernoulliParamMixture(d), beta_interval_mass(a, b, lo, hi)
+        terms = []
+        for j in range(M + 1):
+            logs = [math.log(math.comb(M, j))]
+            logs += [math.log(a + i) for i in range(j)] + [math.log(b + i) for i in range(M - j)]
+            logs += [-math.log(a + b + i) for i in range(M)]
+            terms.append(math.exp(math.fsum(logs)) * beta_interval_mass(a + j, b + M - j, lo, hi))
+        for k in range(1, M + 1):
+            expected = math.fsum(terms[k:]) / mass
+            got = exact_sum_tail(m, M, Fraction(k), Side.UPPER).probability
+            assert got == pytest.approx(expected, rel=1e-8, abs=1e-300), k
 
     def test_term_cap_refuses_before_any_term_is_built(self, monkeypatch):
         m = BernoulliParamMixture(UniformDensity(0.2, 0.8))
