@@ -175,7 +175,12 @@ class DiscreteOnUnit:
         )
 
     def quantile(self, u) -> np.ndarray:
-        return self._values[pick_index(self._cum, u)]
+        """The first point whose cumulative weight exceeds u, clamped to the last
+        point against a cumulative weight rounded below 1."""
+        u = np.asarray(u, dtype=np.float64)
+        # asarray: a scalar u gives a scalar index, which cannot be an out=
+        idx = np.asarray(np.searchsorted(self._cum, u, side="right"))
+        return self._values[np.minimum(idx, len(self._cum) - 1, out=idx)]
 
 
 def _cumulative(weights: Sequence[float]) -> np.ndarray:
@@ -183,17 +188,6 @@ def _cumulative(weights: Sequence[float]) -> np.ndarray:
     cum = np.cumsum(np.asarray(weights, dtype=np.float64))
     cum.setflags(write=False)
     return cum
-
-
-def pick_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse CDF of the index law with cumulative weights ``cum``, over uniforms u.
-
-    Selects mixture atoms and discrete points alike: the first index
-    whose cumulative weight exceeds u, clamped to the last index.
-    """
-    # asarray: a scalar u gives a scalar index, which cannot be an out=
-    idx = np.asarray(np.searchsorted(cum, np.asarray(u, dtype=np.float64), side="right"))
-    return np.minimum(idx, len(cum) - 1, out=idx)  # guard cum[-1] < 1 by rounding
 
 
 @dataclass(frozen=True)

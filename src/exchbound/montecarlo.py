@@ -6,18 +6,12 @@ draws for a Beta component, and for a Bernoulli, point-mass or discrete
 component the count vector of M draws over its points, Multinomial(M,
 weights), which costs O(k) binomials for k points rather than O(M) draws.
 Only the count of each sum is kept, so the n batches of a block draw
-their count vectors stage by stage, one point per stage (the chain rule
-of the multinomial; Devroye, Non-Uniform Random Variate Generation, 1986,
-ch. XI): the batches that share the counts placed so far form a group,
-and a group of r batches with more batches than draws left, r > left,
-draws how many reach each next count as one multinomial over 0..left,
-outcomes in ascending order of mass, rather than r binomials.  Smaller
-groups draw their binomials batch by batch, in one vectorized call per
-stage, as at huge M.  A Bernoulli atom has one stage; a one-point atom
-has none and draws nothing, its sum being M times its point.  A uniform
-parameter mixture draws no parameter: with X_i = 1{U_i <= p} and p
-uniform on [lo, hi], the draws below lo, inside [lo, hi] and above hi
-are a three-point chain, and p is one more uniform inside, so its rank
+their count vectors together, counting the batches that share one
+(``_counted_multinomial``); a one-point atom draws nothing, its sum
+being M times its point.  A uniform parameter mixture draws no
+parameter: with X_i = 1{U_i <= p} and p uniform on [lo, hi], the draws
+below lo, inside [lo, hi] and above hi are a three-point count vector,
+and p is one more uniform inside, so its rank
 among the N draws inside is uniform on 0..N (Bayes' billiard); the sum
 is the count below lo plus that rank.
 This is distributionally identical to materializing the M individual
@@ -77,6 +71,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -129,6 +124,18 @@ class TailEstimate:
     replications: int
     exceed_count: int
     master_seed: int
+
+
+def _check_count(name: str, value, low: int, high: float = math.inf) -> int:
+    """value as a Python int in [low, high], checked as M and the seeds are: a
+    float such as 1e5 would pass a comparison, then fail in ``range``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if not low <= value <= high:
+        raise DomainError(f"{name} must lie in [{low}, {high}], got {value}")
+    return value
 
 
 def clopper_pearson_interval(successes: int, n: int, level: float = DEFAULT_CI_LEVEL):
@@ -414,8 +421,7 @@ def estimate_tail(
     with the same model, M, replications and seed share one drawn law
     (``_empirical_law``), whatever their t.
     """
-    if replications < 1:
-        raise DomainError(f"replications must be >= 1, got {replications}")
+    replications = _check_count("replications", replications, 1)
     master_seed = check_master_seed(master_seed)
     a = side_anchor(summarize(m), q.side)
     if q.side is Side.LOWER:
@@ -454,10 +460,8 @@ def sample_mean_histogram(
     m: MixingMeasure, M: int, replications: int, bins: int, master_seed: int
 ) -> HistogramResult:
     """Histogram of Xbar over replications, bins uniform on [0, 1]."""
-    if not 2 <= bins <= HISTOGRAM_MAX_BINS:
-        raise DomainError(f"bins must lie in [2, {HISTOGRAM_MAX_BINS}], got {bins}")
-    if replications < 1:
-        raise DomainError(f"replications must be >= 1, got {replications}")
+    bins = _check_count("bins", bins, 2, HISTOGRAM_MAX_BINS)
+    replications = _check_count("replications", replications, 1)
     check_engine_m(M)
     master_seed = check_master_seed(master_seed)
     edges = np.linspace(0.0, 1.0, bins + 1)
@@ -649,8 +653,7 @@ def run_sweep(
         raise EmptyGrid("t grid is empty")
     if not sides:
         raise EmptyGrid("sides list is empty")
-    if replications < 1:
-        raise DomainError(f"replications must be >= 1, got {replications}")
+    replications = _check_count("replications", replications, 1)
     if method not in METHODS:
         raise DomainError(f"unknown sweep method {method!r}")
     master_seed = check_master_seed(master_seed)

@@ -236,10 +236,8 @@ def _lattice_law(points: tuple, weights: tuple, M: int) -> Optional[SumTable]:
     """The law of the sum S of M draws, keyed by S*D, D as in lattice_points.
     None past both guards, so that the cache keeps a refusal as it keeps a law."""
     D, ints = lattice_points(points)
-    if len(ints) == 1:  # one attainable sum at every M, reached in one step
-        return SumTable(D, (M * ints[0],), np.array([weights[0] ** M]))
     low = min(ints)
-    g = math.gcd(*(z - low for z in ints))
+    g = math.gcd(*(z - low for z in ints)) or 1  # one point: no gaps, span 0
     span = (max(ints) - low) // g
     if M * span + 1 <= LATTICE_DENSE_MAX:
         step = np.zeros(span + 1)

@@ -19,7 +19,9 @@ generator instead, seeded with the first three words of its SeedSpec's
 Philox stream (:func:`_block_stream`): a block's Beta draws are bound by
 the generator, whose words SFC64 makes about four times faster than
 Philox, while a replay costs the reset of its generator, not its few
-draws, and so stays on Philox.
+draws, and so stays on Philox.  Every generator is built by numpy's own
+constructor from fixed words (:class:`_Words`), so no stream reads OS
+entropy.
 
 Every random draw is taken by inverse CDF from one uniform variate:
 component selection searches the cumulative atom weights, and each
@@ -101,33 +103,30 @@ def _stream_key(seed: SeedSpec) -> int:
     return mix64(seed.master_seed, seed.replication_index)
 
 
+class _Words(np.random.bit_generator.ISeedSequence):
+    """Fixed uint64 words as a bit generator's seed: numpy's constructors ask
+    ``generate_state`` for 2 words (Philox's key) or 3 (SFC64's state), then
+    set the generator up as numpy seeds it, and read no OS entropy."""
+
+    def __init__(self, words) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds {len(self.words)} uint64 words, asked for {n_words} {dtype}")
+        return np.array(self.words, dtype=np.uint64)
+
+
 def derive_stream(seed: SeedSpec) -> np.random.Generator:
     """Deterministic, replication-independent random stream for a SeedSpec."""
-    return np.random.Generator(np.random.Philox(key=_stream_key(seed)))
-
-
-def _sfc64(words) -> np.random.SFC64:
-    """An SFC64 generator seeded with three 64-bit words, as numpy seeds it.
-
-    numpy's recipe: the words fill the three state words, the counter
-    starts at 1, and 12 outputs are discarded.  ``np.random.SFC64(ss)`` is
-    this recipe fed ``ss.generate_state(3, np.uint64)``.
-    """
-    bitgen = np.random.SFC64(0)  # any seed: the whole state is set next
-    bitgen.state = {
-        "bit_generator": "SFC64",
-        "state": {"state": np.array([*words, 1], dtype=np.uint64)},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    bitgen.random_raw(12)
-    return bitgen
+    return np.random.Generator(np.random.Philox(_Words((_stream_key(seed), 0))))
 
 
 def _block_stream(seed: SeedSpec) -> np.random.Generator:
     """The stream of one Monte Carlo block: SFC64 seeded with the first
     three words of derive_stream(seed)."""
-    return np.random.Generator(_sfc64(derive_stream(seed).bit_generator.random_raw(3)))
+    words = derive_stream(seed).bit_generator.random_raw(3)
+    return np.random.Generator(np.random.SFC64(_Words(words)))
 
 
 _thread = threading.local()
@@ -142,7 +141,7 @@ def _replay_stream(seed: SeedSpec) -> np.random.Generator:
     """
     gen = getattr(_thread, "gen", None)
     if gen is None:
-        gen = _thread.gen = np.random.Generator(np.random.Philox(key=0))
+        gen = _thread.gen = np.random.Generator(np.random.Philox(_Words((0, 0))))
     # the setter reads the words one by one, so tuples serve, and cost less
     # to build than uint64 arrays
     gen.bit_generator.state = {
@@ -180,7 +179,8 @@ def sample_sequence(m: MixingMeasure, M: int, seed: SeedSpec) -> SampleBatch:
     gen = _replay_stream(seed)
     u0 = gen.random()
     if isinstance(m, FiniteMixture):
-        # model.pick_index's rule on one float, without numpy's per-call set-up
+        # the first atom whose cumulative weight exceeds u0, clamped to the last,
+        # as DiscreteOnUnit.quantile picks a point
         cum = m.cumulative_weights
         idx = min(bisect.bisect_right(cum, u0), len(cum) - 1)
         component: Component = m.atoms[idx][1]

@@ -1127,6 +1127,50 @@ class TestFractionalM:
         assert len(result.rows) == 2 * 2 * len(standard_suite())
 
 
+class TestFractionalCounts:
+    """A replication or bin count that is not an integer, such as 1e5, is refused
+    as DomainError before any draw, as a fractional M is."""
+
+    Q = TailQuery(M=3, t=0.1, side=Side.UPPER)
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def drawn(seed):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(montecarlo, "_block_stream", drawn)
+
+    @pytest.mark.parametrize("reps", [1e5, 20.5, "100"], ids=["1e5", "20.5", "str"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda reps: estimate_tail(TWO_ATOM, TestFractionalCounts.Q, reps, 1),
+            lambda reps: sample_mean_histogram(TWO_ATOM, 3, reps, 10, 1),
+            lambda reps: run_sweep([("two", TWO_ATOM)], [3], [0.1], [Side.UPPER], reps, 1,
+                                   method="montecarlo"),
+        ],
+        ids=["estimate_tail", "histogram", "run_sweep"],
+    )
+    @pytest.mark.usefixtures("no_draws")
+    def test_replications_must_be_an_integer(self, call, reps):
+        with pytest.raises(DomainError, match="replications must be an integer"):
+            call(reps)
+
+    @pytest.mark.parametrize("bins", [20.5, 20.0, None], ids=["20.5", "20.0", "None"])
+    @pytest.mark.usefixtures("no_draws")
+    def test_bins_must_be_an_integer(self, bins):
+        with pytest.raises(DomainError, match="bins must be an integer"):
+            sample_mean_histogram(TWO_ATOM, 3, 100, bins, 1)
+
+    def test_numpy_integers_are_the_ints_they_hold(self):
+        h = sample_mean_histogram(TWO_ATOM, 3, np.int64(100), np.int32(10), 1)
+        assert h == sample_mean_histogram(TWO_ATOM, 3, 100, 10, 1)
+        assert type(h.replications) is int and len(h.counts) == 10
+        estimate = estimate_tail(TWO_ATOM, self.Q, np.uint32(100), 1)
+        assert estimate == estimate_tail(TWO_ATOM, self.Q, 100, 1)
+        assert type(estimate.replications) is int
+
+
 class TestWindowEdges:
     """At the end of each window, t = float(1 - a) for a = side_anchor(...),
     and an ulp either side, a sweep cell decides its documented event, its

@@ -4,6 +4,7 @@ import hashlib
 import math
 import struct
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -24,7 +25,7 @@ from exchbound import (
     sample_sequence,
     standard_suite,
 )
-from exchbound.sampler import _block_stream, _sfc64
+from exchbound.sampler import _block_stream, _Words
 
 TWO_ATOM = FiniteMixture([(0.5, Bernoulli(0.2)), (0.5, Bernoulli(0.8))])
 
@@ -104,8 +105,53 @@ class TestBlockStreams:
     @pytest.mark.parametrize("entropy", [0, 1, 2**64 - 1, 12345678901234567890123])
     def test_recipe_is_numpys_sfc64_seeding(self, entropy):
         ss = np.random.SeedSequence(entropy)
-        ours = _sfc64(ss.generate_state(3, np.uint64))
+        ours = np.random.SFC64(_Words(ss.generate_state(3, np.uint64)))
         assert np.array_equal(ours.random_raw(64), np.random.SFC64(ss).random_raw(64))
+
+    @pytest.mark.parametrize(
+        "words, n_words, dtype",
+        [((1, 0), 3, np.uint64), ((1, 2, 3), 2, np.uint64), ((1, 0), 2, np.uint32),
+         ((1, 0), 4, np.uint32)],
+        ids=["too-few", "too-many", "uint32", "uint32-count"],
+    )
+    def test_words_refuse_any_other_request(self, words, n_words, dtype):
+        with pytest.raises(ValueError, match="uint64 words"):
+            _Words(words).generate_state(n_words, dtype)
+        with pytest.raises(ValueError):  # SFC64 asks for 3 words, Philox for 2
+            (np.random.SFC64 if len(words) == 2 else np.random.Philox)(_Words(words))
+
+    def test_pinned_words(self):
+        # the stream contract, bit for bit: the first 8 words of both streams
+        # for 192 SeedSpecs (computed with numpy 2.4.6)
+        digests = {}
+        for stream in (derive_stream, _block_stream):
+            h = hashlib.sha256()
+            for master_seed in (0, 1, 2**64 - 1):
+                for index in range(64):
+                    words = stream(SeedSpec(master_seed, index)).bit_generator.random_raw(8)
+                    h.update(words.astype("<u8").tobytes())
+            digests[stream.__name__] = h.hexdigest()
+        assert digests == {
+            "derive_stream": "674d5274f84acdc8df462228df4f6cf1a9876e4cbc3d7fbd4b6d3262dd4bb335",
+            "_block_stream": "6732075bddff2105af624d299b2cb2751aded95b6d7d4826764a1f7240e28e6d",
+        }
+
+    def test_no_stream_reads_os_entropy(self, monkeypatch):
+        # a SeedSequence without entropy reads 128 bits from the OS through randbits
+        reads = []
+        randbits = np.random.bit_generator.randbits
+        monkeypatch.setattr(
+            np.random.bit_generator, "randbits", lambda *a: reads.append(a) or randbits(*a)
+        )
+        seed = SeedSpec(master_seed=3, replication_index=1)
+        derive_stream(seed)
+        _block_stream(seed)
+        # a fresh thread builds its replay generator on its first batch
+        thread = threading.Thread(target=sample_sequence, args=(TWO_ATOM, 4, seed))
+        thread.start()
+        thread.join()
+        np.random.SeedSequence()  # the spy sees an entropy read
+        assert reads == [(128,)]
 
     def test_generator_kinds(self):
         seed = SeedSpec(master_seed=5, replication_index=2)
