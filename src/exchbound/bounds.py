@@ -69,14 +69,56 @@ if TYPE_CHECKING:  # only its attributes are read; importing model would load nu
 ENGINE_M_LIMIT = 1 << 63  # Monte Carlo hands M to numpy as an int64
 
 
-class Side(enum.Enum):
-    """Which tail of the sample mean is queried."""
+def _shown(x) -> str:
+    """x for a message: a power of two past 2^32 as 2^k, and an int past 64 bits
+    by its size, as str() of a huge int is slow, and refused past 4300 digits."""
+    if isinstance(x, int) and x > 1 << 32 and not x & (x - 1):
+        return f"2^{x.bit_length() - 1}"
+    if isinstance(x, int) and x.bit_length() > 64:
+        return f"an integer of {x.bit_length()} bits"
+    return str(x)
+
+
+def check_int(name: str, value, low: int, high=math.inf) -> int:
+    """value as a Python int with low <= value < high.
+
+    The one rule for every M, count, seed and thread count, applied where
+    the argument enters: a numpy integer becomes the int it holds, whose
+    products cannot wrap in int64, and a float such as 2.5 is refused,
+    which numpy would truncate.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if not low <= value < high:
+        raise DomainError(f"{name} must lie in [{low}, {_shown(high)}), got {_shown(value)}")
+    return value
+
+
+class _SideType(enum.EnumMeta):
+    def __call__(cls, value, *args, **kwargs):
+        # each cell converts its side at every entry, so a member returns at once,
+        # without Enum's two Python-level calls
+        return value if type(value) is cls else super().__call__(value, *args, **kwargs)
+
+
+class Side(enum.Enum, metaclass=_SideType):
+    """Which tail of the sample mean is queried.
+
+    ``Side(side)`` takes a member or its report spelling, "upper" or
+    "lower", and raises DomainError on any other value.
+    """
 
     UPPER = "upper"
     LOWER = "lower"
 
     def __str__(self) -> str:  # CSV/report spelling
         return self.value
+
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainError(f"side must be a Side, 'upper' or 'lower', got {value!r}")
 
 
 def side_anchor(summary: ModelSummary, side: Side) -> Fraction:
@@ -87,7 +129,7 @@ def side_anchor(summary: ModelSummary, side: Side) -> Fraction:
     the IEEE means, the reflected event S' >= M*(a + t) is the lower event
     S <= M*(mu_minus - t), and the window t < 1 - a is t < mu_minus.
     """
-    if side is Side.UPPER:
+    if Side(side) is Side.UPPER:
         return Fraction(summary.mu_plus)
     n, d = exact_ratio(summary.mu_minus)
     return Fraction(d - n, d)
@@ -114,8 +156,10 @@ class TailQuery:
     side: Side
 
     def __post_init__(self) -> None:
-        check_engine_m(self.M)
+        # frozen: M and side become the int and the Side every engine reads
+        object.__setattr__(self, "M", check_engine_m(self.M))
         check_t(self.t)
+        object.__setattr__(self, "side", Side(self.side))
 
 
 @dataclass(frozen=True)
@@ -146,25 +190,18 @@ class BoundReport:
 
 
 def _check_m(M: int) -> None:
-    if M < 1:
-        raise DomainError(f"M must be >= 1, got {M}")
+    """A real M >= 1 that fits in a float, in which the closed forms compute."""
     try:
-        float(M)
-    except OverflowError:  # the closed forms compute in floats
-        raise DomainError(f"M must fit in a float, got an M of {len(str(M))} digits") from None
+        if float(M) >= 1:
+            return
+    except OverflowError:
+        pass
+    raise DomainError(f"M must be >= 1 and fit in a float, got {_shown(M)}")
 
 
-def check_engine_m(M: int) -> None:
-    """An integer 1 <= M < 2^63, the sample counts the exact and Monte Carlo engines take."""
-    try:
-        operator.index(M)  # an int or a numpy integer; numpy would truncate a fractional M
-    except TypeError:
-        raise DomainError(f"M must be an integer, got {M!r}") from None
-    _check_m(M)
-    if M >= ENGINE_M_LIMIT:
-        raise DomainError(
-            f"M must be below 2^63 = {ENGINE_M_LIMIT}, got an M of {len(str(M))} digits"
-        )
+def check_engine_m(M: int) -> int:
+    """M as an int in [1, 2^63), the sample counts the exact and Monte Carlo engines take."""
+    return check_int("M", M, 1, ENGINE_M_LIMIT)
 
 
 def _check_mu(mu_tilde: float) -> None:

@@ -166,8 +166,8 @@ def load_model_file(path: str) -> MixingMeasure:
         raise ModelFileError("$", f"not UTF-8 text: {e}") from e
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ModelFileError("$", f"not valid JSON: {e}") from e
+    except ValueError as e:  # a JSONDecodeError, or an integer literal past 4300 digits
+        raise ModelFileError("$", f"cannot parse JSON: {e}") from e
     except RecursionError:  # the parser recurses once per nested array or object
         raise ModelFileError("$", "JSON nested too deeply to parse") from None
     return model_from_obj(obj)
@@ -275,16 +275,12 @@ class _IOFailure(Exception):
     pass
 
 
-def _check_run_args(
-    m_grid: Sequence[int], t_grid: Union[int, Sequence[float]], level: float
-) -> None:
-    """Reject bad run-level arguments before any cell runs."""
+def _check_run_args(m_grid: Sequence[int], t_grid: Union[int, Sequence[float]]) -> None:
+    """Reject a bad M or t before any cell runs; ``run_sweep`` checks the rest."""
     for M in m_grid:
         check_engine_m(M)
     for t in [] if isinstance(t_grid, int) else t_grid:  # auto:N is checked when parsed
         check_t(t)
-    if not 0.0 < level < 1.0:
-        raise ExchboundError(f"--level must lie in (0,1), got {level!r}")
 
 
 def _sweep_report(args, lines, **sweep_args) -> Report:
@@ -317,7 +313,7 @@ def _estimate_lines(report: Report):
 
 
 def cmd_simulate(args) -> int:
-    _check_run_args([args.m], [args.t], args.level)
+    _check_run_args([args.m], [args.t])
     models = [(Path(args.model).stem, load_model_file(args.model))]
     report = _sweep_report(
         args, _estimate_lines, models=models, M_grid=[args.m], t_grid=[args.t],
@@ -348,7 +344,7 @@ def cmd_verify(args) -> int:
     models = _load_models(args)
     m_grid = args.m_grid or list(DEFAULT_M_GRID)
     t_grid = _parse_t_grid(args.t_grid or [DEFAULT_T_GRID])
-    _check_run_args(m_grid, t_grid, args.level)
+    _check_run_args(m_grid, t_grid)
 
     def lines(report: Report):
         yield (

@@ -71,8 +71,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import math
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -82,7 +80,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 from scipy import special
 
-from .bounds import Side, TailQuery, check_engine_m, side_anchor, tail_bound_report
+from .bounds import Side, TailQuery, check_engine_m, check_int, side_anchor, tail_bound_report
 from .errors import DomainError, EmptyGrid, ExchboundError, MTooLarge, UnsupportedModel
 from .model import (
     Beta,
@@ -111,6 +109,8 @@ METHODS = ("auto", "exact", "montecarlo")  # sweep engines, see run_sweep
 
 THREADS_ENV_VAR = "EXCHBOUND_THREADS"
 
+THREADS_LIMIT = 1 << 10  # sweep threads share one GIL; more would only wait
+
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -124,18 +124,6 @@ class TailEstimate:
     replications: int
     exceed_count: int
     master_seed: int
-
-
-def _check_count(name: str, value, low: int, high: float = math.inf) -> int:
-    """value as a Python int in [low, high], checked as M and the seeds are: a
-    float such as 1e5 would pass a comparison, then fail in ``range``."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
-    if not low <= value <= high:
-        raise DomainError(f"{name} must lie in [{low}, {high}], got {value}")
-    return value
 
 
 def clopper_pearson_interval(successes: int, n: int, level: float = DEFAULT_CI_LEVEL):
@@ -421,7 +409,7 @@ def estimate_tail(
     with the same model, M, replications and seed share one drawn law
     (``_empirical_law``), whatever their t.
     """
-    replications = _check_count("replications", replications, 1)
+    replications = check_int("replications", replications, 1)
     master_seed = check_master_seed(master_seed)
     a = side_anchor(summarize(m), q.side)
     if q.side is Side.LOWER:
@@ -460,9 +448,9 @@ def sample_mean_histogram(
     m: MixingMeasure, M: int, replications: int, bins: int, master_seed: int
 ) -> HistogramResult:
     """Histogram of Xbar over replications, bins uniform on [0, 1]."""
-    bins = _check_count("bins", bins, 2, HISTOGRAM_MAX_BINS)
-    replications = _check_count("replications", replications, 1)
-    check_engine_m(M)
+    bins = check_int("bins", bins, 2, HISTOGRAM_MAX_BINS + 1)
+    replications = check_int("replications", replications, 1)
+    M = check_engine_m(M)
     master_seed = check_master_seed(master_seed)
     edges = np.linspace(0.0, 1.0, bins + 1)
     counts = np.zeros(bins, dtype=np.int64)
@@ -533,21 +521,20 @@ def window_t_grid(anchor: Fraction, n: int) -> list[float]:
 
 
 def _resolve_threads(threads: Optional[int]) -> int:
+    """threads, or else EXCHBOUND_THREADS, or 1, as an int in [1, THREADS_LIMIT)."""
     if threads is not None:
-        return max(1, threads)
+        return check_int("threads", threads, 1, THREADS_LIMIT)
     text = os.environ.get(THREADS_ENV_VAR, "1")
-    if not text.isdecimal() or int(text) < 1:
-        raise DomainError(f"{THREADS_ENV_VAR} must be a positive integer, got {text!r}")
-    return int(text)
+    # int() also reads " 2" and "+2", and refuses more than 4300 digits; a longer
+    # text is out of range, and is named by its length
+    if text.isdecimal() and len(text) <= 20:
+        return check_int(THREADS_ENV_VAR, int(text), 1, THREADS_LIMIT)
+    shown = repr(text) if len(text) <= 20 else f"a text of {len(text)} characters"
+    raise DomainError(f"{THREADS_ENV_VAR} must be an integer in [1, {THREADS_LIMIT}), got {shown}")
 
 
-def _law_seed(master_seed: int, model_id: str, M: int, side: Side) -> Optional[int]:
-    """mix64(master_seed, k), k a 64-bit digest of (model_id, M, side); None for an
-    M that is not an integer, whose cells are error rows before any engine runs."""
-    try:
-        M = operator.index(M)  # a numpy integer keys as the int it holds
-    except TypeError:
-        return None
+def _law_seed(master_seed: int, model_id: str, M: int, side: Side) -> int:
+    """mix64(master_seed, k), k a 64-bit digest of (model_id, M, side)."""
     # hashlib, not hash(): the built-in is salted per process
     key = repr((model_id, M, str(side))).encode()
     return mix64(master_seed, int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
@@ -562,7 +549,7 @@ class _Group:
     anchor: Fraction  # side_anchor(summarize(model), side)
     M: int
     side: Side
-    seed: Optional[int]  # _law_seed(master_seed, model_id, M, side)
+    seed: int  # _law_seed(master_seed, model_id, M, side)
     ts: Sequence[float]
 
 
@@ -632,10 +619,13 @@ def run_sweep(
     ``method`` selects the engine per cell: "auto" prefers the exact
     oracle and falls back to Monte Carlo, "exact" and "montecarlo" force
     one engine.  Per-cell failures become rows with method "error:<name>"
-    rather than aborting the sweep.  An unknown method, a master seed
-    outside [0, 2^64), two groups with one key (model_id, M, side), even
-    of different models or t grids, or a t repeated within a group, raise
-    DomainError before any cell runs.
+    rather than aborting the sweep; so does each cell of an M that
+    ``bounds.check_engine_m`` refuses, and its row keeps that M as given.
+    An unknown method, a level outside (0, 1), a side other than a Side,
+    "upper" or "lower", a master seed outside [0, 2^64), a thread count
+    outside [1, THREADS_LIMIT), two groups with one key (model_id, M, side),
+    even of different models or t grids, or a t repeated within a group,
+    raise DomainError before any cell runs.
 
     With ``threads`` > 1 (or the EXCHBOUND_THREADS environment variable)
     the groups are evaluated concurrently, one group per task.  A Monte
@@ -653,9 +643,12 @@ def run_sweep(
         raise EmptyGrid("t grid is empty")
     if not sides:
         raise EmptyGrid("sides list is empty")
-    replications = _check_count("replications", replications, 1)
+    sides = [Side(side) for side in sides]
+    replications = check_int("replications", replications, 1)
     if method not in METHODS:
         raise DomainError(f"unknown sweep method {method!r}")
+    if not 0.0 < level < 1.0:
+        raise DomainError(f"level must lie in (0,1), got {level!r}")
     master_seed = check_master_seed(master_seed)
     n_threads = _resolve_threads(threads)
 
@@ -667,6 +660,10 @@ def run_sweep(
             anchor = side_anchor(summary, side)
             ts = window_t_grid(anchor, t_grid) if isinstance(t_grid, int) else t_grid
             for M in M_grid:
+                try:
+                    M = check_engine_m(M)
+                except DomainError:
+                    pass  # kept as given, and each of its cells becomes an error row
                 # a repeated group would repeat its rows and draw from its stream
                 seen = set(ts) if (model_id, M, side) in keys else set()
                 for t in ts:
@@ -689,8 +686,9 @@ def run_sweep(
         done = list(map(evaluate, groups))
     else:
         # a group per task, so two threads never draw one law; largest M
-        # first, so the longest draws do not start last
-        order = sorted(range(len(groups)), key=lambda i: -groups[i].M)
+        # first, so the longest draws do not start last (a refused M draws nothing)
+        sizes = [g.M if isinstance(g.M, int) else 0 for g in groups]
+        order = sorted(range(len(groups)), key=sizes.__getitem__, reverse=True)
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             futures = {i: pool.submit(evaluate, groups[i]) for i in order}
             done = [futures[i].result() for i in range(len(groups))]

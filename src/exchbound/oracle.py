@@ -34,8 +34,10 @@ Boundary convention: tail events use non-strict inequalities,
 S >= M*(mu_plus + t) and S <= M*(mu_minus - t).  Thresholds and lattice
 sums are handled in exact rational arithmetic on the IEEE values of the
 inputs, so boundary atoms are never dropped or double-counted by float
-rounding.  ``SumTable.tail`` is the one place a threshold meets a law,
-here and in the Monte Carlo engine's drawn laws.
+rounding.  A threshold meets a law in exact integers in three places:
+``SumTable.tail``, which decides every lattice law here and every drawn
+law of the Monte Carlo engine, and the one ceiling each of
+``_two_point_sum_tail`` and ``_param_mixture_sum_tail`` takes.
 
 Lower tails are computed by reflection: mu_minus - Xbar >= t holds for a
 model exactly when the reflected model (X' = 1 - X) has
@@ -55,7 +57,6 @@ import bisect
 import enum
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -115,16 +116,14 @@ def exact_tail(m: MixingMeasure, q: TailQuery) -> ExactTail:
     a = side_anchor(summarize(m), q.side)
     if q.side is Side.LOWER:
         m = flip_model(m)
-    return exact_sum_tail(m, q.M, sum_threshold(q.M, a, q.t), Side.UPPER)
+    # q's M and side were checked when it was built
+    return _upper_sum_tail(m, q.M, sum_threshold(q.M, a, q.t))
 
 
 def sum_threshold(M: int, a: Fraction, t: float) -> Fraction:
-    """M*(a + t) exactly, t taken at its IEEE value, built in ints (``bounds.exact_ratio``).
-
-    M may be a numpy integer, whose products would overflow int64.
-    """
+    """M*(a + t) exactly, t taken at its IEEE value, built in ints (``bounds.exact_ratio``)."""
     (an, ad), (tn, td) = (a.numerator, a.denominator), exact_ratio(t)
-    return Fraction(operator.index(M) * (an * td + tn * ad), ad * td)
+    return Fraction(M * (an * td + tn * ad), ad * td)
 
 
 def exact_sum_tail(
@@ -137,13 +136,18 @@ def exact_sum_tail(
     threshold may be any finite real (float or Fraction); comparisons are
     exact in rational arithmetic.
     """
-    check_engine_m(M)
+    M = check_engine_m(M)
     try:
         thr = Fraction(threshold)
     except (ValueError, OverflowError):  # NaN or an infinity
         raise DomainError(f"threshold must be finite, got {threshold!r}") from None
-    if side is Side.LOWER:
-        return exact_sum_tail(flip_model(m), M, M - thr, Side.UPPER)
+    if Side(side) is Side.LOWER:
+        m, thr = flip_model(m), M - thr
+    return _upper_sum_tail(m, M, thr)
+
+
+def _upper_sum_tail(m: MixingMeasure, M: int, thr: Fraction) -> ExactTail:
+    """P(S >= thr) for an M and a threshold already checked."""
     if isinstance(m, FiniteMixture):
         return _finite_mixture_sum_tail(m, M, thr)
     if isinstance(m, BernoulliParamMixture):

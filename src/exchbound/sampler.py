@@ -12,8 +12,8 @@ Every batch is a pure function of the model and a :class:`SeedSpec`
 Philox counter-based generator keyed by a SplitMix64 hash of the two
 seed fields, so distinct replication indices give statistically
 independent streams and results do not depend on scheduling order.
-The master seed lies in [0, 2^64): the hash reads 64 bits, so a wider
-seed would alias another.
+Both fields lie in [0, 2^64): the hash reads 64 bits, so a wider
+value would alias another.
 A Monte Carlo block (:mod:`exchbound.montecarlo`) draws from an SFC64
 generator instead, seeded with the first three words of its SeedSpec's
 Philox stream (:func:`_block_stream`): a block's Beta draws are bound by
@@ -35,14 +35,12 @@ out; nothing else touches the stream.
 from __future__ import annotations
 
 import bisect
-import operator
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import check_engine_m
-from .errors import DomainError
+from .bounds import check_engine_m, check_int
 from .model import Bernoulli, BernoulliParamMixture, Component, FiniteMixture, MixingMeasure
 
 _MASK64 = (1 << 64) - 1
@@ -62,33 +60,15 @@ class SeedSpec:
     def __post_init__(self) -> None:
         # frozen: both fields become Python ints, which the stream hash needs
         object.__setattr__(self, "master_seed", check_master_seed(self.master_seed))
-        try:
-            object.__setattr__(self, "replication_index", operator.index(self.replication_index))
-        except TypeError:
-            raise DomainError(
-                f"replication_index must be an integer, got {self.replication_index!r}"
-            ) from None
-        if self.replication_index < 0:
-            raise DomainError(
-                f"replication_index must be >= 0, got {self.replication_index}"
-            )
+        index = check_int("replication_index", self.replication_index, 0, 1 << 64)
+        object.__setattr__(self, "replication_index", index)
 
 
 def check_master_seed(master_seed: int) -> int:
-    """The master seed as a Python int, which must lie in [0, 2^64).  Streams are
-    keyed by its 64 bits, so a seed outside would draw the rows of the seed it
-    equals modulo 2^64.  A numpy integer keys as the int it holds: the stream
-    hash needs Python ints, which do not wrap or overflow."""
-    try:
-        master_seed = operator.index(master_seed)
-    except TypeError:
-        raise DomainError(f"master_seed must be an integer, got {master_seed!r}") from None
-    if not 0 <= master_seed <= _MASK64:
-        shown = master_seed if abs(master_seed) <= 2 * _MASK64 else (
-            f"a seed of {len(str(abs(master_seed)))} digits"
-        )
-        raise DomainError(f"master_seed must lie in [0, 2^64), got {shown}")
-    return master_seed
+    """The master seed as a Python int in [0, 2^64).  Streams are keyed by its
+    64 bits, so a seed outside would draw the rows of the seed it equals
+    modulo 2^64, and a numpy integer would wrap or overflow in the hash."""
+    return check_int("master_seed", master_seed, 0, 1 << 64)
 
 
 def mix64(master_seed: int, index: int) -> int:
@@ -175,7 +155,7 @@ def sample_sequence(m: MixingMeasure, M: int, seed: SeedSpec) -> SampleBatch:
     Consumes exactly 1 + M uniforms from the SeedSpec's stream: one for
     the component draw, then one per observation.
     """
-    check_engine_m(M)
+    M = check_engine_m(M)
     gen = _replay_stream(seed)
     u0 = gen.random()
     if isinstance(m, FiniteMixture):

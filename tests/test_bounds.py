@@ -57,6 +57,10 @@ class TestHoeffdingForm:
         with pytest.raises(DomainError):
             hoeffding_tail_bound(0, 0.1)
 
+    def test_rejects_a_nan_m(self):
+        with pytest.raises(DomainError, match="M must be >= 1 and fit in a float, got nan"):
+            hoeffding_tail_bound(math.nan, 0.1)
+
     @pytest.mark.parametrize("t", [math.inf, math.nan])
     def test_every_t_check_rejects_a_non_finite_t(self, t):
         for call in (
@@ -424,3 +428,14 @@ class TestHugeM:
         with pytest.raises(DomainError, match="M must be an integer"):
             TailQuery(M=M, t=0.1, side=Side.UPPER)
         assert TailQuery(M=np.int64(3), t=0.1, side=Side.UPPER).M == 3
+
+    @pytest.mark.parametrize("M", [10**5000, -(10**5000)], ids=["5000-digits", "minus-5000-digits"])
+    @pytest.mark.parametrize(
+        "call",
+        [lambda M: TailQuery(M=M, t=0.1, side=Side.UPPER), lambda M: hoeffding_tail_bound(M, 0.1)],
+        ids=["TailQuery", "hoeffding_tail_bound"],
+    )
+    def test_a_huge_m_is_refused_by_its_size(self, call, M):
+        # str() of an int refuses more than 4300 digits
+        with pytest.raises(DomainError, match="integer of 16610 bits"):
+            call(M)

@@ -234,6 +234,11 @@ class TestModelFiles:
             b'"alpha": 1e15, "beta": 1e15, "lo": 0.2, "hi": 0.8}}',
             "error: density: TruncatedBeta parameters must be positive with alpha + beta <= 1e+06",
         ),
+        "integer-of-5000-digits": (
+            b'{"type": "finite", "atoms": [{"weight": 1, '
+            b'"component": {"kind": "bernoulli", "p": 1' + b"0" * 5000 + b'}}]}',
+            "error: $: cannot parse JSON: Exceeds the limit (4300 digits)",
+        ),
     }
 
     @pytest.mark.parametrize("bad", sorted(BAD_FILES))
@@ -637,6 +642,7 @@ class TestCliCommands:
             ("simulate", ["--seed", str(2**64)], None),
             ("verify", ["--seed", "-1"], None),
             ("histogram", ["--seed", str(2**64)], None),
+            ("verify", [], "1" + "0" * 4999),
         ],
         ids=[
             "auto-abc", "auto-0", "inf", "nan", "abc", "level", "m-0", "threads-env",
@@ -650,6 +656,7 @@ class TestCliCommands:
             "verify-uniform-m-past-int64", "simulate-m-past-int64", "histogram-m-past-int64",
             "ci-m-past-float", "bounds-m-past-float", "ci-t-past-float",
             "simulate-seed-2^64", "verify-seed-negative", "histogram-seed-2^64",
+            "threads-env-5000-digits",
         ],
     )
     def test_verify_rejects_bad_arguments_before_any_cell(

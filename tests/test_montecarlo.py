@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 import statistics
 import tracemalloc
@@ -22,6 +23,7 @@ from exchbound import (
     EmptyGrid,
     ExchboundError,
     FiniteMixture,
+    MTooLarge,
     OutOfValidityRange,
     PointMass,
     SeedSpec,
@@ -43,10 +45,11 @@ from exchbound import (
     summarize,
     tail_bound_report,
 )
-from exchbound import montecarlo
+from exchbound import montecarlo, oracle
 from exchbound.bounds import side_anchor
 from exchbound.montecarlo import window_t_grid
 from exchbound.oracle import lattice_points
+from exchbound.reporting import HistogramReport, Report, to_json
 from exchbound.sampler import _block_stream, derive_stream, mix64
 
 TWO_ATOM = FiniteMixture([(0.5, Bernoulli(0.2)), (0.5, Bernoulli(0.8))])
@@ -864,7 +867,9 @@ class TestRunSweep:
         with pytest.raises(DomainError, match="duplicate cell model_id='m' M=10 t=.* side=upper"):
             run_sweep(models, [10], 10, [Side.UPPER], 10, 1)
 
-    @pytest.mark.parametrize("master_seed", [-1, 2**64], ids=["-1", "2^64"])
+    @pytest.mark.parametrize(
+        "master_seed", [-1, 2**64, 10**5000], ids=["-1", "2^64", "5000-digits"]
+    )
     def test_master_seed_outside_64_bits_rejected_before_any_cell(self, monkeypatch, master_seed):
         monkeypatch.setattr(montecarlo, "_sweep_group", lambda *a, **k: pytest.fail("a cell ran"))
         with pytest.raises(DomainError, match=r"master_seed must lie in \[0, 2\^64\)"):
@@ -876,6 +881,43 @@ class TestRunSweep:
         )
         with pytest.raises(DomainError, match="unknown sweep method 'exactt'"):
             run_sweep([("two_atom", TWO_ATOM)], [2], [0.1], [Side.UPPER], 10, 1, method="exactt")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(threads=0), dict(threads=-1), dict(threads=2.5), dict(threads="2"),
+         dict(level=1.5), dict(sides=["up"])],
+        ids=["threads-0", "threads--1", "threads-2.5", "threads-str", "level-1.5", "side-up"],
+    )
+    def test_bad_threads_level_or_side_rejected_before_any_cell(self, monkeypatch, bad):
+        monkeypatch.setattr(montecarlo, "_sweep_group", lambda *a, **k: pytest.fail("a cell ran"))
+        args = dict(models=[("two_atom", TWO_ATOM)], M_grid=[2], t_grid=[0.1],
+                    sides=[Side.UPPER], replications=10, master_seed=1, method="exact")
+        with pytest.raises(DomainError):
+            run_sweep(**{**args, **bad})
+
+    @pytest.mark.parametrize("method", ["auto", "montecarlo"])
+    def test_report_spellings_of_the_sides_give_their_rows(self, method):
+        def sweep(sides):
+            return run_sweep(list(standard_suite()), [5, 50], [0.05, 0.1], sides, 2_000, 3,
+                             method=method)
+
+        assert sweep(["upper", "lower"]) == sweep([Side.UPPER, Side.LOWER])
+
+    def test_engines_read_a_side_spelling_as_its_side(self):
+        m = suite_model("bern03")
+        for spelling, side in (("upper", Side.UPPER), ("lower", Side.LOWER)):
+            q, member = TailQuery(5, 0.1, spelling), TailQuery(5, 0.1, side)
+            assert q == member
+            assert side_anchor(summarize(m), spelling) == side_anchor(summarize(m), side)
+            assert estimate_tail(m, q, 1_000, 0) == estimate_tail(m, member, 1_000, 0)
+            assert exact_sum_tail(m, 5, 1, spelling) == exact_sum_tail(m, 5, 1, side)
+        for call in (
+            lambda: TailQuery(5, 0.1, "up"),
+            lambda: side_anchor(summarize(m), "up"),
+            lambda: exact_sum_tail(m, 5, 1, "up"),
+        ):
+            with pytest.raises(DomainError, match="side must be a Side, 'upper' or 'lower'"):
+                call()
 
     def test_single_cell_matches_content_addressed_seed(self):
         q = TailQuery(M=4, t=0.07, side=Side.UPPER)
@@ -1125,6 +1167,57 @@ class TestFractionalM:
         assert methods[2.5] == {"error:DomainError"}
         assert not any(method.startswith("error:") for method in methods[3])
         assert len(result.rows) == 2 * 2 * len(standard_suite())
+
+    def test_threaded_sweep_gives_error_rows_for_an_m_of_any_type(self):
+        # the pool orders groups by M, which a string M could not be negated for
+        kwargs = dict(models=[("two_atom", TWO_ATOM)], t_grid=[0.1], sides=[Side.UPPER],
+                      replications=1_000, master_seed=1)
+        threaded = run_sweep(M_grid=["3", 2.5, 3], threads=2, **kwargs)
+        assert [r.method for r in threaded.rows] == ["error:DomainError"] * 2 + ["binomial"]
+        assert threaded.rows[2] == run_sweep(M_grid=[3], threads=1, **kwargs).rows[0]
+
+
+class TestNumpyIntegerM:
+    """A numpy-integer M is the Python int it holds from where it enters: its
+    products wrapped or overflowed in int64 in the exact thresholds and
+    lattice guards, and reports could not encode it."""
+
+    MODELS = [
+        ("two_point", FiniteMixture([(1.0, DiscreteOnUnit([0.2, 0.9], [0.6, 0.4]))])),
+        *((name, suite_model(name)) for name in ("bern03", "three_atom_discrete", "uniform_param")),
+    ]
+    DTYPES = [np.int64, np.uint64, np.int32]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dtype", DTYPES, ids=lambda dtype: dtype.__name__)
+    def test_run_sweep(self, dtype):
+        def sweep(M_grid):
+            montecarlo._empirical_law.cache_clear()
+            return run_sweep(self.MODELS, M_grid, [0.05, 0.2], [Side.UPPER, Side.LOWER], 2_000, 3)
+
+        result = sweep([dtype(5), dtype(10), dtype(200)])
+        assert result == sweep([5, 10, 200])
+        assert all(type(row.M) is int for row in result.rows)
+        assert not result.failures
+        assert json.loads(to_json(Report.from_sweep(result, "0", "now")))["rows"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dtype", DTYPES, ids=lambda dtype: dtype.__name__)
+    @pytest.mark.parametrize("model_id,m", MODELS, ids=[name for name, _ in MODELS])
+    def test_histogram(self, model_id, m, dtype):
+        histogram = sample_mean_histogram(m, dtype(10), 2_000, 10, 3)
+        assert type(histogram.M) is int
+        assert histogram == sample_mean_histogram(m, 10, 2_000, 10, 3)
+        report = json.loads(to_json(HistogramReport.from_histogram(histogram, "0", "now")))
+        assert report["metadata"]["M"] == 10
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_m_past_every_lattice_guard_is_refused_at_once(self):
+        # M * span + 1 wrapped in int64, so the dense branch squared its step law toward 2^62
+        oracle._lattice_law.cache_clear()
+        q = TailQuery(np.int64(2**62), 0.01, Side.UPPER)
+        with pytest.raises(MTooLarge):
+            exact_tail(suite_model("three_atom_discrete"), q)
 
 
 class TestFractionalCounts:

@@ -64,7 +64,14 @@ class TestStreams:
         with pytest.raises(DomainError):
             SeedSpec(master_seed=1, replication_index=-1)
 
-    @pytest.mark.parametrize("master_seed", [-1, 2**64, 10**400], ids=["-1", "2^64", "10^400"])
+    def test_replication_index_past_64_bits_rejected(self):
+        # the stream hash reads 64 bits of the index too, so 2^64 would alias 0
+        with pytest.raises(DomainError, match=r"replication_index must lie in \[0, 2\^64\)"):
+            SeedSpec(master_seed=1, replication_index=2**64)
+
+    @pytest.mark.parametrize(
+        "master_seed", [-1, 2**64, 10**400, 10**5000], ids=["-1", "2^64", "10^400", "10^5000"]
+    )
     def test_master_seed_outside_64_bits_rejected(self, master_seed):
         # the stream reads 64 bits, so 2^64 would alias 0 and -1 alias 2^64 - 1
         with pytest.raises(DomainError, match=r"\[0, 2\^64\)"):
