@@ -13,7 +13,9 @@ parameter: with X_i = 1{U_i <= p} and p uniform on [lo, hi], the draws
 below lo, inside [lo, hi] and above hi are a three-point count vector,
 and p is one more uniform inside, so its rank
 among the N draws inside is uniform on 0..N (Bayes' billiard); the sum
-is the count below lo plus that rank.
+is the count below lo plus that rank.  The ranks are counted too: the
+batches of one count vector, when they are many per rank, draw how many
+reach each rank as one uniform multinomial (``_rank_sums``).
 This is distributionally identical to materializing the M individual
 observations (the batch is conditionally i.i.d.), and it is what makes
 10^5-replication sweeps over hundreds of cells affordable.  The
@@ -71,6 +73,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -113,6 +116,8 @@ THREADS_LIMIT = 1 << 10  # sweep threads share one GIL; more would only wait
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
+RANK_COUNT_FACTOR = 12  # batches per rank from which a rank row is drawn counted, see _rank_sums
+
 
 @dataclass(frozen=True)
 class TailEstimate:
@@ -124,6 +129,12 @@ class TailEstimate:
     replications: int
     exceed_count: int
     master_seed: int
+
+
+def _check_level(level) -> None:
+    """Raise DomainError unless level is a real number in (0, 1), such as 0.999."""
+    if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
+        raise DomainError(f"level must lie in (0,1), got {level!r}")
 
 
 def clopper_pearson_interval(successes: int, n: int, level: float = DEFAULT_CI_LEVEL):
@@ -139,8 +150,7 @@ def clopper_pearson_interval(successes: int, n: int, level: float = DEFAULT_CI_L
         raise DomainError(f"n must be >= 1, got {n}")
     if not (0 <= successes <= n):
         raise DomainError(f"successes must lie in [0, {n}], got {successes}")
-    if not (0.0 < level < 1.0):
-        raise DomainError(f"level must lie in (0,1), got {level!r}")
+    _check_level(level)
     k, alpha = successes, 1.0 - level
     lo = 0.0 if k == 0 else float(special.betaincinv(k, n - k + 1, alpha / 2))
     hi = 1.0 if k == n else float(special.betaincinv(k + 1, n - k, 1.0 - alpha / 2))
@@ -173,7 +183,8 @@ def _block_sums(
     float sums at scale None.
 
     ``keys`` are distinct ascending sums and ``counts`` how many batches
-    reached each (``np.unique`` counts Beta and parameter-mixture sums).
+    reached each (``np.unique`` counts the sums of a Beta atom or a truncated
+    Beta density).
     A one-point atom's sum is the constant M*D*x, so it yields that key
     with count ni and draws nothing.  A Bernoulli(p) atom's one stage is
     ``_counted_binomial`` over the sums 0..M when it has ni > M batches,
@@ -182,20 +193,19 @@ def _block_sums(
     A truncated Beta density draws n parameters by ``quantile``, then n
     binomial sums.  A uniform density on [lo, hi] draws the count vectors
     (above hi, inside, below lo) over the weights (1 - hi, hi - lo, lo)
-    by ``_counted_multinomial``, then one rank uniform on 0..inside per
-    batch, rows in order: the sum is below + rank.  ``endpoint=True``
-    keeps the rank's bound at M, which fits int64 where M + 1 may not.
+    by ``_counted_multinomial``, then the rank of p, uniform on
+    0..inside, of each batch (``_rank_sums``): a row with many batches
+    per rank counts how many reach each rank, one uniform multinomial,
+    and the other rows draw one rank per batch.  The sum is below + rank.
     """
     if isinstance(m, BernoulliParamMixture):
         d = m.density
         if isinstance(d, UniformDensity):
             lo, hi = float(d.lo), float(d.hi)
             vectors, counts = _counted_multinomial(gen, n, M, [1.0 - hi, hi - lo, lo])
-            below, inside = (np.repeat(vectors[:, j], counts) for j in (2, 1))
-            sums = below + gen.integers(0, inside, endpoint=True)  # the rank of p
+            yield 1, *_add_by_key(*_rank_sums(gen, vectors[:, 2], vectors[:, 1], counts))
         else:
-            sums = gen.binomial(M, d.quantile(gen.random(n)))
-        yield 1, *np.unique(sums, return_counts=True)
+            yield 1, *np.unique(gen.binomial(M, d.quantile(gen.random(n))), return_counts=True)
         return
     assert isinstance(m, FiniteMixture)
     for ni, c in zip(_multinomial(gen, n, m.weights).tolist(), m.components):
@@ -209,6 +219,38 @@ def _block_sums(
         vectors, counts = _counted_multinomial(gen, ni, M, weights)
         keys = _lattice_sums(vectors, ints, M * D)
         yield D, *_add_by_key(keys, counts)
+
+
+def _rank_sums(
+    gen: np.random.Generator, below: np.ndarray, inside: np.ndarray, reps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, counts): the sums below + R of the reps[g] batches of each row g,
+    R the rank of p, uniform on 0..inside[g], and how many batches reached
+    each; a sum may repeat, and sums come in no order.
+
+    A row with reps // RANK_COUNT_FACTOR > inside, that is with reps at
+    least RANK_COUNT_FACTOR times its inside + 1 ranks, draws how many of
+    its batches reach each rank as one uniform multinomial; these draw row
+    by row, in one call (``_counted_outcomes``).  Then the other rows split
+    into their batches, and all of those draw their ranks in one
+    ``integers(0, inside, endpoint=True)`` call, in row order;
+    ``endpoint=True`` keeps the bound at M, which fits int64 where M + 1
+    may not.  A counted row pays about one binomial per rank, several
+    times what a batch drawn alone pays for its rank and its share of the
+    sort, so a row with few batches per rank is drawn batch by batch.
+    """
+    counted = reps // RANK_COUNT_FACTOR > inside  # no product: inside may be 2^63 - 1
+    raw = ~counted
+    pieces = []
+    if counted.any():
+        last = inside[counted][:, None]
+        uniform = np.ones((len(last), int(last.max()) + 1))
+        group, ranks, counts = _counted_outcomes(gen, reps[counted], uniform, last)
+        pieces.append((below[counted][group] + ranks, counts))
+    if raw.any():
+        ranks = gen.integers(0, np.repeat(inside[raw], reps[raw]), endpoint=True)
+        pieces.append(np.unique(np.repeat(below[raw], reps[raw]) + ranks, return_counts=True))
+    return tuple(map(np.concatenate, zip(*pieces)))
 
 
 def _multinomial(gen: np.random.Generator, n: int, weights: Sequence[float]) -> np.ndarray:
@@ -229,8 +271,9 @@ def _counted_multinomial(
     w_j)), with ``left`` the draws not yet placed, and the first point
     takes what is left (Devroye, Non-Uniform Random Variate Generation,
     1986, ch. XI).  A group of r batches with r > left draws how many of
-    them reach each n_j as one multinomial and splits by it; these draws
-    go group by group, in one call (``_counted_binomials``).  Then a group
+    them reach each n_j as one multinomial over the Binomial(left, q) pmf
+    and splits by it; these draws go group by group, in one call
+    (``_counted_outcomes``).  Then a group
     with r <= left splits into its r batches, and all of those draw their
     binomials in one ``gen.binomial`` call, in row order.  A stage with one
     group, such as the first, draws the same numbers with scalar arguments
@@ -260,7 +303,9 @@ def _counted_multinomial(
         counted = ~raw & (left > 0)
         spawn = np.where(raw, reps, 1)  # the rows each group splits into
         if counted.any():
-            group, sums, counts = _counted_binomials(gen, reps[counted], left[counted], q)
+            outcomes = left[counted][:, None]
+            pmf = _binomial_pmf(outcomes, q)
+            group, sums, counts = _counted_outcomes(gen, reps[counted], pmf, outcomes)
             spawn[counted] = np.bincount(group, minlength=np.count_nonzero(counted))
         if spawn.sum() > len(spawn):  # some group splits: one row per part
             rows = np.repeat(np.arange(len(reps)), spawn)
@@ -294,7 +339,7 @@ def _counted_binomial(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(sums, counts) of n Binomial(M, p) draws, drawn as one multinomial over 0..M.
 
-    The one-group case of ``_counted_binomials``, bit for bit, in scalar
+    The one-group case of ``_counted_outcomes``, bit for bit, in scalar
     draws: numpy's array-argument ``multinomial`` costs about 12 us a call
     more, which a Bernoulli atom would pay on every block.  Only sums drawn
     at least once are returned.
@@ -307,31 +352,35 @@ def _counted_binomial(
     return sums, counts[sums]
 
 
-def _counted_binomials(
-    gen: np.random.Generator, n: np.ndarray, M: np.ndarray, p: float
+def _counted_outcomes(
+    gen: np.random.Generator, n: np.ndarray, pmf: np.ndarray, M: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(group, sums, counts): for each group g, the sums that n[g] Binomial(M[g], p)
-    draws reached, ascending, and how many reached each; group by group.
+    """(group, outcomes, counts): for each group g, the outcomes 0..M[g] that n[g]
+    i.i.d. draws with masses pmf[g] reached, ascending, and how many reached
+    each; group by group.  ``M`` is a column, and ``pmf`` has one row per
+    group, max(M) + 1 wide, which this overwrites; pmf[g] past M[g] is
+    ignored.
 
     The counts of n i.i.d. draws are Multinomial(n, pmf), one multinomial
     per group, drawn in group order in one call.  numpy draws a
     multinomial one category at a time, each as a binomial with
     probability p_j / (1 - p_0 - ... - p_{j-1}); that remainder cancels if
     the bulk comes first, so the outcomes are drawn in ascending order of
-    mass.  A group's row is padded in front to the longest with categories
-    of mass 0, which draw nothing and leave the remainder as it is, and
-    is normalized over its own outcomes, so each group draws as
-    ``gen.multinomial(n[g], pmf / pmf.sum())`` alone would.
+    mass, equal masses in outcome order.  A group's row is padded in front
+    to the longest with categories of mass 0, which draw nothing and leave
+    the remainder as it is, and is normalized over its own outcomes, so
+    each group draws as ``gen.multinomial(n[g], pmf / pmf.sum())`` alone
+    would.
     """
-    M = M[:, None]
-    pmf = _binomial_pmf(M, p)
-    pmf[np.arange(pmf.shape[1]) > M] = -1.0  # the padding sorts first
+    columns = np.arange(pmf.shape[1])
+    pmf[columns > M] = -1.0  # the padding sorts first
     order = np.argsort(pmf, axis=1, kind="stable")
     rows = np.arange(len(M))[:, None]
     ascending = pmf[rows, order]
-    for row, pad in zip(ascending, (np.max(M) - M).ravel().tolist()):
-        row[:pad] = 0.0
-        row[pad:] /= row[pad:].sum()
+    pad = np.max(M) - M
+    ascending[columns < pad] = 0.0
+    # each row's sum over its own outcomes, in the order pmf.sum() alone adds them
+    ascending /= np.array([[row[p:].sum()] for row, p in zip(ascending, pad.ravel().tolist())])
     counts = np.empty_like(order)
     counts[rows, order] = gen.multinomial(n, ascending)
     group, sums = np.nonzero(counts)
@@ -549,7 +598,7 @@ class _Group:
     anchor: Fraction  # side_anchor(summarize(model), side)
     M: int
     side: Side
-    seed: int  # _law_seed(master_seed, model_id, M, side)
+    seed: Optional[int]  # _law_seed(master_seed, model_id, M, side); None for a refused M
     ts: Sequence[float]
 
 
@@ -611,21 +660,24 @@ def run_sweep(
     """Evaluate every (model, M, t, side) cell of the grid.
 
     ``t_grid`` is either a list of deviations shared by every model and
-    side, or an int n: n deviations spanning each (model, side) validity
-    window (:func:`window_t_grid`).  The sweep's unit is the group of the
-    cells of one (model, side, M), which share an anchor and a drawn law.
+    side, or an integer n, a numpy integer too: n deviations spanning each
+    (model, side) validity window (:func:`window_t_grid`).  The sweep's
+    unit is the group of the cells of one (model, side, M), which share an
+    anchor and a drawn law.
     Rows come out model by model, then side, then M, then t.
 
     ``method`` selects the engine per cell: "auto" prefers the exact
     oracle and falls back to Monte Carlo, "exact" and "montecarlo" force
     one engine.  Per-cell failures become rows with method "error:<name>"
     rather than aborting the sweep; so does each cell of an M that
-    ``bounds.check_engine_m`` refuses, and its row keeps that M as given.
-    An unknown method, a level outside (0, 1), a side other than a Side,
-    "upper" or "lower", a master seed outside [0, 2^64), a thread count
-    outside [1, THREADS_LIMIT), two groups with one key (model_id, M, side),
-    even of different models or t grids, or a t repeated within a group,
-    raise DomainError before any cell runs.
+    ``bounds.check_engine_m`` refuses, and its row keeps that M as given;
+    such an M draws nothing, so it is not hashed.  An unknown method, a
+    level that is not a real number in (0, 1), a t count that is not an
+    integer >= 0, a side other than a Side, "upper" or "lower", a master
+    seed outside [0, 2^64), a thread count outside [1, THREADS_LIMIT), two
+    groups with one key (model_id, M, side), even of different models or t
+    grids, or a t repeated within a group, raise DomainError before any
+    cell runs.
 
     With ``threads`` > 1 (or the EXCHBOUND_THREADS environment variable)
     the groups are evaluated concurrently, one group per task.  A Monte
@@ -639,7 +691,9 @@ def run_sweep(
         raise EmptyGrid("models list is empty")
     if not M_grid:
         raise EmptyGrid("M grid is empty")
-    if (isinstance(t_grid, int) and t_grid < 1) or not t_grid:
+    if not isinstance(t_grid, Sequence):  # a count of deviations per window
+        t_grid = check_int("t_grid", t_grid, 0)
+    if not t_grid:
         raise EmptyGrid("t grid is empty")
     if not sides:
         raise EmptyGrid("sides list is empty")
@@ -647,8 +701,7 @@ def run_sweep(
     replications = check_int("replications", replications, 1)
     if method not in METHODS:
         raise DomainError(f"unknown sweep method {method!r}")
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"level must lie in (0,1), got {level!r}")
+    _check_level(level)
     master_seed = check_master_seed(master_seed)
     n_threads = _resolve_threads(threads)
 
@@ -663,7 +716,9 @@ def run_sweep(
                 try:
                     M = check_engine_m(M)
                 except DomainError:
-                    pass  # kept as given, and each of its cells becomes an error row
+                    seed = None  # M kept as given: it draws nothing, and each cell is an error row
+                else:
+                    seed = _law_seed(master_seed, model_id, M, side)
                 # a repeated group would repeat its rows and draw from its stream
                 seen = set(ts) if (model_id, M, side) in keys else set()
                 for t in ts:
@@ -673,7 +728,6 @@ def run_sweep(
                         )
                     seen.add(t)
                 keys.add((model_id, M, side))
-                seed = _law_seed(master_seed, model_id, M, side)
                 groups.append(_Group(model_id, m, anchor, M, side, seed, ts))
 
     evaluate = functools.partial(
@@ -687,7 +741,7 @@ def run_sweep(
     else:
         # a group per task, so two threads never draw one law; largest M
         # first, so the longest draws do not start last (a refused M draws nothing)
-        sizes = [g.M if isinstance(g.M, int) else 0 for g in groups]
+        sizes = [0 if g.seed is None else g.M for g in groups]
         order = sorted(range(len(groups)), key=sizes.__getitem__, reverse=True)
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             futures = {i: pool.submit(evaluate, groups[i]) for i in order}

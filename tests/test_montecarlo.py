@@ -708,13 +708,42 @@ class TestParamMixtureBlocks:
         m = BernoulliParamMixture(UniformDensity(lo, hi))
         m = m if side is Side.UPPER else flip_model(m)
         reps = 10**6
-        for M in (1, 3, 10, 50):
+        for M in (1, 3, 10, 50, 200):
             (table,) = montecarlo._empirical_law.__wrapped__(m, M, reps, mix64(107, M))
             assert table.scale == 1
             drawn = dict(zip(table.keys.tolist(), (-np.diff(table.at_least)).tolist()))
             tails = [exact_sum_tail(m, M, k, Side.UPPER).probability for k in range(M + 2)]
             pmf = {k: tails[k] - tails[k + 1] for k in range(M + 1)}
             assert chi_square_fits(drawn, pmf, reps), M
+
+    @pytest.mark.parametrize("M", [1, 50, 200])
+    def test_a_block_counts_crowded_rows_then_draws_single_ranks(self, M):
+        # a row with at least RANK_COUNT_FACTOR batches per rank draws one uniform
+        # multinomial, row by row; then every other batch draws its rank, in row order
+        lo, hi, n = 0.2, 0.8, montecarlo.BLOCK_SIZE
+        seed = SeedSpec(master_seed=113, replication_index=0)
+        gen, reference = _block_stream(seed), _block_stream(seed)
+        m = BernoulliParamMixture(UniformDensity(lo, hi))
+        ((scale, keys, counts),) = montecarlo._block_sums(m, M, n, gen)
+        vectors, reps = montecarlo._counted_multinomial(reference, n, M, [1 - hi, hi - lo, lo])
+        below, inside = vectors[:, 2], vectors[:, 1]
+        crowded = reps >= montecarlo.RANK_COUNT_FACTOR * (inside + 1)
+        totals = {}
+        for a, N, r in zip(*(x[crowded].tolist() for x in (below, inside, reps))):
+            for rank, c in enumerate(reference.multinomial(r, [1 / (N + 1)] * (N + 1)).tolist()):
+                totals[a + rank] = totals.get(a + rank, 0) + c
+        single = np.repeat(below[~crowded], reps[~crowded]) + reference.integers(
+            0, np.repeat(inside[~crowded], reps[~crowded]), endpoint=True
+        )
+        for s in single.tolist():
+            totals[s] = totals.get(s, 0) + 1
+        want = sorted((k, c) for k, c in totals.items() if c)
+        assert scale == 1 and list(zip(keys.tolist(), counts.tolist())) == want
+        assert same_position(gen, reference)
+        if M == 1:
+            assert crowded.all()
+        elif M == 50:
+            assert crowded.any() and not crowded.all()
 
     @pytest.mark.parametrize("side", [Side.UPPER, Side.LOWER])
     def test_rank_draw_at_the_largest_m(self, side):
@@ -730,16 +759,27 @@ class TestParamMixtureBlocks:
     # keeps its quantile and binomial draw bit for bit, and pieces of every
     # law add up by key as before
     TBETA = BernoulliParamMixture(TruncatedBetaDensity(2.0, 5.0, 0.1, 0.9))
+    UNIFORM = suite_model("uniform_param")
     PINNED = [
         (TBETA, 10, 100_000, 7, "baa5f52cdb634e6a"),
         (TBETA, 200, 100_000, 7, "daca5a7828f5049c"),
         (flip_model(TBETA), 10, 100_000, 7, "83850e941686f9c4"),
         (FiniteMixture([(0.6, Beta(2.0, 5.0)), (0.4, Bernoulli(0.7))]), 10, 200_000, 12345,
          "ce51b4e362cd5329"),
+        # the counted rank draw: every row counted at M = 1, both kinds at M = 10
+        # and 50, every row drawn batch by batch at M = 200
+        (UNIFORM, 1, 100_000, 7, "b4be56a887497986"),
+        (UNIFORM, 10, 100_000, 7, "eb3d54f990024414"),
+        (UNIFORM, 50, 100_000, 7, "6fb04dcb1294fc5d"),
+        (UNIFORM, 200, 100_000, 7, "f0af16e7580212e4"),
+        # [0.2, 0.8] reflects onto itself, so its lower law is its upper law
+        (flip_model(UNIFORM), 10, 100_000, 7, "eb3d54f990024414"),
     ]
 
     @pytest.mark.parametrize(
-        "m,M,reps,seed,digest", PINNED, ids=["tbeta-10", "tbeta-200", "tbeta-lower", "beta-bern"]
+        "m,M,reps,seed,digest", PINNED,
+        ids=["tbeta-10", "tbeta-200", "tbeta-lower", "beta-bern",
+             "uniform-1", "uniform-10", "uniform-50", "uniform-200", "uniform-lower"],
     )
     def test_pinned_laws(self, m, M, reps, seed, digest):
         assert law_digest(montecarlo._empirical_law.__wrapped__(m, M, reps, seed)) == digest
@@ -902,6 +942,42 @@ class TestRunSweep:
                              method=method)
 
         assert sweep(["upper", "lower"]) == sweep([Side.UPPER, Side.LOWER])
+
+    @pytest.mark.parametrize(
+        "count", [np.int64(3), np.uint8(3), True], ids=["int64", "uint8", "bool"]
+    )
+    def test_a_t_count_that_is_an_integer_gives_the_rows_of_the_int(self, count):
+        models = list(standard_suite())[:1]
+        rows = run_sweep(models, [5], count, [Side.UPPER], 100, 0).rows
+        assert rows == run_sweep(models, [5], int(count), [Side.UPPER], 100, 0).rows
+        assert len(rows) == int(count)
+
+    @pytest.mark.parametrize("count", [2.5, -1])
+    def test_a_t_count_that_is_not_an_integer_from_0_is_refused(self, monkeypatch, count):
+        monkeypatch.setattr(montecarlo, "_sweep_group", lambda *a, **k: pytest.fail("a cell ran"))
+        with pytest.raises(DomainError, match="t_grid must"):
+            run_sweep(list(standard_suite())[:1], [5], count, [Side.UPPER], 100, 0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_refused_m_is_not_hashed(self, threads):
+        # a 5000-digit M has no repr under the 4300-digit limit; it draws nothing,
+        # so its cells are error rows and the other M's rows are as without it
+        def sweep(M_grid):
+            return run_sweep(list(standard_suite())[:1], M_grid, [0.1, 0.2], [Side.UPPER], 100, 0,
+                             method="montecarlo", threads=threads).rows
+
+        rows = sweep([10**5000, 5])
+        assert [r.method for r in rows[:2]] == ["error:DomainError"] * 2
+        assert rows[0].M == 10**5000
+        assert rows[2:] == sweep([5])
+
+    @pytest.mark.parametrize("level", ["0.5", None, float("nan"), 1.5, 0], ids=repr)
+    def test_a_level_that_is_not_a_real_number_in_0_1_is_refused(self, monkeypatch, level):
+        monkeypatch.setattr(montecarlo, "_sweep_group", lambda *a, **k: pytest.fail("a cell ran"))
+        with pytest.raises(DomainError, match=r"level must lie in \(0,1\), got"):
+            clopper_pearson_interval(1, 10, level)
+        with pytest.raises(DomainError, match=r"level must lie in \(0,1\), got"):
+            run_sweep(list(standard_suite())[:1], [5], [0.1], [Side.UPPER], 100, 0, level=level)
 
     def test_engines_read_a_side_spelling_as_its_side(self):
         m = suite_model("bern03")
