@@ -30,7 +30,6 @@ _EXPORTS = {
         "hoeffding_tail_bound",
         "kl_form_bound",
         "little_g",
-        "lower_tail_bound_by_flip",
         "mgf_convexity_bound",
         "optimal_h",
         "t_for_confidence",

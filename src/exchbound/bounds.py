@@ -343,22 +343,6 @@ def t_for_confidence(M: int, delta: float) -> float:
     return math.sqrt((0.0 - math.log(delta)) / (2.0 * M))
 
 
-def lower_tail_bound_by_flip(model_summary: ModelSummary, M: int, t: float) -> float:
-    """Lower-tail bound P(mu_minus - Xbar >= t) <= exp(-2 M t^2).
-
-    Obtained by applying the upper-tail bound to the reflected variables
-    1 - X_m, whose anchor is a = 1 - mu_minus (:func:`side_anchor`); the
-    validity window t < 1 - a, which is exactly t < mu_minus, is checked here.
-    """
-    _check_m(M)
-    check_t(t)
-    if not t < model_summary.mu_minus:
-        raise OutOfValidityRange(
-            f"t={t!r} outside (0, {model_summary.mu_minus!r}) for the lower tail"
-        )
-    return hoeffding_tail_bound(M, t)
-
-
 def tail_bound_report(anchor: Union[float, Fraction], M: int, t: float) -> BoundReport:
     """All bound forms for one query against an upper-side anchor mean.
 

@@ -74,6 +74,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import numbers
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -84,7 +85,7 @@ import numpy as np
 from scipy import special
 
 from .bounds import Side, TailQuery, check_engine_m, check_int, side_anchor, tail_bound_report
-from .errors import DomainError, EmptyGrid, ExchboundError, MTooLarge, UnsupportedModel
+from .errors import DomainError, EmptyGrid, ExchboundError, InvalidT, MTooLarge, UnsupportedModel
 from .model import (
     Beta,
     BernoulliParamMixture,
@@ -645,6 +646,22 @@ def _sweep_group(group: _Group, replications: int, method: str, level: float) ->
     return rows
 
 
+def _check_t_grid(t_grid):
+    """t_grid as a count of deviations per window, an int >= 0 by the integer
+    rule, or as a sequence of real numbers, whose values each cell checks."""
+    forms = "a count of deviations per window or a sequence of deviations"
+    if isinstance(t_grid, str) or not isinstance(t_grid, Sequence):
+        try:
+            operator.index(t_grid)
+        except TypeError:
+            raise DomainError(f"t_grid must be {forms}, got {t_grid!r}") from None
+        return check_int("t_grid", t_grid, 0)
+    bad = [t for t in t_grid if not isinstance(t, numbers.Real)]
+    if bad:
+        raise InvalidT(f"t_grid must be {forms}, but holds {bad[0]!r}, not a real number")
+    return t_grid
+
+
 def run_sweep(
     models: Sequence[tuple[str, MixingMeasure]],
     M_grid: Sequence[int],
@@ -672,12 +689,12 @@ def run_sweep(
     rather than aborting the sweep; so does each cell of an M that
     ``bounds.check_engine_m`` refuses, and its row keeps that M as given;
     such an M draws nothing, so it is not hashed.  An unknown method, a
-    level that is not a real number in (0, 1), a t count that is not an
-    integer >= 0, a side other than a Side, "upper" or "lower", a master
-    seed outside [0, 2^64), a thread count outside [1, THREADS_LIMIT), two
-    groups with one key (model_id, M, side), even of different models or t
-    grids, or a t repeated within a group, raise DomainError before any
-    cell runs.
+    level that is not a real number in (0, 1), a ``t_grid`` that is
+    neither an integer >= 0 nor a sequence of real numbers, a side other
+    than a Side, "upper" or "lower", a master seed outside [0, 2^64), a
+    thread count outside [1, THREADS_LIMIT), two groups with one key
+    (model_id, M, side), even of different models or t grids, or a t
+    repeated within a group, raise DomainError before any cell runs.
 
     With ``threads`` > 1 (or the EXCHBOUND_THREADS environment variable)
     the groups are evaluated concurrently, one group per task.  A Monte
@@ -691,8 +708,7 @@ def run_sweep(
         raise EmptyGrid("models list is empty")
     if not M_grid:
         raise EmptyGrid("M grid is empty")
-    if not isinstance(t_grid, Sequence):  # a count of deviations per window
-        t_grid = check_int("t_grid", t_grid, 0)
+    t_grid = _check_t_grid(t_grid)
     if not t_grid:
         raise EmptyGrid("t grid is empty")
     if not sides:

@@ -1,18 +1,19 @@
 """Exact tail probabilities for mixture models, used as ground truth.
 
 Conditional on the drawn component, the sum S = X_1 + ... + X_M of a
-batch is a sum of i.i.d. draws, so the tail of the sample mean
-decomposes over the mixing measure:
+batch is a sum of i.i.d. draws, so the tail of the sample mean is the
+fsum over the mixing measure of each atom's weight times its tail.
+Every exact law of one (component, M) is a cached :class:`SumTable`,
+shared by every threshold (a refusal is cached too):
 
-* Atoms of two points x0 < x1, Bernoulli or discrete, at any M:
-  S = M*x0 + (x1 - x0)*B with B ~ Binomial(M, w1), w1 the weight of x1,
-  so S >= thr iff B >= k, one exact ceiling in integers, and the tail is
-  one regularized incomplete beta from ``scipy.special``.  A mixture of
-  such atoms only is labelled ``binomial``, any other ``convolution``.
+* Atoms of two points x0 < x1, Bernoulli or discrete, at any M: on the
+  integers of ``lattice_points``, S*D = M*z0 + (z1 - z0)*B with
+  B ~ Binomial(M, w1), w1 the weight of x1, so each tail the table is
+  asked for is one regularized incomplete beta from ``scipy.special``.
+  A mixture of such atoms only is labelled ``binomial``, any other
+  ``convolution``.
 * Point masses and discrete atoms of three or more points: the pmf
-  convolved M times over the points scaled to integers, one cached
-  lattice law per (component, M), a :class:`SumTable` shared by every
-  threshold; a refusal is cached too.
+  convolved M times over the points scaled to integers.
   Points on a common grid (after subtracting the smallest and dividing
   by the gcd g of the gaps, the step law is a dense vector of span + 1
   entries) are raised to the M-th power by repeated squaring with
@@ -23,21 +24,20 @@ decomposes over the mixing measure:
   number (``LATTICE_MAX_STATES``).  Terms are summed directly, never by
   FFT: all are positive, so deep tails keep their relative precision.
 * Continuous Bernoulli-parameter mixtures, density proportional to
-  p^(a-1) (1-p)^(b-1) on [lo, hi] (a = b = 1 if uniform), in closed form:
+  p^(a-1) (1-p)^(b-1) on [lo, hi] (a = b = 1 if uniform), one atom of
+  weight 1 whose law is keyed by the count S, in closed form:
   P(S >= k) = sum_{j>=k} BetaBin(j; M, a, b) mass(j+a, M-j+b) / mass(a, b),
   mass(a, b) = P(Beta(a, b) in [lo, hi]) taken from its smaller tail
   (``model.beta_interval_mass``); positive terms keep deep tails precise.
-  One table of terms per (density, M) serves every threshold.  A sum of
-  more than ``PARAM_MAX_TERMS`` terms is refused.
+  A sum of more than ``PARAM_MAX_TERMS`` terms is refused.
 
 Boundary convention: tail events use non-strict inequalities,
 S >= M*(mu_plus + t) and S <= M*(mu_minus - t).  Thresholds and lattice
 sums are handled in exact rational arithmetic on the IEEE values of the
 inputs, so boundary atoms are never dropped or double-counted by float
-rounding.  A threshold meets a law in exact integers in three places:
-``SumTable.tail``, which decides every lattice law here and every drawn
-law of the Monte Carlo engine, and the one ceiling each of
-``_two_point_sum_tail`` and ``_param_mixture_sum_tail`` takes.
+rounding.  A threshold meets a law in one place, ``SumTable.tail``, one
+exact integer ceiling that decides every exact law here and every drawn
+law of the Monte Carlo engine.
 
 Lower tails are computed by reflection: mu_minus - Xbar >= t holds for a
 model exactly when the reflected model (X' = 1 - X) has
@@ -147,52 +147,34 @@ def exact_sum_tail(
 
 
 def _upper_sum_tail(m: MixingMeasure, M: int, thr: Fraction) -> ExactTail:
-    """P(S >= thr) for an M and a threshold already checked."""
-    if isinstance(m, FiniteMixture):
-        return _finite_mixture_sum_tail(m, M, thr)
+    """P(S >= thr) for an M and a threshold already checked, read from each atom's law."""
     if isinstance(m, BernoulliParamMixture):
-        return _param_mixture_sum_tail(m, M, thr)
-    raise TypeError(f"not a MixingMeasure: {m!r}")
-
-
-def _finite_mixture_sum_tail(m: FiniteMixture, M: int, thr: Fraction) -> ExactTail:
-    # every support first: a Beta atom raises UnsupportedModel before any lattice law is built
-    laws = [(w, c.discrete_law()) for w, c in m.atoms]
-    parts = []
-    for w, (points, weights) in laws:
-        if len(points) == 2:
-            parts.append(w * _two_point_sum_tail(points, weights[1], M, thr))
-            continue
-        table = _lattice_law(points, weights, M)
-        if table is None:
-            raise MTooLarge(f"the sum of M={M} draws from {len(points)} points lies on more "
-                            f"than {LATTICE_DENSE_MAX} grid sums and takes more than "
-                            f"{LATTICE_MAX_STATES} values")
-        parts.append(w * float(table.tail(thr)))
-    prob = min(1.0, max(0.0, math.fsum(parts)))  # fsum is exact, so atom order cannot matter
-    two_point = all(len(points) == 2 for _, (points, _) in laws)
-    method = TailMethod.BINOMIAL_CLOSED_FORM if two_point else TailMethod.DISCRETE_CONVOLUTION
-    return ExactTail(probability=prob, method=method)
-
-
-def _two_point_sum_tail(points: tuple, w1: float, M: int, thr: Fraction) -> float:
-    """P(S >= thr) for M draws from x0 < x1, x1 of weight w1: S = M*x0 + (x1 - x0)*B
-    with B ~ Binomial(M, w1), so S >= thr iff B >= k = ceil((thr - M*x0) / (x1 - x0))."""
-    (a0, b0), (a1, b1) = (x.as_integer_ratio() for x in points)
-    num = (thr.numerator * b0 - M * a0 * thr.denominator) * b1
-    k = -(-num // (thr.denominator * (a1 * b0 - a0 * b1)))  # an exact ceiling in ints
-    if k <= 0:
-        return 1.0
-    if k > M:
-        return 0.0
-    return float(special.betainc(k, M - k + 1, w1))  # P(Bin(M, w1) >= k)
+        laws, method = [(1.0, _param_law(m.density, M))], TailMethod.QUADRATURE_OVER_BINOMIAL
+    elif isinstance(m, FiniteMixture):
+        # every support first: a Beta atom raises UnsupportedModel before any law is built
+        supports = [(w, c.discrete_law()) for w, c in m.atoms]
+        laws = []
+        for w, (points, weights) in supports:
+            table = _lattice_law(points, weights, M)
+            if table is None:
+                raise MTooLarge(f"the sum of M={M} draws from {len(points)} points lies on more "
+                                f"than {LATTICE_DENSE_MAX} grid sums and takes more than "
+                                f"{LATTICE_MAX_STATES} values")
+            laws.append((w, table))
+        two_point = all(len(points) == 2 for _, (points, _) in supports)
+        method = TailMethod.BINOMIAL_CLOSED_FORM if two_point else TailMethod.DISCRETE_CONVOLUTION
+    else:
+        raise TypeError(f"not a MixingMeasure: {m!r}")
+    prob = math.fsum(w * float(table.tail(thr)) for w, table in laws)  # exact: order cannot matter
+    return ExactTail(probability=min(1.0, max(0.0, prob)), method=method)
 
 
 def lattice_points(points: Sequence[Scalar]) -> tuple[int, tuple[int, ...]]:
     """(D, (D*x, ...)): the points scaled to integers by D, the lcm of their
     exact denominators, so that a sum S of points is decided as the integer S*D."""
-    D = math.lcm(*(Fraction(x).denominator for x in points))
-    return D, tuple(int(Fraction(x) * D) for x in points)
+    exact = [Fraction(x) for x in points]
+    D = math.lcm(*(x.denominator for x in exact))
+    return D, tuple(x.numerator * (D // x.denominator) for x in exact)
 
 
 class SumTable:
@@ -201,18 +183,25 @@ class SumTable:
     ``keys`` are the integers S*scale on a lattice of factor ``scale``
     (``lattice_points``), or float sums S when ``scale`` is None;
     ``at_least[i]`` is the mass (a probability, or a count of draws) of the
-    keys >= keys[i], and ``at_least[-1]`` is 0.  Both engines read every
-    event through :meth:`tail`.
+    keys >= keys[i], for i up to len(keys), where it is 0.  Every exact law
+    of the oracle and every drawn law of the Monte Carlo engine is one, and
+    both engines read every event through :meth:`tail`.
     """
 
-    def __init__(self, scale: Optional[int], keys: Sequence, masses: np.ndarray):
-        """keys ascending, masses[i] the mass of keys[i]; cached tables are shared,
-        so the arrays are read-only."""
-        self.scale, self.keys = scale, keys
-        self.at_least = np.append(np.cumsum(masses[::-1])[::-1], 0)
-        for array in (keys, self.at_least):
+    def __init__(self, scale: Optional[int], keys: Sequence, masses=None, *, at_least=None):
+        """keys ascending, masses[i] the mass of keys[i]; or, for a law read on
+        demand, ``at_least`` itself, indexed as the array would be.  Cached
+        tables are shared, so the arrays are read-only."""
+        at_least = np.append(np.cumsum(masses[::-1])[::-1], 0) if at_least is None else at_least
+        self.scale, self.keys, self.at_least = scale, keys, at_least
+        for array in (keys, at_least):
             if isinstance(array, np.ndarray):
                 array.setflags(write=False)
+        # range keys as (first, step, count), read by one ceiling, as bisect
+        # takes len(), which fails past 2^63 keys
+        self.grid = None
+        if isinstance(keys, range):
+            self.grid = keys.start, keys.step, (keys[-1] - keys.start) // keys.step + 1
 
     def tail(self, thr: Fraction):
         """The mass of the sums S >= thr."""
@@ -222,7 +211,11 @@ class SumTable:
             k = _float_ceil(thr)
         else:
             k = -(-thr.numerator * self.scale // thr.denominator)
-        return self.at_least[bisect.bisect_left(self.keys, k)]
+        if self.grid is None:
+            return self.at_least[bisect.bisect_left(self.keys, k)]
+        first, step, count = self.grid
+        i = -(-(k - first) // step)
+        return self.at_least[0 if i < 0 else min(i, count)]
 
 
 def _float_ceil(x: Fraction) -> float:
@@ -240,6 +233,9 @@ def _lattice_law(points: tuple, weights: tuple, M: int) -> Optional[SumTable]:
     """The law of the sum S of M draws, keyed by S*D, D as in lattice_points.
     None past both guards, so that the cache keeps a refusal as it keeps a law."""
     D, ints = lattice_points(points)
+    if len(ints) == 2:  # S*D = M*z0 + (z1 - z0)*B with B ~ Binomial(M, w1), at any M
+        (z0, z1), w1 = ints, weights[1]
+        return SumTable(D, range(M * z0, M * z1 + 1, z1 - z0), at_least=_BinomialTail(M, w1))
     low = min(ints)
     g = math.gcd(*(z - low for z in ints)) or 1  # one point: no gaps, span 0
     span = (max(ints) - low) // g
@@ -250,6 +246,18 @@ def _lattice_law(points: tuple, weights: tuple, M: int) -> Optional[SumTable]:
         return SumTable(D, range(M * low, M * (low + span * g) + 1, g), _dense_power(step, M))
     sparse = _sparse_law(ints, weights, M)
     return None if sparse is None else SumTable(D, *sparse)
+
+
+class _BinomialTail:
+    """at_least[k] = P(Binomial(M, w1) >= k), one incomplete beta per read."""
+
+    def __init__(self, M: int, w1: float):
+        self.M, self.w1 = M, w1
+
+    def __getitem__(self, k: int) -> float:
+        if not 0 < k <= self.M:
+            return 1.0 if k <= 0 else 0.0
+        return float(special.betainc(k, self.M - k + 1, self.w1))
 
 
 def _dense_power(step: np.ndarray, M: int) -> np.ndarray:
@@ -283,28 +291,16 @@ def _sparse_law(ints: tuple, weights: tuple, M: int) -> Optional[tuple[tuple, np
     return sums, np.array([dist[s] for s in sums])
 
 
-def _param_mixture_sum_tail(
-    m: BernoulliParamMixture, M: int, thr: Fraction
-) -> ExactTail:
-    d = m.density
-    k = math.ceil(thr)
-    if k <= 0:
-        return ExactTail(1.0, TailMethod.QUADRATURE_OVER_BINOMIAL)
-    if k > M:
-        return ExactTail(0.0, TailMethod.QUADRATURE_OVER_BINOMIAL)
-    if M - k + 1 > PARAM_MAX_TERMS:
-        raise MTooLarge(f"the tail of M={M} draws sums {M - k + 1} terms, "
-                        f"more than {PARAM_MAX_TERMS}")
-    terms = _term_table(d, M).from_index(k)
-    return ExactTail(
-        probability=min(1.0, math.fsum(terms.tolist()) / (M + 1)),
-        method=TailMethod.QUADRATURE_OVER_BINOMIAL,
-    )
+@functools.lru_cache(maxsize=16)  # a table of PARAM_MAX_TERMS terms holds 2 MB
+def _param_law(d: ParamDensity, M: int) -> SumTable:
+    """The law of the count S of ones in M draws of a parameter mixture, keyed by S."""
+    return SumTable(1, range(M + 1), at_least=_TermTable(d, M))
 
 
 class _TermTable:
-    """The terms of one (density, M) for j = k0..M, extended down to a
-    smaller k when a threshold asks for one.  Every term is computed
+    """at_least[k] = P(S >= k) of one (density, M): the fsum of its terms for
+    j = k..M over M + 1.  Terms are tabled for j = k0..M and extended down to
+    a smaller k when a read asks for one.  Every term is computed
     elementwise, so a slice equals the terms computed for its k alone, and
     a concurrent extension only replaces the table with another valid one."""
 
@@ -312,17 +308,20 @@ class _TermTable:
         self.d, self.M = d, M
         self.table = (M + 1, np.empty(0))  # (k0, terms for j = k0..M)
 
+    def __getitem__(self, k: int) -> float:
+        if not 0 < k <= self.M:
+            return 1.0 if k <= 0 else 0.0
+        if self.M - k + 1 > PARAM_MAX_TERMS:
+            raise MTooLarge(f"the tail of M={self.M} draws sums {self.M - k + 1} terms, "
+                            f"more than {PARAM_MAX_TERMS}")
+        return min(1.0, math.fsum(self.from_index(k).tolist()) / (self.M + 1))
+
     def from_index(self, k: int) -> np.ndarray:
         k0, terms = self.table
         if k < k0:
             terms = np.concatenate((_beta_binomial_terms(self.d, self.M, k, k0), terms))
             self.table = k0, terms = k, terms
         return terms[k - k0:]
-
-
-@functools.lru_cache(maxsize=16)  # a table of PARAM_MAX_TERMS terms holds 2 MB
-def _term_table(d: ParamDensity, M: int) -> _TermTable:
-    return _TermTable(d, M)
 
 
 def _beta_binomial_terms(d: ParamDensity, M: int, start: int, stop: int) -> np.ndarray:

@@ -25,10 +25,12 @@ import io
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Optional, get_args, get_type_hints
 
-from .errors import ExchboundError
+from .bounds import _shown
+from .errors import DomainError, ExchboundError
 from .montecarlo import HistogramResult, SweepResult, SweepRow
 
 FLOAT_FORMAT = "%.17g"
@@ -131,14 +133,36 @@ _LAYOUTS = {table_type: _layout(table_type) for table_type in (Report, Histogram
 CSV_COLUMNS = _LAYOUTS[Report].columns
 
 
+@contextmanager
+def _long_ints_named(table):
+    """Turn str()'s refusal of an int past Python's digit limit, such as the M
+    of an error row, into DomainError naming the field of table that holds it."""
+    try:
+        yield
+    except ValueError:
+        for record in (table, *table.rows):
+            for f in fields(record):
+                value = getattr(record, f.name)
+                if not isinstance(value, int):
+                    continue
+                try:
+                    str(value)
+                except ValueError:
+                    message = f"{f.name} is {_shown(value)}, too long to write in a report"
+                    raise DomainError(message) from None
+        raise
+
+
 def to_csv(table) -> str:
     layout = _LAYOUTS[type(table)]
     buf = io.StringIO()
-    for key in layout.metadata:
-        buf.write(f"# {key}: {format_value(getattr(table, key))}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(layout.columns)
-    writer.writerows([format_value(getattr(row, c)) for c in layout.columns] for row in table.rows)
+    with _long_ints_named(table):
+        for key in layout.metadata:
+            buf.write(f"# {key}: {format_value(getattr(table, key))}\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(layout.columns)
+        writer.writerows([format_value(getattr(row, c)) for c in layout.columns]
+                         for row in table.rows)
     return buf.getvalue()
 
 
@@ -155,7 +179,8 @@ def to_json(table) -> str:
             for row in table.rows
         ],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    with _long_ints_named(table):
+        return json.dumps(payload, indent=2) + "\n"
 
 
 def _decode(meta: dict, records) -> Report:

@@ -26,12 +26,12 @@ from exchbound import (
     hoeffding_tail_bound,
     kl_form_bound,
     little_g,
-    lower_tail_bound_by_flip,
     mgf_convexity_bound,
     optimal_h,
     t_for_confidence,
     tail_bound_report,
 )
+from exchbound.bounds import side_anchor
 
 
 def validity_grid(n_mu=20, n_t=20, inset=0.05):
@@ -350,14 +350,13 @@ class TestConfidenceInversion:
 class TestLowerTailByFlip:
     def test_same_exponent_as_upper_form(self):
         s = ModelSummary(mu_plus=0.8, mu_minus=0.2, mu=0.5)
-        assert lower_tail_bound_by_flip(s, 100, 0.1) == pytest.approx(
-            math.exp(-2.0), abs=1e-15
-        )
+        r = tail_bound_report(side_anchor(s, Side.LOWER), 100, 0.1)
+        assert r.in_validity_range
+        assert r.hoeffding_form == pytest.approx(math.exp(-2.0), abs=1e-15)
 
     def test_window_uses_mu_minus(self):
         s = ModelSummary(mu_plus=0.8, mu_minus=0.2, mu=0.5)
-        with pytest.raises(OutOfValidityRange):
-            lower_tail_bound_by_flip(s, 100, 0.25)
+        assert not tail_bound_report(side_anchor(s, Side.LOWER), 100, 0.25).in_validity_range
 
     @given(
         st.floats(0.05, 0.95),
@@ -372,7 +371,8 @@ class TestLowerTailByFlip:
         if t <= 0.0 or t >= mu_minus:
             return
         assert (t < mu_minus) == (t < 1.0 - mu_plus_flipped)
-        assert lower_tail_bound_by_flip(s, 10, t) == hoeffding_tail_bound(10, t)
+        r = tail_bound_report(side_anchor(s, Side.LOWER), 10, t)
+        assert r.in_validity_range and r.hoeffding_form == hoeffding_tail_bound(10, t)
 
 
 class TestTailBoundReport:

@@ -401,6 +401,15 @@ class TestReportEncodings:
         assert to_json(report) == PINNED_JSON_HEAD + json_row + "\n  ]\n}\n"
         assert from_csv(to_csv(report)) == from_json(to_json(report)) == report
 
+    def test_an_m_past_the_digit_limit_is_refused_by_name(self):
+        # run_sweep keeps a refused M on its error rows; str() refuses it past 4300 digits
+        sweep = run_sweep(list(standard_suite())[:1], [10**5000, 5], [0.1], [Side.UPPER], 100, 0)
+        report = Report.from_sweep(sweep, "0", "now")
+        for encode in (to_csv, to_json):
+            with pytest.raises(exchbound.DomainError, match="^M is an integer of 16610 bits"):
+                encode(report)
+        assert to_csv(dataclasses.replace(report, rows=report.rows[1:]))
+
     def test_17_digit_floats_survive(self):
         report = make_report()
         parsed = from_csv(to_csv(report))

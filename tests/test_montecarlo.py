@@ -24,7 +24,6 @@ from exchbound import (
     ExchboundError,
     FiniteMixture,
     MTooLarge,
-    OutOfValidityRange,
     PointMass,
     SeedSpec,
     Side,
@@ -36,7 +35,6 @@ from exchbound import (
     exact_sum_tail,
     exact_tail,
     flip_model,
-    lower_tail_bound_by_flip,
     run_sweep,
     sample_mean_histogram,
     sample_sequence,
@@ -958,6 +956,17 @@ class TestRunSweep:
         with pytest.raises(DomainError, match="t_grid must"):
             run_sweep(list(standard_suite())[:1], [5], count, [Side.UPPER], 100, 0)
 
+    @pytest.mark.parametrize(
+        "t_grid",
+        [["0.1"], [0.1, None], "0.1", np.array([0.1, 0.2]), {0.1}],
+        ids=["str-in-list", "none-in-list", "str", "ndarray", "set"],
+    )
+    def test_a_t_grid_of_neither_form_is_refused_before_any_cell(self, monkeypatch, t_grid):
+        monkeypatch.setattr(montecarlo, "_sweep_group", lambda *a, **k: pytest.fail("a cell ran"))
+        forms = "t_grid must be a count of deviations per window or a sequence of deviations"
+        with pytest.raises(DomainError, match=forms):
+            run_sweep(list(standard_suite())[:1], [5], t_grid, [Side.UPPER], 100, 0)
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_a_refused_m_is_not_hashed(self, threads):
         # a 5000-digit M has no repr under the 4300-digit limit; it draws nothing,
@@ -1343,7 +1352,7 @@ class TestFractionalCounts:
 class TestWindowEdges:
     """At the end of each window, t = float(1 - a) for a = side_anchor(...),
     and an ulp either side, a sweep cell decides its documented event, its
-    valid flag and lower_tail_bound_by_flip follow the exact window
+    valid flag and tail_bound_report's lower window follow the exact window
     t < 1 - a, and window_t_grid spans up to float(1 - a)."""
 
     @pytest.mark.parametrize("model_id,m", [*standard_suite(), ("bern02", BERN02)])
@@ -1371,11 +1380,9 @@ class TestWindowEdges:
             assert row.value == exact_sum_tail(m, 2, thr, side).probability, t
             # the float forms exist only where the window also holds in floats
             assert (row.kl_form is not None) == (inside and t < 1.0 - float(a)), t
-            if side is Side.LOWER and inside:
-                assert lower_tail_bound_by_flip(s, 2, t) == row.hoeffding
-            elif side is Side.LOWER:
-                with pytest.raises(OutOfValidityRange):
-                    lower_tail_bound_by_flip(s, 2, t)
+            if side is Side.LOWER:
+                r = tail_bound_report(side_anchor(s, Side.LOWER), 2, t)
+                assert (r.in_validity_range, r.hoeffding_form) == (inside, row.hoeffding)
 
 
     @pytest.mark.parametrize("c", [5e-324, 1e-320])

@@ -40,10 +40,11 @@ from exchbound.oracle import (
     LATTICE_MAX_STATES,
     SumTable,
     _beta_binomial_terms,
+    _dense_power,
     _float_ceil,
     _lattice_law,
+    _param_law,
     _sparse_law,
-    _term_table,
     lattice_points,
 )
 
@@ -237,6 +238,13 @@ def two_point(points, weights):
     return FiniteMixture([(1.0, DiscreteOnUnit(points=points, weights=weights))])
 
 
+def dense_two_point_law(points, weights, M) -> SumTable:
+    """The dense lattice law of M draws from two points, the M-th convolution
+    power of their step law, which the oracle no longer builds for two points."""
+    D, (z0, z1) = lattice_points(points)
+    return SumTable(D, range(M * z0, M * z1 + 1, z1 - z0), _dense_power(np.array(weights), M))
+
+
 def two_point_tail(points, w1, M, thr, side) -> Fraction:
     """P(S >= thr) (upper) or P(S <= thr) (lower) for M draws from two points, the
     upper of weight w1, summed over the M + 1 sums in exact rationals."""
@@ -285,8 +293,7 @@ class TestTwoPointAtoms:
         if flip:
             m = flip_model(m)
         ((_, c),) = m.atoms
-        table = _lattice_law(c.points, c.weights, M)
-        assert isinstance(table.keys, range)  # the dense law, one step per sum
+        table = dense_two_point_law(c.points, c.weights, M)
         x0, x1 = map(Fraction, c.points)
         for b in sorted({*range(0, M + 1, max(1, M // 200)), *range(M - 40, M + 1)}):
             thr = M * x0 + (x1 - x0) * b
@@ -503,20 +510,19 @@ class TestLatticeLaws:
     def test_dense_and_sparse_laws_agree(self, law):
         points, weights, M = law
         dense = _lattice_law(points, weights, M)
-        assert isinstance(dense.keys, range)  # the dense path
+        assert isinstance(dense.keys, range)  # the dense path, or two points' incomplete beta
         D, ints = lattice_points(points)
         sparse = SumTable(D, *_sparse_law(ints, weights, M))
         assert set(sparse.keys) <= set(dense.keys)
-        for s, a in zip(dense.keys, dense.at_least.tolist()):
-            b = float(sparse.tail(Fraction(s, D)))
+        for s in dense.keys:
+            a, b = (float(table.tail(Fraction(s, D))) for table in (dense, sparse))
             if max(a, b) > 1e-300:
                 assert a == pytest.approx(b, rel=1e-12, abs=0.0), s
 
     @pytest.mark.parametrize("M,rel", [(200, 1e-13), (8000, 2e-12)])
     def test_two_point_law_against_incomplete_beta(self, M, rel):
         p = 0.3
-        table = _lattice_law((0.0, 1.0), (1.0 - p, p), M)
-        assert isinstance(table.keys, range)
+        table = dense_two_point_law((0.0, 1.0), (1.0 - p, p), M)
         for k in sorted({*range(1, M + 1, M // 100), *range(M - 60, M + 1)}):
             expected = float(special.betainc(k, M - k + 1, p))  # P(Bin(M, p) >= k)
             if expected > 1e-300:
@@ -731,19 +737,19 @@ class TestQuadratureTails:
         m = BernoulliParamMixture(density)
         M = 500
         ks = [300, 450, 120, 499, 121, 500, 1, 260]
-        _term_table.cache_clear()
+        _param_law.cache_clear()
         warm = [exact_sum_tail(m, M, Fraction(k), Side.UPPER) for k in ks]
-        assert _term_table.cache_info().misses == 1
-        table = _term_table(density, M)
+        assert _param_law.cache_info().misses == 1
+        table = _param_law(density, M).at_least
         for k, got in zip(ks, warm):
             cold_terms = _beta_binomial_terms(density, M, k, M + 1)
             assert table.from_index(k).tobytes() == cold_terms.tobytes()
-            _term_table.cache_clear()
+            _param_law.cache_clear()
             assert got == exact_sum_tail(m, M, Fraction(k), Side.UPPER)  # bit for bit
 
     def test_term_cap_counts_each_cells_own_terms(self, monkeypatch):
         m = BernoulliParamMixture(UniformDensity(0.2, 0.8))
-        _term_table.cache_clear()
+        _param_law.cache_clear()
         exact_sum_tail(m, 20, Fraction(1), Side.UPPER)  # a table of all 20 terms
         monkeypatch.setattr(oracle, "PARAM_MAX_TERMS", 10)
         assert exact_sum_tail(m, 20, Fraction(11), Side.UPPER).probability > 0.0  # 10 terms
@@ -761,3 +767,35 @@ class TestQuadratureTails:
         # threshold 10*(0.8+0.15) = 9.5 -> S = 10 only
         expected = exact_sum_tail(m, 10, Fraction(10), Side.UPPER).probability
         assert tail.probability == pytest.approx(expected, abs=1e-12)
+
+
+class TestLargestEngineM:
+    """At M = 2^63 - 1 a law has 2^63 keys, more than len() can count: each
+    threshold is read by one exact integer ceiling."""
+
+    M = 2**63 - 1
+
+    def test_two_point_atom_near_its_mean_is_one_incomplete_beta(self):
+        M, bern = self.M, FiniteMixture([(1.0, Bernoulli(0.3))])
+        for side, thr, w1 in (
+            (Side.UPPER, M * Fraction(0.3) + Fraction(M, 10**9), 0.3),
+            (Side.LOWER, M * Fraction(0.3) - Fraction(M, 10**9), 0.7),
+        ):
+            # the count of ones (upper) or of zeros (lower) reaches k
+            k = math.ceil(thr if side is Side.UPPER else M - thr)
+            got = exact_sum_tail(bern, M, thr, side)
+            assert got.method is TailMethod.BINOMIAL_CLOSED_FORM
+            assert got.probability == float(special.betainc(k, M - k + 1, w1))
+        upper = exact_sum_tail(bern, M, M * Fraction(0.3) + Fraction(M, 10**9), Side.UPPER)
+        assert upper.probability == 1.7096611258331846e-11
+
+    @pytest.mark.parametrize("r", [0, 3, 10])
+    def test_uniform_parameter_mixture_at_the_ends(self, r):
+        # S is uniform on 0..M, so P(S >= M - r) = P(S <= r) = (r + 1)/(M + 1)
+        M, m = self.M, BernoulliParamMixture(UniformDensity(0.0, 1.0))
+        for thr, side in ((M - r, Side.UPPER), (r, Side.LOWER)):
+            got = exact_sum_tail(m, M, thr, side)
+            assert got.method is TailMethod.QUADRATURE_OVER_BINOMIAL
+            assert got.probability == (r + 1) / (M + 1)
+        if r == 3:
+            assert exact_sum_tail(m, M, M - r, Side.UPPER).probability == 4.336808689942018e-19
