@@ -50,6 +50,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Union
@@ -210,9 +211,13 @@ def _check_mu(mu_tilde: float) -> None:
 
 
 def check_t(t: float) -> None:
-    """t finite and > 0: the one rule for a deviation, in the bound forms, engines and CLI."""
-    if not 0.0 < t < math.inf:
-        raise InvalidT(f"t must be finite and > 0, got {t!r}")
+    """t finite and > 0: the one rule for a deviation, in the bound forms, engines and CLI.
+
+    An int past the largest float is not finite: each bound form computes in floats.
+    """
+    if not 0.0 < t <= sys.float_info.max:
+        shown = _shown(t) if isinstance(t, int) else repr(t)
+        raise InvalidT(f"t must be finite and > 0, got {shown}")
 
 
 def _check_window(mu_tilde: float, t: float) -> None:

@@ -8,14 +8,11 @@ weights), which costs O(k) binomials for k points rather than O(M) draws.
 Only the count of each sum is kept, so the n batches of a block draw
 their count vectors together, counting the batches that share one
 (``_counted_multinomial``); a one-point atom draws nothing, its sum
-being M times its point.  A uniform parameter mixture draws no
-parameter: with X_i = 1{U_i <= p} and p uniform on [lo, hi], the draws
-below lo, inside [lo, hi] and above hi are a three-point count vector,
-and p is one more uniform inside, so its rank
-among the N draws inside is uniform on 0..N (Bayes' billiard); the sum
-is the count below lo plus that rank.  The ranks are counted too: the
-batches of one count vector, when they are many per rank, draw how many
-reach each rank as one uniform multinomial (``_rank_sums``).
+being M times its point.  The count S of a Bernoulli parameter mixture
+is Beta-binomial: a block with many batches per sum draws how many reach
+each sum 0..M as one multinomial over the oracle's exact law of S
+(``_counted_draw``), and a smaller block draws each batch's parameter p
+by ``quantile``, then its binomial sum.
 This is distributionally identical to materializing the M individual
 observations (the batch is conditionally i.i.d.), and it is what makes
 10^5-replication sweeps over hundreds of cells affordable.  The
@@ -31,9 +28,8 @@ replays (``sample_sequence``) stay on Philox.  The mixing weights of a
 finite mixture fix only how many of a block's n replications each atom
 gets, so a block first draws those counts as one Multinomial(n,
 weights), then each atom's sums in atom order (a one-atom mixture's
-count takes no draw).  A truncated-Beta parameter-mixture block draws n
-Bernoulli parameters, then their n binomial sums.  Within a block, the
-Beta sums of an atom are drawn in row chunks of about 2^17 variates from
+count takes no draw).  Within a block, the Beta sums of an atom are
+drawn in row chunks of about 2^17 variates from
 that one stream, so memory stays at one chunk, or one row past 2^17,
 however large replications grows, and the sums are those of drawing the
 whole block at once.  A row is held whole, so M is at most 2^24 for a Beta atom.
@@ -91,11 +87,10 @@ from .model import (
     BernoulliParamMixture,
     FiniteMixture,
     MixingMeasure,
-    UniformDensity,
     flip_model,
     summarize,
 )
-from .oracle import SumTable, exact_tail, lattice_points, sum_threshold
+from .oracle import SumTable, _param_law, exact_tail, lattice_points, sum_threshold
 from .sampler import SeedSpec, _block_stream, check_master_seed, mix64
 from .sampler import derive_stream  # noqa: F401  perfbench/tracing.py wraps this name
 
@@ -117,7 +112,7 @@ THREADS_LIMIT = 1 << 10  # sweep threads share one GIL; more would only wait
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
-RANK_COUNT_FACTOR = 12  # batches per rank from which a rank row is drawn counted, see _rank_sums
+PARAM_COUNT_FACTOR = 16  # batches per sum from which a parameter-mixture block is counted; measured
 
 
 @dataclass(frozen=True)
@@ -147,12 +142,16 @@ def clopper_pearson_interval(successes: int, n: int, level: float = DEFAULT_CI_L
     rate several-fold near 0 (Brown, Cai and DasGupta, Statist. Sci. 2001),
     where the bounds of large M lie.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if not (0 <= successes <= n):
-        raise DomainError(f"successes must lie in [0, {n}], got {successes}")
+    n = check_int("n", n, 1)
+    successes = check_int("successes", successes, 0, n + 1)
     _check_level(level)
-    k, alpha = successes, 1.0 - level
+    return _clopper_pearson(successes, n, float(level))
+
+
+@functools.lru_cache(maxsize=1024)  # a default sweep's 600 cells hold 148 distinct counts
+def _clopper_pearson(k: int, n: int, level: float) -> tuple[float, float]:
+    """The interval of k successes in n at level, all three already checked."""
+    alpha = 1.0 - level
     lo = 0.0 if k == 0 else float(special.betaincinv(k, n - k + 1, alpha / 2))
     hi = 1.0 if k == n else float(special.betaincinv(k + 1, n - k, 1.0 - alpha / 2))
     # the exact interval always contains k/n; rounding must not lose that
@@ -184,27 +183,25 @@ def _block_sums(
     float sums at scale None.
 
     ``keys`` are distinct ascending sums and ``counts`` how many batches
-    reached each (``np.unique`` counts the sums of a Beta atom or a truncated
-    Beta density).
+    reached each (``np.unique`` counts the sums of a Beta atom or of a
+    parameter mixture's single batches).
     A one-point atom's sum is the constant M*D*x, so it yields that key
     with count ni and draws nothing.  A Bernoulli(p) atom's one stage is
-    ``_counted_binomial`` over the sums 0..M when it has ni > M batches,
-    else the ni binomials.
+    ``_counted_draw`` over the Binomial(M, p) pmf when it has ni > M
+    batches, else the ni binomials.
 
-    A truncated Beta density draws n parameters by ``quantile``, then n
-    binomial sums.  A uniform density on [lo, hi] draws the count vectors
-    (above hi, inside, below lo) over the weights (1 - hi, hi - lo, lo)
-    by ``_counted_multinomial``, then the rank of p, uniform on
-    0..inside, of each batch (``_rank_sums``): a row with many batches
-    per rank counts how many reach each rank, one uniform multinomial,
-    and the other rows draw one rank per batch.  The sum is below + rank.
+    A parameter mixture, uniform or truncated Beta, yields its count S at
+    scale 1.  A block with n >= PARAM_COUNT_FACTOR * (M + 1) batches draws
+    how many reach each sum 0..M as one multinomial over the exact law of
+    S, the oracle's Beta-binomial terms of (density, M), cached there
+    (``_counted_draw``).  A smaller block draws n parameters by
+    ``quantile``, then n binomial sums; so does every block at an M past
+    BLOCK_SIZE, up to 2^63 - 1.
     """
     if isinstance(m, BernoulliParamMixture):
         d = m.density
-        if isinstance(d, UniformDensity):
-            lo, hi = float(d.lo), float(d.hi)
-            vectors, counts = _counted_multinomial(gen, n, M, [1.0 - hi, hi - lo, lo])
-            yield 1, *_add_by_key(*_rank_sums(gen, vectors[:, 2], vectors[:, 1], counts))
+        if n // PARAM_COUNT_FACTOR > M:  # n >= F*(M + 1), no product: M may be 2^63 - 1
+            yield 1, *_counted_draw(gen, n, _param_law(d, M).at_least.from_index(0))
         else:
             yield 1, *np.unique(gen.binomial(M, d.quantile(gen.random(n))), return_counts=True)
         return
@@ -220,38 +217,6 @@ def _block_sums(
         vectors, counts = _counted_multinomial(gen, ni, M, weights)
         keys = _lattice_sums(vectors, ints, M * D)
         yield D, *_add_by_key(keys, counts)
-
-
-def _rank_sums(
-    gen: np.random.Generator, below: np.ndarray, inside: np.ndarray, reps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(sums, counts): the sums below + R of the reps[g] batches of each row g,
-    R the rank of p, uniform on 0..inside[g], and how many batches reached
-    each; a sum may repeat, and sums come in no order.
-
-    A row with reps // RANK_COUNT_FACTOR > inside, that is with reps at
-    least RANK_COUNT_FACTOR times its inside + 1 ranks, draws how many of
-    its batches reach each rank as one uniform multinomial; these draw row
-    by row, in one call (``_counted_outcomes``).  Then the other rows split
-    into their batches, and all of those draw their ranks in one
-    ``integers(0, inside, endpoint=True)`` call, in row order;
-    ``endpoint=True`` keeps the bound at M, which fits int64 where M + 1
-    may not.  A counted row pays about one binomial per rank, several
-    times what a batch drawn alone pays for its rank and its share of the
-    sort, so a row with few batches per rank is drawn batch by batch.
-    """
-    counted = reps // RANK_COUNT_FACTOR > inside  # no product: inside may be 2^63 - 1
-    raw = ~counted
-    pieces = []
-    if counted.any():
-        last = inside[counted][:, None]
-        uniform = np.ones((len(last), int(last.max()) + 1))
-        group, ranks, counts = _counted_outcomes(gen, reps[counted], uniform, last)
-        pieces.append((below[counted][group] + ranks, counts))
-    if raw.any():
-        ranks = gen.integers(0, np.repeat(inside[raw], reps[raw]), endpoint=True)
-        pieces.append(np.unique(np.repeat(below[raw], reps[raw]) + ranks, return_counts=True))
-    return tuple(map(np.concatenate, zip(*pieces)))
 
 
 def _multinomial(gen: np.random.Generator, n: int, weights: Sequence[float]) -> np.ndarray:
@@ -278,9 +243,9 @@ def _counted_multinomial(
     with r <= left splits into its r batches, and all of those draw their
     binomials in one ``gen.binomial`` call, in row order.  A stage with one
     group, such as the first, draws the same numbers with scalar arguments
-    (``_counted_binomial``, or ``gen.binomial(left, q, size=r)``).  A group with
-    nothing left, or a point of zero weight, draws nothing, so a one-point
-    atom draws nothing at all.  Two rows may hold one vector; with no
+    (``_counted_draw`` over its pmf, or ``gen.binomial(left, q, size=r)``).
+    A group with nothing left, or a point of zero weight, draws nothing, so
+    a one-point atom draws nothing at all.  Two rows may hold one vector; with no
     counted group, each row is one batch, in row order.
     """
     w = np.asarray(weights, dtype=np.float64)
@@ -293,7 +258,7 @@ def _counted_multinomial(
         q = float(w[j] / below[j])
         if len(reps) == 1:  # one group, as at the first stage: scalar draws, no bookkeeping
             r, k = int(reps[0]), int(left[0])
-            sums, counts = _counted_binomial(gen, r, k, q) if r > k else (
+            sums, counts = _counted_draw(gen, r, _binomial_pmf(k, q)) if r > k else (
                 gen.binomial(k, q, size=r), np.ones(r, dtype=np.int64)
             )
             vectors = np.repeat(vectors, len(sums), axis=0)
@@ -335,22 +300,22 @@ def _binomial_pmf(M, p: float) -> np.ndarray:
     return np.exp(log_choose + special.xlogy(k, p) + special.xlog1py(M - k, -p))
 
 
-def _counted_binomial(
-    gen: np.random.Generator, n: int, M: int, p: float
+def _counted_draw(
+    gen: np.random.Generator, n: int, pmf: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(sums, counts) of n Binomial(M, p) draws, drawn as one multinomial over 0..M.
+    """(outcomes, counts) of n i.i.d. draws over 0..len(pmf) - 1 with masses pmf,
+    drawn as one multinomial; pmf may be unnormalized.
 
     The one-group case of ``_counted_outcomes``, bit for bit, in scalar
     draws: numpy's array-argument ``multinomial`` costs about 12 us a call
-    more, which a Bernoulli atom would pay on every block.  Only sums drawn
-    at least once are returned.
+    more, which a Bernoulli atom would pay on every block.  Only outcomes
+    drawn at least once are returned, ascending.
     """
-    pmf = _binomial_pmf(M, p)
     order = np.argsort(pmf, kind="stable")
-    counts = np.empty(M + 1, dtype=np.int64)
+    counts = np.empty(len(pmf), dtype=np.int64)
     counts[order] = _multinomial(gen, n, pmf[order])
-    sums = np.flatnonzero(counts)
-    return sums, counts[sums]
+    outcomes = np.flatnonzero(counts)
+    return outcomes, counts[outcomes]
 
 
 def _counted_outcomes(

@@ -72,6 +72,22 @@ class TestHoeffdingForm:
                 call()
 
 
+    @pytest.mark.parametrize(
+        "t,shown",
+        [(10**400, "an integer of 1329 bits"), (2**1024, r"2\^1024")],
+        ids=["1e400", "2^1024"],
+    )
+    def test_every_t_check_rejects_an_int_past_the_largest_float(self, t, shown):
+        # such an int compares below inf, but no bound form can take it as a float
+        for call in (
+            lambda: hoeffding_tail_bound(10, t),
+            lambda: tail_bound_report(0.5, 10, t),
+            lambda: TailQuery(M=10, t=t, side=Side.UPPER),
+        ):
+            with pytest.raises(InvalidT, match=f"got {shown}$"):
+                call()
+
+
 class TestChernoffCurve:
     def test_h_to_zero_limit_is_one(self):
         assert chernoff_curve(0.5, 0.25, 1, 1e-9) == pytest.approx(1.0, abs=1e-8)

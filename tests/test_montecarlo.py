@@ -6,7 +6,7 @@ import json
 import math
 import statistics
 import tracemalloc
-from itertools import groupby
+from itertools import accumulate, groupby
 
 from fractions import Fraction
 
@@ -139,6 +139,33 @@ def exact_lattice_pmf(weights, ints, M):
     return {k: v for k, v in pmf.items() if v > 0}
 
 
+def exact_param_pmf(a, b, lo, hi, M):
+    """{S: mass} of S ~ Binomial(M, p), p of density proportional to
+    p^(a-1) (1-p)^(b-1) on [lo, hi], integer a and b, in Fractions of the floats.
+
+    The mass of S = j is C(M, j) times the integral of the polynomial
+    p^(j+a-1) (1-p)^(M-j+b-1) over [lo, hi], which for integer exponents is
+    B(j+a, M-j+b) (T_hi(j+a) - T_lo(j+a)), T_x(i) = P(Binomial(n, x) >= i)
+    with n = M + a + b - 1, B(r, s) = (r-1)! (s-1)! / (r+s-1)!; then normalized.
+    """
+    n = M + a + b - 1
+
+    def at_least(x):
+        x = Fraction(x)
+        terms = [math.comb(n, i) * x**i * (1 - x) ** (n - i) for i in range(n + 1)]
+        return list(accumulate(reversed(terms)))[::-1] + [Fraction(0)]
+
+    t_lo, t_hi = at_least(lo), at_least(hi)
+    w = [
+        math.comb(M, j) * Fraction(math.factorial(j + a - 1) * math.factorial(M - j + b - 1),
+                                   math.factorial(n))
+        * (t_hi[j + a] - t_lo[j + a])
+        for j in range(M + 1)
+    ]
+    total = sum(w)
+    return {j: x / total for j, x in enumerate(w)}
+
+
 def chi_square_fits(drawn, pmf, reps):
     """Whether drawn {sum: count} fits the pmf at 0.001: sums pooled in order
     until each cell expects at least 5."""
@@ -200,6 +227,32 @@ class TestClopperPearsonInterval:
             clopper_pearson_interval(11, 10)
         with pytest.raises(DomainError):
             clopper_pearson_interval(1, 10, level=1.0)
+
+    @pytest.mark.parametrize("k,n", [(0, 100), (3, 7), (37, 250), (100, 100), (15_857, 10**5)])
+    def test_numpy_and_python_int_counts_give_identical_limits(self, k, n):
+        # the limits are memoized by (k, n, level): whichever type fills the
+        # entry, both read the same floats
+        for first, second in ((np.int64, int), (int, np.int64)):
+            montecarlo._clopper_pearson.cache_clear()
+            a = clopper_pearson_interval(first(k), first(n), 0.999)
+            b = clopper_pearson_interval(second(k), second(n), np.float64(0.999))
+            assert a == b and all(type(x) is float for x in a + b)
+
+    @pytest.mark.parametrize("level", [[0.5], "0.5", math.nan, 1.5, 0.0, None], ids=repr)
+    def test_a_level_that_is_no_real_in_0_1_is_refused_before_the_memo(self, level):
+        montecarlo._clopper_pearson.cache_clear()
+        with pytest.raises(DomainError, match=r"level must lie in \(0,1\), got"):
+            clopper_pearson_interval(1, 10, level)
+        assert montecarlo._clopper_pearson.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("k,n", [(2.5, 10), (1, 10.0), (-1, 10), (11, 10), (0, 0)])
+    def test_counts_follow_the_integer_rule(self, k, n):
+        with pytest.raises(DomainError):
+            clopper_pearson_interval(k, n)
+
+    def test_the_memo_is_bounded(self):
+        maxsize = montecarlo._clopper_pearson.cache_info().maxsize
+        assert isinstance(maxsize, int) and 0 < maxsize <= 1 << 12
 
     @pytest.mark.parametrize("n", [10**4, 10**5])
     def test_false_alarm_rate_is_nominal_at_every_p(self, n):
@@ -571,7 +624,7 @@ class TestCountedBinomial:
     def test_counts_fill_the_batches_on_outcomes_of_positive_mass(self, M, p):
         n = montecarlo.BLOCK_SIZE
         gen = _block_stream(SeedSpec(master_seed=79, replication_index=0))
-        sums, counts = montecarlo._counted_binomial(gen, n, M, p)
+        sums, counts = montecarlo._counted_draw(gen, n, montecarlo._binomial_pmf(M, p))
         assert int(counts.sum()) == n and (counts > 0).all()
         assert (np.diff(sums) > 0).all()
         assert (montecarlo._binomial_pmf(M, p)[sums] > 0).all()
@@ -694,9 +747,9 @@ def law_digest(law):
 
 
 class TestParamMixtureBlocks:
-    """A uniform density's block is a chain over the draws below lo, inside
-    [lo, hi] and above hi, plus the rank of p among those inside (Bayes'
-    billiard); a truncated Beta density draws p, then a binomial sum."""
+    """A parameter mixture's block with PARAM_COUNT_FACTOR batches per sum draws
+    how many reach each sum as one multinomial over the exact law of S; a
+    smaller block draws p by quantile, then a binomial sum, per batch."""
 
     @pytest.mark.parametrize("side", [Side.UPPER, Side.LOWER])
     @pytest.mark.parametrize("lo,hi", [(0.2, 0.8), (0.0, 1.0), (0.0, 0.3), (0.65, 1.0)])
@@ -714,34 +767,72 @@ class TestParamMixtureBlocks:
             pmf = {k: tails[k] - tails[k + 1] for k in range(M + 1)}
             assert chi_square_fits(drawn, pmf, reps), M
 
+    @pytest.mark.parametrize("path", ["counted", "raw"])
+    @pytest.mark.parametrize(
+        "d,a,b",
+        [(UniformDensity(0.2, 0.8), 1, 1), (UniformDensity(0.0, 1.0), 1, 1),
+         (UniformDensity(0.0, 0.3), 1, 1), (UniformDensity(0.65, 1.0), 1, 1),
+         (TruncatedBetaDensity(2.0, 5.0, 0.1, 0.9), 2, 5)],
+        ids=["u-0.2-0.8", "u-0-1", "u-0-0.3", "u-0.65-1", "tbeta"],
+    )
+    def test_drawn_law_fits_exact_rational_masses(self, monkeypatch, d, a, b, path):
+        # chi-square against polynomial integrals in Fractions, independent of the
+        # oracle's incomplete betas; 10^6 counted draws, or 2*10^5 drawn per batch
+        reps = 10**6
+        if path == "raw":
+            monkeypatch.setattr(montecarlo, "PARAM_COUNT_FACTOR", montecarlo.BLOCK_SIZE + 1)
+            reps = 2 * 10**5
+        m = BernoulliParamMixture(d)
+        for M in (1, 3, 10, 50):
+            (table,) = montecarlo._empirical_law.__wrapped__(m, M, reps, mix64(127, M))
+            drawn = dict(zip(table.keys.tolist(), (-np.diff(table.at_least)).tolist()))
+            assert chi_square_fits(drawn, exact_param_pmf(a, b, d.lo, d.hi, M), reps), M
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("M", [1, 3, 10, 50, 200, 2000])
+    @pytest.mark.parametrize(
+        "d",
+        [UniformDensity(0.3, 0.3 + 1e-12), UniformDensity(0.0, 1e-12),
+         UniformDensity(1.0 - 1e-12, 1.0), TruncatedBetaDensity(2.0, 5.0, 0.3, 0.3 + 1e-12)],
+        ids=["u-inner", "u-at-0", "u-at-1", "tbeta-inner"],
+    )
+    def test_a_support_of_width_1e_12_draws_from_finite_masses(self, d, M):
+        # the incomplete-beta differences of a narrow support cancel, but no mass
+        # may come out negative or NaN, nor warn
+        masses = oracle._param_law(d, M).at_least.from_index(0)
+        assert np.isfinite(masses).all() and (masses >= 0).all() and masses.sum() > 0
+        gen = _block_stream(SeedSpec(master_seed=131, replication_index=0))
+        ((scale, keys, counts),) = montecarlo._block_sums(
+            BernoulliParamMixture(d), M, montecarlo.BLOCK_SIZE, gen
+        )
+        assert scale == 1 and int(counts.sum()) == montecarlo.BLOCK_SIZE
+        assert (masses[keys] > 0).all()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["counted", "raw"])
     @pytest.mark.parametrize("M", [1, 50, 200])
-    def test_a_block_counts_crowded_rows_then_draws_single_ranks(self, M):
-        # a row with at least RANK_COUNT_FACTOR batches per rank draws one uniform
-        # multinomial, row by row; then every other batch draws its rank, in row order
-        lo, hi, n = 0.2, 0.8, montecarlo.BLOCK_SIZE
+    @pytest.mark.parametrize(
+        "d", [UniformDensity(0.2, 0.8), TruncatedBetaDensity(2.0, 5.0, 0.1, 0.9)],
+        ids=["uniform", "tbeta"],
+    )
+    def test_a_block_is_counted_from_f_batches_per_sum(self, d, M, below):
+        # n = F*(M + 1) batches draw one multinomial over the oracle's masses of
+        # 0..M, in ascending order of mass; one batch fewer draws p, then S, per batch
+        n = montecarlo.PARAM_COUNT_FACTOR * (M + 1) - below
         seed = SeedSpec(master_seed=113, replication_index=0)
         gen, reference = _block_stream(seed), _block_stream(seed)
-        m = BernoulliParamMixture(UniformDensity(lo, hi))
-        ((scale, keys, counts),) = montecarlo._block_sums(m, M, n, gen)
-        vectors, reps = montecarlo._counted_multinomial(reference, n, M, [1 - hi, hi - lo, lo])
-        below, inside = vectors[:, 2], vectors[:, 1]
-        crowded = reps >= montecarlo.RANK_COUNT_FACTOR * (inside + 1)
-        totals = {}
-        for a, N, r in zip(*(x[crowded].tolist() for x in (below, inside, reps))):
-            for rank, c in enumerate(reference.multinomial(r, [1 / (N + 1)] * (N + 1)).tolist()):
-                totals[a + rank] = totals.get(a + rank, 0) + c
-        single = np.repeat(below[~crowded], reps[~crowded]) + reference.integers(
-            0, np.repeat(inside[~crowded], reps[~crowded]), endpoint=True
-        )
-        for s in single.tolist():
-            totals[s] = totals.get(s, 0) + 1
-        want = sorted((k, c) for k, c in totals.items() if c)
-        assert scale == 1 and list(zip(keys.tolist(), counts.tolist())) == want
+        ((scale, keys, counts),) = montecarlo._block_sums(BernoulliParamMixture(d), M, n, gen)
+        if below:
+            want = np.unique(reference.binomial(M, d.quantile(reference.random(n))),
+                             return_counts=True)
+        else:
+            masses = oracle._param_law(d, M).at_least.from_index(0)
+            order = np.argsort(masses, kind="stable")
+            drawn = np.empty(M + 1, dtype=np.int64)
+            drawn[order] = reference.multinomial(n, masses[order] / masses[order].sum())
+            want = np.flatnonzero(drawn), drawn[drawn > 0]
+        assert scale == 1 and np.array_equal(keys, want[0]) and np.array_equal(counts, want[1])
+        assert int(counts.sum()) == n and (np.diff(keys) > 0).all()
         assert same_position(gen, reference)
-        if M == 1:
-            assert crowded.all()
-        elif M == 50:
-            assert crowded.any() and not crowded.all()
 
     @pytest.mark.parametrize("side", [Side.UPPER, Side.LOWER])
     def test_rank_draw_at_the_largest_m(self, side):
@@ -753,31 +844,30 @@ class TestParamMixtureBlocks:
         hist = sample_mean_histogram(m, M, 10_000, bins=10, master_seed=109)
         assert all(850 < c < 1_150 for c in hist.counts)  # Xbar is uniform: 1000 +- 5 sd
 
-    # digests of the laws before the rank draw; the truncated Beta density
-    # keeps its quantile and binomial draw bit for bit, and pieces of every
-    # law add up by key as before
+    # digests of the drawn laws: every block of 10^5 replications at M <= 200
+    # is counted, and every block at M = 5000 draws p per batch; pieces of
+    # every law add up by key
     TBETA = BernoulliParamMixture(TruncatedBetaDensity(2.0, 5.0, 0.1, 0.9))
     UNIFORM = suite_model("uniform_param")
     PINNED = [
-        (TBETA, 10, 100_000, 7, "baa5f52cdb634e6a"),
-        (TBETA, 200, 100_000, 7, "daca5a7828f5049c"),
-        (flip_model(TBETA), 10, 100_000, 7, "83850e941686f9c4"),
+        (TBETA, 10, 100_000, 7, "bc22b1767cac098d"),
+        (TBETA, 200, 100_000, 7, "6de829fe76346d8b"),
+        (flip_model(TBETA), 10, 100_000, 7, "154b07f6c0939606"),
         (FiniteMixture([(0.6, Beta(2.0, 5.0)), (0.4, Bernoulli(0.7))]), 10, 200_000, 12345,
          "ce51b4e362cd5329"),
-        # the counted rank draw: every row counted at M = 1, both kinds at M = 10
-        # and 50, every row drawn batch by batch at M = 200
-        (UNIFORM, 1, 100_000, 7, "b4be56a887497986"),
-        (UNIFORM, 10, 100_000, 7, "eb3d54f990024414"),
-        (UNIFORM, 50, 100_000, 7, "6fb04dcb1294fc5d"),
-        (UNIFORM, 200, 100_000, 7, "f0af16e7580212e4"),
+        (UNIFORM, 1, 100_000, 7, "9952bd6220596691"),
+        (UNIFORM, 10, 100_000, 7, "48f8a307425e5637"),
+        (UNIFORM, 50, 100_000, 7, "09599022a3f06306"),
+        (UNIFORM, 200, 100_000, 7, "5131884255cdf0b6"),
+        (UNIFORM, 5000, 100_000, 7, "efd7a83108e50de8"),
         # [0.2, 0.8] reflects onto itself, so its lower law is its upper law
-        (flip_model(UNIFORM), 10, 100_000, 7, "eb3d54f990024414"),
+        (flip_model(UNIFORM), 10, 100_000, 7, "48f8a307425e5637"),
     ]
 
     @pytest.mark.parametrize(
         "m,M,reps,seed,digest", PINNED,
-        ids=["tbeta-10", "tbeta-200", "tbeta-lower", "beta-bern",
-             "uniform-1", "uniform-10", "uniform-50", "uniform-200", "uniform-lower"],
+        ids=["tbeta-10", "tbeta-200", "tbeta-lower", "beta-bern", "uniform-1", "uniform-10",
+             "uniform-50", "uniform-200", "uniform-5000", "uniform-lower"],
     )
     def test_pinned_laws(self, m, M, reps, seed, digest):
         assert law_digest(montecarlo._empirical_law.__wrapped__(m, M, reps, seed)) == digest
@@ -966,6 +1056,12 @@ class TestRunSweep:
         forms = "t_grid must be a count of deviations per window or a sequence of deviations"
         with pytest.raises(DomainError, match=forms):
             run_sweep(list(standard_suite())[:1], [5], t_grid, [Side.UPPER], 100, 0)
+
+    @pytest.mark.parametrize("t", [10**400, 2**1024, 10**5000], ids=["1e400", "2^1024", "1e5000"])
+    def test_an_int_t_past_the_float_range_gives_an_invalid_t_row(self, t):
+        rows = run_sweep(list(standard_suite())[:1], [5], [t, 0.1], [Side.UPPER], 100, 0).rows
+        assert [r.method for r in rows] == ["error:InvalidT", "binomial"]
+        assert rows[0].t == t and not rows[0].violation
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_a_refused_m_is_not_hashed(self, threads):
