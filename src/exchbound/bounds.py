@@ -50,7 +50,6 @@ from __future__ import annotations
 import enum
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Union
@@ -211,11 +210,18 @@ def _check_mu(mu_tilde: float) -> None:
 
 
 def check_t(t: float) -> None:
-    """t finite and > 0: the one rule for a deviation, in the bound forms, engines and CLI.
+    """t finite and > 0: the one rule for a deviation, in the bound forms, engines and sweeps.
 
-    An int past the largest float is not finite: each bound form computes in floats.
+    Each bound form computes in floats, so t is taken by float(): an int
+    past the largest float is not finite.  Comparing t with the largest
+    float instead would cast that float to a numpy t's own type, which
+    overflows for a float32.
     """
-    if not 0.0 < t <= sys.float_info.max:
+    try:  # t compared first, as float() would also read a string
+        finite = 0.0 < t and 0.0 < float(t) < math.inf
+    except OverflowError:  # an int or Fraction past the largest float
+        finite = False
+    if not finite:
         shown = _shown(t) if isinstance(t, int) else repr(t)
         raise InvalidT(f"t must be finite and > 0, got {shown}")
 

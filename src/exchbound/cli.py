@@ -33,8 +33,6 @@ from . import __version__
 from .bounds import (
     RangeBounds,
     Side,
-    check_engine_m,
-    check_t,
     side_anchor,
     t_for_confidence,
     tail_bound_report,
@@ -275,14 +273,6 @@ class _IOFailure(Exception):
     pass
 
 
-def _check_run_args(m_grid: Sequence[int], t_grid: Union[int, Sequence[float]]) -> None:
-    """Reject a bad M or t before any cell runs; ``run_sweep`` checks the rest."""
-    for M in m_grid:
-        check_engine_m(M)
-    for t in [] if isinstance(t_grid, int) else t_grid:  # auto:N is checked when parsed
-        check_t(t)
-
-
 def _sweep_report(args, lines, **sweep_args) -> Report:
     """Run one sweep and write its report, then the command's ``lines(report)``.
 
@@ -313,7 +303,6 @@ def _estimate_lines(report: Report):
 
 
 def cmd_simulate(args) -> int:
-    _check_run_args([args.m], [args.t])
     models = [(Path(args.model).stem, load_model_file(args.model))]
     report = _sweep_report(
         args, _estimate_lines, models=models, M_grid=[args.m], t_grid=[args.t],
@@ -344,7 +333,6 @@ def cmd_verify(args) -> int:
     models = _load_models(args)
     m_grid = args.m_grid or list(DEFAULT_M_GRID)
     t_grid = _parse_t_grid(args.t_grid or [DEFAULT_T_GRID])
-    _check_run_args(m_grid, t_grid)
 
     def lines(report: Report):
         yield (

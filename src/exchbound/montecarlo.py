@@ -9,10 +9,10 @@ Only the count of each sum is kept, so the n batches of a block draw
 their count vectors together, counting the batches that share one
 (``_counted_multinomial``); a one-point atom draws nothing, its sum
 being M times its point.  The count S of a Bernoulli parameter mixture
-is Beta-binomial: a block with many batches per sum draws how many reach
-each sum 0..M as one multinomial over the oracle's exact law of S
-(``_counted_draw``), and a smaller block draws each batch's parameter p
-by ``quantile``, then its binomial sum.
+is Beta-binomial: a law with many batches per sum draws, block by
+block, how many reach each sum 0..M as one multinomial over the oracle's
+exact law of S (``_counted_draw``), and a smaller law draws each batch's
+parameter p by ``quantile``, then its binomial sum.
 This is distributionally identical to materializing the M individual
 observations (the batch is conditionally i.i.d.), and it is what makes
 10^5-replication sweeps over hundreds of cells affordable.  The
@@ -80,7 +80,16 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 from scipy import special
 
-from .bounds import Side, TailQuery, check_engine_m, check_int, side_anchor, tail_bound_report
+from .bounds import (
+    ENGINE_M_LIMIT,
+    Side,
+    TailQuery,
+    check_engine_m,
+    check_int,
+    check_t,
+    side_anchor,
+    tail_bound_report,
+)
 from .errors import DomainError, EmptyGrid, ExchboundError, InvalidT, MTooLarge, UnsupportedModel
 from .model import (
     Beta,
@@ -169,7 +178,8 @@ def _lattice_sums(counts: np.ndarray, ints: Sequence[int], bound: int) -> np.nda
 
 
 def _block_sums(
-    m: MixingMeasure, M: int, n: int, gen: np.random.Generator
+    m: MixingMeasure, M: int, n: int, gen: np.random.Generator,
+    replications: Optional[int] = None,
 ) -> Iterator[tuple[Optional[int], np.ndarray, np.ndarray]]:
     """Draw n conditional sums S as (scale, keys, counts), per drawn atom in atom order.
 
@@ -191,16 +201,20 @@ def _block_sums(
     batches, else the ni binomials.
 
     A parameter mixture, uniform or truncated Beta, yields its count S at
-    scale 1.  A block with n >= PARAM_COUNT_FACTOR * (M + 1) batches draws
-    how many reach each sum 0..M as one multinomial over the exact law of
-    S, the oracle's Beta-binomial terms of (density, M), cached there
-    (``_counted_draw``).  A smaller block draws n parameters by
-    ``quantile``, then n binomial sums; so does every block at an M past
-    BLOCK_SIZE, up to 2^63 - 1.
+    scale 1.  Its draw is decided once per law, from the ``replications``
+    of the law the block belongs to (n, a law of one block, if None), as
+    the law's term table is built once and read by every block.  Each
+    block of a law with replications >= PARAM_COUNT_FACTOR * (M + 1)
+    draws how many of its n batches reach each sum 0..M as one
+    multinomial over the exact law of S, the oracle's Beta-binomial terms
+    of (density, M), cached there (``_counted_draw``).  Each block of a
+    smaller law, at any M up to 2^63 - 1, draws n parameters by
+    ``quantile``, then n binomial sums.
     """
     if isinstance(m, BernoulliParamMixture):
         d = m.density
-        if n // PARAM_COUNT_FACTOR > M:  # n >= F*(M + 1), no product: M may be 2^63 - 1
+        law_size = n if replications is None else replications
+        if law_size // PARAM_COUNT_FACTOR > M:  # F*(M + 1) or more; no product: M may be 2^63 - 1
             yield 1, *_counted_draw(gen, n, _param_law(d, M).at_least.from_index(0))
         else:
             yield 1, *np.unique(gen.binomial(M, d.quantile(gen.random(n))), return_counts=True)
@@ -385,7 +399,7 @@ def _empirical_law(
     for block_index, start in enumerate(range(0, replications, BLOCK_SIZE)):
         gen = _block_stream(SeedSpec(master_seed=seed, replication_index=block_index))
         size = min(BLOCK_SIZE, replications - start)
-        for scale, keys, counts in _block_sums(m, M, size, gen):
+        for scale, keys, counts in _block_sums(m, M, size, gen, replications):
             parts.setdefault(scale, []).append((keys, counts))
     return tuple(SumTable(scale, *_add_by_key(*map(np.concatenate, zip(*pieces))))
                  for scale, pieces in parts.items())
@@ -424,7 +438,7 @@ def estimate_tail(
     with the same model, M, replications and seed share one drawn law
     (``_empirical_law``), whatever their t.
     """
-    replications = check_int("replications", replications, 1)
+    replications = check_int("replications", replications, 1, ENGINE_M_LIMIT)
     master_seed = check_master_seed(master_seed)
     a = side_anchor(summarize(m), q.side)
     if q.side is Side.LOWER:
@@ -464,7 +478,7 @@ def sample_mean_histogram(
 ) -> HistogramResult:
     """Histogram of Xbar over replications, bins uniform on [0, 1]."""
     bins = check_int("bins", bins, 2, HISTOGRAM_MAX_BINS + 1)
-    replications = check_int("replications", replications, 1)
+    replications = check_int("replications", replications, 1, ENGINE_M_LIMIT)
     M = check_engine_m(M)
     master_seed = check_master_seed(master_seed)
     edges = np.linspace(0.0, 1.0, bins + 1)
@@ -564,7 +578,7 @@ class _Group:
     anchor: Fraction  # side_anchor(summarize(model), side)
     M: int
     side: Side
-    seed: Optional[int]  # _law_seed(master_seed, model_id, M, side); None for a refused M
+    seed: int  # _law_seed(master_seed, model_id, M, side)
     ts: Sequence[float]
 
 
@@ -613,7 +627,8 @@ def _sweep_group(group: _Group, replications: int, method: str, level: float) ->
 
 def _check_t_grid(t_grid):
     """t_grid as a count of deviations per window, an int >= 0 by the integer
-    rule, or as a sequence of real numbers, whose values each cell checks."""
+    rule, or as a list of deviations: real numbers, each finite and > 0
+    (``bounds.check_t``), taken at their float values, which every cell decides."""
     forms = "a count of deviations per window or a sequence of deviations"
     if isinstance(t_grid, str) or not isinstance(t_grid, Sequence):
         try:
@@ -624,7 +639,9 @@ def _check_t_grid(t_grid):
     bad = [t for t in t_grid if not isinstance(t, numbers.Real)]
     if bad:
         raise InvalidT(f"t_grid must be {forms}, but holds {bad[0]!r}, not a real number")
-    return t_grid
+    for t in t_grid:
+        check_t(t)
+    return [float(t) for t in t_grid]
 
 
 def run_sweep(
@@ -650,16 +667,22 @@ def run_sweep(
 
     ``method`` selects the engine per cell: "auto" prefers the exact
     oracle and falls back to Monte Carlo, "exact" and "montecarlo" force
-    one engine.  Per-cell failures become rows with method "error:<name>"
-    rather than aborting the sweep; so does each cell of an M that
-    ``bounds.check_engine_m`` refuses, and its row keeps that M as given;
-    such an M draws nothing, so it is not hashed.  An unknown method, a
-    level that is not a real number in (0, 1), a ``t_grid`` that is
-    neither an integer >= 0 nor a sequence of real numbers, a side other
-    than a Side, "upper" or "lower", a master seed outside [0, 2^64), a
-    thread count outside [1, THREADS_LIMIT), two groups with one key
-    (model_id, M, side), even of different models or t grids, or a t
-    repeated within a group, raise DomainError before any cell runs.
+    one engine.  What an engine refuses about one cell (UnsupportedModel,
+    MTooLarge, or DomainError for a Beta atom past BETA_MAX_M) becomes a
+    row with method "error:<name>" rather than aborting the sweep.
+
+    Every argument is checked before any cell runs, and kept as the type
+    its report column declares, so every report parses back to its rows:
+    each M by ``bounds.check_engine_m``, each explicit t by
+    ``bounds.check_t`` and then as float(t), the level as a float, and
+    replications in [1, 2^63).  A model id that is not a str, an unknown
+    method, a level that is not a real number in (0, 1), a ``t_grid``
+    that is neither an integer >= 0 nor a sequence of real numbers, a
+    side other than a Side, "upper" or "lower", a master seed outside [0,
+    2^64), a thread count outside [1, THREADS_LIMIT), two groups with one
+    key (model_id, M, side), even of different models or t grids, or a t
+    repeated within a group, raise DomainError; a t that is not a real
+    number, finite and > 0 raises InvalidT.
 
     With ``threads`` > 1 (or the EXCHBOUND_THREADS environment variable)
     the groups are evaluated concurrently, one group per task.  A Monte
@@ -673,33 +696,31 @@ def run_sweep(
         raise EmptyGrid("models list is empty")
     if not M_grid:
         raise EmptyGrid("M grid is empty")
+    M_grid = [check_engine_m(M) for M in M_grid]
     t_grid = _check_t_grid(t_grid)
     if not t_grid:
         raise EmptyGrid("t grid is empty")
     if not sides:
         raise EmptyGrid("sides list is empty")
     sides = [Side(side) for side in sides]
-    replications = check_int("replications", replications, 1)
+    replications = check_int("replications", replications, 1, ENGINE_M_LIMIT)
     if method not in METHODS:
         raise DomainError(f"unknown sweep method {method!r}")
     _check_level(level)
+    level = float(level)
     master_seed = check_master_seed(master_seed)
     n_threads = _resolve_threads(threads)
 
     groups: list[_Group] = []
     keys = set()
     for model_id, m in models:
+        if not isinstance(model_id, str):
+            raise DomainError(f"model_id must be a str, got {model_id!r}")
         summary = summarize(m)
         for side in sides:
             anchor = side_anchor(summary, side)
             ts = window_t_grid(anchor, t_grid) if isinstance(t_grid, int) else t_grid
             for M in M_grid:
-                try:
-                    M = check_engine_m(M)
-                except DomainError:
-                    seed = None  # M kept as given: it draws nothing, and each cell is an error row
-                else:
-                    seed = _law_seed(master_seed, model_id, M, side)
                 # a repeated group would repeat its rows and draw from its stream
                 seen = set(ts) if (model_id, M, side) in keys else set()
                 for t in ts:
@@ -709,6 +730,7 @@ def run_sweep(
                         )
                     seen.add(t)
                 keys.add((model_id, M, side))
+                seed = _law_seed(master_seed, model_id, M, side)
                 groups.append(_Group(model_id, m, anchor, M, side, seed, ts))
 
     evaluate = functools.partial(
@@ -721,9 +743,8 @@ def run_sweep(
         done = list(map(evaluate, groups))
     else:
         # a group per task, so two threads never draw one law; largest M
-        # first, so the longest draws do not start last (a refused M draws nothing)
-        sizes = [0 if g.seed is None else g.M for g in groups]
-        order = sorted(range(len(groups)), key=sizes.__getitem__, reverse=True)
+        # first, so the longest draws do not start last
+        order = sorted(range(len(groups)), key=lambda i: groups[i].M, reverse=True)
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             futures = {i: pool.submit(evaluate, groups[i]) for i in order}
             done = [futures[i].result() for i in range(len(groups))]

@@ -88,6 +88,17 @@ class TestHoeffdingForm:
                 call()
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_float32_t_is_checked_without_a_cast_warning(self):
+        # comparing with the largest float casts it to float32, where it overflows
+        t = np.float32(0.1)
+        assert TailQuery(5, t, Side.UPPER).t == t
+        assert tail_bound_report(0.3, 5, t).in_validity_range
+        for bad in (np.float32("inf"), np.float32(0.0), np.float32(-0.1)):
+            with pytest.raises(InvalidT, match="t must be finite and > 0"):
+                TailQuery(5, bad, Side.UPPER)
+
+
 class TestChernoffCurve:
     def test_h_to_zero_limit_is_one(self):
         assert chernoff_curve(0.5, 0.25, 1, 1e-9) == pytest.approx(1.0, abs=1e-8)

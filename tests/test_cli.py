@@ -9,8 +9,10 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,11 +20,14 @@ from hypothesis import strategies as st
 from exchbound import (
     Bernoulli,
     BernoulliParamMixture,
+    Beta,
     FiniteMixture,
+    PointMass,
     Side,
     TruncatedBetaDensity,
     run_sweep,
     standard_suite,
+    suite_model,
 )
 import exchbound
 from exchbound import montecarlo
@@ -402,13 +407,47 @@ class TestReportEncodings:
         assert from_csv(to_csv(report)) == from_json(to_json(report)) == report
 
     def test_an_m_past_the_digit_limit_is_refused_by_name(self):
-        # run_sweep keeps a refused M on its error rows; str() refuses it past 4300 digits
-        sweep = run_sweep(list(standard_suite())[:1], [10**5000, 5], [0.1], [Side.UPPER], 100, 0)
+        # str() refuses it past 4300 digits; run_sweep refuses it first, so no report holds it
+        message = r"^M must lie in \[1, 2\^63\), got an integer of 16610 bits$"
+        with pytest.raises(exchbound.DomainError, match=message):
+            run_sweep(list(standard_suite())[:1], [10**5000, 5], [0.1], [Side.UPPER], 100, 0)
+        sweep = run_sweep(list(standard_suite())[:1], [5], [0.1], [Side.UPPER], 100, 0)
         report = Report.from_sweep(sweep, "0", "now")
-        for encode in (to_csv, to_json):
-            with pytest.raises(exchbound.DomainError, match="^M is an integer of 16610 bits"):
-                encode(report)
-        assert to_csv(dataclasses.replace(report, rows=report.rows[1:]))
+        assert from_csv(to_csv(report)) == from_json(to_json(report)) == report
+
+    # every row kind: binomial (two_atom), convolution (three_atom_discrete),
+    # quadrature (uniform_param), montecarlo and error:DomainError (beta_point at
+    # M = 2, and past a lowered Beta row limit at M = 9), error:UnsupportedModel
+    # (beta_point, exactly) and error:MTooLarge (three_atom_discrete at M = 8192)
+    ROUND_TRIP_SWEEPS = [
+        ("auto", [2, 9], 3, 0.999,
+         {"binomial", "convolution", "quadrature", "montecarlo", "error:DomainError"}),
+        ("exact", [2, 8192], [0.1], 0.999,
+         {"binomial", "convolution", "quadrature", "error:UnsupportedModel", "error:MTooLarge"}),
+        ("montecarlo", [2, 9], [0.1, 0.3], 0.999, {"montecarlo", "error:DomainError"}),
+        ("auto", [2], [1, Fraction(1, 10), np.float32(0.1)], Fraction(999, 1000),
+         {"binomial", "convolution", "quadrature", "montecarlo"}),
+    ]
+
+    @pytest.mark.parametrize(
+        "method,M_grid,t_grid,level,kinds", ROUND_TRIP_SWEEPS,
+        ids=["auto", "exact", "montecarlo", "library-t-and-level"],
+    )
+    def test_every_sweep_report_parses_back_to_its_rows(
+        self, monkeypatch, method, M_grid, t_grid, level, kinds
+    ):
+        monkeypatch.setattr(montecarlo, "BETA_MAX_M", 5)
+        models = [(name, suite_model(name))
+                  for name in ("two_atom", "three_atom_discrete", "uniform_param")]
+        models.append(("beta_point", FiniteMixture([(0.5, Beta(2.0, 5.0)), (0.5, PointMass(0.5))])))
+        sweep = run_sweep(models, M_grid, t_grid, [Side.UPPER, Side.LOWER], 2_000, 5,
+                          method=method, level=level)
+        report = Report.from_sweep(sweep, "0.1.0", "2026-01-01T00:00:00+00:00")
+        assert {row.method for row in report.rows} == kinds
+        # every field has the type its column declares
+        assert type(report.level) is float and all(type(row.t) is float for row in report.rows)
+        assert from_csv(to_csv(report)) == report
+        assert from_json(to_json(report)) == report
 
     def test_17_digit_floats_survive(self):
         report = make_report()
@@ -697,6 +736,32 @@ class TestCliCommands:
         assert captured.out == ""
         assert not out_path.exists()
         assert "0" * 20 not in captured.err  # a huge literal is not echoed
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["verify", "--m-grid", "0"], "M must lie in [1, 2^63), got 0"),
+            (["verify", "--t-grid", "-0.1"], "t must be finite and > 0, got -0.1"),
+            (["verify", "--m-grid", M_PAST_INT64], f"M must lie in [1, 2^63), got {M_PAST_INT64}"),
+            (["simulate", "--m", "0", "--t", "0.1"], "M must lie in [1, 2^63), got 0"),
+            (["simulate", "--m", "2", "--t", "inf"], "t must be finite and > 0, got inf"),
+        ],
+        ids=["verify-m-0", "verify-t-negative", "verify-m-past-int64", "simulate-m-0",
+             "simulate-t-inf"],
+    )
+    def test_the_sweep_refuses_a_bad_m_or_t_by_its_own_message(
+        self, tmp_path, capsys, monkeypatch, args, message
+    ):
+        # run_sweep is the one check of a sweep argument; the commands print its
+        # message, exit 2 and write nothing
+        monkeypatch.setattr(montecarlo, "_sweep_group", lambda *a, **k: pytest.fail("a cell ran"))
+        model_path = write_model(tmp_path, TWO_ATOM_DOC)
+        out_path = tmp_path / "r.csv"
+        model = ["--model", model_path] if args[0] == "simulate" else []
+        assert main([*args, *model, "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_beta_at_huge_m_is_a_failed_cell_before_any_draw(

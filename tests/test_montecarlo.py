@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import statistics
 import tracemalloc
 from itertools import accumulate, groupby
@@ -23,6 +24,7 @@ from exchbound import (
     EmptyGrid,
     ExchboundError,
     FiniteMixture,
+    InvalidT,
     MTooLarge,
     PointMass,
     SeedSpec,
@@ -523,7 +525,7 @@ class TestHistogram:
     def test_beta_past_the_row_limit_is_refused_before_any_draw(self, monkeypatch):
         drawn = []
 
-        def draw_nothing(m, M, n, gen):
+        def draw_nothing(m, M, n, gen, replications):
             drawn.append(M)
             return iter(())
 
@@ -814,13 +816,15 @@ class TestParamMixtureBlocks:
         "d", [UniformDensity(0.2, 0.8), TruncatedBetaDensity(2.0, 5.0, 0.1, 0.9)],
         ids=["uniform", "tbeta"],
     )
-    def test_a_block_is_counted_from_f_batches_per_sum(self, d, M, below):
-        # n = F*(M + 1) batches draw one multinomial over the oracle's masses of
-        # 0..M, in ascending order of mass; one batch fewer draws p, then S, per batch
-        n = montecarlo.PARAM_COUNT_FACTOR * (M + 1) - below
+    def test_a_law_is_counted_from_f_batches_per_sum(self, d, M, below):
+        # each block of a law of F*(M + 1) replications, however few batches it
+        # holds, draws one multinomial over the oracle's masses of 0..M, in
+        # ascending order of mass; a law of one fewer draws p, then S, per batch
+        reps = montecarlo.PARAM_COUNT_FACTOR * (M + 1) - below
+        n = reps // 3
         seed = SeedSpec(master_seed=113, replication_index=0)
         gen, reference = _block_stream(seed), _block_stream(seed)
-        ((scale, keys, counts),) = montecarlo._block_sums(BernoulliParamMixture(d), M, n, gen)
+        ((scale, keys, counts),) = montecarlo._block_sums(BernoulliParamMixture(d), M, n, gen, reps)
         if below:
             want = np.unique(reference.binomial(M, d.quantile(reference.random(n))),
                              return_counts=True)
@@ -844,9 +848,9 @@ class TestParamMixtureBlocks:
         hist = sample_mean_histogram(m, M, 10_000, bins=10, master_seed=109)
         assert all(850 < c < 1_150 for c in hist.counts)  # Xbar is uniform: 1000 +- 5 sd
 
-    # digests of the drawn laws: every block of 10^5 replications at M <= 200
-    # is counted, and every block at M = 5000 draws p per batch; pieces of
-    # every law add up by key
+    # digests of the drawn laws: a law of 10^5 replications is counted up to
+    # M = 6249, in both of its blocks, and draws p per batch at M = 8000;
+    # pieces of every law add up by key
     TBETA = BernoulliParamMixture(TruncatedBetaDensity(2.0, 5.0, 0.1, 0.9))
     UNIFORM = suite_model("uniform_param")
     PINNED = [
@@ -859,7 +863,8 @@ class TestParamMixtureBlocks:
         (UNIFORM, 10, 100_000, 7, "48f8a307425e5637"),
         (UNIFORM, 50, 100_000, 7, "09599022a3f06306"),
         (UNIFORM, 200, 100_000, 7, "5131884255cdf0b6"),
-        (UNIFORM, 5000, 100_000, 7, "efd7a83108e50de8"),
+        (UNIFORM, 5000, 100_000, 7, "cb33181fb71799ab"),
+        (UNIFORM, 8000, 100_000, 7, "495a215a4da7d0e1"),
         # [0.2, 0.8] reflects onto itself, so its lower law is its upper law
         (flip_model(UNIFORM), 10, 100_000, 7, "48f8a307425e5637"),
     ]
@@ -867,7 +872,7 @@ class TestParamMixtureBlocks:
     @pytest.mark.parametrize(
         "m,M,reps,seed,digest", PINNED,
         ids=["tbeta-10", "tbeta-200", "tbeta-lower", "beta-bern", "uniform-1", "uniform-10",
-             "uniform-50", "uniform-200", "uniform-5000", "uniform-lower"],
+             "uniform-50", "uniform-200", "uniform-5000", "uniform-8000", "uniform-lower"],
     )
     def test_pinned_laws(self, m, M, reps, seed, digest):
         assert law_digest(montecarlo._empirical_law.__wrapped__(m, M, reps, seed)) == digest
@@ -1057,24 +1062,67 @@ class TestRunSweep:
         with pytest.raises(DomainError, match=forms):
             run_sweep(list(standard_suite())[:1], [5], t_grid, [Side.UPPER], 100, 0)
 
-    @pytest.mark.parametrize("t", [10**400, 2**1024, 10**5000], ids=["1e400", "2^1024", "1e5000"])
-    def test_an_int_t_past_the_float_range_gives_an_invalid_t_row(self, t):
-        rows = run_sweep(list(standard_suite())[:1], [5], [t, 0.1], [Side.UPPER], 100, 0).rows
-        assert [r.method for r in rows] == ["error:InvalidT", "binomial"]
-        assert rows[0].t == t and not rows[0].violation
+    @pytest.mark.parametrize(
+        "t,shown",
+        [(10**400, "an integer of 1329 bits"), (2**1024, r"2\^1024"),
+         (10**5000, "an integer of 16610 bits")],
+        ids=["1e400", "2^1024", "1e5000"],
+    )
+    def test_an_int_t_past_the_float_range_is_refused_before_any_cell(self, monkeypatch, t, shown):
+        monkeypatch.setattr(montecarlo, "_sweep_group", lambda *a, **k: pytest.fail("a cell ran"))
+        with pytest.raises(InvalidT, match=f"^t must be finite and > 0, got {shown}$"):
+            run_sweep(list(standard_suite())[:1], [5], [t, 0.1], [Side.UPPER], 100, 0)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_a_refused_m_is_not_hashed(self, threads):
-        # a 5000-digit M has no repr under the 4300-digit limit; it draws nothing,
-        # so its cells are error rows and the other M's rows are as without it
-        def sweep(M_grid):
-            return run_sweep(list(standard_suite())[:1], M_grid, [0.1, 0.2], [Side.UPPER], 100, 0,
-                             method="montecarlo", threads=threads).rows
+    @pytest.mark.parametrize(
+        "bad,error,message",
+        [
+            (dict(M_grid=[5, 2.5]), DomainError, "M must be an integer, got 2.5"),
+            (dict(M_grid=[5, "3"]), DomainError, "M must be an integer, got '3'"),
+            (dict(M_grid=[5, 0]), DomainError, "M must lie in [1, 2^63), got 0"),
+            (dict(M_grid=[5, 2**63]), DomainError, "M must lie in [1, 2^63), got 2^63"),
+            (dict(M_grid=[5, math.inf]), DomainError, "M must be an integer, got inf"),
+            (dict(M_grid=[5, np.float64(3.0)]), DomainError,
+             "M must be an integer, got np.float64(3.0)"),
+            (dict(M_grid=[5, 10**5000]), DomainError,
+             "M must lie in [1, 2^63), got an integer of 16610 bits"),
+            (dict(t_grid=[0.1, 0.0]), InvalidT, "t must be finite and > 0, got 0.0"),
+            (dict(t_grid=[0.1, -0.1]), InvalidT, "t must be finite and > 0, got -0.1"),
+            (dict(t_grid=[0.1, math.inf]), InvalidT, "t must be finite and > 0, got inf"),
+            (dict(t_grid=[0.1, math.nan]), InvalidT, "t must be finite and > 0, got nan"),
+            (dict(t_grid=[0.1, 10**400]), InvalidT,
+             "t must be finite and > 0, got an integer of 1329 bits"),
+            (dict(t_grid=[0.1, 10**5000]), InvalidT,
+             "t must be finite and > 0, got an integer of 16610 bits"),
+            (dict(models=[("two_atom", TWO_ATOM), (5, TWO_ATOM)]), DomainError,
+             "model_id must be a str, got 5"),
+            (dict(replications=2**63), DomainError, "replications must lie in [1, 2^63), got 2^63"),
+        ],
+        ids=["M-2.5", "M-str", "M-0", "M-2^63", "M-inf", "M-float64", "M-5000-digits",
+             "t-0", "t-negative", "t-inf", "t-nan", "t-1e400", "t-5000-digits",
+             "model-id-int", "replications-2^63"],
+    )
+    def test_an_argument_no_cell_can_take_is_refused_before_any_cell(
+        self, monkeypatch, threads, bad, error, message
+    ):
+        # the sweep's one gate refuses it before any engine or bound runs
+        for name in ("exact_tail", "estimate_tail", "tail_bound_report"):
+            monkeypatch.setattr(montecarlo, name, lambda *a, **k: pytest.fail("a cell ran"))
+        args = dict(models=[("two_atom", TWO_ATOM)], M_grid=[2, 5], t_grid=[0.1],
+                    sides=[Side.UPPER], replications=10, master_seed=1, threads=threads)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            run_sweep(**{**args, **bad})
 
-        rows = sweep([10**5000, 5])
-        assert [r.method for r in rows[:2]] == ["error:DomainError"] * 2
-        assert rows[0].M == 10**5000
-        assert rows[2:] == sweep([5])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_refused_m_is_not_hashed(self, monkeypatch, threads):
+        # a 5000-digit M has no repr under the 4300-digit limit; the sweep refuses
+        # it by its size before it hashes any key or runs any cell
+        monkeypatch.setattr(montecarlo, "_law_seed", lambda *a: pytest.fail("a key was hashed"))
+        monkeypatch.setattr(montecarlo, "_sweep_group", lambda *a, **k: pytest.fail("a cell ran"))
+        message = r"^M must lie in \[1, 2\^63\), got an integer of 16610 bits$"
+        with pytest.raises(DomainError, match=message):
+            run_sweep(list(standard_suite())[:1], [10**5000, 5], [0.1, 0.2], [Side.UPPER], 100, 0,
+                      method="montecarlo", threads=threads)
 
     @pytest.mark.parametrize("level", ["0.5", None, float("nan"), 1.5, 0], ids=repr)
     def test_a_level_that_is_not_a_real_number_in_0_1_is_refused(self, monkeypatch, level):
@@ -1195,19 +1243,18 @@ class TestRunSweep:
             [(1.0, DiscreteOnUnit(points=[0.0, 0.5, 1.0], weights=[0.3, 0.4, 0.3]))]
         )
         # M draws from [0, 0.5, 1] lie on 2M+1 lattice sums: M=8191 fits the
-        # dense guard of 2^14 sums, M=8192 does not
+        # dense guard of 2^14 sums, M=8192 does not; the refused cell comes first
         result = run_sweep(
             models=[("discrete", discrete)],
-            M_grid=[8191, 8192],
-            t_grid=[0.0, 0.1, math.inf],
+            M_grid=[8192, 8191],
+            t_grid=[0.1],
             sides=[Side.UPPER],
             replications=100,
             master_seed=61,
             method="exact",
         )
         methods = [row.method for row in result.rows]
-        assert methods == ["error:InvalidT", "convolution", "error:InvalidT",
-                           "error:InvalidT", "error:MTooLarge", "error:InvalidT"]
+        assert methods == ["error:MTooLarge", "convolution"]
         assert all(not row.violation for row in result.rows)
 
     def test_deterministic_rows(self):
@@ -1255,36 +1302,38 @@ class TestRunSweep:
         assert result.rows[0].violation
 
     @pytest.mark.parametrize("method", montecarlo.METHODS)
-    def test_every_row_is_its_direct_engine_call(self, method):
-        # a row holds what exact_tail or estimate_tail answers for its cell alone
+    def test_every_row_is_its_direct_engine_call(self, monkeypatch, method):
+        # a row holds what exact_tail or estimate_tail answers for its cell alone;
+        # the engines refuse a Beta atom past its (lowered) row limit by Monte
+        # Carlo, and a three-point atom past its dense guard exactly
+        monkeypatch.setattr(montecarlo, "BETA_MAX_M", 5)
         models = [
             ("two_atom", TWO_ATOM),
             ("three_atom_discrete", suite_model("three_atom_discrete")),
             ("beta_point", FiniteMixture([(0.5, Beta(2.0, 5.0)), (0.5, PointMass(0.5))])),
         ]
         sides = [Side.UPPER, Side.LOWER]
-        result = run_sweep(models, [2, 2.5, 9], [0.05, 0.2], sides, 3_000, 89, method=method)
+        result = run_sweep(models, [2, 9, 8192], [0.05, 0.2], sides, 3_000, 89, method=method)
         assert len(result.rows) == 3 * 2 * 3 * 2
         by_id = dict(models)
         for row in result.rows:
             m, side = by_id[row.model_id], Side(row.side)
-            if row.M == 2.5:  # not an engine M: the row keeps every default
-                assert row == montecarlo.SweepRow(row.model_id, 2.5, row.t, row.side,
-                                                  "error:DomainError")
-                continue
             report = tail_bound_report(side_anchor(summarize(m), side), row.M, row.t)
             assert (row.hoeffding, row.kl_form, row.h0, row.valid) == (
                 report.hoeffding_form, report.kl_form, report.h0, report.in_validity_range)
             q = TailQuery(M=row.M, t=row.t, side=side)
+            key = repr((row.model_id, row.M, row.side)).encode()
+            seed = mix64(89, int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
             if row.method == "montecarlo":
-                key = repr((row.model_id, row.M, row.side)).encode()
-                seed = mix64(89, int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
                 estimate = estimate_tail(m, q, 3_000, seed)
                 assert (row.value, row.ci_low, row.ci_high) == (
                     estimate.p_hat, estimate.ci_low, estimate.ci_high)
             elif row.method.startswith("error:"):
                 with pytest.raises(ExchboundError) as raised:
-                    exact_tail(m, q)
+                    if method == "exact":
+                        exact_tail(m, q)
+                    else:  # auto falls back to Monte Carlo where exact_tail refuses
+                        estimate_tail(m, q, 3_000, seed)
                 assert row.method == f"error:{type(raised.value).__name__}"
                 assert row.value is None
             else:
@@ -1294,7 +1343,7 @@ class TestRunSweep:
             assert not row.violation
         engines = {
             "auto": {"binomial", "convolution", "montecarlo", "error:DomainError"},
-            "exact": {"binomial", "convolution", "error:UnsupportedModel", "error:DomainError"},
+            "exact": {"binomial", "convolution", "error:UnsupportedModel", "error:MTooLarge"},
             "montecarlo": {"montecarlo", "error:DomainError"},
         }
         assert {row.method for row in result.rows} == engines[method]
@@ -1340,22 +1389,21 @@ class TestFractionalM:
         assert exact_tail(self.BERN03, q) == exact_tail(self.BERN03, TailQuery(3, 0.1, Side.UPPER))
         assert len(sample_sequence(self.BERN03, np.int64(3), SeedSpec(1, 0)).values) == 3
 
-    def test_sweep_gives_error_rows_and_keeps_going(self):
-        result = run_sweep(
-            list(standard_suite()), [2.5, 3], [0.1], [Side.UPPER, Side.LOWER], 1_000, 1
-        )
-        methods = {M: {r.method for r in result.rows if r.M == M} for M in (2.5, 3)}
-        assert methods[2.5] == {"error:DomainError"}
-        assert not any(method.startswith("error:") for method in methods[3])
-        assert len(result.rows) == 2 * 2 * len(standard_suite())
+    def test_sweep_refuses_a_fractional_m_before_any_cell(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_sweep_group", lambda *a, **k: pytest.fail("a cell ran"))
+        with pytest.raises(DomainError, match="^M must be an integer, got 2.5$"):
+            run_sweep(list(standard_suite()), [3, 2.5], [0.1], [Side.UPPER, Side.LOWER], 1_000, 1)
 
-    def test_threaded_sweep_gives_error_rows_for_an_m_of_any_type(self):
-        # the pool orders groups by M, which a string M could not be negated for
+    @pytest.mark.parametrize("M", ["3", 2.5])
+    def test_threaded_sweep_refuses_an_m_of_any_type_before_any_cell(self, monkeypatch, M):
+        # the pool orders groups by M, which a string M could not be compared by
         kwargs = dict(models=[("two_atom", TWO_ATOM)], t_grid=[0.1], sides=[Side.UPPER],
                       replications=1_000, master_seed=1)
-        threaded = run_sweep(M_grid=["3", 2.5, 3], threads=2, **kwargs)
-        assert [r.method for r in threaded.rows] == ["error:DomainError"] * 2 + ["binomial"]
-        assert threaded.rows[2] == run_sweep(M_grid=[3], threads=1, **kwargs).rows[0]
+        threaded = run_sweep(M_grid=[2, 3], threads=2, **kwargs)
+        assert threaded.rows == run_sweep(M_grid=[2, 3], threads=1, **kwargs).rows
+        monkeypatch.setattr(montecarlo, "_sweep_group", lambda *a, **k: pytest.fail("a cell ran"))
+        with pytest.raises(DomainError, match=f"^M must be an integer, got {M!r}$"):
+            run_sweep(M_grid=[M, 3], threads=2, **kwargs)
 
 
 class TestNumpyIntegerM:
