@@ -42,13 +42,15 @@ one-sided bounds.
 
 Everything here is a pure function; outside the validity window the
 operations raise :class:`~exchbound.errors.OutOfValidityRange` instead of
-returning a clamped value.
+returning a clamped value.  Each check of a numeric argument returns the
+Python float it decided (:func:`as_float`), in which the form computes.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,6 +98,19 @@ def check_int(name: str, value, low: int, high=math.inf) -> int:
     return value
 
 
+def as_float(x) -> float:
+    """x as a Python float if it is a real number that fits in one, else nan,
+    which fails every comparison: the value each float argument's check decides."""
+    if type(x) is float:
+        return x
+    try:
+        if type(x) is int or isinstance(x, numbers.Real):  # an int skips the slower ABC check
+            return float(x)
+    except OverflowError:  # an int or Fraction past the largest float
+        pass
+    return math.nan
+
+
 class _SideType(enum.EnumMeta):
     def __call__(cls, value, *args, **kwargs):
         # each cell converts its side at every entry, so a member returns at once,
@@ -131,47 +146,39 @@ def side_anchor(summary: ModelSummary, side: Side) -> Fraction:
     """
     if Side(side) is Side.UPPER:
         return Fraction(summary.mu_plus)
-    n, d = exact_ratio(summary.mu_minus)
+    n, d = summary.mu_minus.as_integer_ratio()
     return Fraction(d - n, d)
-
-
-def exact_ratio(x) -> tuple[int, int]:
-    """The exact value of a float, int, Fraction or numpy integer as (numerator, denominator).
-
-    Thresholds and windows are decided on these ints: Fraction arithmetic
-    costs microseconds an operation, a per-cell cost of every sweep.
-    """
-    try:
-        return x.as_integer_ratio()
-    except AttributeError:  # a numpy integer
-        return operator.index(x), 1
 
 
 @dataclass(frozen=True)
 class TailQuery:
-    """A single tail question: sample count M, deviation t, and side."""
+    """A single tail question: sample count M, deviation t (the float
+    :func:`check_t` returns, so ``Fraction(1, 10)`` asks about 0.1), and side."""
 
     M: int
     t: float
     side: Side
 
     def __post_init__(self) -> None:
-        # frozen: M and side become the int and the Side every engine reads
+        # frozen: M, t and side become the int, float and Side every engine reads
         object.__setattr__(self, "M", check_engine_m(self.M))
-        check_t(self.t)
+        object.__setattr__(self, "t", check_t(self.t))
         object.__setattr__(self, "side", Side(self.side))
 
 
 @dataclass(frozen=True)
 class RangeBounds:
-    """A nonempty value range [a, b] of finite width."""
+    """A nonempty value range [a, b] of finite width, its ends kept as floats."""
 
     a: float
     b: float
 
     def __post_init__(self) -> None:
-        if not (self.a < self.b and math.isfinite(self.b - self.a)):
+        a, b = as_float(self.a), as_float(self.b)
+        if not (a < b and math.isfinite(b - a)):
             raise DomainError(f"range requires finite a < b, got [{self.a!r}, {self.b!r}]")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 @dataclass(frozen=True)
@@ -189,13 +196,10 @@ class BoundReport:
     in_validity_range: bool
 
 
-def _check_m(M: int) -> None:
-    """A real M >= 1 that fits in a float, in which the closed forms compute."""
-    try:
-        if float(M) >= 1:
-            return
-    except OverflowError:
-        pass
+def _check_m(M: int) -> float:
+    """M as a float, a real M >= 1 that fits in one, in which the closed forms compute."""
+    if as_float(M) >= 1:
+        return float(M)
     raise DomainError(f"M must be >= 1 and fit in a float, got {_shown(M)}")
 
 
@@ -204,41 +208,36 @@ def check_engine_m(M: int) -> int:
     return check_int("M", M, 1, ENGINE_M_LIMIT)
 
 
-def _check_mu(mu_tilde: float) -> None:
-    if not (0.0 < mu_tilde < 1.0):
-        raise DomainError(f"mu_tilde must lie in (0,1), got {mu_tilde!r}")
+def _check_mu(mu_tilde: float) -> float:
+    if 0.0 < as_float(mu_tilde) < 1.0:
+        return float(mu_tilde)
+    raise DomainError(f"mu_tilde must lie in (0,1), got {mu_tilde!r}")
 
 
-def check_t(t: float) -> None:
-    """t finite and > 0: the one rule for a deviation, in the bound forms, engines and sweeps.
+def check_t(t: float) -> float:
+    """t as a float, finite and > 0: the one rule for a deviation.
 
-    Each bound form computes in floats, so t is taken by float(): an int
-    past the largest float is not finite.  Comparing t with the largest
-    float instead would cast that float to a numpy t's own type, which
-    overflows for a float32.
+    ``TailQuery``, the closed forms and ``run_sweep`` keep the float it returns,
+    which every threshold and window decides; by :func:`as_float`, a value that
+    is not a real number, or an int past the largest float, is not finite.
     """
-    try:  # t compared first, as float() would also read a string
-        finite = 0.0 < t and 0.0 < float(t) < math.inf
-    except OverflowError:  # an int or Fraction past the largest float
-        finite = False
-    if not finite:
-        shown = _shown(t) if isinstance(t, int) else repr(t)
-        raise InvalidT(f"t must be finite and > 0, got {shown}")
+    if 0.0 < as_float(t) < math.inf:
+        return float(t)
+    shown = _shown(t) if isinstance(t, int) else repr(t)
+    raise InvalidT(f"t must be finite and > 0, got {shown}")
 
 
-def _check_window(mu_tilde: float, t: float) -> None:
-    """0 < mu_tilde < 1 and 0 < t < 1 - mu_tilde."""
-    _check_mu(mu_tilde)
-    if not (0.0 < t < 1.0 - mu_tilde):
-        raise OutOfValidityRange(
-            f"t={t!r} outside (0, {1.0 - mu_tilde!r}) for mu_tilde={mu_tilde!r}"
-        )
+def _check_window(mu_tilde: float, t: float) -> tuple[float, float]:
+    """(mu_tilde, t) as floats, with 0 < mu_tilde < 1 and 0 < t < 1 - mu_tilde."""
+    mu = _check_mu(mu_tilde)
+    if 0.0 < as_float(t) < 1.0 - mu:
+        return mu, float(t)
+    raise OutOfValidityRange(f"t={t!r} outside (0, {1.0 - mu!r}) for mu_tilde={mu_tilde!r}")
 
 
 def hoeffding_tail_bound(M: int, t: float) -> float:
     """The sub-Gaussian tail value exp(-2 M t^2)."""
-    _check_m(M)
-    check_t(t)
+    M, t = _check_m(M), check_t(t)
     return math.exp(-2.0 * M * t * t)
 
 
@@ -248,11 +247,10 @@ def chernoff_curve(mu_tilde: float, t: float, M: int, h: float) -> float:
     Valid as an upper bound on the tail for every h > 0.  Evaluated in
     log space so large h and large M do not overflow.
     """
-    _check_mu(mu_tilde)
-    _check_m(M)
-    check_t(t)
-    if not 0.0 < h < math.inf:
+    mu_tilde, M, t = _check_mu(mu_tilde), _check_m(M), check_t(t)
+    if not 0.0 < as_float(h) < math.inf:
         raise InvalidH(f"h must be finite and > 0, got {h!r}")
+    h = float(h)
     x, y = math.log1p(-mu_tilde), math.log(mu_tilde) + h
     # log(e^x + e^y) as np.logaddexp computes it; the grouping keeps every bit
     log_factor = (-mu_tilde - t) * h + (max(x, y) + math.log1p(math.exp(-abs(x - y))))
@@ -271,7 +269,7 @@ def optimal_h(mu_tilde: float, t: float) -> float:
     quotient would round to 1, underflow or overflow (tiny t, tiny mu);
     where t/mu overflows, the second term is log(t+mu) - log(mu).
     """
-    _check_window(mu_tilde, t)
+    mu_tilde, t = _check_window(mu_tilde, t)
     ratio = t / mu_tilde
     if ratio < math.inf:
         upper = math.log1p(ratio)
@@ -286,8 +284,7 @@ def kl_form_bound(mu_tilde: float, t: float, M: int) -> float:
     Equals ``chernoff_curve`` at ``optimal_h`` and never exceeds
     exp(-2 M t^2) on the validity window.  Evaluated in log space.
     """
-    _check_m(M)
-    _check_window(mu_tilde, t)
+    M, (mu_tilde, t) = _check_m(M), _check_window(mu_tilde, t)
     a = mu_tilde + t
     b = 1.0 - mu_tilde - t
     log_value = a * math.log(mu_tilde / a) + b * math.log((1.0 - mu_tilde) / b)
@@ -299,7 +296,7 @@ def big_g(t: float, mu_tilde: float) -> float:
 
     Uses log1p so the 1/t^2 amplification stays accurate for small t.
     """
-    _check_window(mu_tilde, t)
+    mu_tilde, t = _check_window(mu_tilde, t)
     t2 = t * t
     term1 = ((t + mu_tilde) / t2) * math.log1p(t / mu_tilde)
     term2 = ((1.0 - mu_tilde - t) / t2) * math.log1p(-t / (1.0 - mu_tilde))
@@ -308,7 +305,7 @@ def big_g(t: float, mu_tilde: float) -> float:
 
 def little_g(mu_tilde: float) -> float:
     """Minimum of G(., mu) over the validity window; >= 2, equal at 1/2."""
-    _check_mu(mu_tilde)
+    mu_tilde = _check_mu(mu_tilde)
     if mu_tilde < 0.5:
         return math.log((1.0 - mu_tilde) / mu_tilde) / (1.0 - 2.0 * mu_tilde)
     return 1.0 / (2.0 * mu_tilde * (1.0 - mu_tilde))
@@ -316,8 +313,9 @@ def little_g(mu_tilde: float) -> float:
 
 def big_h(x: float) -> float:
     """H(x) = (1 - 2/x) ln(1 - x), increasing on (0, 1)."""
-    if not (0.0 < x < 1.0):
+    if not (0.0 < as_float(x) < 1.0):
         raise DomainError(f"x must lie in (0,1), got {x!r}")
+    x = float(x)
     return (1.0 - 2.0 / x) * math.log1p(-x)
 
 
@@ -331,11 +329,12 @@ def mgf_convexity_bound(mean_x: float, r: RangeBounds, h: float) -> float:
 
     Holds for every real h by convexity of the exponential.
     """
-    if not (r.a <= mean_x <= r.b):
+    mean, h = as_float(mean_x), as_float(h)
+    if not (r.a <= mean <= r.b):
         raise MeanOutOfRange(f"mean {mean_x!r} outside [{r.a!r}, {r.b!r}]")
     width = r.b - r.a
-    return ((r.b - mean_x) / width) * math.exp(h * r.a) + (
-        (mean_x - r.a) / width
+    return ((r.b - mean) / width) * math.exp(h * r.a) + (
+        (mean - r.a) / width
     ) * math.exp(h * r.b)
 
 
@@ -346,8 +345,8 @@ def t_for_confidence(M: int, delta: float) -> float:
     at least 1 - 2*delta, provided t falls inside both validity windows
     (union of the two one-sided bounds).
     """
-    _check_m(M)
-    if not (0.0 < delta <= 1.0):
+    M = _check_m(M)
+    if not (0.0 < as_float(delta) <= 1.0):
         raise InvalidDelta(f"delta must lie in (0,1], got {delta!r}")
     # -ln(delta), as 1/delta overflows for a subnormal delta; written
     # 0.0 - ln(delta) so that delta = 1 gives t = 0.0, not -0.0
@@ -357,7 +356,8 @@ def t_for_confidence(M: int, delta: float) -> float:
 def tail_bound_report(anchor: Union[float, Fraction], M: int, t: float) -> BoundReport:
     """All bound forms for one query against an upper-side anchor mean.
 
-    ``anchor`` is the queried side's anchor a (:func:`side_anchor`).  The
+    ``anchor`` is the queried side's anchor a (:func:`side_anchor`), a
+    Fraction, or any number taken as its float, exact in [0, 1].  The
     window 0 < t < 1 - a is decided exactly.  The optimized forms are
     evaluated at mu = float(a) and are None outside the window, within an
     ulp of its end (where t < 1 - mu fails in floats), or when mu lies on
@@ -365,9 +365,11 @@ def tail_bound_report(anchor: Union[float, Fraction], M: int, t: float) -> Bound
     An anchor outside [0, 1], or NaN, raises DomainError.
     """
     hoeffding = hoeffding_tail_bound(M, t)  # checks M and t before the window
+    M, t = float(M), float(t)  # the values hoeffding_tail_bound checked
     if not 0 <= anchor <= 1:
         raise DomainError(f"anchor must lie in [0,1], got {anchor!r}")
-    (tn, td), (an, ad) = exact_ratio(t), exact_ratio(anchor)
+    anchor = anchor if isinstance(anchor, Fraction) else float(anchor)
+    (tn, td), (an, ad) = t.as_integer_ratio(), anchor.as_integer_ratio()
     in_range = tn * ad < (ad - an) * td  # t < 1 - a, exactly
     mu = float(anchor)
     h0 = optimal_h(mu, t) if in_range and 0.0 < mu < 1.0 and t < 1.0 - mu else None

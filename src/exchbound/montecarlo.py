@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import numbers
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -84,13 +83,14 @@ from .bounds import (
     ENGINE_M_LIMIT,
     Side,
     TailQuery,
+    as_float,
     check_engine_m,
     check_int,
     check_t,
     side_anchor,
     tail_bound_report,
 )
-from .errors import DomainError, EmptyGrid, ExchboundError, InvalidT, MTooLarge, UnsupportedModel
+from .errors import DomainError, EmptyGrid, ExchboundError, MTooLarge, UnsupportedModel
 from .model import (
     Beta,
     BernoulliParamMixture,
@@ -110,6 +110,8 @@ BETA_CHUNK = 1 << 17  # Beta draws held at once: 1 MB of float64
 BETA_MAX_M = 1 << 24  # one row of M Beta draws, held whole: 128 MB of float64
 
 HISTOGRAM_MAX_BINS = 10**6
+
+T_GRID_MAX = 10**6  # deviations per window; like a bin, each is a report row
 
 DEFAULT_CI_LEVEL = 0.999
 
@@ -136,10 +138,11 @@ class TailEstimate:
     master_seed: int
 
 
-def _check_level(level) -> None:
-    """Raise DomainError unless level is a real number in (0, 1), such as 0.999."""
-    if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
-        raise DomainError(f"level must lie in (0,1), got {level!r}")
+def _check_level(level) -> float:
+    """level as a float, a real number in (0, 1) such as 0.999, or else DomainError."""
+    if 0.0 < as_float(level) < 1.0:
+        return float(level)
+    raise DomainError(f"level must lie in (0,1), got {level!r}")
 
 
 def clopper_pearson_interval(successes: int, n: int, level: float = DEFAULT_CI_LEVEL):
@@ -153,8 +156,7 @@ def clopper_pearson_interval(successes: int, n: int, level: float = DEFAULT_CI_L
     """
     n = check_int("n", n, 1)
     successes = check_int("successes", successes, 0, n + 1)
-    _check_level(level)
-    return _clopper_pearson(successes, n, float(level))
+    return _clopper_pearson(successes, n, _check_level(level))
 
 
 @functools.lru_cache(maxsize=1024)  # a default sweep's 600 cells hold 148 distinct counts
@@ -626,22 +628,23 @@ def _sweep_group(group: _Group, replications: int, method: str, level: float) ->
 
 
 def _check_t_grid(t_grid):
-    """t_grid as a count of deviations per window, an int >= 0 by the integer
-    rule, or as a list of deviations: real numbers, each finite and > 0
-    (``bounds.check_t``), taken at their float values, which every cell decides."""
+    """t_grid as a count of deviations per window, an int in [0, T_GRID_MAX] by
+    the integer rule, or as a list of deviations, each the float
+    ``bounds.check_t`` returns, which every cell decides, none repeated."""
     forms = "a count of deviations per window or a sequence of deviations"
     if isinstance(t_grid, str) or not isinstance(t_grid, Sequence):
         try:
             operator.index(t_grid)
         except TypeError:
             raise DomainError(f"t_grid must be {forms}, got {t_grid!r}") from None
-        return check_int("t_grid", t_grid, 0)
-    bad = [t for t in t_grid if not isinstance(t, numbers.Real)]
-    if bad:
-        raise InvalidT(f"t_grid must be {forms}, but holds {bad[0]!r}, not a real number")
-    for t in t_grid:
-        check_t(t)
-    return [float(t) for t in t_grid]
+        return check_int("t_grid", t_grid, 0, T_GRID_MAX + 1)
+    ts = [check_t(t) for t in t_grid]
+    seen = set()
+    for t in ts:  # one list serves every group, so a repeat would repeat rows in each
+        if t in seen:
+            raise DomainError(f"t_grid repeats t={t!r}")
+        seen.add(t)
+    return ts
 
 
 def run_sweep(
@@ -659,10 +662,10 @@ def run_sweep(
     """Evaluate every (model, M, t, side) cell of the grid.
 
     ``t_grid`` is either a list of deviations shared by every model and
-    side, or an integer n, a numpy integer too: n deviations spanning each
-    (model, side) validity window (:func:`window_t_grid`).  The sweep's
-    unit is the group of the cells of one (model, side, M), which share an
-    anchor and a drawn law.
+    side, or an integer n <= T_GRID_MAX, a numpy integer too: n increasing
+    deviations spanning each (model, side) validity window
+    (:func:`window_t_grid`).  The sweep's unit is the group of the cells
+    of one (model, side, M), which share an anchor and a drawn law.
     Rows come out model by model, then side, then M, then t.
 
     ``method`` selects the engine per cell: "auto" prefers the exact
@@ -673,16 +676,16 @@ def run_sweep(
 
     Every argument is checked before any cell runs, and kept as the type
     its report column declares, so every report parses back to its rows:
-    each M by ``bounds.check_engine_m``, each explicit t by
-    ``bounds.check_t`` and then as float(t), the level as a float, and
-    replications in [1, 2^63).  A model id that is not a str, an unknown
-    method, a level that is not a real number in (0, 1), a ``t_grid``
-    that is neither an integer >= 0 nor a sequence of real numbers, a
+    each M by ``bounds.check_engine_m``, each explicit t as the float
+    ``bounds.check_t`` returns, the level as a float, and replications in
+    [1, 2^63).  A model id that is not a str, an unknown method, a level
+    that is not a real number in (0, 1), a ``t_grid`` that is neither an
+    integer in [0, T_GRID_MAX] nor a sequence, an explicit t repeated, a
     side other than a Side, "upper" or "lower", a master seed outside [0,
-    2^64), a thread count outside [1, THREADS_LIMIT), two groups with one
-    key (model_id, M, side), even of different models or t grids, or a t
-    repeated within a group, raise DomainError; a t that is not a real
-    number, finite and > 0 raises InvalidT.
+    2^64), a thread count outside [1, THREADS_LIMIT), or two groups with
+    one key (model_id, M, side), even of different models or t grids,
+    raise DomainError; a t that is not a real number, finite and > 0
+    raises InvalidT.
 
     With ``threads`` > 1 (or the EXCHBOUND_THREADS environment variable)
     the groups are evaluated concurrently, one group per task.  A Monte
@@ -706,8 +709,7 @@ def run_sweep(
     replications = check_int("replications", replications, 1, ENGINE_M_LIMIT)
     if method not in METHODS:
         raise DomainError(f"unknown sweep method {method!r}")
-    _check_level(level)
-    level = float(level)
+    level = _check_level(level)
     master_seed = check_master_seed(master_seed)
     n_threads = _resolve_threads(threads)
 
@@ -722,13 +724,8 @@ def run_sweep(
             ts = window_t_grid(anchor, t_grid) if isinstance(t_grid, int) else t_grid
             for M in M_grid:
                 # a repeated group would repeat its rows and draw from its stream
-                seen = set(ts) if (model_id, M, side) in keys else set()
-                for t in ts:
-                    if t in seen:
-                        raise DomainError(
-                            f"duplicate cell model_id={model_id!r} M={M} t={t!r} side={side}"
-                        )
-                    seen.add(t)
+                if (model_id, M, side) in keys:
+                    raise DomainError(f"duplicate group model_id={model_id!r} M={M} side={side}")
                 keys.add((model_id, M, side))
                 seed = _law_seed(master_seed, model_id, M, side)
                 groups.append(_Group(model_id, m, anchor, M, side, seed, ts))

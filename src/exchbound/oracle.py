@@ -64,7 +64,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import special
 
-from .bounds import Side, TailQuery, check_engine_m, exact_ratio, side_anchor
+from .bounds import Side, TailQuery, check_engine_m, side_anchor
 from .errors import DomainError, MTooLarge
 from .model import (
     BernoulliParamMixture,
@@ -121,8 +121,8 @@ def exact_tail(m: MixingMeasure, q: TailQuery) -> ExactTail:
 
 
 def sum_threshold(M: int, a: Fraction, t: float) -> Fraction:
-    """M*(a + t) exactly, t taken at its IEEE value, built in ints (``bounds.exact_ratio``)."""
-    (an, ad), (tn, td) = (a.numerator, a.denominator), exact_ratio(t)
+    """M*(a + t) exactly, t the float ``TailQuery.t`` holds, built in ints for speed."""
+    (an, ad), (tn, td) = (a.numerator, a.denominator), t.as_integer_ratio()
     return Fraction(M * (an * td + tn * ad), ad * td)
 
 

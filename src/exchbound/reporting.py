@@ -136,10 +136,13 @@ def to_csv(table) -> str:
     buf = io.StringIO()
     for key in layout.metadata:
         buf.write(f"# {key}: {format_value(getattr(table, key))}\n")
-    writer = csv.writer(buf, lineterminator="\n")
+    records = [[format_value(getattr(row, c)) for c in layout.columns] for row in table.rows]
+    # csv quotes a field that holds "\n" but not one that holds "\r", which a
+    # reader then refuses unquoted; a table with a "\r" is quoted throughout
+    quoting = csv.QUOTE_ALL if "\r" in "".join(map("".join, records)) else csv.QUOTE_MINIMAL
+    writer = csv.writer(buf, lineterminator="\n", quoting=quoting)
     writer.writerow(layout.columns)
-    writer.writerows([format_value(getattr(row, c)) for c in layout.columns]
-                     for row in table.rows)
+    writer.writerows(records)
     return buf.getvalue()
 
 
@@ -169,7 +172,8 @@ def _decode(meta: dict, records) -> Report:
 
 
 def from_csv(text: str) -> Report:
-    lines = text.splitlines(keepends=True)
+    # lines end at "\n" only: a model id may hold "\r", "\x0c", "\x85", "\u2028" and the like
+    lines = io.StringIO(text, newline="\n").readlines()
     n_meta = next((i for i, line in enumerate(lines) if not line.startswith("# ")), len(lines))
     meta = {}
     for line in lines[:n_meta]:

@@ -61,7 +61,7 @@ class TestHoeffdingForm:
         with pytest.raises(DomainError, match="M must be >= 1 and fit in a float, got nan"):
             hoeffding_tail_bound(math.nan, 0.1)
 
-    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    @pytest.mark.parametrize("t", [math.inf, math.nan, "0.1", None])
     def test_every_t_check_rejects_a_non_finite_t(self, t):
         for call in (
             lambda: hoeffding_tail_bound(10, t),
@@ -466,3 +466,58 @@ class TestHugeM:
         # str() of an int refuses more than 4300 digits
         with pytest.raises(DomainError, match="integer of 16610 bits"):
             call(M)
+
+
+def f32_range(a, b):
+    return RangeBounds(np.float32(a), np.float32(b))
+
+
+class TestFloatArguments:
+    # each form with float32 M, t, mu, h, x, delta, mean or range ends; float32
+    # arithmetic would differ in the 7th digit, and little_g, big_g, big_h and
+    # mgf_convexity_bound would return np.float32
+    F32 = np.float32
+    CALLS = [
+        (hoeffding_tail_bound, (F32(7), F32(0.1))),
+        (chernoff_curve, (F32(0.3), F32(0.1), F32(5), F32(0.4))),
+        (optimal_h, (F32(0.3), F32(0.1))),
+        (kl_form_bound, (F32(0.3), F32(0.1), F32(5))),
+        (big_g, (F32(0.1), F32(0.3))),
+        (little_g, (F32(0.3),)),
+        (little_g, (F32(0.7),)),
+        (big_h, (F32(0.3),)),
+        (t_for_confidence, (F32(7), F32(0.05))),
+        (mgf_convexity_bound, (F32(0.3), f32_range(-0.2, 1.3), F32(0.7))),
+        (mgf_convexity_bound, (0.3, f32_range(-0.2, 1.3), 0.7)),
+    ]
+
+    @staticmethod
+    def floated(arg):
+        if isinstance(arg, RangeBounds):
+            return RangeBounds(float(arg.a), float(arg.b))
+        return float(arg)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "form,args", CALLS,
+        ids=["hoeffding", "chernoff", "optimal_h", "kl_form", "big_g", "little_g-below-half",
+             "little_g-above-half", "big_h", "t_for_confidence", "mgf", "mgf-range"],
+    )
+    def test_a_closed_form_computes_in_the_floats_of_its_arguments(self, form, args):
+        value = form(*args)
+        assert type(value) is float
+        assert value.hex() == form(*map(self.floated, args)).hex()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("anchor", [np.float32(0.3), Fraction(3, 10)])
+    def test_tail_bound_report_computes_in_the_floats_of_its_arguments(self, anchor):
+        report = tail_bound_report(anchor, self.F32(5), self.F32(0.1))
+        floated = anchor if isinstance(anchor, Fraction) else float(anchor)
+        assert report == tail_bound_report(floated, 5.0, float(self.F32(0.1)))
+        assert all(type(v) is float for v in (report.hoeffding_form, report.h0, report.kl_form))
+        assert type(report.in_validity_range) is bool
+
+    def test_range_ends_are_kept_as_floats(self):
+        r = f32_range(-0.2, 1.3)
+        assert (type(r.a), type(r.b)) == (float, float)
+        assert (r.a, r.b) == (float(np.float32(-0.2)), float(np.float32(1.3)))

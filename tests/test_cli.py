@@ -440,14 +440,17 @@ class TestReportEncodings:
         models = [(name, suite_model(name))
                   for name in ("two_atom", "three_atom_discrete", "uniform_param")]
         models.append(("beta_point", FiniteMixture([(0.5, Beta(2.0, 5.0)), (0.5, PointMass(0.5))])))
-        sweep = run_sweep(models, M_grid, t_grid, [Side.UPPER, Side.LOWER], 2_000, 5,
-                          method=method, level=level)
-        report = Report.from_sweep(sweep, "0.1.0", "2026-01-01T00:00:00+00:00")
-        assert {row.method for row in report.rows} == kinds
-        # every field has the type its column declares
-        assert type(report.level) is float and all(type(row.t) is float for row in report.rows)
-        assert from_csv(to_csv(report)) == report
-        assert from_json(to_json(report)) == report
+        # model ids also joined by each character str.splitlines ends a line at, but "\n"
+        for join in ["_", "\r", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]:
+            joined = [(name.replace("_", join), model) for name, model in models]
+            sweep = run_sweep(joined, M_grid, t_grid, [Side.UPPER, Side.LOWER], 2_000, 5,
+                              method=method, level=level)
+            report = Report.from_sweep(sweep, "0.1.0", "2026-01-01T00:00:00+00:00")
+            assert {row.method for row in report.rows} == kinds
+            # every field has the type its column declares
+            assert type(report.level) is float and all(type(row.t) is float for row in report.rows)
+            assert from_csv(to_csv(report)) == report, repr(join)
+            assert from_json(to_json(report)) == report, repr(join)
 
     def test_17_digit_floats_survive(self):
         report = make_report()
@@ -691,6 +694,8 @@ class TestCliCommands:
             ("verify", ["--seed", "-1"], None),
             ("histogram", ["--seed", str(2**64)], None),
             ("verify", [], "1" + "0" * 4999),
+            ("verify", ["--t-grid", "auto:1" + "0" * 5000], None),
+            ("verify", ["--t-grid", "auto:" + "9" * 20], None),
         ],
         ids=[
             "auto-abc", "auto-0", "inf", "nan", "abc", "level", "m-0", "threads-env",
@@ -704,13 +709,16 @@ class TestCliCommands:
             "verify-uniform-m-past-int64", "simulate-m-past-int64", "histogram-m-past-int64",
             "ci-m-past-float", "bounds-m-past-float", "ci-t-past-float",
             "simulate-seed-2^64", "verify-seed-negative", "histogram-seed-2^64",
-            "threads-env-5000-digits",
+            "threads-env-5000-digits", "auto-5000-digits", "auto-20-digits",
         ],
     )
     def test_verify_rejects_bad_arguments_before_any_cell(
         self, tmp_path, capsys, monkeypatch, command, extra, threads_env
     ):
         monkeypatch.setattr(montecarlo, "_sweep_group", lambda *a, **k: pytest.fail("a cell ran"))
+        window_t_grid = montecarlo.window_t_grid  # a grid past a million t is refused, not built
+        monkeypatch.setattr(montecarlo, "window_t_grid", lambda anchor, n: window_t_grid(anchor, n)
+                            if n <= 10**6 else pytest.fail(f"a grid of {n} t was built"))
         if threads_env is not None:
             monkeypatch.setenv("EXCHBOUND_THREADS", threads_env)
         # three model files that share the stem "m", the third a different model

@@ -287,6 +287,19 @@ class TestEstimateTail:
         assert abs(est.p_hat - 0.34) < 4.5 * se
         assert est.ci_low <= 0.34 <= est.ci_high
 
+    @pytest.mark.parametrize(
+        "engine",
+        [lambda m, q: exact_tail(m, q).probability, lambda m, q: estimate_tail(m, q, 10_000, 3)],
+        ids=["exact_tail", "estimate_tail"],
+    )
+    def test_a_fraction_t_is_the_query_of_its_float(self, engine):
+        # 5 * (1/2 + 1/10) is 3 exactly, but 0.1 lies above 1/10, so S >= 4 at t = 0.1
+        m = FiniteMixture([(1.0, Bernoulli(0.5))])
+        q = TailQuery(5, Fraction(1, 10), Side.UPPER)
+        assert type(q.t) is float and q.t == 0.1
+        assert engine(m, q) == engine(m, TailQuery(5, 0.1, Side.UPPER))
+        assert exact_tail(m, q).probability == 0.1875
+
     def test_iid_coin_against_oracle(self):
         m = FiniteMixture([(1.0, Bernoulli(0.5))])
         q = TailQuery(M=2, t=0.4, side=Side.UPPER)
@@ -978,26 +991,28 @@ class TestRunSweep:
             )
 
     @pytest.mark.parametrize(
-        "models,M_grid,t_grid",
+        "models,M_grid,t_grid,message",
         [
-            ([("two_atom", TWO_ATOM)], [2, 2], [0.1]),
-            ([("two_atom", TWO_ATOM)], [2], [0.1, 0.1]),
-            ([("two_atom", TWO_ATOM), ("two_atom", ZERO_ONE)], [2], [0.1]),
+            ([("two_atom", TWO_ATOM)], [2, 2], [0.1],
+             "duplicate group model_id='two_atom' M=2 side=upper"),
+            ([("two_atom", TWO_ATOM)], [2], [0.1, 0.1], "t_grid repeats t=0.1"),
+            ([("two_atom", TWO_ATOM), ("two_atom", ZERO_ONE)], [2], [0.1],
+             "duplicate group model_id='two_atom' M=2 side=upper"),
         ],
         ids=["M", "t", "model_id"],
     )
-    def test_duplicate_row_keys_rejected(self, monkeypatch, models, M_grid, t_grid):
+    def test_duplicate_row_keys_rejected(self, monkeypatch, models, M_grid, t_grid, message):
         monkeypatch.setattr(
             montecarlo, "_sweep_group", lambda *a, **k: pytest.fail("a cell ran")
         )
-        with pytest.raises(DomainError, match="model_id='two_atom' M=2 t=0.1 side=upper"):
+        with pytest.raises(DomainError, match=f"^{message}$"):
             run_sweep(models, M_grid, t_grid, [Side.UPPER], 10, 1)
 
     def test_two_models_with_one_model_id_rejected_before_any_group(self, monkeypatch):
         # their auto t grids differ, so no row repeats, but both would draw one stream
         monkeypatch.setattr(montecarlo, "_sweep_group", lambda *a, **k: pytest.fail("a group ran"))
         models = [("m", FiniteMixture([(1.0, Bernoulli(p))])) for p in (0.3, 0.4)]
-        with pytest.raises(DomainError, match="duplicate cell model_id='m' M=10 t=.* side=upper"):
+        with pytest.raises(DomainError, match="^duplicate group model_id='m' M=10 side=upper$"):
             run_sweep(models, [10], 10, [Side.UPPER], 10, 1)
 
     @pytest.mark.parametrize(
@@ -1052,14 +1067,19 @@ class TestRunSweep:
             run_sweep(list(standard_suite())[:1], [5], count, [Side.UPPER], 100, 0)
 
     @pytest.mark.parametrize(
-        "t_grid",
-        [["0.1"], [0.1, None], "0.1", np.array([0.1, 0.2]), {0.1}],
+        "t_grid,message",
+        [(["0.1"], "t must be finite and > 0, got '0.1'"),
+         ([0.1, None], "t must be finite and > 0, got None"),
+         ("0.1", None), (np.array([0.1, 0.2]), None), ({0.1}, None)],
         ids=["str-in-list", "none-in-list", "str", "ndarray", "set"],
     )
-    def test_a_t_grid_of_neither_form_is_refused_before_any_cell(self, monkeypatch, t_grid):
+    def test_a_t_grid_of_neither_form_is_refused_before_any_cell(
+        self, monkeypatch, t_grid, message
+    ):
+        # a list is a sequence of deviations, so check_t refuses a t in it that is not a real number
         monkeypatch.setattr(montecarlo, "_sweep_group", lambda *a, **k: pytest.fail("a cell ran"))
         forms = "t_grid must be a count of deviations per window or a sequence of deviations"
-        with pytest.raises(DomainError, match=forms):
+        with pytest.raises(DomainError if message is None else InvalidT, match=message or forms):
             run_sweep(list(standard_suite())[:1], [5], t_grid, [Side.UPPER], 100, 0)
 
     @pytest.mark.parametrize(
