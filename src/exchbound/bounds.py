@@ -72,13 +72,14 @@ ENGINE_M_LIMIT = 1 << 63  # Monte Carlo hands M to numpy as an int64
 
 
 def _shown(x) -> str:
-    """x for a message: a power of two past 2^32 as 2^k, and an int past 64 bits
-    by its size, as str() of a huge int is slow, and refused past 4300 digits."""
+    """x for a message: its repr, but a power of two past 2^32 as 2^k, and an
+    int past 64 bits by its size, as repr() of a huge int is slow, and refused
+    past 4300 digits."""
     if isinstance(x, int) and x > 1 << 32 and not x & (x - 1):
         return f"2^{x.bit_length() - 1}"
     if isinstance(x, int) and x.bit_length() > 64:
         return f"an integer of {x.bit_length()} bits"
-    return str(x)
+    return repr(x)
 
 
 def check_int(name: str, value, low: int, high=math.inf) -> int:
@@ -92,7 +93,7 @@ def check_int(name: str, value, low: int, high=math.inf) -> int:
     try:
         value = operator.index(value)
     except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+        raise DomainError(f"{name} must be an integer, got {_shown(value)}") from None
     if not low <= value < high:
         raise DomainError(f"{name} must lie in [{low}, {_shown(high)}), got {_shown(value)}")
     return value
@@ -111,18 +112,11 @@ def as_float(x) -> float:
     return math.nan
 
 
-class _SideType(enum.EnumMeta):
-    def __call__(cls, value, *args, **kwargs):
-        # each cell converts its side at every entry, so a member returns at once,
-        # without Enum's two Python-level calls
-        return value if type(value) is cls else super().__call__(value, *args, **kwargs)
-
-
-class Side(enum.Enum, metaclass=_SideType):
+class Side(enum.Enum):
     """Which tail of the sample mean is queried.
 
-    ``Side(side)`` takes a member or its report spelling, "upper" or
-    "lower", and raises DomainError on any other value.
+    ``Side(side)`` returns a member as it is, takes the report spelling
+    "upper" or "lower", and raises DomainError on any other value.
     """
 
     UPPER = "upper"
@@ -176,7 +170,8 @@ class RangeBounds:
     def __post_init__(self) -> None:
         a, b = as_float(self.a), as_float(self.b)
         if not (a < b and math.isfinite(b - a)):
-            raise DomainError(f"range requires finite a < b, got [{self.a!r}, {self.b!r}]")
+            shown = f"[{_shown(self.a)}, {_shown(self.b)}]"
+            raise DomainError(f"range requires finite a < b, got {shown}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -211,7 +206,7 @@ def check_engine_m(M: int) -> int:
 def _check_mu(mu_tilde: float) -> float:
     if 0.0 < as_float(mu_tilde) < 1.0:
         return float(mu_tilde)
-    raise DomainError(f"mu_tilde must lie in (0,1), got {mu_tilde!r}")
+    raise DomainError(f"mu_tilde must lie in (0,1), got {_shown(mu_tilde)}")
 
 
 def check_t(t: float) -> float:
@@ -223,8 +218,7 @@ def check_t(t: float) -> float:
     """
     if 0.0 < as_float(t) < math.inf:
         return float(t)
-    shown = _shown(t) if isinstance(t, int) else repr(t)
-    raise InvalidT(f"t must be finite and > 0, got {shown}")
+    raise InvalidT(f"t must be finite and > 0, got {_shown(t)}")
 
 
 def _check_window(mu_tilde: float, t: float) -> tuple[float, float]:
@@ -232,7 +226,9 @@ def _check_window(mu_tilde: float, t: float) -> tuple[float, float]:
     mu = _check_mu(mu_tilde)
     if 0.0 < as_float(t) < 1.0 - mu:
         return mu, float(t)
-    raise OutOfValidityRange(f"t={t!r} outside (0, {1.0 - mu!r}) for mu_tilde={mu_tilde!r}")
+    raise OutOfValidityRange(
+        f"t={_shown(t)} outside (0, {1.0 - mu!r}) for mu_tilde={_shown(mu_tilde)}"
+    )
 
 
 def hoeffding_tail_bound(M: int, t: float) -> float:
@@ -249,7 +245,7 @@ def chernoff_curve(mu_tilde: float, t: float, M: int, h: float) -> float:
     """
     mu_tilde, M, t = _check_mu(mu_tilde), _check_m(M), check_t(t)
     if not 0.0 < as_float(h) < math.inf:
-        raise InvalidH(f"h must be finite and > 0, got {h!r}")
+        raise InvalidH(f"h must be finite and > 0, got {_shown(h)}")
     h = float(h)
     x, y = math.log1p(-mu_tilde), math.log(mu_tilde) + h
     # log(e^x + e^y) as np.logaddexp computes it; the grouping keeps every bit
@@ -314,7 +310,7 @@ def little_g(mu_tilde: float) -> float:
 def big_h(x: float) -> float:
     """H(x) = (1 - 2/x) ln(1 - x), increasing on (0, 1)."""
     if not (0.0 < as_float(x) < 1.0):
-        raise DomainError(f"x must lie in (0,1), got {x!r}")
+        raise DomainError(f"x must lie in (0,1), got {_shown(x)}")
     x = float(x)
     return (1.0 - 2.0 / x) * math.log1p(-x)
 
@@ -331,7 +327,7 @@ def mgf_convexity_bound(mean_x: float, r: RangeBounds, h: float) -> float:
     """
     mean, h = as_float(mean_x), as_float(h)
     if not (r.a <= mean <= r.b):
-        raise MeanOutOfRange(f"mean {mean_x!r} outside [{r.a!r}, {r.b!r}]")
+        raise MeanOutOfRange(f"mean {_shown(mean_x)} outside [{r.a!r}, {r.b!r}]")
     width = r.b - r.a
     return ((r.b - mean) / width) * math.exp(h * r.a) + (
         (mean - r.a) / width
@@ -347,7 +343,7 @@ def t_for_confidence(M: int, delta: float) -> float:
     """
     M = _check_m(M)
     if not (0.0 < as_float(delta) <= 1.0):
-        raise InvalidDelta(f"delta must lie in (0,1], got {delta!r}")
+        raise InvalidDelta(f"delta must lie in (0,1], got {_shown(delta)}")
     # -ln(delta), as 1/delta overflows for a subnormal delta; written
     # 0.0 - ln(delta) so that delta = 1 gives t = 0.0, not -0.0
     return math.sqrt((0.0 - math.log(delta)) / (2.0 * M))
@@ -367,7 +363,7 @@ def tail_bound_report(anchor: Union[float, Fraction], M: int, t: float) -> Bound
     hoeffding = hoeffding_tail_bound(M, t)  # checks M and t before the window
     M, t = float(M), float(t)  # the values hoeffding_tail_bound checked
     if not 0 <= anchor <= 1:
-        raise DomainError(f"anchor must lie in [0,1], got {anchor!r}")
+        raise DomainError(f"anchor must lie in [0,1], got {_shown(anchor)}")
     anchor = anchor if isinstance(anchor, Fraction) else float(anchor)
     (tn, td), (an, ad) = t.as_integer_ratio(), anchor.as_integer_ratio()
     in_range = tn * ad < (ad - an) * td  # t < 1 - a, exactly

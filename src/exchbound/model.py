@@ -38,6 +38,7 @@ from typing import Sequence, Union
 import numpy as np
 from scipy import special
 
+from .bounds import _shown, as_float
 from .errors import InvalidModel, KTooLarge, UnsupportedModel
 
 WEIGHT_TOL = 1e-12  # machine-precision-scale slack for user-supplied weights
@@ -75,7 +76,7 @@ class Bernoulli:
 
     def __post_init__(self) -> None:
         if not 0 <= self.p <= 1:  # False for NaN as well
-            raise InvalidModel(f"Bernoulli p must lie in [0,1], got {self.p!r}")
+            raise InvalidModel(f"Bernoulli p must lie in [0,1], got {_shown(self.p)}")
 
     def mean(self) -> float:
         return float(self.p)
@@ -100,7 +101,7 @@ class PointMass:
 
     def __post_init__(self) -> None:
         if not 0 <= self.c <= 1:
-            raise InvalidModel(f"PointMass c must lie in [0,1], got {self.c!r}")
+            raise InvalidModel(f"PointMass c must lie in [0,1], got {_shown(self.c)}")
 
     def mean(self) -> float:
         return float(self.c)
@@ -149,7 +150,7 @@ class DiscreteOnUnit:
             )
         for x in self.points:
             if not 0 <= x <= 1:
-                raise InvalidModel(f"DiscreteOnUnit point {x!r} outside [0,1]")
+                raise InvalidModel(f"DiscreteOnUnit point {_shown(x)} outside [0,1]")
         for a, b in zip(self.points, self.points[1:]):
             if not a < b:
                 raise InvalidModel("DiscreteOnUnit points must be strictly increasing")
@@ -199,10 +200,11 @@ class Beta:
 
     def __post_init__(self) -> None:
         # a sum past the float range would make the mean alpha / (alpha + beta) 0
-        if not (self.alpha > 0.0 and self.beta > 0.0 and math.isfinite(self.alpha + self.beta)):
+        a, b = as_float(self.alpha), as_float(self.beta)
+        if not (a > 0.0 and b > 0.0 and math.isfinite(a + b)):
             raise InvalidModel(
                 f"Beta parameters must be positive with a finite sum, got "
-                f"alpha={self.alpha!r}, beta={self.beta!r}"
+                f"alpha={_shown(self.alpha)}, beta={_shown(self.beta)}"
             )
 
     def mean(self) -> float:
@@ -239,9 +241,7 @@ class FiniteMixture:
     atoms: tuple[tuple[float, Component], ...]
 
     def __init__(self, atoms) -> None:
-        object.__setattr__(
-            self, "atoms", tuple((float(w), comp) for w, comp in atoms)
-        )
+        object.__setattr__(self, "atoms", tuple((_check_weight(w), comp) for w, comp in atoms))
         self._validate()
         object.__setattr__(self, "cumulative_weights", tuple(_cumulative(self.weights).tolist()))
         object.__setattr__(self, "_hash", hash(self.atoms))
@@ -252,9 +252,6 @@ class FiniteMixture:
     def _validate(self) -> None:
         if not self.atoms:
             raise InvalidModel("FiniteMixture needs at least one atom")
-        for w, _ in self.atoms:
-            if not w > 0.0:
-                raise InvalidModel(f"atom weight {w!r} must be strictly positive")
         total = math.fsum(w for w, _ in self.atoms)
         if abs(total - 1.0) > WEIGHT_TOL:
             raise InvalidModel(
@@ -271,6 +268,13 @@ class FiniteMixture:
 
     def reflect(self) -> FiniteMixture:
         return FiniteMixture([(w, c.reflect()) for w, c in self.atoms])
+
+
+def _check_weight(w) -> float:
+    """w as a float, a real number > 0 that fits in one."""
+    if as_float(w) > 0.0:
+        return float(w)
+    raise InvalidModel(f"atom weight {_shown(w)} must be a real number > 0")
 
 
 @dataclass(frozen=True)
@@ -314,11 +318,12 @@ class TruncatedBetaDensity:
     hi: Scalar
 
     def __post_init__(self) -> None:
-        a, b = self.alpha, self.beta
+        a, b = as_float(self.alpha), as_float(self.beta)
         if not (a > 0.0 and b > 0.0 and a + b <= TRUNCATED_BETA_MAX_SUM):
             raise InvalidModel(
                 f"TruncatedBeta parameters must be positive with alpha + beta <= "
-                f"{TRUNCATED_BETA_MAX_SUM:g}, got alpha={a!r}, beta={b!r}"
+                f"{TRUNCATED_BETA_MAX_SUM:g}, got alpha={_shown(self.alpha)}, "
+                f"beta={_shown(self.beta)}"
             )
         _check_support(self)
 
@@ -383,7 +388,8 @@ ParamDensity = Union[UniformDensity, TruncatedBetaDensity]
 def _check_support(d: ParamDensity) -> None:
     if not 0 <= d.lo < d.hi <= 1:
         raise InvalidModel(
-            f"support endpoints must satisfy 0 <= lo < hi <= 1, got [{d.lo!r}, {d.hi!r}]"
+            f"support endpoints must satisfy 0 <= lo < hi <= 1, "
+            f"got [{_shown(d.lo)}, {_shown(d.hi)}]"
         )
     if not beta_interval_mass(d.alpha, d.beta, d.lo, d.hi) > 0.0:
         raise InvalidModel(
@@ -437,7 +443,8 @@ def flip_model(m: MixingMeasure) -> MixingMeasure:
 
 @dataclass(frozen=True)
 class ModelSummary:
-    """Largest / smallest / overall component means of a mixing measure.
+    """Largest / smallest / overall component means of a mixing measure,
+    each kept as a Python float (:func:`~exchbound.bounds.as_float`).
 
     ``t_max_upper`` and ``t_max_lower`` are the widths of the windows in
     which the upper and lower tail bounds are guaranteed.
@@ -448,6 +455,13 @@ class ModelSummary:
     mu: float
 
     def __post_init__(self) -> None:
+        # frozen: each mean becomes the float every anchor and window reads
+        for name in ("mu_plus", "mu_minus", "mu"):
+            given = getattr(self, name)
+            value = as_float(given)
+            if math.isnan(value):
+                raise InvalidModel(f"summary {name} must be a real number, got {_shown(given)}")
+            object.__setattr__(self, name, value)
         if not (self.mu_minus <= self.mu <= self.mu_plus):
             raise InvalidModel(
                 f"summary ordering violated: {self.mu_minus!r} <= {self.mu!r} <= {self.mu_plus!r}"

@@ -20,7 +20,7 @@ per-observation sampler in :mod:`exchbound.sampler` remains the
 reference mechanism and the tests cross-validate the two.
 
 Replications are processed in fixed blocks of 2^16, one derived stream
-per (master_seed, block_index).  A block's stream is SFC64, seeded with
+per (master_seed, block_index).  ``_block_stream`` is SFC64, seeded with
 the first three words of the Philox stream ``sampler.derive_stream``
 gives the block: Beta draws, the bulk of a block's work, are bound by
 the generator, and SFC64 makes its words about four times faster;
@@ -83,6 +83,7 @@ from .bounds import (
     ENGINE_M_LIMIT,
     Side,
     TailQuery,
+    _shown,
     as_float,
     check_engine_m,
     check_int,
@@ -100,8 +101,7 @@ from .model import (
     summarize,
 )
 from .oracle import SumTable, _param_law, exact_tail, lattice_points, sum_threshold
-from .sampler import SeedSpec, _block_stream, check_master_seed, mix64
-from .sampler import derive_stream  # noqa: F401  perfbench/tracing.py wraps this name
+from .sampler import SeedSpec, _Words, check_master_seed, derive_stream, mix64
 
 BLOCK_SIZE = 1 << 16
 
@@ -142,7 +142,7 @@ def _check_level(level) -> float:
     """level as a float, a real number in (0, 1) such as 0.999, or else DomainError."""
     if 0.0 < as_float(level) < 1.0:
         return float(level)
-    raise DomainError(f"level must lie in (0,1), got {level!r}")
+    raise DomainError(f"level must lie in (0,1), got {_shown(level)}")
 
 
 def clopper_pearson_interval(successes: int, n: int, level: float = DEFAULT_CI_LEVEL):
@@ -382,6 +382,13 @@ def _beta_sums(c: Beta, M: int, n: int, gen: np.random.Generator) -> np.ndarray:
         stop = min(start + rows, n)
         gen.beta(c.alpha, c.beta, size=(stop - start, M)).sum(axis=1, out=sums[start:stop])
     return sums
+
+
+def _block_stream(seed: SeedSpec) -> np.random.Generator:
+    """The stream of one block: SFC64 seeded with the first three words of
+    derive_stream(seed)."""
+    words = derive_stream(seed).bit_generator.random_raw(3)
+    return np.random.Generator(np.random.SFC64(_Words(words)))
 
 
 @functools.lru_cache(maxsize=16)  # a 10^5-replication Beta table holds 1.6 MB
@@ -708,7 +715,7 @@ def run_sweep(
     sides = [Side(side) for side in sides]
     replications = check_int("replications", replications, 1, ENGINE_M_LIMIT)
     if method not in METHODS:
-        raise DomainError(f"unknown sweep method {method!r}")
+        raise DomainError(f"unknown sweep method {_shown(method)}")
     level = _check_level(level)
     master_seed = check_master_seed(master_seed)
     n_threads = _resolve_threads(threads)
@@ -717,7 +724,7 @@ def run_sweep(
     keys = set()
     for model_id, m in models:
         if not isinstance(model_id, str):
-            raise DomainError(f"model_id must be a str, got {model_id!r}")
+            raise DomainError(f"model_id must be a str, got {_shown(model_id)}")
         summary = summarize(m)
         for side in sides:
             anchor = side_anchor(summary, side)

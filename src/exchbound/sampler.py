@@ -13,13 +13,9 @@ Philox counter-based generator keyed by a SplitMix64 hash of the two
 seed fields, so distinct replication indices give statistically
 independent streams and results do not depend on scheduling order.
 Both fields lie in [0, 2^64): the hash reads 64 bits, so a wider
-value would alias another.
-A Monte Carlo block (:mod:`exchbound.montecarlo`) draws from an SFC64
-generator instead, seeded with the first three words of its SeedSpec's
-Philox stream (:func:`_block_stream`): a block's Beta draws are bound by
-the generator, whose words SFC64 makes about four times faster than
-Philox, while a replay costs the reset of its generator, not its few
-draws, and so stays on Philox.  Every generator is built by numpy's own
+value would alias another.  A replay (:func:`sample_sequence`) reads
+that Philox stream; a Monte Carlo block seeds its own generator from it
+(:mod:`exchbound.montecarlo`).  Every generator is built by numpy's own
 constructor from fixed words (:class:`_Words`), so no stream reads OS
 entropy.
 
@@ -100,13 +96,6 @@ class _Words(np.random.bit_generator.ISeedSequence):
 def derive_stream(seed: SeedSpec) -> np.random.Generator:
     """Deterministic, replication-independent random stream for a SeedSpec."""
     return np.random.Generator(np.random.Philox(_Words((_stream_key(seed), 0))))
-
-
-def _block_stream(seed: SeedSpec) -> np.random.Generator:
-    """The stream of one Monte Carlo block: SFC64 seeded with the first
-    three words of derive_stream(seed)."""
-    words = derive_stream(seed).bit_generator.random_raw(3)
-    return np.random.Generator(np.random.SFC64(_Words(words)))
 
 
 _thread = threading.local()

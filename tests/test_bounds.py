@@ -10,28 +10,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exchbound import (
+    Bernoulli,
+    Beta,
+    DiscreteOnUnit,
     DomainError,
+    FiniteMixture,
     InvalidDelta,
     InvalidH,
+    InvalidModel,
     InvalidT,
     MeanOutOfRange,
     ModelSummary,
     OutOfValidityRange,
+    PointMass,
     RangeBounds,
     Side,
     TailQuery,
+    TruncatedBetaDensity,
+    UniformDensity,
     big_g,
     big_h,
     chernoff_curve,
+    clopper_pearson_interval,
+    estimate_tail,
     hoeffding_tail_bound,
     kl_form_bound,
     little_g,
     mgf_convexity_bound,
     optimal_h,
+    run_sweep,
     t_for_confidence,
     tail_bound_report,
 )
 from exchbound.bounds import side_anchor
+from exchbound.oracle import sum_threshold
 
 
 def validity_grid(n_mu=20, n_t=20, inset=0.05):
@@ -88,7 +100,6 @@ class TestHoeffdingForm:
                 call()
 
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_float32_t_is_checked_without_a_cast_warning(self):
         # comparing with the largest float casts it to float32, where it overflows
         t = np.float32(0.1)
@@ -402,6 +413,17 @@ class TestLowerTailByFlip:
         assert r.in_validity_range and r.hoeffding_form == hoeffding_tail_bound(10, t)
 
 
+@pytest.mark.parametrize("side", [Side.UPPER, Side.LOWER])
+def test_a_summary_of_numpy_integers_anchors_as_its_floats(side):
+    s = ModelSummary(mu_plus=np.int64(1), mu_minus=np.int64(0), mu=0.5)
+    assert all(type(mean) is float for mean in (s.mu_plus, s.mu_minus, s.mu))
+    a = side_anchor(s, side)
+    assert a == 1
+    threshold = sum_threshold(10**6, a, 0.1)
+    assert threshold == sum_threshold(10**6, Fraction(1), 0.1)
+    assert round(threshold) == 1_100_000
+
+
 class TestTailBoundReport:
     def test_inside_window(self):
         r = tail_bound_report(0.5, 1, 0.25)
@@ -468,6 +490,43 @@ class TestHugeM:
             call(M)
 
 
+BIG = 10**5000  # repr() refuses an int of more than 4300 digits
+BERN = FiniteMixture([(1.0, Bernoulli(0.3))])
+UPPER_CELL = ([("bern", BERN)], [5], [0.1], [Side.UPPER], 100, 0)
+HUGE_ARGUMENT_CALLS = {
+    "optimal_h-t": (OutOfValidityRange, lambda: optimal_h(0.3, BIG)),
+    "optimal_h-mu": (DomainError, lambda: optimal_h(BIG, 0.1)),
+    "little_g": (DomainError, lambda: little_g(BIG)),
+    "chernoff_curve-h": (InvalidH, lambda: chernoff_curve(0.3, 0.1, 5, BIG)),
+    "big_h": (DomainError, lambda: big_h(BIG)),
+    "t_for_confidence-delta": (InvalidDelta, lambda: t_for_confidence(5, BIG)),
+    "mgf-mean": (MeanOutOfRange, lambda: mgf_convexity_bound(BIG, RangeBounds(0, 1), 1.0)),
+    "RangeBounds": (DomainError, lambda: RangeBounds(0, BIG)),
+    "tail_bound_report-anchor": (DomainError, lambda: tail_bound_report(BIG, 5, 0.1)),
+    "estimate_tail-level": (
+        DomainError, lambda: estimate_tail(BERN, TailQuery(5, 0.1, Side.UPPER), 100, 0, level=BIG)
+    ),
+    "clopper_pearson-level": (DomainError, lambda: clopper_pearson_interval(1, 10, level=BIG)),
+    "run_sweep-level": (DomainError, lambda: run_sweep(*UPPER_CELL, level=BIG)),
+    "run_sweep-method": (DomainError, lambda: run_sweep(*UPPER_CELL, method=BIG)),
+    "run_sweep-model_id": (DomainError, lambda: run_sweep([(BIG, BERN)], *UPPER_CELL[1:])),
+    "Bernoulli": (InvalidModel, lambda: Bernoulli(BIG)),
+    "PointMass": (InvalidModel, lambda: PointMass(BIG)),
+    "DiscreteOnUnit-point": (InvalidModel, lambda: DiscreteOnUnit([0.0, BIG], [0.5, 0.5])),
+    "UniformDensity": (InvalidModel, lambda: UniformDensity(0.0, BIG)),
+    "Beta": (InvalidModel, lambda: Beta(BIG, 1.0)),
+    "FiniteMixture-weight": (InvalidModel, lambda: FiniteMixture([(BIG, Bernoulli(0.3))])),
+    "TruncatedBetaDensity": (InvalidModel, lambda: TruncatedBetaDensity(BIG, 1.0, 0.1, 0.9)),
+    "ModelSummary": (InvalidModel, lambda: ModelSummary(mu_plus=BIG, mu_minus=0.0, mu=0.5)),
+}
+
+
+@pytest.mark.parametrize("error,call", HUGE_ARGUMENT_CALLS.values(), ids=HUGE_ARGUMENT_CALLS)
+def test_a_huge_int_is_refused_by_its_check_and_named_by_its_size(error, call):
+    with pytest.raises(error, match="an integer of 16610 bits"):
+        call()
+
+
 def f32_range(a, b):
     return RangeBounds(np.float32(a), np.float32(b))
 
@@ -497,7 +556,6 @@ class TestFloatArguments:
             return RangeBounds(float(arg.a), float(arg.b))
         return float(arg)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "form,args", CALLS,
         ids=["hoeffding", "chernoff", "optimal_h", "kl_form", "big_g", "little_g-below-half",
@@ -508,7 +566,6 @@ class TestFloatArguments:
         assert type(value) is float
         assert value.hex() == form(*map(self.floated, args)).hex()
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("anchor", [np.float32(0.3), Fraction(3, 10)])
     def test_tail_bound_report_computes_in_the_floats_of_its_arguments(self, anchor):
         report = tail_bound_report(anchor, self.F32(5), self.F32(0.1))

