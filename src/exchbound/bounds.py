@@ -116,7 +116,9 @@ class Side(enum.Enum):
     """Which tail of the sample mean is queried.
 
     ``Side(side)`` returns a member as it is, takes the report spelling
-    "upper" or "lower", and raises DomainError on any other value.
+    "upper" or "lower", and raises DomainError on any other value.  Every
+    entry takes a side through :func:`check_side`, since ``enum`` itself
+    formats a refused value by its repr, which fails past 4300 digits.
     """
 
     UPPER = "upper"
@@ -127,7 +129,17 @@ class Side(enum.Enum):
 
     @classmethod
     def _missing_(cls, value):
-        raise DomainError(f"side must be a Side, 'upper' or 'lower', got {value!r}")
+        return check_side(value)  # raises: a member or a spelling never misses
+
+
+def check_side(side) -> Side:
+    """side as a Side: a member as it is, or its report spelling "upper" or
+    "lower"; any other value raises DomainError, named by :func:`_shown`."""
+    if isinstance(side, Side):
+        return side
+    if isinstance(side, str) and side in ("upper", "lower"):
+        return Side(side)
+    raise DomainError(f"side must be a Side, 'upper' or 'lower', got {_shown(side)}")
 
 
 def side_anchor(summary: ModelSummary, side: Side) -> Fraction:
@@ -138,7 +150,7 @@ def side_anchor(summary: ModelSummary, side: Side) -> Fraction:
     the IEEE means, the reflected event S' >= M*(a + t) is the lower event
     S <= M*(mu_minus - t), and the window t < 1 - a is t < mu_minus.
     """
-    if Side(side) is Side.UPPER:
+    if check_side(side) is Side.UPPER:
         return Fraction(summary.mu_plus)
     n, d = summary.mu_minus.as_integer_ratio()
     return Fraction(d - n, d)
@@ -157,7 +169,7 @@ class TailQuery:
         # frozen: M, t and side become the int, float and Side every engine reads
         object.__setattr__(self, "M", check_engine_m(self.M))
         object.__setattr__(self, "t", check_t(self.t))
-        object.__setattr__(self, "side", Side(self.side))
+        object.__setattr__(self, "side", check_side(self.side))
 
 
 @dataclass(frozen=True)
@@ -265,13 +277,17 @@ def optimal_h(mu_tilde: float, t: float) -> float:
     quotient would round to 1, underflow or overflow (tiny t, tiny mu);
     where t/mu overflows, the second term is log(t+mu) - log(mu).
     """
-    mu_tilde, t = _check_window(mu_tilde, t)
-    ratio = t / mu_tilde
+    return _optimal_h(*_check_window(mu_tilde, t))
+
+
+def _optimal_h(mu: float, t: float) -> float:
+    """h0 of floats already checked: 0 < mu < 1 and 0 < t < 1 - mu."""
+    ratio = t / mu
     if ratio < math.inf:
         upper = math.log1p(ratio)
     else:
-        upper = math.log(t + mu_tilde) - math.log(mu_tilde)
-    return math.log1p(t / (1.0 - mu_tilde - t)) + upper
+        upper = math.log(t + mu) - math.log(mu)
+    return math.log1p(t / (1.0 - mu - t)) + upper
 
 
 def kl_form_bound(mu_tilde: float, t: float, M: int) -> float:
@@ -281,9 +297,14 @@ def kl_form_bound(mu_tilde: float, t: float, M: int) -> float:
     exp(-2 M t^2) on the validity window.  Evaluated in log space.
     """
     M, (mu_tilde, t) = _check_m(M), _check_window(mu_tilde, t)
-    a = mu_tilde + t
-    b = 1.0 - mu_tilde - t
-    log_value = a * math.log(mu_tilde / a) + b * math.log((1.0 - mu_tilde) / b)
+    return _kl_form(mu_tilde, t, M)
+
+
+def _kl_form(mu: float, t: float, M: float) -> float:
+    """The KL form of floats already checked: M >= 1, 0 < mu < 1 and 0 < t < 1 - mu."""
+    a = mu + t
+    b = 1.0 - mu - t
+    log_value = a * math.log(mu / a) + b * math.log((1.0 - mu) / b)
     return math.exp(M * log_value)
 
 
@@ -368,10 +389,6 @@ def tail_bound_report(anchor: Union[float, Fraction], M: int, t: float) -> Bound
     (tn, td), (an, ad) = t.as_integer_ratio(), anchor.as_integer_ratio()
     in_range = tn * ad < (ad - an) * td  # t < 1 - a, exactly
     mu = float(anchor)
-    h0 = optimal_h(mu, t) if in_range and 0.0 < mu < 1.0 and t < 1.0 - mu else None
-    return BoundReport(
-        hoeffding_form=hoeffding,
-        h0=h0,
-        kl_form=None if h0 is None else kl_form_bound(mu, t, M),
-        in_validity_range=in_range,
-    )
+    if in_range and 0.0 < mu < 1.0 and t < 1.0 - mu:  # the window _check_window decides
+        return BoundReport(hoeffding, _optimal_h(mu, t), _kl_form(mu, t, M), True)
+    return BoundReport(hoeffding, None, None, in_range)

@@ -133,7 +133,7 @@ class DiscreteOnUnit:
         # numpy scalar as the Python number it holds, so that each has as_integer_ratio
         points = (x.item() if isinstance(x, np.generic) else x for x in points)
         object.__setattr__(self, "points", tuple(points))
-        object.__setattr__(self, "weights", tuple(float(w) for w in weights))
+        object.__setattr__(self, "weights", tuple(_check_weight(w, zero=True) for w in weights))
         self._validate()
         # quantile's arrays, built once and read-only; not dataclass fields
         values = np.asarray(self.points, dtype=np.float64)
@@ -154,9 +154,6 @@ class DiscreteOnUnit:
         for a, b in zip(self.points, self.points[1:]):
             if not a < b:
                 raise InvalidModel("DiscreteOnUnit points must be strictly increasing")
-        for w in self.weights:
-            if w < 0.0 or math.isnan(w):
-                raise InvalidModel(f"DiscreteOnUnit weight {w!r} is negative")
         total = math.fsum(self.weights)
         if abs(total - 1.0) > WEIGHT_TOL:
             raise InvalidModel(
@@ -270,11 +267,14 @@ class FiniteMixture:
         return FiniteMixture([(w, c.reflect()) for w, c in self.atoms])
 
 
-def _check_weight(w) -> float:
-    """w as a float, a real number > 0 that fits in one."""
-    if as_float(w) > 0.0:
+def _check_weight(w, zero: bool = False) -> float:
+    """w as a float, a real number > 0 (>= 0 for a point's weight, if ``zero``)
+    that fits in one."""
+    x = as_float(w)
+    if x > 0.0 or (zero and x == 0.0):
         return float(w)
-    raise InvalidModel(f"atom weight {_shown(w)} must be a real number > 0")
+    owner, low = ("DiscreteOnUnit", ">= 0") if zero else ("atom", "> 0")
+    raise InvalidModel(f"{owner} weight {_shown(w)} must be a real number {low}")
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,8 @@ deviations spanning each (model, side) validity window.  The seed of a
 Monte Carlo cell is derived from the master seed and the cell's (model,
 M, side), so the t values of one window share one drawn law, and an
 estimate does not depend on the rest of the grid, the other models or
-the thread count.  The window t < 1 - a is decided exactly.  One rule
+the thread count; its exact cells likewise read one cached law
+(``oracle.group_law``).  The window t < 1 - a is decided exactly.  One rule
 flags a cell inside it, whichever engine answered: the least value the
 engine vouches for (the exact value, or the lower Clopper-Pearson limit
 of the estimate) exceeds either bound form, exp(-2Mt^2) or the optimized
@@ -87,6 +88,7 @@ from .bounds import (
     as_float,
     check_engine_m,
     check_int,
+    check_side,
     check_t,
     side_anchor,
     tail_bound_report,
@@ -512,7 +514,12 @@ def sample_mean_histogram(
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One evaluated (model, M, t, side) cell; a failed cell keeps the defaults."""
+    """One evaluated (model, M, t, side) cell.
+
+    A cell an engine refused has method "error:<name>" and no value or
+    interval, but keeps the bound forms and the ``valid`` flag computed
+    before the refusal; it is never a violation.
+    """
 
     model_id: str
     M: int
@@ -594,17 +601,16 @@ class _Group:
 def _sweep_group(group: _Group, replications: int, method: str, level: float) -> list[SweepRow]:
     """One row per t of the group: exact where asked and possible, else Monte Carlo."""
     rows = []
+    model_id, M, side = group.model_id, group.M, group.side
+    spelling = str(side)
     for t in group.ts:
-        row = dict(model_id=group.model_id, M=group.M, t=t, side=str(group.side))
+        value = ci_low = ci_high = hoeffding = kl_form = h0 = None
+        valid = violation = False
         try:
-            query = TailQuery(M=group.M, t=t, side=group.side)
-            report = tail_bound_report(group.anchor, group.M, t)
-            row.update(
-                hoeffding=report.hoeffding_form,
-                kl_form=report.kl_form,
-                h0=report.h0,
-                valid=report.in_validity_range,
-            )
+            query = TailQuery(M=M, t=t, side=side)
+            report = tail_bound_report(group.anchor, M, t)
+            hoeffding, kl_form, h0 = report.hoeffding_form, report.kl_form, report.h0
+            valid = report.in_validity_range
             exact = None
             if method != "montecarlo":
                 try:
@@ -613,24 +619,18 @@ def _sweep_group(group: _Group, replications: int, method: str, level: float) ->
                     if method == "exact":
                         raise
             if exact is not None:
-                row.update(method=str(exact.method), value=exact.probability)
-                low = exact.probability
+                engine, value = exact.method.value, exact.probability
+                low = value
             else:
                 estimate = estimate_tail(group.model, query, replications, group.seed, level)
-                row.update(
-                    method="montecarlo",
-                    value=estimate.p_hat,
-                    ci_low=estimate.ci_low,
-                    ci_high=estimate.ci_high,
-                )
-                low = estimate.ci_low
-            row["violation"] = report.in_validity_range and (
-                low > report.hoeffding_form
-                or (report.kl_form is not None and low > report.kl_form)
-            )
+                engine, value = "montecarlo", estimate.p_hat
+                ci_low, ci_high = estimate.ci_low, estimate.ci_high
+                low = ci_low
+            violation = valid and (low > hoeffding or (kl_form is not None and low > kl_form))
         except ExchboundError as e:
-            row["method"] = f"error:{type(e).__name__}"
-        rows.append(SweepRow(**row))
+            engine = f"error:{type(e).__name__}"
+        rows.append(SweepRow(model_id, M, t, spelling, engine, value, ci_low, ci_high,
+                             hoeffding, kl_form, h0, valid, violation))
     return rows
 
 
@@ -712,7 +712,7 @@ def run_sweep(
         raise EmptyGrid("t grid is empty")
     if not sides:
         raise EmptyGrid("sides list is empty")
-    sides = [Side(side) for side in sides]
+    sides = [check_side(side) for side in sides]
     replications = check_int("replications", replications, 1, ENGINE_M_LIMIT)
     if method not in METHODS:
         raise DomainError(f"unknown sweep method {_shown(method)}")

@@ -4,7 +4,10 @@ Conditional on the drawn component, the sum S = X_1 + ... + X_M of a
 batch is a sum of i.i.d. draws, so the tail of the sample mean is the
 fsum over the mixing measure of each atom's weight times its tail.
 Every exact law of one (component, M) is a cached :class:`SumTable`,
-shared by every threshold (a refusal is cached too):
+shared by every threshold (a refusal is cached too), and the law of one
+(model, M, side) group is a cached :class:`GroupLaw` (:func:`group_law`):
+the side's exact anchor, each atom's weight and table, and the method
+label, built once and read by every t of the group:
 
 * Atoms of two points x0 < x1, Bernoulli or discrete, at any M: on the
   integers of ``lattice_points``, S*D = M*z0 + (z1 - z0)*B with
@@ -44,9 +47,9 @@ model exactly when the reflected model (X' = 1 - X) has
 S' >= M*(a + t), where a = 1 - mu_minus is the lower side's anchor taken
 exactly (``bounds.side_anchor``), and S <= thr holds exactly when
 S' >= M - thr.  ``exact_tail`` and ``exact_sum_tail`` route lower queries
-through :func:`flip_model` and the one upper-tail code path, which makes
-that duality an identity of the implementation, not merely of the
-mathematics.  The validity window t < 1 - a of the same anchor is
+through :func:`flip_model` in the one upper-tail law, ``group_law``,
+which makes that duality an identity of the implementation, not merely
+of the mathematics.  The validity window t < 1 - a of the same anchor is
 decided exactly by ``bounds.tail_bound_report``, whose float forms are
 None within an ulp of the window's end.
 """
@@ -64,11 +67,10 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import special
 
-from .bounds import Side, TailQuery, check_engine_m, side_anchor
+from .bounds import Side, TailQuery, check_engine_m, check_side, side_anchor
 from .errors import DomainError, MTooLarge
 from .model import (
     BernoulliParamMixture,
-    FiniteMixture,
     MixingMeasure,
     ParamDensity,
     Scalar,
@@ -111,13 +113,10 @@ def exact_tail(m: MixingMeasure, q: TailQuery) -> ExactTail:
     Thresholds are anchored at the model's own summary:
     S >= M*(mu_plus + t) for the upper side, S <= M*(mu_minus - t) for
     the lower side, answered as the flipped model's S' >= M*(a + t) with
-    a = 1 - mu_minus.
+    a = 1 - mu_minus, read from the group's law (:func:`group_law`).
     """
-    a = side_anchor(summarize(m), q.side)
-    if q.side is Side.LOWER:
-        m = flip_model(m)
-    # q's M and side were checked when it was built
-    return _upper_sum_tail(m, q.M, sum_threshold(q.M, a, q.t))
+    law = group_law(m, q.M, q.side)  # q's M and side were checked when it was built
+    return law.tail(sum_threshold(q.M, law.anchor, q.t))
 
 
 def sum_threshold(M: int, a: Fraction, t: float) -> Fraction:
@@ -141,32 +140,56 @@ def exact_sum_tail(
         thr = Fraction(threshold)
     except (ValueError, OverflowError):  # NaN or an infinity
         raise DomainError(f"threshold must be finite, got {threshold!r}") from None
-    if Side(side) is Side.LOWER:
-        m, thr = flip_model(m), M - thr
-    return _upper_sum_tail(m, M, thr)
+    side = check_side(side)
+    return group_law(m, M, side).tail(M - thr if side is Side.LOWER else thr)
 
 
-def _upper_sum_tail(m: MixingMeasure, M: int, thr: Fraction) -> ExactTail:
-    """P(S >= thr) for an M and a threshold already checked, read from each atom's law."""
+@dataclass(frozen=True)
+class GroupLaw:
+    """The exact law of the sum S of one (model, M, side) group, read by every t.
+
+    ``anchor`` is the side's anchor (``bounds.side_anchor``); ``laws`` holds
+    each atom's weight and :class:`SumTable`, of the model itself on the
+    upper side and of its reflection on the lower side; ``method`` labels
+    every tail read from it.
+    """
+
+    anchor: Fraction
+    laws: tuple[tuple[float, SumTable], ...]
+    method: TailMethod
+
+    def tail(self, thr: Fraction) -> ExactTail:
+        """P(S >= thr), S the sum of the model the tables hold (the reflected
+        one on the lower side): the fsum of each atom's weighted tail."""
+        # fsum is exact, so the order of the atoms cannot matter
+        prob = math.fsum(w * float(table.tail(thr)) for w, table in self.laws)
+        return ExactTail(probability=min(1.0, max(0.0, prob)), method=self.method)
+
+
+@functools.lru_cache(maxsize=16)  # like _param_law's, a law may hold 2 MB per atom
+def group_law(m: MixingMeasure, M: int, side: Side) -> GroupLaw:
+    """The law of one group, for an M and a side already checked; an atom
+    without one raises (UnsupportedModel, MTooLarge), and is not cached."""
+    anchor = side_anchor(summarize(m), side)
+    if side is Side.LOWER:
+        m = flip_model(m)
     if isinstance(m, BernoulliParamMixture):
-        laws, method = [(1.0, _param_law(m.density, M))], TailMethod.QUADRATURE_OVER_BINOMIAL
-    elif isinstance(m, FiniteMixture):
-        # every support first: a Beta atom raises UnsupportedModel before any law is built
-        supports = [(w, c.discrete_law()) for w, c in m.atoms]
-        laws = []
-        for w, (points, weights) in supports:
-            table = _lattice_law(points, weights, M)
-            if table is None:
-                raise MTooLarge(f"the sum of M={M} draws from {len(points)} points lies on more "
-                                f"than {LATTICE_DENSE_MAX} grid sums and takes more than "
-                                f"{LATTICE_MAX_STATES} values")
-            laws.append((w, table))
-        two_point = all(len(points) == 2 for _, (points, _) in supports)
-        method = TailMethod.BINOMIAL_CLOSED_FORM if two_point else TailMethod.DISCRETE_CONVOLUTION
-    else:
-        raise TypeError(f"not a MixingMeasure: {m!r}")
-    prob = math.fsum(w * float(table.tail(thr)) for w, table in laws)  # exact: order cannot matter
-    return ExactTail(probability=min(1.0, max(0.0, prob)), method=method)
+        return GroupLaw(anchor, ((1.0, _param_law(m.density, M)),),
+                        TailMethod.QUADRATURE_OVER_BINOMIAL)
+    # a FiniteMixture, as summarize refuses any other type; every support
+    # first: a Beta atom raises UnsupportedModel before any law is built
+    supports = [(w, c.discrete_law()) for w, c in m.atoms]
+    laws = []
+    for w, (points, weights) in supports:
+        table = _lattice_law(points, weights, M)
+        if table is None:
+            raise MTooLarge(f"the sum of M={M} draws from {len(points)} points lies on more "
+                            f"than {LATTICE_DENSE_MAX} grid sums and takes more than "
+                            f"{LATTICE_MAX_STATES} values")
+        laws.append((w, table))
+    two_point = all(len(points) == 2 for _, (points, _) in supports)
+    method = TailMethod.BINOMIAL_CLOSED_FORM if two_point else TailMethod.DISCRETE_CONVOLUTION
+    return GroupLaw(anchor, tuple(laws), method)
 
 
 def lattice_points(points: Sequence[Scalar]) -> tuple[int, tuple[int, ...]]:

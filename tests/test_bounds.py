@@ -33,12 +33,14 @@ from exchbound import (
     chernoff_curve,
     clopper_pearson_interval,
     estimate_tail,
+    exact_sum_tail,
     hoeffding_tail_bound,
     kl_form_bound,
     little_g,
     mgf_convexity_bound,
     optimal_h,
     run_sweep,
+    summarize,
     t_for_confidence,
     tail_bound_report,
 )
@@ -510,9 +512,15 @@ HUGE_ARGUMENT_CALLS = {
     "run_sweep-level": (DomainError, lambda: run_sweep(*UPPER_CELL, level=BIG)),
     "run_sweep-method": (DomainError, lambda: run_sweep(*UPPER_CELL, method=BIG)),
     "run_sweep-model_id": (DomainError, lambda: run_sweep([(BIG, BERN)], *UPPER_CELL[1:])),
+    # enum names a value it refuses by repr, so each entry checks a side first
+    "TailQuery-side": (DomainError, lambda: TailQuery(5, 0.1, BIG)),
+    "run_sweep-side": (DomainError, lambda: run_sweep(*UPPER_CELL[:3], [BIG], *UPPER_CELL[4:])),
+    "exact_sum_tail-side": (DomainError, lambda: exact_sum_tail(BERN, 5, 1, BIG)),
+    "side_anchor-side": (DomainError, lambda: side_anchor(summarize(BERN), BIG)),
     "Bernoulli": (InvalidModel, lambda: Bernoulli(BIG)),
     "PointMass": (InvalidModel, lambda: PointMass(BIG)),
     "DiscreteOnUnit-point": (InvalidModel, lambda: DiscreteOnUnit([0.0, BIG], [0.5, 0.5])),
+    "DiscreteOnUnit-weight": (InvalidModel, lambda: DiscreteOnUnit([0.0, 1.0], [BIG, 0])),
     "UniformDensity": (InvalidModel, lambda: UniformDensity(0.0, BIG)),
     "Beta": (InvalidModel, lambda: Beta(BIG, 1.0)),
     "FiniteMixture-weight": (InvalidModel, lambda: FiniteMixture([(BIG, Bernoulli(0.3))])),

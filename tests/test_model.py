@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -91,6 +92,16 @@ class TestValidation:
             DiscreteOnUnit(points=[0.5, 0.5], weights=[0.5, 0.5])
         with pytest.raises(InvalidModel):
             DiscreteOnUnit(points=[0.7, 0.2], weights=[0.5, 0.5])
+
+    @pytest.mark.parametrize("weights", [["0.5", "0.5"], [1.5, -0.5], [float("nan"), 1.0]],
+                             ids=["str", "negative", "nan"])
+    def test_discrete_weights_must_be_real_numbers_at_least_zero(self, weights):
+        with pytest.raises(InvalidModel, match=r"DiscreteOnUnit weight .* must be a real number >= 0"):
+            DiscreteOnUnit(points=[0.0, 1.0], weights=weights)
+
+    def test_discrete_weights_may_be_zero_and_are_kept_as_floats(self):
+        c = DiscreteOnUnit(points=[0.0, 0.5, 1.0], weights=[0, np.float32(0.5), Fraction(1, 2)])
+        assert c.weights == (0.0, 0.5, 0.5) and all(type(w) is float for w in c.weights)
 
     def test_discrete_weights_must_sum_to_one(self):
         with pytest.raises(InvalidModel):

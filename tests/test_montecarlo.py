@@ -6,6 +6,7 @@ import json
 import math
 import re
 import statistics
+import sys
 import tracemalloc
 from itertools import accumulate, groupby
 
@@ -1278,6 +1279,42 @@ class TestRunSweep:
         methods = [row.method for row in result.rows]
         assert methods == ["error:MTooLarge", "convolution"]
         assert all(not row.violation for row in result.rows)
+
+    def test_an_error_row_keeps_the_bound_forms_of_its_cell(self):
+        # the exact engine refuses the Beta atom after the cell's closed forms are in
+        m = FiniteMixture([(0.6, Beta(2.0, 5.0)), (0.4, Bernoulli(0.3))])
+        (row,) = run_sweep([("mix", m)], [5], [0.1], [Side.UPPER], 100, 0, method="exact").rows
+        assert (row.method, row.value, row.ci_low, row.ci_high) == (
+            "error:UnsupportedModel", None, None, None)
+        assert (row.hoeffding, row.valid, row.violation) == (0.9048374180359595, True, False)
+        report = tail_bound_report(side_anchor(summarize(m), Side.UPPER), 5, 0.1)
+        assert (row.kl_form, row.h0) == (report.kl_form, report.h0)
+        assert row.kl_form is not None and row.h0 is not None
+
+    def test_one_exact_law_per_group_serves_every_t(self):
+        # the default verify grid: 5 models, 6 M, 2 sides, 10 t per window
+        oracle.group_law.cache_clear()
+        result = run_sweep(list(standard_suite()), [1, 2, 5, 10, 50, 200], 10,
+                           [Side.UPPER, Side.LOWER], 1, 0, method="exact", threads=1)
+        assert len(result.rows) == 600 and not result.failures
+        info = oracle.group_law.cache_info()
+        assert (info.misses, info.hits) == (60, 540)
+
+    def test_pool_threads_share_the_group_laws(self):
+        # more threads than cores, switching often: group laws are built, evicted
+        # and read by several threads at once, and every row must be the serial one
+        args = (list(standard_suite()), [1, 2, 5, 10, 50, 200], 10, [Side.UPPER, Side.LOWER], 1, 0)
+        oracle.group_law.cache_clear()
+        serial = run_sweep(*args, method="exact", threads=1)
+        for cache in (oracle.group_law, oracle._lattice_law, oracle._param_law):
+            cache.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_sweep(*args, method="exact", threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.rows == serial.rows
 
     def test_deterministic_rows(self):
         kwargs = dict(

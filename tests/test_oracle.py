@@ -45,6 +45,7 @@ from exchbound.oracle import (
     _lattice_law,
     _param_law,
     _sparse_law,
+    group_law,
     lattice_points,
 )
 
@@ -200,11 +201,13 @@ class TestFiniteMixtureTails:
         m = FiniteMixture(
             [(1.0, DiscreteOnUnit(points=[0.0, 0.5, 1.0], weights=[0.2, 0.3, 0.5]))]
         )
+        group_law.cache_clear()
         _lattice_law.cache_clear()
         for t in [0.01 * k for k in range(1, 11)]:
             exact_tail(m, TailQuery(M=50, t=t, side=Side.UPPER))
-        info = _lattice_law.cache_info()
+        info = group_law.cache_info()
         assert (info.misses, info.hits) == (1, 9)
+        assert _lattice_law.cache_info().misses == 1
 
     def test_lattice_refusal_is_cached(self):
         # [0, 0.5, 1] at M=8200 is past both guards; the refusal is cached like a law
@@ -737,6 +740,7 @@ class TestQuadratureTails:
         m = BernoulliParamMixture(density)
         M = 500
         ks = [300, 450, 120, 499, 121, 500, 1, 260]
+        group_law.cache_clear()  # a group's law holds its table
         _param_law.cache_clear()
         warm = [exact_sum_tail(m, M, Fraction(k), Side.UPPER) for k in ks]
         assert _param_law.cache_info().misses == 1
@@ -744,6 +748,7 @@ class TestQuadratureTails:
         for k, got in zip(ks, warm):
             cold_terms = _beta_binomial_terms(density, M, k, M + 1)
             assert table.from_index(k).tobytes() == cold_terms.tobytes()
+            group_law.cache_clear()
             _param_law.cache_clear()
             assert got == exact_sum_tail(m, M, Fraction(k), Side.UPPER)  # bit for bit
 
