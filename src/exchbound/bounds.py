@@ -383,12 +383,15 @@ def tail_bound_report(anchor: Union[float, Fraction], M: int, t: float) -> Bound
     """
     hoeffding = hoeffding_tail_bound(M, t)  # checks M and t before the window
     M, t = float(M), float(t)  # the values hoeffding_tail_bound checked
-    if not 0 <= anchor <= 1:
+    if isinstance(anchor, Fraction):  # its range is decided in ints: ad > 0
+        an, ad = anchor.numerator, anchor.denominator
+    else:  # a float outside [0, 1], or NaN, takes the ratio -1/1 and is refused
+        an, ad = float(anchor).as_integer_ratio() if 0 <= anchor <= 1 else (-1, 1)
+    if not 0 <= an <= ad:
         raise DomainError(f"anchor must lie in [0,1], got {_shown(anchor)}")
-    anchor = anchor if isinstance(anchor, Fraction) else float(anchor)
-    (tn, td), (an, ad) = t.as_integer_ratio(), anchor.as_integer_ratio()
+    tn, td = t.as_integer_ratio()
     in_range = tn * ad < (ad - an) * td  # t < 1 - a, exactly
-    mu = float(anchor)
+    mu = an / ad  # float(anchor), correctly rounded
     if in_range and 0.0 < mu < 1.0 and t < 1.0 - mu:  # the window _check_window decides
         return BoundReport(hoeffding, _optimal_h(mu, t), _kl_form(mu, t, M), True)
     return BoundReport(hoeffding, None, None, in_range)

@@ -9,10 +9,10 @@ Only the count of each sum is kept, so the n batches of a block draw
 their count vectors together, counting the batches that share one
 (``_counted_multinomial``); a one-point atom draws nothing, its sum
 being M times its point.  The count S of a Bernoulli parameter mixture
-is Beta-binomial: a law with many batches per sum draws, block by
-block, how many reach each sum 0..M as one multinomial over the oracle's
-exact law of S (``_counted_draw``), and a smaller law draws each batch's
-parameter p by ``quantile``, then its binomial sum.
+is Beta-binomial: a law with many batches per sum takes the oracle's
+exact masses of S once and draws, block by block, how many reach each
+sum 0..M as one multinomial over them (``_counted_draw``), and a smaller
+law draws each batch's parameter p by ``quantile``, then its binomial sum.
 This is distributionally identical to materializing the M individual
 observations (the batch is conditionally i.i.d.), and it is what makes
 10^5-replication sweeps over hundreds of cells affordable.  The
@@ -102,7 +102,7 @@ from .model import (
     flip_model,
     summarize,
 )
-from .oracle import SumTable, _param_law, exact_tail, lattice_points, sum_threshold
+from .oracle import SumTable, _beta_binomial_terms, exact_tail, lattice_points, sum_threshold
 from .sampler import SeedSpec, _Words, check_master_seed, derive_stream, mix64
 
 BLOCK_SIZE = 1 << 16
@@ -183,7 +183,7 @@ def _lattice_sums(counts: np.ndarray, ints: Sequence[int], bound: int) -> np.nda
 
 def _block_sums(
     m: MixingMeasure, M: int, n: int, gen: np.random.Generator,
-    replications: Optional[int] = None,
+    masses: Optional[np.ndarray] = None,
 ) -> Iterator[tuple[Optional[int], np.ndarray, np.ndarray]]:
     """Draw n conditional sums S as (scale, keys, counts), per drawn atom in atom order.
 
@@ -205,23 +205,18 @@ def _block_sums(
     batches, else the ni binomials.
 
     A parameter mixture, uniform or truncated Beta, yields its count S at
-    scale 1.  Its draw is decided once per law, from the ``replications``
-    of the law the block belongs to (n, a law of one block, if None), as
-    the law's term table is built once and read by every block.  Each
-    block of a law with replications >= PARAM_COUNT_FACTOR * (M + 1)
-    draws how many of its n batches reach each sum 0..M as one
-    multinomial over the exact law of S, the oracle's Beta-binomial terms
-    of (density, M), cached there (``_counted_draw``).  Each block of a
-    smaller law, at any M up to 2^63 - 1, draws n parameters by
-    ``quantile``, then n binomial sums.
+    scale 1.  Given ``masses``, the exact law of S over 0..M that its law
+    is counted from (``_empirical_law`` decides that once per law), the
+    block draws how many of its n batches reach each sum as one
+    multinomial over them (``_counted_draw``); without, at any M up to
+    2^63 - 1, it draws n parameters by ``quantile``, then n binomial sums.
     """
     if isinstance(m, BernoulliParamMixture):
-        d = m.density
-        law_size = n if replications is None else replications
-        if law_size // PARAM_COUNT_FACTOR > M:  # F*(M + 1) or more; no product: M may be 2^63 - 1
-            yield 1, *_counted_draw(gen, n, _param_law(d, M).at_least.from_index(0))
+        if masses is not None:
+            yield 1, *_counted_draw(gen, n, masses)
         else:
-            yield 1, *np.unique(gen.binomial(M, d.quantile(gen.random(n))), return_counts=True)
+            p = m.density.quantile(gen.random(n))
+            yield 1, *np.unique(gen.binomial(M, p), return_counts=True)
         return
     assert isinstance(m, FiniteMixture)
     for ni, c in zip(_multinomial(gen, n, m.weights).tolist(), m.components):
@@ -402,15 +397,22 @@ def _empirical_law(
     Every threshold of one (model, M, seed) reads the same draws, so a
     tail estimate can only fall as t grows.  A Beta atom needs one whole
     row of M draws, so past BETA_MAX_M it raises DomainError before any draw.
+    A parameter mixture's law of PARAM_COUNT_FACTOR * (M + 1) replications
+    or more takes its exact masses of S = 0..M, the oracle's Beta-binomial
+    terms, here once, and every block is counted from them (``_block_sums``).
     """
-    if M > BETA_MAX_M and isinstance(m, FiniteMixture):
-        if any(isinstance(c, Beta) for c in m.components):
-            raise DomainError(f"M must be <= {BETA_MAX_M} for a Beta component, got {M}")
+    masses = None
+    if isinstance(m, BernoulliParamMixture):
+        # F*(M + 1) or more; no product: M may be 2^63 - 1
+        if replications // PARAM_COUNT_FACTOR > M:
+            masses = _beta_binomial_terms(m.density, M, 0, M + 1)
+    elif M > BETA_MAX_M and any(isinstance(c, Beta) for c in m.components):
+        raise DomainError(f"M must be <= {BETA_MAX_M} for a Beta component, got {M}")
     parts: dict[Optional[int], list[tuple[np.ndarray, np.ndarray]]] = {}
     for block_index, start in enumerate(range(0, replications, BLOCK_SIZE)):
         gen = _block_stream(SeedSpec(master_seed=seed, replication_index=block_index))
         size = min(BLOCK_SIZE, replications - start)
-        for scale, keys, counts in _block_sums(m, M, size, gen, replications):
+        for scale, keys, counts in _block_sums(m, M, size, gen, masses):
             parts.setdefault(scale, []).append((keys, counts))
     return tuple(SumTable(scale, *_add_by_key(*map(np.concatenate, zip(*pieces))))
                  for scale, pieces in parts.items())

@@ -3,16 +3,20 @@
 Conditional on the drawn component, the sum S = X_1 + ... + X_M of a
 batch is a sum of i.i.d. draws, so the tail of the sample mean is the
 fsum over the mixing measure of each atom's weight times its tail.
-Every exact law of one (component, M) is a cached :class:`SumTable`,
-shared by every threshold (a refusal is cached too), and the law of one
-(model, M, side) group is a cached :class:`GroupLaw` (:func:`group_law`):
-the side's exact anchor, each atom's weight and table, and the method
-label, built once and read by every t of the group:
+Every lattice law of one (component, M) is a cached :class:`SumTable`
+(``_lattice_law``), shared by every threshold (a refusal is cached too),
+and the law of one (model, M, side) group is a cached :class:`GroupLaw`
+(:func:`group_law`): the side's exact anchor, each atom's weight and
+table, and the method label, built once and read by every t of the
+group.  A parameter mixture's table is cached there alone.  The laws:
 
 * Atoms of two points x0 < x1, Bernoulli or discrete, at any M: on the
   integers of ``lattice_points``, S*D = M*z0 + (z1 - z0)*B with
   B ~ Binomial(M, w1), w1 the weight of x1, so each tail the table is
   asked for is one regularized incomplete beta from ``scipy.special``.
+  Below ``BETAINC_FLOOR`` (1e-240), where that loses digits, the tail is
+  the positive sum of the binomial masses from k up, each in Loader's
+  saddle-point form (:func:`binomial_pmf`).
   A mixture of such atoms only is labelled ``binomial``, any other
   ``convolution``.
 * Point masses and discrete atoms of three or more points: the pmf
@@ -83,6 +87,9 @@ LATTICE_DENSE_MAX = 1 << 14  # sums a dense lattice law may hold ([0, 0.5, 1], M
 LATTICE_MAX_STATES = 1024  # attainable sums a sparse lattice law may hold
 
 PARAM_MAX_TERMS = 1 << 18  # Beta-binomial terms a parameter-mixture tail may sum (~1.2 s)
+
+BETAINC_FLOOR = 1e-240  # scipy 1.17.1's betainc: within 1.6e-12 above, up to 85% off below
+BINOMIAL_SUM_MAX_TERMS = 1 << 16  # masses a two-point tail below the floor may sum (~12 ms)
 
 
 class TailMethod(enum.Enum):
@@ -166,16 +173,17 @@ class GroupLaw:
         return ExactTail(probability=min(1.0, max(0.0, prob)), method=self.method)
 
 
-@functools.lru_cache(maxsize=16)  # like _param_law's, a law may hold 2 MB per atom
+@functools.lru_cache(maxsize=16)  # a parameter mixture's table of PARAM_MAX_TERMS terms holds 2 MB
 def group_law(m: MixingMeasure, M: int, side: Side) -> GroupLaw:
     """The law of one group, for an M and a side already checked; an atom
-    without one raises (UnsupportedModel, MTooLarge), and is not cached."""
+    without one raises (UnsupportedModel, MTooLarge), and is not cached.
+    A parameter mixture's law is the count S of ones, keyed by S."""
     anchor = side_anchor(summarize(m), side)
     if side is Side.LOWER:
         m = flip_model(m)
     if isinstance(m, BernoulliParamMixture):
-        return GroupLaw(anchor, ((1.0, _param_law(m.density, M)),),
-                        TailMethod.QUADRATURE_OVER_BINOMIAL)
+        table = SumTable(1, range(M + 1), at_least=_TermTable(m.density, M))
+        return GroupLaw(anchor, ((1.0, table),), TailMethod.QUADRATURE_OVER_BINOMIAL)
     # a FiniteMixture, as summarize refuses any other type; every support
     # first: a Beta atom raises UnsupportedModel before any law is built
     supports = [(w, c.discrete_law()) for w, c in m.atoms]
@@ -272,7 +280,8 @@ def _lattice_law(points: tuple, weights: tuple, M: int) -> Optional[SumTable]:
 
 
 class _BinomialTail:
-    """at_least[k] = P(Binomial(M, w1) >= k), one incomplete beta per read."""
+    """at_least[k] = P(Binomial(M, w1) >= k), one incomplete beta per read; below
+    BETAINC_FLOOR, the sum of the masses from k up (:func:`_binomial_tail_sum`)."""
 
     def __init__(self, M: int, w1: float):
         self.M, self.w1 = M, w1
@@ -280,7 +289,84 @@ class _BinomialTail:
     def __getitem__(self, k: int) -> float:
         if not 0 < k <= self.M:
             return 1.0 if k <= 0 else 0.0
-        return float(special.betainc(k, self.M - k + 1, self.w1))
+        tail = float(special.betainc(k, self.M - k + 1, self.w1))
+        return tail if tail >= BETAINC_FLOOR else _binomial_tail_sum(k, self.M, self.w1, tail)
+
+
+def _binomial_tail_sum(k: int, M: int, p: float, fallback: float) -> float:
+    """P(Binomial(M, p) >= k), for a k past the mode, as the positive sum of the
+    masses from k up, in blocks of doubling length, until the rest adds less
+    than 2^-55 of it: past the mode the ratio r of two consecutive masses
+    falls, so the rest is at most last * r / (1 - r).
+
+    ``fallback``, the incomplete beta, past BINOMIAL_SUM_MAX_TERMS terms or
+    an M past 2^53, whose counts are not all floats: there M*p*(1 - p) is
+    about 10^9 or more, and the two agreed within 4e-11 at M = 10^10 (both
+    read the mean M*p as a float).
+    """
+    total, start, size = 0.0, k, 64
+    while M < 2**53 and start - k < BINOMIAL_SUM_MAX_TERMS:
+        stop = min(start + size, M + 1)
+        terms = binomial_pmf(np.arange(start, stop, dtype=np.float64), M, p)
+        total += math.fsum(terms.tolist())
+        last = float(terms[-1])
+        if stop > M or last == 0.0:
+            return total
+        r = last / float(terms[-2])
+        if r < 1.0 and last * r <= total * (1.0 - r) * 2.0**-55:
+            return total
+        start, size = stop, 2 * size
+    return fallback
+
+
+def binomial_pmf(k, M, p: float) -> np.ndarray:
+    """Binomial(M, p) masses at k, elementwise over arrays 0 <= k <= M, each within
+    about 5e-13 relative: Loader's saddle-point form, with stirlerr and bd0
+    (C. Loader, "Fast and accurate computation of binomial probabilities", 2000).
+    """
+    k, M, q = np.asarray(k, dtype=np.float64), np.asarray(M, dtype=np.float64), 1.0 - p
+    with np.errstate(divide="ignore", invalid="ignore"):  # each end is its own case
+        lc = _stirlerr(M) - _stirlerr(k) - _stirlerr(M - k) - _bd0(k, M * p) - _bd0(M - k, M * q)
+        inner = np.exp(lc - 0.5 * (_LN_2PI + np.log(k) + np.log1p(-k / M)))
+        ends = np.where(k == 0, np.exp(M * np.log1p(-p)), np.exp(M * np.log(p)))
+        return np.where((k == 0) | (k == M), ends, inner)
+
+
+_LN_2PI = math.log(2 * math.pi)
+
+# stirlerr(n) for n = 0..15, as Loader tables them; past 15 the series of 1/n
+_STIRLERR = np.array([
+    0.0, 0.0810614667953272582196702, 0.0413406959554092940938221, 0.02767792568499833914878929,
+    0.02079067210376509311152277, 0.01664469118982119216319487, 0.01387612882307074799874573,
+    0.01189670994589177009505572, 0.010411265261972096497478567, 0.009255462182712732917728637,
+    0.008330563433362871256469318, 0.007573675487951840794972024, 0.006942840107209529865664152,
+    0.006408994188004207068439631, 0.005951370112758847735624416, 0.005554733551962801371038690,
+])
+
+
+def _stirlerr(n: np.ndarray) -> np.ndarray:
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n) at integer-valued n >= 0."""
+    big = np.maximum(n, 16.0)
+    nn = big * big
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / big
+    return np.where(n < 16, _STIRLERR[np.minimum(n, 15).astype(np.int64)], series)
+
+
+def _bd0(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """x log(x / mean) + mean - x, by its series in ((x - mean) / (x + mean))^2 near the
+    mean, where the three terms cancel."""
+    d = x - mean
+    near = np.abs(d) < 0.1 * (x + mean)
+    far = x * np.log1p(d / mean) - d
+    v = np.where(near, d / (x + mean), 0.0)
+    s, term, v2 = d * v, 2 * x * v, v * v
+    j = 3
+    while True:  # v2 < 0.01 near the mean, so each term is 100 times smaller
+        term = term * v2
+        s, prev = s + term / j, s
+        if np.array_equal(s, prev):
+            return np.where(near, s, far)
+        j += 2
 
 
 def _dense_power(step: np.ndarray, M: int) -> np.ndarray:
@@ -312,12 +398,6 @@ def _sparse_law(ints: tuple, weights: tuple, M: int) -> Optional[tuple[tuple, np
         dist = nxt
     sums = tuple(sorted(dist))
     return sums, np.array([dist[s] for s in sums])
-
-
-@functools.lru_cache(maxsize=16)  # a table of PARAM_MAX_TERMS terms holds 2 MB
-def _param_law(d: ParamDensity, M: int) -> SumTable:
-    """The law of the count S of ones in M draws of a parameter mixture, keyed by S."""
-    return SumTable(1, range(M + 1), at_least=_TermTable(d, M))
 
 
 class _TermTable:

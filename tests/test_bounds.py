@@ -440,13 +440,17 @@ class TestTailBoundReport:
         assert r.h0 is None and r.kl_form is None
         assert r.hoeffding_form == pytest.approx(math.exp(-2.0), abs=1e-15)
 
-    @pytest.mark.parametrize("anchor", [-0.5, 1.5, Fraction(-1, 2), math.nan, -math.inf])
+    @pytest.mark.parametrize(
+        "anchor", [-0.5, 1.5, Fraction(-1, 2), Fraction(3, 2), math.nan, -math.inf, math.inf]
+    )
     def test_rejects_anchor_outside_unit_interval(self, anchor):
         with pytest.raises(DomainError, match="anchor must lie in"):
             tail_bound_report(anchor, 2, 0.1)
 
     @pytest.mark.parametrize(
-        "anchor", [0.7, Fraction(7, 10), 1 - Fraction(0.3), np.float64(0.7), np.int64(0), 1]
+        "anchor",
+        [0.7, Fraction(7, 10), 1 - Fraction(0.3), np.float64(0.7), np.int64(0), 1, 0,
+         Fraction(0), Fraction(1)],
     )
     @pytest.mark.parametrize("t", [0.3, np.float64(0.3), 0.30000000000000004, np.int64(1)])
     def test_window_is_decided_exactly_on_any_number_type(self, anchor, t):

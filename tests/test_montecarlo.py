@@ -49,7 +49,7 @@ from exchbound import (
 from exchbound import montecarlo, oracle
 from exchbound.bounds import side_anchor
 from exchbound.montecarlo import _block_stream, window_t_grid
-from exchbound.oracle import lattice_points
+from exchbound.oracle import _beta_binomial_terms, lattice_points
 from exchbound.reporting import HistogramReport, Report, to_json
 from exchbound.sampler import derive_stream, mix64
 
@@ -539,7 +539,7 @@ class TestHistogram:
     def test_beta_past_the_row_limit_is_refused_before_any_draw(self, monkeypatch):
         drawn = []
 
-        def draw_nothing(m, M, n, gen, replications):
+        def draw_nothing(m, M, n, gen, masses):
             drawn.append(M)
             return iter(())
 
@@ -814,17 +814,17 @@ class TestParamMixtureBlocks:
     def test_a_support_of_width_1e_12_draws_from_finite_masses(self, d, M):
         # the incomplete-beta differences of a narrow support cancel, but no mass
         # may come out negative or NaN, nor warn
-        masses = oracle._param_law(d, M).at_least.from_index(0)
+        masses = _beta_binomial_terms(d, M, 0, M + 1)
         assert np.isfinite(masses).all() and (masses >= 0).all() and masses.sum() > 0
         gen = _block_stream(SeedSpec(master_seed=131, replication_index=0))
         ((scale, keys, counts),) = montecarlo._block_sums(
-            BernoulliParamMixture(d), M, montecarlo.BLOCK_SIZE, gen
+            BernoulliParamMixture(d), M, montecarlo.BLOCK_SIZE, gen, masses
         )
         assert scale == 1 and int(counts.sum()) == montecarlo.BLOCK_SIZE
         assert (masses[keys] > 0).all()
 
     @pytest.mark.parametrize("below", [False, True], ids=["counted", "raw"])
-    @pytest.mark.parametrize("M", [1, 50, 200])
+    @pytest.mark.parametrize("M", [1, 50, 200, 4096])
     @pytest.mark.parametrize(
         "d", [UniformDensity(0.2, 0.8), TruncatedBetaDensity(2.0, 5.0, 0.1, 0.9)],
         ids=["uniform", "tbeta"],
@@ -832,24 +832,38 @@ class TestParamMixtureBlocks:
     def test_a_law_is_counted_from_f_batches_per_sum(self, d, M, below):
         # each block of a law of F*(M + 1) replications, however few batches it
         # holds, draws one multinomial over the oracle's masses of 0..M, in
-        # ascending order of mass; a law of one fewer draws p, then S, per batch
+        # ascending order of mass; a law of one fewer draws p, then S, per batch.
+        # At M = 4096 such a law passes one block, and its second holds 16 or 15
         reps = montecarlo.PARAM_COUNT_FACTOR * (M + 1) - below
-        n = reps // 3
-        seed = SeedSpec(master_seed=113, replication_index=0)
-        gen, reference = _block_stream(seed), _block_stream(seed)
-        ((scale, keys, counts),) = montecarlo._block_sums(BernoulliParamMixture(d), M, n, gen, reps)
-        if below:
-            want = np.unique(reference.binomial(M, d.quantile(reference.random(n))),
-                             return_counts=True)
-        else:
-            masses = oracle._param_law(d, M).at_least.from_index(0)
-            order = np.argsort(masses, kind="stable")
-            drawn = np.empty(M + 1, dtype=np.int64)
-            drawn[order] = reference.multinomial(n, masses[order] / masses[order].sum())
-            want = np.flatnonzero(drawn), drawn[drawn > 0]
-        assert scale == 1 and np.array_equal(keys, want[0]) and np.array_equal(counts, want[1])
-        assert int(counts.sum()) == n and (np.diff(keys) > 0).all()
-        assert same_position(gen, reference)
+        masses = _beta_binomial_terms(d, M, 0, M + 1)
+        order = np.argsort(masses, kind="stable")
+        drawn = np.zeros(M + 1, dtype=np.int64)
+        for block, start in enumerate(range(0, reps, montecarlo.BLOCK_SIZE)):
+            n = min(montecarlo.BLOCK_SIZE, reps - start)
+            reference = _block_stream(SeedSpec(master_seed=113, replication_index=block))
+            if below:
+                np.add.at(drawn, reference.binomial(M, d.quantile(reference.random(n))), 1)
+            else:
+                drawn[order] += reference.multinomial(n, masses[order] / masses[order].sum())
+        (table,) = montecarlo._empirical_law.__wrapped__(BernoulliParamMixture(d), M, reps, 113)
+        keys = np.flatnonzero(drawn)
+        assert table.scale == 1 and table.keys.tolist() == keys.tolist()
+        assert table.at_least.tolist() == np.append(np.cumsum(drawn[keys][::-1])[::-1], 0).tolist()
+
+    @pytest.mark.parametrize("reps,calls", [(100_000, 1), (16 * 11 - 1, 0)], ids=["counted", "raw"])
+    def test_a_counted_law_computes_its_masses_once(self, monkeypatch, reps, calls):
+        # the per-law rule is taken once, where the law is drawn: a counted law of
+        # two blocks reads one table of masses, and a law drawn per batch none
+        made = []
+
+        def recorded(d, M, start, stop):
+            made.append((M, start, stop))
+            return _beta_binomial_terms(d, M, start, stop)
+
+        monkeypatch.setattr(montecarlo, "_beta_binomial_terms", recorded)
+        m = BernoulliParamMixture(TruncatedBetaDensity(2.0, 5.0, 0.1, 0.9))
+        (table,) = montecarlo._empirical_law.__wrapped__(m, 10, reps, 7)
+        assert made == [(10, 0, 11)] * calls and int(table.at_least[0]) == reps
 
     @pytest.mark.parametrize("side", [Side.UPPER, Side.LOWER])
     def test_rank_draw_at_the_largest_m(self, side):
@@ -1306,7 +1320,7 @@ class TestRunSweep:
         args = (list(standard_suite()), [1, 2, 5, 10, 50, 200], 10, [Side.UPPER, Side.LOWER], 1, 0)
         oracle.group_law.cache_clear()
         serial = run_sweep(*args, method="exact", threads=1)
-        for cache in (oracle.group_law, oracle._lattice_law, oracle._param_law):
+        for cache in (oracle.group_law, oracle._lattice_law):
             cache.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -43,7 +43,6 @@ from exchbound.oracle import (
     _dense_power,
     _float_ceil,
     _lattice_law,
-    _param_law,
     _sparse_law,
     group_law,
     lattice_points,
@@ -246,6 +245,18 @@ def dense_two_point_law(points, weights, M) -> SumTable:
     power of their step law, which the oracle no longer builds for two points."""
     D, (z0, z1) = lattice_points(points)
     return SumTable(D, range(M * z0, M * z1 + 1, z1 - z0), _dense_power(np.array(weights), M))
+
+
+def exact_binomial_masses(M: int, w1: float) -> tuple[list[int], int]:
+    """(masses, scale): the Binomial(M, w1) masses of k = 0..M times scale, in
+    integers, C(M, k) a^k (b - a)^(M - k) with w1 = a/b exactly, and scale = b^M."""
+    a, b = Fraction(w1).as_integer_ratio()
+    if a in (0, b):  # w1 = 0 or 1: all the mass at one end
+        return [int(k == (0 if a == 0 else M)) for k in range(M + 1)], 1
+    masses = [(b - a) ** M]
+    for j in range(M):  # C(M, j+1) a^(j+1) (b-a)^(M-j-1), exactly
+        masses.append(masses[-1] * (M - j) * a // ((j + 1) * (b - a)))
+    return masses, b**M
 
 
 def two_point_tail(points, w1, M, thr, side) -> Fraction:
@@ -510,6 +521,8 @@ class TestLatticeLaws:
 
     @given(grid_laws())
     @settings(max_examples=150, deadline=None)
+    # a two-point tail deep below 1e-240, where scipy's betainc was off by 1.4e-6
+    @example(((Fraction(0), Fraction(1)), (0.9999990000010001, 9.99999000001e-07), 57))
     def test_dense_and_sparse_laws_agree(self, law):
         points, weights, M = law
         dense = _lattice_law(points, weights, M)
@@ -530,6 +543,38 @@ class TestLatticeLaws:
             expected = float(special.betainc(k, M - k + 1, p))  # P(Bin(M, p) >= k)
             if expected > 1e-300:
                 assert table.tail(Fraction(k)) == pytest.approx(expected, rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "w1,M",
+        [(9.99999000001e-07, 57), (4.048265053298361e-06, 79), (0.3, 2000), (0.5, 2500)],
+    )
+    def test_deep_two_point_tails_against_exact_rationals(self, w1, M):
+        # every tail in [1e-307, 1e-240], below oracle.BETAINC_FLOOR, against
+        # P(B >= k) in exact rationals of the float w1; at M = 79, k = 59 scipy's
+        # betainc read 3.236e-300 for 1.788e-300
+        masses, scale = exact_binomial_masses(M, w1)
+        tails = [t / scale for t in itertools.accumulate(reversed(masses))][::-1]  # nearest floats
+        table = _lattice_law((0, 1), (1.0 - w1, w1), M)
+        band = [k for k in range(M + 1) if 1e-307 <= tails[k] <= 1e-240]
+        assert len(band) >= 2 and max(tails[k] for k in band) < oracle.BETAINC_FLOOR
+        for k in band:
+            assert table.tail(Fraction(k)) == pytest.approx(tails[k], rel=1e-12, abs=0.0), k
+        if M == 79:
+            got = exact_sum_tail(FiniteMixture([(1.0, Bernoulli(w1))]), M, 59, Side.UPPER)
+            assert got.method is TailMethod.BINOMIAL_CLOSED_FORM
+            assert got.probability == pytest.approx(1.7878141524574814e-300, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("M", [1, 2, 15, 16, 17, 79, 2000])
+    @pytest.mark.parametrize("p", [0.0, 1e-6, 0.3, 0.5, 0.999, 1.0])
+    def test_binomial_masses_against_exact_rationals(self, M, p):
+        # Loader's form: stirlerr tabled below 16, its series from 16, and both ends
+        masses, scale = exact_binomial_masses(M, p)
+        got = oracle.binomial_pmf(np.arange(M + 1), M, p).tolist()
+        for k, (mass, exact) in enumerate(zip(got, masses)):
+            if exact == 0:
+                assert mass == 0.0, k
+            elif exact / scale > 1e-300:
+                assert mass == pytest.approx(exact / scale, rel=1e-12, abs=0.0), k
 
     def test_incommensurate_points_take_the_sparse_path(self):
         points, weights = (0.1, 0.2, 0.7), (0.2, 0.3, 0.5)
@@ -741,20 +786,18 @@ class TestQuadratureTails:
         M = 500
         ks = [300, 450, 120, 499, 121, 500, 1, 260]
         group_law.cache_clear()  # a group's law holds its table
-        _param_law.cache_clear()
         warm = [exact_sum_tail(m, M, Fraction(k), Side.UPPER) for k in ks]
-        assert _param_law.cache_info().misses == 1
-        table = _param_law(density, M).at_least
+        assert group_law.cache_info().misses == 1
+        ((_, table),) = group_law(m, M, Side.UPPER).laws
         for k, got in zip(ks, warm):
             cold_terms = _beta_binomial_terms(density, M, k, M + 1)
-            assert table.from_index(k).tobytes() == cold_terms.tobytes()
+            assert table.at_least.from_index(k).tobytes() == cold_terms.tobytes()
             group_law.cache_clear()
-            _param_law.cache_clear()
             assert got == exact_sum_tail(m, M, Fraction(k), Side.UPPER)  # bit for bit
 
     def test_term_cap_counts_each_cells_own_terms(self, monkeypatch):
         m = BernoulliParamMixture(UniformDensity(0.2, 0.8))
-        _param_law.cache_clear()
+        group_law.cache_clear()
         exact_sum_tail(m, 20, Fraction(1), Side.UPPER)  # a table of all 20 terms
         monkeypatch.setattr(oracle, "PARAM_MAX_TERMS", 10)
         assert exact_sum_tail(m, 20, Fraction(11), Side.UPPER).probability > 0.0  # 10 terms
