@@ -24,6 +24,7 @@ import argparse
 import datetime
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -61,6 +62,7 @@ EXIT_IO = 3
 
 DEFAULT_M_GRID = (1, 2, 5, 10, 50, 200)
 DEFAULT_T_GRID = "auto:10"
+THREADS_ENV_VAR = "EXCHBOUND_THREADS"  # the sweep's thread count, 1 when unset
 
 
 class ModelFileError(ExchboundError):
@@ -176,6 +178,27 @@ def load_model_file(path: str) -> MixingMeasure:
 # ---------------------------------------------------------------------------
 
 
+def _named(text: str) -> str:
+    """text for a message: its repr, or past 20 characters its length."""
+    return repr(text) if len(text) <= 20 else f"a text of {len(text)} characters"
+
+
+def _decimal(text: str, what: str) -> int:
+    """text as an int if it is at most 20 decimal digits, else DomainError: int()
+    also reads " 2" and "+2", and a longer text is past every range checked."""
+    if text.isdecimal() and len(text) <= 20:
+        return int(text)
+    raise DomainError(f"{what} must be a decimal integer of at most 20 digits, got {_named(text)}")
+
+
+def _int_flag(text: str) -> int:
+    """An integer flag's value as int() reads it; the command decides its range."""
+    try:
+        return int(text)
+    except ValueError:  # argparse's own message would echo the literal whole
+        raise argparse.ArgumentTypeError(f"invalid int value: {_named(text)}") from None
+
+
 def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
@@ -278,9 +301,10 @@ def _sweep_report(args, lines, **sweep_args) -> Report:
 
     A failed cell is also counted on stderr, and its command exits 2.
     """
+    threads = _decimal(os.environ.get(THREADS_ENV_VAR, "1"), THREADS_ENV_VAR)
     sweep = run_sweep(
         sides=_SIDES[args.side], replications=args.reps, master_seed=args.seed,
-        level=args.level, **sweep_args,
+        level=args.level, threads=threads, **sweep_args,
     )
     report = Report.from_sweep(sweep, __version__, _timestamp())
     log = _write_or_fail(report, args.out, args.format)
@@ -316,17 +340,13 @@ def _parse_t_grid(tokens: Sequence[str]) -> Union[int, list[float]]:
     if any(token.startswith("auto:") for token in tokens):
         if len(tokens) > 1:
             raise ExchboundError("--t-grid takes either auto:N or explicit values, not both")
-        n = tokens[0].split(":", 1)[1]
-        if n.isdecimal() and len(n) <= 20:  # int() refuses past 4300 digits
-            return int(n)
-        shown = repr(tokens[0]) if len(n) <= 20 else f"an N of {len(n)} characters"
-        raise ExchboundError(f"--t-grid auto:N needs a decimal integer N, got {shown}")
+        return _decimal(tokens[0].split(":", 1)[1], "N of --t-grid auto:N")
     ts = []
     for token in tokens:
         try:
             ts.append(float(token))
         except ValueError:
-            raise ExchboundError(f"--t-grid values must be numbers, got {token!r}") from None
+            raise ExchboundError(f"--t-grid values must be numbers, got {_named(token)}") from None
     return ts
 
 
@@ -383,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="closed-form bound report for both tails")
     p_bounds.add_argument("--mu-plus", type=float, required=True, dest="mu_plus")
     p_bounds.add_argument("--mu-minus", type=float, required=True, dest="mu_minus")
-    p_bounds.add_argument("--m", type=int, required=True, help="sample count M")
+    p_bounds.add_argument("--m", type=_int_flag, required=True, help="sample count M")
     p_bounds.add_argument("--t", type=float, required=True, help="deviation (data units)")
     p_bounds.add_argument(
         "--range", type=float, nargs=2, default=(0.0, 1.0), metavar=("A", "B"),
@@ -393,11 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo estimate of one tail query")
     p_sim.add_argument("--model", required=True, help="model file (JSON)")
-    p_sim.add_argument("--m", type=int, required=True)
+    p_sim.add_argument("--m", type=_int_flag, required=True)
     p_sim.add_argument("--t", type=float, required=True)
     p_sim.add_argument("--side", default="upper", choices=_SIDES)
-    p_sim.add_argument("--reps", type=int, default=100_000)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--reps", type=_int_flag, default=100_000)
+    p_sim.add_argument("--seed", type=_int_flag, default=0)
     p_sim.add_argument("--level", type=float, default=DEFAULT_CI_LEVEL)
     p_sim.add_argument("--format", default="csv", choices=ENCODERS)
     p_sim.add_argument("--out", default=None)
@@ -406,14 +426,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="sweep models and flag bound violations")
     p_ver.add_argument("--model", action="append", help="model file (repeatable)")
     p_ver.add_argument("--models-dir", dest="models_dir", help="directory of *.json models")
-    p_ver.add_argument("--m-grid", dest="m_grid", type=int, nargs="+")
+    p_ver.add_argument("--m-grid", dest="m_grid", type=_int_flag, nargs="+")
     p_ver.add_argument(
         "--t-grid", dest="t_grid", nargs="+",
         help="deviations, or auto:N for N values spanning each validity window",
     )
     p_ver.add_argument("--side", default="both", choices=_SIDES)
-    p_ver.add_argument("--reps", type=int, default=100_000)
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--reps", type=_int_flag, default=100_000)
+    p_ver.add_argument("--seed", type=_int_flag, default=0)
     p_ver.add_argument("--level", type=float, default=DEFAULT_CI_LEVEL)
     p_ver.add_argument("--format", default="csv", choices=ENCODERS)
     p_ver.add_argument("--out", default=None)
@@ -421,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_ci = sub.add_parser("ci", help="deviation for a two-sided confidence level")
-    p_ci.add_argument("--m", type=int, required=True)
+    p_ci.add_argument("--m", type=_int_flag, required=True)
     p_ci.add_argument("--delta", type=float, required=True)
     p_ci.add_argument(
         "--range", type=float, nargs=2, default=(0.0, 1.0), metavar=("A", "B"),
@@ -431,10 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hist = sub.add_parser("histogram", help="empirical distribution of the sample mean")
     p_hist.add_argument("--model", required=True)
-    p_hist.add_argument("--m", type=int, required=True)
-    p_hist.add_argument("--reps", type=int, default=10_000)
-    p_hist.add_argument("--bins", type=int, default=20)
-    p_hist.add_argument("--seed", type=int, default=0)
+    p_hist.add_argument("--m", type=_int_flag, required=True)
+    p_hist.add_argument("--reps", type=_int_flag, default=10_000)
+    p_hist.add_argument("--bins", type=_int_flag, default=20)
+    p_hist.add_argument("--seed", type=_int_flag, default=0)
     p_hist.add_argument("--format", default="csv", choices=ENCODERS)
     p_hist.add_argument("--out", default=None)
     p_hist.set_defaults(func=cmd_histogram)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -39,7 +40,7 @@ import numpy as np
 from scipy import special
 
 from .bounds import _shown, as_float
-from .errors import InvalidModel, KTooLarge, UnsupportedModel
+from .errors import DomainError, InvalidModel, KTooLarge, UnsupportedModel
 
 WEIGHT_TOL = 1e-12  # machine-precision-scale slack for user-supplied weights
 
@@ -522,13 +523,19 @@ def joint_law(m: MixingMeasure, k: int) -> JointLaw:
     p(x_1, ..., x_k) = sum_i w_i * prod_j q_i(x_j).  Each tuple's
     probability is evaluated on the sorted tuple, so the pmf is invariant
     under coordinate permutations bit-for-bit, not merely up to rounding.
+    k is an integer in [1, JOINT_LAW_MAX_K]: another integer raises
+    KTooLarge, and what is not an integer, such as 2.5 or "2", DomainError.
     """
     if not isinstance(m, FiniteMixture):
         raise UnsupportedModel("joint_law requires a finite mixture of discrete components")
+    try:
+        k = operator.index(k)  # the integer rule of bounds.check_int
+    except TypeError:
+        raise DomainError(f"k must be an integer, got {_shown(k)}") from None
     if k < 1:
-        raise KTooLarge(f"k must be >= 1, got {k}")
+        raise KTooLarge(f"k must be >= 1, got {_shown(k)}")
     if k > JOINT_LAW_MAX_K:
-        raise KTooLarge(f"k={k} exceeds the enumeration guard {JOINT_LAW_MAX_K}")
+        raise KTooLarge(f"k={_shown(k)} exceeds the enumeration guard {JOINT_LAW_MAX_K}")
 
     laws = [c.discrete_law() for c in m.components]  # raises for Beta
     alphabet = sorted({x for points, _ in laws for x in points})

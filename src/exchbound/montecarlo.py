@@ -71,7 +71,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import operator
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,8 +117,6 @@ T_GRID_MAX = 10**6  # deviations per window; like a bin, each is a report row
 DEFAULT_CI_LEVEL = 0.999
 
 METHODS = ("auto", "exact", "montecarlo")  # sweep engines, see run_sweep
-
-THREADS_ENV_VAR = "EXCHBOUND_THREADS"
 
 THREADS_LIMIT = 1 << 10  # sweep threads share one GIL; more would only wait
 
@@ -567,19 +564,6 @@ def window_t_grid(anchor: Fraction, n: int) -> list[float]:
     return [i / (n + 1) for i in range(1, n + 1)]
 
 
-def _resolve_threads(threads: Optional[int]) -> int:
-    """threads, or else EXCHBOUND_THREADS, or 1, as an int in [1, THREADS_LIMIT)."""
-    if threads is not None:
-        return check_int("threads", threads, 1, THREADS_LIMIT)
-    text = os.environ.get(THREADS_ENV_VAR, "1")
-    # int() also reads " 2" and "+2", and refuses more than 4300 digits; a longer
-    # text is out of range, and is named by its length
-    if text.isdecimal() and len(text) <= 20:
-        return check_int(THREADS_ENV_VAR, int(text), 1, THREADS_LIMIT)
-    shown = repr(text) if len(text) <= 20 else f"a text of {len(text)} characters"
-    raise DomainError(f"{THREADS_ENV_VAR} must be an integer in [1, {THREADS_LIMIT}), got {shown}")
-
-
 def _law_seed(master_seed: int, model_id: str, M: int, side: Side) -> int:
     """mix64(master_seed, k), k a 64-bit digest of (model_id, M, side)."""
     # hashlib, not hash(): the built-in is salted per process
@@ -666,7 +650,7 @@ def run_sweep(
     *,
     method: str = "auto",
     level: float = DEFAULT_CI_LEVEL,
-    threads: Optional[int] = None,
+    threads: int = 1,
 ) -> SweepResult:
     """Evaluate every (model, M, t, side) cell of the grid.
 
@@ -696,13 +680,13 @@ def run_sweep(
     raise DomainError; a t that is not a real number, finite and > 0
     raises InvalidT.
 
-    With ``threads`` > 1 (or the EXCHBOUND_THREADS environment variable)
-    the groups are evaluated concurrently, one group per task.  A Monte
-    Carlo cell is seeded with mix64(master_seed, k), where k is a 64-bit
-    SHA-256 digest of (model_id, M, side): every t of the group reads one
-    drawn law.  A cell's result therefore depends only on
-    the master seed and the cell itself: not on the grid, the other
-    models, the thread count or the caller.
+    With ``threads`` > 1 the groups are evaluated concurrently, one group
+    per task; the sweep reads no environment variable.  A Monte Carlo
+    cell is seeded with mix64(master_seed, k), where k is a 64-bit SHA-256
+    digest of (model_id, M, side): every t of the group reads one drawn
+    law.  A cell's result therefore depends only on the master seed and
+    the cell itself: not on the grid, the other models, the thread count
+    or the caller.
     """
     if not models:
         raise EmptyGrid("models list is empty")
@@ -720,7 +704,7 @@ def run_sweep(
         raise DomainError(f"unknown sweep method {_shown(method)}")
     level = _check_level(level)
     master_seed = check_master_seed(master_seed)
-    n_threads = _resolve_threads(threads)
+    n_threads = check_int("threads", threads, 1, THREADS_LIMIT)
 
     groups: list[_Group] = []
     keys = set()

@@ -1,7 +1,6 @@
 """Model-file ingestion, report encodings, and CLI contracts."""
 
 import csv
-import dataclasses
 import importlib
 import json
 import math
@@ -85,22 +84,20 @@ ARGUMENT_TEST_DOCS = {
 M_PAST_INT64 = str(10**19)
 M_PAST_FLOAT = str(10**310)
 
+# valid arguments of each command, which a bad-argument test extends
+COMMAND_ARGS = {
+    "verify": ["--m-grid", "2", "--t-grid", "0.1", "--reps", "100"],
+    "simulate": ["--model", "a/m.json", "--m", "2", "--t", "0.1", "--reps", "100"],
+    "bounds": ["--mu-plus", "0.8", "--mu-minus", "0.2", "--m", "2", "--t", "0.1"],
+    "ci": ["--m", "3", "--delta", "0.1"],
+    "histogram": ["--model", "a/m.json", "--m", "2", "--reps", "10"],
+}
+
 
 def write_model(tmp_path, doc, name="model.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
-
-
-def shrink_bounds(monkeypatch):
-    """Scale every sweep cell's exp(-2Mt^2) value by 0.01, so that cells violate it."""
-    report_of = montecarlo.tail_bound_report
-
-    def shrunk(*args):
-        report = report_of(*args)
-        return dataclasses.replace(report, hoeffding_form=0.01 * report.hoeffding_form)
-
-    monkeypatch.setattr(montecarlo, "tail_bound_report", shrunk)
 
 
 def strip_timestamps(text: str) -> str:
@@ -628,8 +625,8 @@ class TestCliCommands:
         assert len(report.rows) == 60
         assert not any(r.violation for r in report.rows)
 
-    def test_verify_corrupted_bound_exits_1(self, tmp_path, capsys, monkeypatch):
-        shrink_bounds(monkeypatch)
+    def test_verify_corrupted_bound_exits_1(self, tmp_path, capsys, shrink_bounds):
+        shrink_bounds()
         code = main(
             [
                 "verify", "--m-grid", "2", "--t-grid", "0.1",
@@ -696,6 +693,7 @@ class TestCliCommands:
             ("verify", [], "1" + "0" * 4999),
             ("verify", ["--t-grid", "auto:1" + "0" * 5000], None),
             ("verify", ["--t-grid", "auto:" + "9" * 20], None),
+            ("verify", ["--t-grid", "0" * 5000 + "x"], None),
         ],
         ids=[
             "auto-abc", "auto-0", "inf", "nan", "abc", "level", "m-0", "threads-env",
@@ -710,6 +708,7 @@ class TestCliCommands:
             "ci-m-past-float", "bounds-m-past-float", "ci-t-past-float",
             "simulate-seed-2^64", "verify-seed-negative", "histogram-seed-2^64",
             "threads-env-5000-digits", "auto-5000-digits", "auto-20-digits",
+            "t-5000-characters",
         ],
     )
     def test_verify_rejects_bad_arguments_before_any_cell(
@@ -730,20 +729,45 @@ class TestCliCommands:
             write_model(tmp_path, doc, name=f"{name}.json")
         monkeypatch.chdir(tmp_path)
         out_path = tmp_path / "v.csv"
-        base = {
-            "verify": ["--m-grid", "2", "--t-grid", "0.1", "--reps", "100"],
-            "simulate": ["--model", "a/m.json", "--m", "2", "--t", "0.1", "--reps", "100"],
-            "bounds": ["--mu-plus", "0.8", "--mu-minus", "0.2", "--m", "2", "--t", "0.1"],
-            "ci": ["--m", "3", "--delta", "0.1"],
-            "histogram": ["--model", "a/m.json", "--m", "2", "--reps", "10"],
-        }[command]
         out = [] if command in ("bounds", "ci") else ["--out", str(out_path)]
-        assert main([command, *base, *extra, *out]) == 2
+        assert main([command, *COMMAND_ARGS[command], *extra, *out]) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err
         assert captured.out == ""
         assert not out_path.exists()
         assert "0" * 20 not in captured.err  # a huge literal is not echoed
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("bounds", "--m"), ("simulate", "--m"), ("simulate", "--reps"), ("simulate", "--seed"),
+         ("verify", "--m-grid"), ("verify", "--reps"), ("verify", "--seed"), ("ci", "--m"),
+         ("histogram", "--m"), ("histogram", "--reps"), ("histogram", "--bins"),
+         ("histogram", "--seed")],
+    )
+    def test_an_int_flag_past_int_digits_is_named_by_its_length(
+        self, tmp_path, capsys, command, flag
+    ):
+        # int() refuses a literal past 4300 digits, and argparse would echo it whole
+        out_path = tmp_path / "r.csv"
+        out = [] if command in ("bounds", "ci") else ["--out", str(out_path)]
+        with pytest.raises(SystemExit) as exit:
+            main([command, *COMMAND_ARGS[command], flag, "1" + "0" * 4999, *out])
+        assert exit.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out_path.exists()
+        assert f"argument {flag}: invalid int value: a text of 5000 characters" in captured.err
+        assert len(captured.err) < 1024
+
+    def test_an_int_flag_takes_what_int_takes(self, capsys):
+        # the command, not the parser, decides the range of what int() reads
+        assert main(["bounds", *COMMAND_ARGS["bounds"], "--m", str(10**30)]) == 0
+        assert capsys.readouterr().out.startswith(f"M={10**30} t=0.1")
+        assert main(["ci", "--delta", "0.1", "--m", M_PAST_FLOAT]) == 2
+        assert capsys.readouterr().err == (
+            "error: M must be >= 1 and fit in a float, got an integer of 1030 bits\n")
+        with pytest.raises(SystemExit):
+            main(["ci", "--delta", "0.1", "--m", "abc"])
+        assert "argument --m: invalid int value: 'abc'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "args,message",
@@ -753,9 +777,10 @@ class TestCliCommands:
             (["verify", "--m-grid", M_PAST_INT64], f"M must lie in [1, 2^63), got {M_PAST_INT64}"),
             (["simulate", "--m", "0", "--t", "0.1"], "M must lie in [1, 2^63), got 0"),
             (["simulate", "--m", "2", "--t", "inf"], "t must be finite and > 0, got inf"),
+            (["verify", "--seed", "-1"], "master_seed must lie in [0, 2^64), got -1"),
         ],
         ids=["verify-m-0", "verify-t-negative", "verify-m-past-int64", "simulate-m-0",
-             "simulate-t-inf"],
+             "simulate-t-inf", "verify-seed-negative"],
     )
     def test_the_sweep_refuses_a_bad_m_or_t_by_its_own_message(
         self, tmp_path, capsys, monkeypatch, args, message
@@ -823,9 +848,9 @@ class TestCliCommands:
         assert from_csv(to_csv(report)) == report
 
     @pytest.mark.parametrize("fmt,decode", [("csv", from_csv), ("json", from_json)])
-    def test_verify_to_stdout_is_one_document(self, capsys, monkeypatch, fmt, decode):
+    def test_verify_to_stdout_is_one_document(self, capsys, shrink_bounds, fmt, decode):
         # a bound shrunk 100-fold adds VIOLATION lines, which go to stderr too
-        shrink_bounds(monkeypatch)
+        shrink_bounds()
         args = ["verify", "--m-grid", "2", "--t-grid", "0.1", "--reps", "1000", "--format", fmt]
         assert main(args) == 1
         captured = capsys.readouterr()
@@ -856,6 +881,30 @@ class TestCliCommands:
         assert main(args + ["--out", str(p1)]) == 0
         assert main(args + ["--out", str(p2)]) == 0
         assert strip_timestamps(p1.read_text()) == strip_timestamps(p2.read_text())
+
+    def test_verify_thread_count_changes_no_report(self, tmp_path, monkeypatch):
+        # the CLI passes EXCHBOUND_THREADS on as the sweep's thread count
+        passed = []
+
+        def sweep(*args, threads, **kwargs):
+            passed.append(threads)
+            return run_sweep(*args, threads=threads, **kwargs)
+
+        monkeypatch.setattr(exchbound.cli, "run_sweep", sweep)
+        reports = []
+        for threads in ("3", "1"):
+            monkeypatch.setenv("EXCHBOUND_THREADS", threads)
+            out_path = tmp_path / f"t{threads}.csv"
+            assert main(["verify", "--method", "montecarlo", "--out", str(out_path)]) == 0
+            reports.append(strip_timestamps(out_path.read_text()))
+        assert passed == [3, 1] and reports[0] == reports[1]
+
+    def test_histogram_ignores_exchbound_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EXCHBOUND_THREADS", "abc")
+        model_path = write_model(tmp_path, TWO_ATOM_DOC)
+        out_path = tmp_path / "h.csv"
+        args = ["histogram", "--model", model_path, "--m", "2", "--reps", "100"]
+        assert main(args + ["--out", str(out_path)]) == 0 and out_path.exists()
 
     def test_verify_models_dir(self, tmp_path):
         write_model(tmp_path, TWO_ATOM_DOC, name="a.json")

@@ -15,6 +15,7 @@ from exchbound import (
     Beta,
     BernoulliParamMixture,
     DiscreteOnUnit,
+    DomainError,
     FiniteMixture,
     InvalidModel,
     KTooLarge,
@@ -279,6 +280,13 @@ class TestJointLaw:
     def test_guards(self):
         with pytest.raises(KTooLarge):
             joint_law(TWO_ATOM, 7)
+        for k in (0, -1, 10**5000):  # a huge k is named by its size
+            with pytest.raises(KTooLarge):
+                joint_law(TWO_ATOM, k)
+        for k in (2.5, 2.0, "2", None):  # the integer rule, as for every count
+            with pytest.raises(DomainError, match="k must be an integer"):
+                joint_law(TWO_ATOM, k)
+        assert joint_law(TWO_ATOM, np.int64(2)) == joint_law(TWO_ATOM, 2)
         with pytest.raises(UnsupportedModel):
             joint_law(FiniteMixture([(1.0, Beta(2.0, 2.0))]), 2)
         with pytest.raises(UnsupportedModel):

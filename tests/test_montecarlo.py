@@ -1,6 +1,5 @@
 """Estimator correctness, determinism, histograms, and sweeps."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -185,18 +184,6 @@ def chi_square_fits(drawn, pmf, reps):
         observed[-1] += short_o
     chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
     return sum(observed) == reps and chi2 < stats.chi2.ppf(0.999, df=len(expected) - 1)
-
-
-def shrink_bounds(monkeypatch, form="hoeffding_form"):
-    """Scale one bound form of every sweep cell by 0.01, so that cells violate it."""
-    report_of = montecarlo.tail_bound_report
-
-    def shrunk(*args):
-        report = report_of(*args)
-        value = getattr(report, form)
-        return dataclasses.replace(report, **{form: None if value is None else 0.01 * value})
-
-    monkeypatch.setattr(montecarlo, "tail_bound_report", shrunk)
 
 
 class TestClopperPearsonInterval:
@@ -769,9 +756,9 @@ class TestParamMixtureBlocks:
 
     @pytest.mark.parametrize("side", [Side.UPPER, Side.LOWER])
     @pytest.mark.parametrize("lo,hi", [(0.2, 0.8), (0.0, 1.0), (0.0, 0.3), (0.65, 1.0)])
-    def test_rank_draw_fits_the_exact_pmf(self, lo, hi, side):
-        # chi-square of 10^6 draws against the oracle's pmf; the lower side
-        # is the reflected model's upper tail
+    def test_counted_draw_fits_the_exact_pmf(self, lo, hi, side):
+        # chi-square of 10^6 counted draws against the oracle's pmf; the lower
+        # side is the reflected model's upper tail
         m = BernoulliParamMixture(UniformDensity(lo, hi))
         m = m if side is Side.UPPER else flip_model(m)
         reps = 10**6
@@ -866,9 +853,9 @@ class TestParamMixtureBlocks:
         assert made == [(10, 0, 11)] * calls and int(table.at_least[0]) == reps
 
     @pytest.mark.parametrize("side", [Side.UPPER, Side.LOWER])
-    def test_rank_draw_at_the_largest_m(self, side):
-        # every draw lands inside [0, 1], so a rank lies in 0..M: numpy's
-        # exclusive bound M + 1 would pass int64
+    def test_per_batch_draw_at_the_largest_m(self, side):
+        # 1,000 replications at this M draw p, then a Binomial(M, p) sum, per
+        # batch; every sum lies in 0..M, which int64 holds at M = 2^63 - 1
         m, M = BernoulliParamMixture(UniformDensity(0.0, 1.0)), (1 << 63) - 1
         est = estimate_tail(m, TailQuery(M=M, t=0.1, side=side), 1_000, master_seed=109)
         assert est.exceed_count == 0  # the window of a [0, 1] support is empty
@@ -1047,8 +1034,10 @@ class TestRunSweep:
     @pytest.mark.parametrize(
         "bad",
         [dict(threads=0), dict(threads=-1), dict(threads=2.5), dict(threads="2"),
+         dict(threads=None), dict(threads=montecarlo.THREADS_LIMIT),
          dict(level=1.5), dict(sides=["up"])],
-        ids=["threads-0", "threads--1", "threads-2.5", "threads-str", "level-1.5", "side-up"],
+        ids=["threads-0", "threads--1", "threads-2.5", "threads-str", "threads-none",
+             "threads-limit", "level-1.5", "side-up"],
     )
     def test_bad_threads_level_or_side_rejected_before_any_cell(self, monkeypatch, bad):
         monkeypatch.setattr(montecarlo, "_sweep_group", lambda *a, **k: pytest.fail("a cell ran"))
@@ -1341,7 +1330,7 @@ class TestRunSweep:
         )
         assert run_sweep(**kwargs) == run_sweep(**kwargs)
 
-    def test_thread_count_does_not_change_rows(self, monkeypatch):
+    def test_thread_count_does_not_change_rows(self):
         kwargs = dict(
             models=list(standard_suite()),
             M_grid=[2, 10],
@@ -1353,15 +1342,21 @@ class TestRunSweep:
         serial = run_sweep(**kwargs, threads=1)
         threaded = run_sweep(**kwargs, threads=4)
         assert serial.rows == threaded.rows
-        monkeypatch.setenv("EXCHBOUND_THREADS", "3")
-        from_env = run_sweep(**kwargs)
-        assert from_env.rows == serial.rows
+
+    def test_the_sweep_reads_no_environment(self, monkeypatch):
+        # EXCHBOUND_THREADS is the CLI's to read: a value it refuses stops no sweep
+        kwargs = dict(models=[("two_atom", TWO_ATOM)], M_grid=[2, 10], t_grid=[0.1],
+                      sides=[Side.UPPER], replications=1_000, master_seed=73)
+        monkeypatch.setenv("EXCHBOUND_THREADS", "abc")
+        with_variable = run_sweep(**kwargs)
+        monkeypatch.delenv("EXCHBOUND_THREADS")
+        assert with_variable == run_sweep(**kwargs, threads=1)
 
     @pytest.mark.parametrize("form", ["hoeffding_form", "kl_form"])
     @pytest.mark.parametrize("method,engine", [("auto", "binomial"), ("montecarlo", "montecarlo")])
-    def test_corrupted_bound_hook_flags_violations(self, monkeypatch, form, method, engine):
+    def test_corrupted_bound_hook_flags_violations(self, shrink_bounds, form, method, engine):
         # one verdict rule: either form, whichever engine answered the cell
-        shrink_bounds(monkeypatch, form)
+        shrink_bounds(form)
         result = run_sweep(
             models=[("two_atom", TWO_ATOM)],
             M_grid=[2],
