@@ -199,6 +199,25 @@ def _int_flag(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {_named(text)}") from None
 
 
+def _float_flag(text: str) -> float:
+    """A real flag's value as float() reads it; the command decides its range."""
+    try:
+        return float(text)
+    except ValueError:  # argparse's own message would echo the literal whole
+        raise argparse.ArgumentTypeError(f"invalid float value: {_named(text)}") from None
+
+
+def _choice_flag(choices):
+    """The type of a flag that takes one of ``choices``, for ``add_argument``
+    beside ``choices=``: argparse's own refusal would echo the literal whole."""
+    def choice(text: str) -> str:
+        if text in choices:
+            return text
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {_named(text)} (choose from {', '.join(map(repr, choices))})")
+    return choice
+
+
 def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
@@ -401,12 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bounds = sub.add_parser("bounds", help="closed-form bound report for both tails")
-    p_bounds.add_argument("--mu-plus", type=float, required=True, dest="mu_plus")
-    p_bounds.add_argument("--mu-minus", type=float, required=True, dest="mu_minus")
+    p_bounds.add_argument("--mu-plus", type=_float_flag, required=True, dest="mu_plus")
+    p_bounds.add_argument("--mu-minus", type=_float_flag, required=True, dest="mu_minus")
     p_bounds.add_argument("--m", type=_int_flag, required=True, help="sample count M")
-    p_bounds.add_argument("--t", type=float, required=True, help="deviation (data units)")
+    p_bounds.add_argument("--t", type=_float_flag, required=True, help="deviation (data units)")
     p_bounds.add_argument(
-        "--range", type=float, nargs=2, default=(0.0, 1.0), metavar=("A", "B"),
+        "--range", type=_float_flag, nargs=2, default=(0.0, 1.0), metavar=("A", "B"),
         help="data range [a,b]; deviations are rescaled to the unit interval",
     )
     p_bounds.set_defaults(func=cmd_bounds)
@@ -414,12 +433,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo estimate of one tail query")
     p_sim.add_argument("--model", required=True, help="model file (JSON)")
     p_sim.add_argument("--m", type=_int_flag, required=True)
-    p_sim.add_argument("--t", type=float, required=True)
-    p_sim.add_argument("--side", default="upper", choices=_SIDES)
+    p_sim.add_argument("--t", type=_float_flag, required=True)
+    p_sim.add_argument("--side", default="upper", type=_choice_flag(_SIDES), choices=_SIDES)
     p_sim.add_argument("--reps", type=_int_flag, default=100_000)
     p_sim.add_argument("--seed", type=_int_flag, default=0)
-    p_sim.add_argument("--level", type=float, default=DEFAULT_CI_LEVEL)
-    p_sim.add_argument("--format", default="csv", choices=ENCODERS)
+    p_sim.add_argument("--level", type=_float_flag, default=DEFAULT_CI_LEVEL)
+    p_sim.add_argument("--format", default="csv", type=_choice_flag(ENCODERS), choices=ENCODERS)
     p_sim.add_argument("--out", default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -431,20 +450,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--t-grid", dest="t_grid", nargs="+",
         help="deviations, or auto:N for N values spanning each validity window",
     )
-    p_ver.add_argument("--side", default="both", choices=_SIDES)
+    p_ver.add_argument("--side", default="both", type=_choice_flag(_SIDES), choices=_SIDES)
     p_ver.add_argument("--reps", type=_int_flag, default=100_000)
     p_ver.add_argument("--seed", type=_int_flag, default=0)
-    p_ver.add_argument("--level", type=float, default=DEFAULT_CI_LEVEL)
-    p_ver.add_argument("--format", default="csv", choices=ENCODERS)
+    p_ver.add_argument("--level", type=_float_flag, default=DEFAULT_CI_LEVEL)
+    p_ver.add_argument("--format", default="csv", type=_choice_flag(ENCODERS), choices=ENCODERS)
     p_ver.add_argument("--out", default=None)
-    p_ver.add_argument("--method", default="auto", choices=METHODS)
+    p_ver.add_argument("--method", default="auto", type=_choice_flag(METHODS), choices=METHODS)
     p_ver.set_defaults(func=cmd_verify)
 
     p_ci = sub.add_parser("ci", help="deviation for a two-sided confidence level")
     p_ci.add_argument("--m", type=_int_flag, required=True)
-    p_ci.add_argument("--delta", type=float, required=True)
+    p_ci.add_argument("--delta", type=_float_flag, required=True)
     p_ci.add_argument(
-        "--range", type=float, nargs=2, default=(0.0, 1.0), metavar=("A", "B"),
+        "--range", type=_float_flag, nargs=2, default=(0.0, 1.0), metavar=("A", "B"),
         help="data range [a,b]; the printed t is in data units",
     )
     p_ci.set_defaults(func=cmd_ci)
@@ -455,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hist.add_argument("--reps", type=_int_flag, default=10_000)
     p_hist.add_argument("--bins", type=_int_flag, default=20)
     p_hist.add_argument("--seed", type=_int_flag, default=0)
-    p_hist.add_argument("--format", default="csv", choices=ENCODERS)
+    p_hist.add_argument("--format", default="csv", type=_choice_flag(ENCODERS), choices=ENCODERS)
     p_hist.add_argument("--out", default=None)
     p_hist.set_defaults(func=cmd_histogram)
 

@@ -385,6 +385,17 @@ def _block_stream(seed: SeedSpec) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(_Words(words)))
 
 
+def _draws_per_batch(m: MixingMeasure, M: int, replications: int) -> bool:
+    """Whether a drawn law of ``replications`` batches of M draws draws every
+    batch: a Beta atom's rows always, and a parameter mixture's parameters
+    below PARAM_COUNT_FACTOR * (M + 1) replications.  Every other law is
+    counted, block by block, from exact masses (``_block_sums``)."""
+    if isinstance(m, BernoulliParamMixture):
+        # below F*(M + 1); no product: M may be 2^63 - 1
+        return replications // PARAM_COUNT_FACTOR <= M
+    return any(isinstance(c, Beta) for c in m.components)
+
+
 @functools.lru_cache(maxsize=16)  # a 10^5-replication Beta table holds 1.6 MB
 def _empirical_law(
     m: MixingMeasure, M: int, replications: int, seed: int
@@ -394,16 +405,17 @@ def _empirical_law(
     Every threshold of one (model, M, seed) reads the same draws, so a
     tail estimate can only fall as t grows.  A Beta atom needs one whole
     row of M draws, so past BETA_MAX_M it raises DomainError before any draw.
-    A parameter mixture's law of PARAM_COUNT_FACTOR * (M + 1) replications
-    or more takes its exact masses of S = 0..M, the oracle's Beta-binomial
-    terms, here once, and every block is counted from them (``_block_sums``).
+    A parameter mixture's law that is not drawn batch by batch
+    (``_draws_per_batch``) takes its exact masses of S = 0..M, the oracle's
+    Beta-binomial terms, here once, and every block is counted from them
+    (``_block_sums``).
     """
+    per_batch = _draws_per_batch(m, M, replications)
     masses = None
     if isinstance(m, BernoulliParamMixture):
-        # F*(M + 1) or more; no product: M may be 2^63 - 1
-        if replications // PARAM_COUNT_FACTOR > M:
+        if not per_batch:
             masses = _beta_binomial_terms(m.density, M, 0, M + 1)
-    elif M > BETA_MAX_M and any(isinstance(c, Beta) for c in m.components):
+    elif per_batch and M > BETA_MAX_M:  # a Beta atom
         raise DomainError(f"M must be <= {BETA_MAX_M} for a Beta component, got {M}")
     parts: dict[Optional[int], list[tuple[np.ndarray, np.ndarray]]] = {}
     for block_index, start in enumerate(range(0, replications, BLOCK_SIZE)):
@@ -680,13 +692,24 @@ def run_sweep(
     raise DomainError; a t that is not a real number, finite and > 0
     raises InvalidT.
 
-    With ``threads`` > 1 the groups are evaluated concurrently, one group
-    per task; the sweep reads no environment variable.  A Monte Carlo
-    cell is seeded with mix64(master_seed, k), where k is a 64-bit SHA-256
-    digest of (model_id, M, side): every t of the group reads one drawn
-    law.  A cell's result therefore depends only on the master seed and
-    the cell itself: not on the grid, the other models, the thread count
-    or the caller.
+    With ``threads`` > 1, a pool of that many threads takes the groups
+    whose cells read a law drawn batch by batch (``_draws_per_batch``: a
+    Beta atom, or a parameter mixture with few batches per sum), as such
+    draws release the GIL: one group per task, largest M first.  Under
+    "auto" only a Beta atom's groups qualify, as the oracle answers a
+    parameter mixture; they go straight to Monte Carlo at any thread
+    count, as the oracle refuses each of their cells.  Under "exact" none
+    does.  Every other group, an exact law or a counted Monte Carlo law,
+    holds the GIL, so it runs on the caller's thread, in row order, while
+    the pool draws, and ``oracle.group_law`` is called from the caller's
+    thread alone.  A sweep without a per-batch group starts no pool.  The
+    sweep reads no environment variable.
+
+    A Monte Carlo cell is seeded with mix64(master_seed, k), where k is a
+    64-bit SHA-256 digest of (model_id, M, side): every t of the group
+    reads one drawn law.  A cell's result therefore depends only on the
+    master seed and the cell itself: not on the grid, the other models,
+    the thread count or the caller.
     """
     if not models:
         raise EmptyGrid("models list is empty")
@@ -723,21 +746,31 @@ def run_sweep(
                 seed = _law_seed(master_seed, model_id, M, side)
                 groups.append(_Group(model_id, m, anchor, M, side, seed, ts))
 
-    evaluate = functools.partial(
-        _sweep_group,
-        replications=replications,
-        method=method,
-        level=level,
-    )
-    if n_threads == 1:
-        done = list(map(evaluate, groups))
+    # the groups whose cells read a law drawn batch by batch: none under
+    # "exact", and under "auto" a Beta atom's alone, as the oracle answers a
+    # parameter mixture and refuses every cell of a Beta atom
+    per_batch = [
+        method != "exact" and _draws_per_batch(g.model, g.M, replications)
+        and not (method == "auto" and isinstance(g.model, BernoulliParamMixture))
+        for g in groups
+    ]
+
+    def evaluate(i: int) -> list[SweepRow]:
+        engine = "montecarlo" if per_batch[i] else method
+        return _sweep_group(groups[i], replications, engine, level)
+
+    pooled = [i for i in range(len(groups)) if per_batch[i]] if n_threads > 1 else []
+    if not pooled:
+        done = list(map(evaluate, range(len(groups))))
     else:
         # a group per task, so two threads never draw one law; largest M
         # first, so the longest draws do not start last
-        order = sorted(range(len(groups)), key=lambda i: groups[i].M, reverse=True)
+        pooled.sort(key=lambda i: groups[i].M, reverse=True)
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            futures = {i: pool.submit(evaluate, groups[i]) for i in order}
-            done = [futures[i].result() for i in range(len(groups))]
+            futures = {i: pool.submit(evaluate, i) for i in pooled}
+            # the GIL-bound groups, here and in row order, while the pool draws
+            own = {i: evaluate(i) for i in range(len(groups)) if i not in futures}
+            done = [futures[i].result() if i in futures else own[i] for i in range(len(groups))]
     return SweepResult(
         rows=tuple(row for group in done for row in group),
         replications=replications,

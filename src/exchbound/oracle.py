@@ -404,8 +404,7 @@ class _TermTable:
     """at_least[k] = P(S >= k) of one (density, M): the fsum of its terms for
     j = k..M over M + 1.  Terms are tabled for j = k0..M and extended down to
     a smaller k when a read asks for one.  Every term is computed
-    elementwise, so a slice equals the terms computed for its k alone, and
-    a concurrent extension only replaces the table with another valid one."""
+    elementwise, so a slice equals the terms computed for its k alone."""
 
     def __init__(self, d: ParamDensity, M: int):
         self.d, self.M = d, M

@@ -770,6 +770,57 @@ class TestCliCommands:
         assert "argument --m: invalid int value: 'abc'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command,flag,refusal",
+        [("bounds", "--t", "invalid float value"), ("bounds", "--mu-plus", "invalid float value"),
+         ("bounds", "--mu-minus", "invalid float value"), ("bounds", "--range", "invalid float value"),
+         ("simulate", "--t", "invalid float value"), ("simulate", "--level", "invalid float value"),
+         ("verify", "--level", "invalid float value"), ("ci", "--delta", "invalid float value"),
+         ("ci", "--range", "invalid float value"), ("simulate", "--side", "invalid choice"),
+         ("simulate", "--format", "invalid choice"), ("verify", "--side", "invalid choice"),
+         ("verify", "--format", "invalid choice"), ("verify", "--method", "invalid choice"),
+         ("histogram", "--format", "invalid choice")],
+    )
+    def test_a_float_or_choice_flag_names_a_long_literal_by_its_length(
+        self, tmp_path, capsys, command, flag, refusal
+    ):
+        out_path = tmp_path / "r.csv"
+        out = [] if command in ("bounds", "ci") else ["--out", str(out_path)]
+        values = ["x" * 5000, "0"] if flag == "--range" else ["x" * 5000]
+        with pytest.raises(SystemExit) as exit:
+            main([command, *COMMAND_ARGS[command], flag, *values, *out])
+        assert exit.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out_path.exists()
+        assert f"argument {flag}: {refusal}: a text of 5000 characters" in captured.err
+        assert len(captured.err) < 1024
+
+    def test_a_float_or_choice_flag_takes_what_it_took(self, tmp_path, capsys):
+        # every value float() reads, and every choice, still reaches the command
+        for t in ("1_0e-2", " 0.1", "+.1", "1E-1"):
+            assert main(["bounds", "--mu-plus", "0.8", "--mu-minus", "0.2", "--m", "2",
+                         "--t", t]) == 0
+            assert capsys.readouterr().out.startswith(f"M=2 t={format_value(float(t))}")
+        assert main(["bounds", "--mu-plus", "0.8", "--mu-minus", "0.2", "--m", "2",
+                     "--t", "nan"]) == 2
+        assert "error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["ci", "--m", "3", "--delta", "abc"])
+        assert "argument --delta: invalid float value: 'abc'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["verify", "--side", "up"])
+        assert ("argument --side: invalid choice: 'up' (choose from 'upper', 'lower', 'both')"
+                in capsys.readouterr().err)
+        write_model(tmp_path, ARGUMENT_TEST_DOCS["bern"], name="bern.json")
+        model = str(tmp_path / "bern.json")
+        for side in ("upper", "lower", "both"):
+            for fmt in ("csv", "json"):
+                for method in montecarlo.METHODS:
+                    assert main(["verify", "--model", model, "--m-grid", "2", "--t-grid", "0.1",
+                                 "--reps", "100", "--side", side, "--format", fmt,
+                                 "--method", method]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
         "args,message",
         [
             (["verify", "--m-grid", "0"], "M must lie in [1, 2^63), got 0"),

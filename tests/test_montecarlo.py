@@ -6,7 +6,9 @@ import math
 import re
 import statistics
 import sys
+import threading
 import tracemalloc
+from contextlib import contextmanager
 from itertools import accumulate, groupby
 
 from fractions import Fraction
@@ -54,6 +56,30 @@ from exchbound.sampler import derive_stream, mix64
 
 TWO_ATOM = FiniteMixture([(0.5, Bernoulli(0.2)), (0.5, Bernoulli(0.8))])
 ZERO_ONE = FiniteMixture([(0.5, PointMass(0.0)), (0.5, PointMass(1.0))])
+
+
+# a Beta atom, a lattice model and a parameter mixture: at 2,000 replications
+# the mixture's law is counted at M = 10 (125 batches per sum) and drawn batch
+# by batch at M = 500, and the Beta atom's is drawn batch by batch at both
+MIXED = [
+    ("beta_bern", FiniteMixture([(0.6, Beta(2.0, 5.0)), (0.4, Bernoulli(0.7))])),
+    ("two_atom", TWO_ATOM),
+    ("param", BernoulliParamMixture(UniformDensity(0.2, 0.8))),
+]
+MIXED_ARGS = (MIXED, [10, 500], [0.05, 0.2], [Side.UPPER, Side.LOWER], 2_000, 151)
+DEFAULT_ARGS = (list(standard_suite()), [1, 2, 5, 10, 50, 200], 10, [Side.UPPER, Side.LOWER],
+                100_000, 0)
+
+
+@contextmanager
+def fast_switching():
+    """Threads switch every microsecond, so interleavings a sweep allows happen."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def same_position(*gens):
@@ -1304,19 +1330,15 @@ class TestRunSweep:
         assert (info.misses, info.hits) == (60, 540)
 
     def test_pool_threads_share_the_group_laws(self):
-        # more threads than cores, switching often: group laws are built, evicted
-        # and read by several threads at once, and every row must be the serial one
+        # more threads than cores, switching often: an exact sweep builds every
+        # group law on the caller's thread, and every row must be the serial one
         args = (list(standard_suite()), [1, 2, 5, 10, 50, 200], 10, [Side.UPPER, Side.LOWER], 1, 0)
         oracle.group_law.cache_clear()
         serial = run_sweep(*args, method="exact", threads=1)
         for cache in (oracle.group_law, oracle._lattice_law):
             cache.cache_clear()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
+        with fast_switching():
             threaded = run_sweep(*args, method="exact", threads=8)
-        finally:
-            sys.setswitchinterval(interval)
         assert threaded.rows == serial.rows
 
     def test_deterministic_rows(self):
@@ -1342,6 +1364,73 @@ class TestRunSweep:
         serial = run_sweep(**kwargs, threads=1)
         threaded = run_sweep(**kwargs, threads=4)
         assert serial.rows == threaded.rows
+
+    @pytest.mark.parametrize("method", ["auto", "montecarlo"])
+    def test_the_pool_draws_the_per_batch_groups_alone(self, monkeypatch, method):
+        # the Beta atom's groups, and under "montecarlo" the mixture's at M = 500,
+        # run on pool threads, straight to Monte Carlo; the rest on the caller's
+        montecarlo._empirical_law.cache_clear()
+        serial = run_sweep(*MIXED_ARGS, method=method, threads=1)
+        caller, ran = threading.get_ident(), []
+        sweep_group = montecarlo._sweep_group
+
+        def recorded(group, replications, engine, level):
+            ran.append((group.model_id, group.M, engine, threading.get_ident() == caller))
+            return sweep_group(group, replications, engine, level)
+
+        monkeypatch.setattr(montecarlo, "_sweep_group", recorded)
+        drawn = {("beta_bern", 10), ("beta_bern", 500)}
+        if method == "montecarlo":
+            drawn.add(("param", 500))
+        monte_carlo_groups = 12 if method == "montecarlo" else 4  # 3 or 1 models, 2 M, 2 sides
+        for threads in (1, 2, 4):
+            ran.clear()
+            montecarlo._empirical_law.cache_clear()
+            with fast_switching():
+                threaded = run_sweep(*MIXED_ARGS, method=method, threads=threads)
+            assert threaded.rows == serial.rows
+            assert montecarlo._empirical_law.cache_info().misses == monte_carlo_groups
+            assert len(ran) == 12
+            pooled = {(model_id, M) for model_id, M, _, here in ran if not here}
+            assert pooled == (drawn if threads > 1 else set())
+            for model_id, M, engine, _ in ran:
+                assert engine == ("montecarlo" if (model_id, M) in drawn else method)
+
+    @pytest.mark.parametrize("method", montecarlo.METHODS)
+    def test_a_default_sweep_starts_no_pool(self, monkeypatch, method):
+        # at 10^5 replications every default Monte Carlo law is counted
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor",
+                            lambda *a, **k: pytest.fail("a pool was started"))
+        result = run_sweep(*DEFAULT_ARGS, method=method, threads=2)
+        assert len(result.rows) == 600 and not result.failures
+
+    @pytest.mark.parametrize("method", montecarlo.METHODS)
+    def test_group_laws_are_read_on_the_callers_thread_alone(self, monkeypatch, method):
+        callers = []
+        group_law = oracle.group_law
+
+        def recorded(m, M, side):
+            callers.append(threading.get_ident())
+            return group_law(m, M, side)
+
+        monkeypatch.setattr(oracle, "group_law", recorded)
+        with fast_switching():
+            run_sweep(*MIXED_ARGS, method=method, threads=2)
+        # every cell of the lattice and parameter groups, and under "exact" the Beta atom's
+        cells = {"auto": 16, "exact": 24, "montecarlo": 0}[method]
+        assert callers == [threading.get_ident()] * cells
+
+    @pytest.mark.parametrize("method", ["auto", "exact"])
+    def test_cold_threaded_sweeps_build_each_group_law_once(self, method):
+        # the caller's thread reads a group's cells in a row, so an LRU of 16
+        # keeps its law from its first cell to its last
+        misses = []
+        for _ in range(15):
+            for cache in (oracle.group_law, oracle._lattice_law, montecarlo._empirical_law):
+                cache.cache_clear()
+            run_sweep(*DEFAULT_ARGS, method=method, threads=2)
+            misses.append(oracle.group_law.cache_info().misses)
+        assert misses == [60] * 15
 
     def test_the_sweep_reads_no_environment(self, monkeypatch):
         # EXCHBOUND_THREADS is the CLI's to read: a value it refuses stops no sweep
