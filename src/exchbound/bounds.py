@@ -72,9 +72,11 @@ ENGINE_M_LIMIT = 1 << 63  # Monte Carlo hands M to numpy as an int64
 
 
 def _shown(x) -> str:
-    """x for a message: its repr, but a power of two past 2^32 as 2^k, and an
-    int past 64 bits by its size, as repr() of a huge int is slow, and refused
-    past 4300 digits."""
+    """x for a message: its repr, but a power of two past 2^32 as 2^k, an int
+    past 64 bits by its size, as repr() of a huge int is slow, and refused
+    past 4300 digits, and a str past 20 characters by its length."""
+    if isinstance(x, str) and len(x) > 20:
+        return f"a text of {len(x)} characters"
     if isinstance(x, int) and x > 1 << 32 and not x & (x - 1):
         return f"2^{x.bit_length() - 1}"
     if isinstance(x, int) and x.bit_length() > 64:

@@ -11,7 +11,9 @@ histogram  empirical distribution of the sample mean
 Exit codes: 0 success (verify: every cell evaluated, zero violations),
 1 verify found violations (a valid cell beat either bound form), 2
 invalid arguments or model file (verify and simulate: also when a cell
-failed; the report is still written), 3 output I/O failure.
+failed; the report is still written), 3 output I/O failure (a report
+file, or stdout, a closed pipe included).  Each subcommand returns its
+exit code, table and lines; ``main`` alone writes them.
 
 Observations on a general range [a, b] are supported by affine
 rescaling at this boundary only: pass ``--range a b`` to bounds/ci and
@@ -21,6 +23,7 @@ deviations are interpreted in data units (t_unit = t / (b - a)).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import math
@@ -34,6 +37,7 @@ from . import __version__
 from .bounds import (
     RangeBounds,
     Side,
+    _shown,
     side_anchor,
     t_for_confidence,
     tail_bound_report,
@@ -178,33 +182,28 @@ def load_model_file(path: str) -> MixingMeasure:
 # ---------------------------------------------------------------------------
 
 
-def _named(text: str) -> str:
-    """text for a message: its repr, or past 20 characters its length."""
-    return repr(text) if len(text) <= 20 else f"a text of {len(text)} characters"
-
-
 def _decimal(text: str, what: str) -> int:
     """text as an int if it is at most 20 decimal digits, else DomainError: int()
     also reads " 2" and "+2", and a longer text is past every range checked."""
     if text.isdecimal() and len(text) <= 20:
         return int(text)
-    raise DomainError(f"{what} must be a decimal integer of at most 20 digits, got {_named(text)}")
+    raise DomainError(f"{what} must be a decimal integer of at most 20 digits, got {_shown(text)}")
 
 
-def _int_flag(text: str) -> int:
-    """An integer flag's value as int() reads it; the command decides its range."""
-    try:
-        return int(text)
-    except ValueError:  # argparse's own message would echo the literal whole
-        raise argparse.ArgumentTypeError(f"invalid int value: {_named(text)}") from None
+def _flag(convert, refusal: str):
+    """The type of a flag whose value is ``convert(text)``; the command decides
+    its range.  A text that convert refuses is named in ``refusal``'s ``{}``
+    by :func:`bounds._shown`: argparse's own message would echo it whole."""
+    def flag(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(refusal.format(_shown(text))) from None
+    return flag
 
 
-def _float_flag(text: str) -> float:
-    """A real flag's value as float() reads it; the command decides its range."""
-    try:
-        return float(text)
-    except ValueError:  # argparse's own message would echo the literal whole
-        raise argparse.ArgumentTypeError(f"invalid float value: {_named(text)}") from None
+_int_flag = _flag(int, "invalid int value: {}")
+_float_flag = _flag(float, "invalid float value: {}")
 
 
 def _choice_flag(choices):
@@ -214,7 +213,7 @@ def _choice_flag(choices):
         if text in choices:
             return text
         raise argparse.ArgumentTypeError(
-            f"invalid choice: {_named(text)} (choose from {', '.join(map(repr, choices))})")
+            f"invalid choice: {_shown(text)} (choose from {', '.join(map(repr, choices))})")
     return choice
 
 
@@ -253,7 +252,13 @@ def _load_models(args) -> list[tuple[str, MixingMeasure]]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_bounds(args) -> int:
+# Each command returns (exit code, table or None, lines, stderr lines) and
+# writes nothing; main writes the table to --out or stdout, then the lines
+# to stdout, or to stderr when the table took stdout, then the stderr lines.
+Result = tuple[int, Optional[Union[Report, HistogramReport]], list[str], list[str]]
+
+
+def cmd_bounds(args) -> Result:
     r = RangeBounds(*args.range)
     scale = r.b - r.a
     mu_plus, mu_minus = args.mu_plus, args.mu_minus
@@ -261,19 +266,14 @@ def cmd_bounds(args) -> int:
         raise ExchboundError(f"need 0 <= mu_minus <= mu_plus <= 1, got {mu_minus}, {mu_plus}")
     t = args.t / scale
     summary = ModelSummary(mu_plus=mu_plus, mu_minus=mu_minus, mu=mu_minus)  # mu is not read
-    # both reports validate M and t before anything is printed
-    upper = _bound_line(Side.UPPER, summary, args.m, t)
-    lower = _bound_line(Side.LOWER, summary, args.m, t)
-    print(
-        f"M={args.m} t={format_value(t)}"
-        + (f" (data units: {format_value(args.t)})" if scale != 1.0 else "")
-    )
-    print(upper)
-    print(lower)
-    return EXIT_OK
+    lines = [f"M={args.m} t={format_value(t)}"
+             + (f" (data units: {format_value(args.t)})" if scale != 1.0 else "")]
+    for side in (Side.UPPER, Side.LOWER):
+        lines.append(_bound_line(side, summary, args.m, t))
+    return EXIT_OK, None, lines, []
 
 
-def cmd_ci(args) -> int:
+def cmd_ci(args) -> Result:
     r = RangeBounds(*args.range)
     scale = r.b - r.a
     t = t_for_confidence(args.m, args.delta)
@@ -281,77 +281,43 @@ def cmd_ci(args) -> int:
     if not math.isfinite(t_data):  # a finite width can still carry t past the float range
         raise DomainError(f"t in data units passes the float range: t={format_value(t)} at "
                           f"unit scale times a width of {format_value(scale)}")
-    print(
-        f"t={format_value(t_data)}"
-        + (f" (unit scale: {format_value(t)})" if scale != 1.0 else "")
-    )
     confidence = 1.0 - 2.0 * args.delta
-    print(
+    lines = [
+        f"t={format_value(t_data)}" + (f" (unit scale: {format_value(t)})" if scale != 1.0 else ""),
         "Xbar lies in [mu_minus - t, mu_plus + t] with probability >= "
         + (f"1 - 2*delta = {format_value(confidence)}, provided t < 1 - mu_plus and "
            "t < mu_minus (validity windows)." if confidence > 0.0
-           else "0: for delta >= 0.5 the two-sided statement is vacuous.")
-    )
-    return EXIT_OK
+           else "0: for delta >= 0.5 the two-sided statement is vacuous."),
+    ]
+    return EXIT_OK, None, lines, []
 
 
-def _write_or_fail(table: Union[Report, HistogramReport], out: Optional[str], fmt: str):
-    """Write the table to ``out``, or to stdout without one.
-
-    Returns the stream for the command's own lines: stderr when the table
-    went to stdout, so stdout stays one parseable CSV or JSON document.
-    """
-    if out is None:
-        sys.stdout.write(ENCODERS[fmt](table))
-        return sys.stderr
-    try:
-        write_report(table, out, fmt)
-    except OSError as e:
-        raise _IOFailure(f"cannot write {out}: {e}") from e
-    return sys.stdout
-
-
-class _IOFailure(Exception):
-    pass
-
-
-def _sweep_report(args, lines, **sweep_args) -> Report:
-    """Run one sweep and write its report, then the command's ``lines(report)``.
-
-    A failed cell is also counted on stderr, and its command exits 2.
-    """
+def _sweep_report(args, **sweep_args) -> tuple[Report, list[str]]:
+    """One sweep's report, and the stderr line that counts its failed cells
+    if any: a failed cell also makes its command exit 2."""
     threads = _decimal(os.environ.get(THREADS_ENV_VAR, "1"), THREADS_ENV_VAR)
     sweep = run_sweep(
         sides=_SIDES[args.side], replications=args.reps, master_seed=args.seed,
         level=args.level, threads=threads, **sweep_args,
     )
     report = Report.from_sweep(sweep, __version__, _timestamp())
-    log = _write_or_fail(report, args.out, args.format)
-    for line in lines(report):
-        print(line, file=log)
-    if report.failures:
-        print(f"error: {len(report.failures)} cells failed", file=sys.stderr)
-    return report
+    return report, [f"error: {len(report.failures)} cells failed"] if report.failures else []
 
 
-def _estimate_lines(report: Report):
-    for row in report.rows:
-        yield (
-            f"{row.model_id} M={row.M} t={format_value(row.t)} side={row.side} "
-            f"p_hat={format_value(row.value)} "
-            f"ci=[{format_value(row.ci_low)}, {format_value(row.ci_high)}] "
-            f"hoeffding={format_value(row.hoeffding)} kl_form={format_value(row.kl_form)} "
-            f"valid={format_value(row.valid)} violation={format_value(row.violation)}"
-        )
-
-
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> Result:
     models = [(Path(args.model).stem, load_model_file(args.model))]
-    report = _sweep_report(
-        args, _estimate_lines, models=models, M_grid=[args.m], t_grid=[args.t],
-        method="montecarlo",
+    report, errors = _sweep_report(
+        args, models=models, M_grid=[args.m], t_grid=[args.t], method="montecarlo",
     )
-    return EXIT_USAGE if report.failures else EXIT_OK
+    lines = [
+        f"{row.model_id} M={row.M} t={format_value(row.t)} side={row.side} "
+        f"p_hat={format_value(row.value)} "
+        f"ci=[{format_value(row.ci_low)}, {format_value(row.ci_high)}] "
+        f"hoeffding={format_value(row.hoeffding)} kl_form={format_value(row.kl_form)} "
+        f"valid={format_value(row.valid)} violation={format_value(row.violation)}"
+        for row in report.rows
+    ]
+    return EXIT_USAGE if report.failures else EXIT_OK, report, lines, errors
 
 
 def _parse_t_grid(tokens: Sequence[str]) -> Union[int, list[float]]:
@@ -365,44 +331,39 @@ def _parse_t_grid(tokens: Sequence[str]) -> Union[int, list[float]]:
         try:
             ts.append(float(token))
         except ValueError:
-            raise ExchboundError(f"--t-grid values must be numbers, got {_named(token)}") from None
+            raise ExchboundError(f"--t-grid values must be numbers, got {_shown(token)}") from None
     return ts
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Result:
     models = _load_models(args)
     m_grid = args.m_grid or list(DEFAULT_M_GRID)
     t_grid = _parse_t_grid(args.t_grid or [DEFAULT_T_GRID])
-
-    def lines(report: Report):
-        yield (
-            f"cells={len(report.rows)} violations={len(report.violations)} "
-            f"errors={len(report.failures)} models={len(models)} reps={args.reps}"
-        )
-        for row in report.violations:
-            yield (
-                f"VIOLATION {row.model_id} M={row.M} t={format_value(row.t)} side={row.side} "
-                f"value={format_value(row.value)} ci_low={format_value(row.ci_low)} "
-                f"hoeffding={format_value(row.hoeffding)} kl_form={format_value(row.kl_form)}"
-            )
-
-    report = _sweep_report(
-        args, lines, models=models, M_grid=m_grid, t_grid=t_grid, method=args.method,
+    report, errors = _sweep_report(
+        args, models=models, M_grid=m_grid, t_grid=t_grid, method=args.method,
     )
-    if report.violations:
-        return EXIT_VIOLATION
-    return EXIT_USAGE if report.failures else EXIT_OK
+    lines = [
+        f"cells={len(report.rows)} violations={len(report.violations)} "
+        f"errors={len(report.failures)} models={len(models)} reps={args.reps}"
+    ]
+    lines += [
+        f"VIOLATION {row.model_id} M={row.M} t={format_value(row.t)} side={row.side} "
+        f"value={format_value(row.value)} ci_low={format_value(row.ci_low)} "
+        f"hoeffding={format_value(row.hoeffding)} kl_form={format_value(row.kl_form)}"
+        for row in report.violations
+    ]
+    code = EXIT_VIOLATION if report.violations else EXIT_USAGE if report.failures else EXIT_OK
+    return code, report, lines, errors
 
 
-def cmd_histogram(args) -> int:
+def cmd_histogram(args) -> Result:
     model = load_model_file(args.model)
     hist = sample_mean_histogram(
         model, M=args.m, replications=args.reps, bins=args.bins, master_seed=args.seed
     )
     table = HistogramReport.from_histogram(hist, __version__, _timestamp())
-    log = _write_or_fail(table, args.out, args.format)
-    print(f"M={hist.M} replications={sum(hist.counts)} bins={len(hist.counts)}", file=log)
-    return EXIT_OK
+    line = f"M={hist.M} replications={sum(hist.counts)} bins={len(hist.counts)}"
+    return EXIT_OK, table, [line], []
 
 
 # ---------------------------------------------------------------------------
@@ -502,16 +463,54 @@ def _range_values(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and write what it returns; the only writer of output.
+
+    A failed write exits 3, a closed pipe included.  Stdout is flushed
+    before stderr is written, so a failed stderr costs it nothing.
+    """
     parser = build_parser()
     args = parser.parse_args(_range_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
-    except _IOFailure as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+        code, table, lines, errors = args.func(args)
     except ExchboundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        code, table, lines, errors = EXIT_USAGE, None, [], [f"error: {e}"]
+    to_stdout = table is not None and args.out is None
+    out_lines, err_lines = ([], lines + errors) if to_stdout else (lines, errors)
+    stream = None  # the standard stream being written; None while the report file is
+    try:
+        if table is not None and not to_stdout:
+            write_report(table, args.out, args.format)
+        stream = sys.stdout
+        if to_stdout:
+            sys.stdout.write(ENCODERS[args.format](table))
+        for line in out_lines:
+            print(line)
+        sys.stdout.flush()  # all of stdout is out before stderr is written
+        stream = sys.stderr
+        for line in err_lines:
+            print(line, file=sys.stderr)
+    except OSError as e:
+        if stream is not None:
+            _to_devnull(stream)
+        if stream is not sys.stderr:  # a failed stderr has nowhere to be reported
+            try:
+                print(f"error: cannot write {args.out if stream is None else 'stdout'}: {e}",
+                      file=sys.stderr)
+            except OSError:  # stderr is closed too, as under 2>&1
+                _to_devnull(sys.stderr)
+        return EXIT_IO
+    return code
+
+
+def _to_devnull(stream) -> None:
+    """Point stream's file descriptor, if any, at os.devnull: the exit's flush cannot fail."""
+    try:
+        fd = stream.fileno()
+    except (OSError, ValueError):  # an in-process stream such as StringIO has none
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -64,6 +64,13 @@ def _reflect(x: Scalar) -> Fraction:
     return 1 - Fraction(x)
 
 
+def _in_unit(x) -> bool:
+    """Whether x is a real number in [0, 1]: as_float refuses what is not a
+    real number (NaN included), and x is then compared as given, so that a
+    Fraction is compared exactly."""
+    return 0 <= as_float(x) <= 1 and 0 <= x <= 1
+
+
 # ---------------------------------------------------------------------------
 # Components
 # ---------------------------------------------------------------------------
@@ -76,7 +83,7 @@ class Bernoulli:
     p: Scalar
 
     def __post_init__(self) -> None:
-        if not 0 <= self.p <= 1:  # False for NaN as well
+        if not _in_unit(self.p):
             raise InvalidModel(f"Bernoulli p must lie in [0,1], got {_shown(self.p)}")
 
     def mean(self) -> float:
@@ -101,7 +108,7 @@ class PointMass:
     c: Scalar
 
     def __post_init__(self) -> None:
-        if not 0 <= self.c <= 1:
+        if not _in_unit(self.c):
             raise InvalidModel(f"PointMass c must lie in [0,1], got {_shown(self.c)}")
 
     def mean(self) -> float:
@@ -150,7 +157,7 @@ class DiscreteOnUnit:
                 f"points/weights length mismatch: {len(self.points)} vs {len(self.weights)}"
             )
         for x in self.points:
-            if not 0 <= x <= 1:
+            if not _in_unit(x):
                 raise InvalidModel(f"DiscreteOnUnit point {_shown(x)} outside [0,1]")
         for a, b in zip(self.points, self.points[1:]):
             if not a < b:
@@ -387,7 +394,7 @@ ParamDensity = Union[UniformDensity, TruncatedBetaDensity]
 
 
 def _check_support(d: ParamDensity) -> None:
-    if not 0 <= d.lo < d.hi <= 1:
+    if not (_in_unit(d.lo) and _in_unit(d.hi) and d.lo < d.hi):
         raise InvalidModel(
             f"support endpoints must satisfy 0 <= lo < hi <= 1, "
             f"got [{_shown(d.lo)}, {_shown(d.hi)}]"

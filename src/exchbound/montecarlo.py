@@ -741,7 +741,7 @@ def run_sweep(
             for M in M_grid:
                 # a repeated group would repeat its rows and draw from its stream
                 if (model_id, M, side) in keys:
-                    raise DomainError(f"duplicate group model_id={model_id!r} M={M} side={side}")
+                    raise DomainError(f"duplicate group model_id={_shown(model_id)} M={M} side={side}")
                 keys.add((model_id, M, side))
                 seed = _law_seed(master_seed, model_id, M, side)
                 groups.append(_Group(model_id, m, anchor, M, side, seed, ts))

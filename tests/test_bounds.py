@@ -44,7 +44,7 @@ from exchbound import (
     t_for_confidence,
     tail_bound_report,
 )
-from exchbound.bounds import side_anchor
+from exchbound.bounds import _shown, side_anchor
 from exchbound.oracle import sum_threshold
 
 
@@ -537,6 +537,13 @@ HUGE_ARGUMENT_CALLS = {
 def test_a_huge_int_is_refused_by_its_check_and_named_by_its_size(error, call):
     with pytest.raises(error, match="an integer of 16610 bits"):
         call()
+
+
+def test_a_text_past_20_characters_is_named_by_its_length():
+    assert _shown("x" * 20) == repr("x" * 20)
+    assert _shown("x" * 21) == "a text of 21 characters"
+    with pytest.raises(DomainError, match="got a text of 5000 characters$"):
+        TailQuery(5, 0.1, "x" * 5000)
 
 
 def f32_range(a, b):

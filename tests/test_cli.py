@@ -1,7 +1,9 @@
 """Model-file ingestion, report encodings, and CLI contracts."""
 
 import csv
+import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -950,6 +952,52 @@ class TestCliCommands:
             reports.append(strip_timestamps(out_path.read_text()))
         assert passed == [3, 1] and reports[0] == reports[1]
 
+    @pytest.mark.parametrize("command", COMMAND_ARGS)
+    def test_commands_return_their_output_and_write_nothing(self, tmp_path, capsys, command):
+        model = write_model(tmp_path, TWO_ATOM_DOC)
+        argv = [command, *(model if a == "a/m.json" else a for a in COMMAND_ARGS[command])]
+        args = exchbound.cli.build_parser().parse_args(argv)
+        code, table, lines, errors = args.func(args)
+        assert capsys.readouterr() == ("", "")
+        assert (code, errors) == (0, []) and lines and all(isinstance(l, str) for l in lines)
+        assert (table is None) == (command in ("bounds", "ci"))
+        # main writes the lines to stdout, or to stderr when the table took stdout
+        assert main(argv) == 0
+        written = capsys.readouterr()
+        shown = written.out if table is None else written.err
+        assert shown == "".join(line + "\n" for line in lines)
+
+    def test_a_failed_write_to_an_in_process_stream_exits_3(self, monkeypatch, capsys):
+        class ClosedPipe(io.StringIO):  # an in-process stream: no file descriptor
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        closed = ClosedPipe()
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(["bounds", *COMMAND_ARGS["bounds"]]) == 3
+        assert sys.stdout is closed
+        assert capsys.readouterr().err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["table-on-stdout", "out"])
+    def test_a_failed_stderr_exits_3_and_costs_stdout_nothing(
+        self, tmp_path, monkeypatch, capsys, to_file
+    ):
+        class FullDevice(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        # with --out, stdout takes the summary line and stderr the failed cell's count
+        model_path = write_model(tmp_path, BETA_BERN_DOC)
+        argv = ["verify", "--model", model_path, "--m-grid", "1000000000000", "--t-grid", "0.1",
+                "--side", "upper", "--reps", "10"]
+        argv += ["--out", str(tmp_path / "r.csv")] if to_file else []
+        assert main(argv) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout and stderr.endswith("error: 1 cells failed\n")
+        monkeypatch.setattr(sys, "stderr", FullDevice())
+        assert main(argv) == 3
+        assert strip_timestamps(capsys.readouterr().out) == strip_timestamps(stdout)
+
     def test_histogram_ignores_exchbound_threads(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EXCHBOUND_THREADS", "abc")
         model_path = write_model(tmp_path, TWO_ATOM_DOC)
@@ -1044,6 +1092,59 @@ def fresh_interpreter(code: str) -> str:
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     return done.stdout.strip()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bounds", *COMMAND_ARGS["bounds"]], ["ci", *COMMAND_ARGS["ci"]],
+     ["verify", "--m-grid", "2", "--method", "exact"], ["histogram", "--model", "@", "--m", "2"]],
+    ids=["bounds", "ci", "verify", "histogram"],
+)
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_closed_pipe_exits_3_with_one_error_line(tmp_path, argv, unbuffered):
+    # exit 1 means "bound violated"; a reader that went away is an output failure
+    model = write_model(tmp_path, TWO_ATOM_DOC)
+    path = str(Path(exchbound.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "exchbound.cli", *(model if a == "@" else a for a in argv)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 3
+    assert done.stderr == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
+GOLDEN_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}  # the versions CI pins
+
+# SHA-256 of each default verify report with its timestamp line removed.  A
+# change that moves a row updates its digest and names the row in CHANGES.md.
+# Every default cell has an exact path, so auto's report is exact's.
+GOLDEN_DIGESTS = {
+    "auto": "f5c14115625b7975445b3a8555cec21d50b7f5965c2c0860ba110ee95662fb4f",
+    "exact": "f5c14115625b7975445b3a8555cec21d50b7f5965c2c0860ba110ee95662fb4f",
+    "montecarlo": "4ff373e0222fcb384974ecfd76ae8712a7cb2b7e362d07764b804748a5a872e3",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("method", GOLDEN_DIGESTS)
+def test_default_verify_reports_match_their_golden_digests(tmp_path, monkeypatch, method, threads):
+    import scipy
+
+    found = {"numpy": np.__version__, "scipy": scipy.__version__}
+    if found != GOLDEN_VERSIONS:
+        pytest.skip(f"digests pinned under {GOLDEN_VERSIONS}, found {found}")
+    monkeypatch.setenv("EXCHBOUND_THREADS", threads)
+    out_path = tmp_path / "verify.csv"
+    assert main(["verify", "--method", method, "--out", str(out_path)]) == 0
+    lines = out_path.read_text().splitlines(keepends=True)
+    text = "".join(line for line in lines if not line.startswith("# timestamp:"))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[method]
 
 
 def test_cli_import_leaves_out_heavy_scipy_modules():

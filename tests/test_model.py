@@ -118,6 +118,30 @@ class TestValidation:
         with pytest.raises(InvalidModel):
             FiniteMixture([])
 
+    @pytest.mark.parametrize(
+        "build,message",
+        [(lambda: Bernoulli("0.5"), "Bernoulli p must lie in [0,1], got '0.5'"),
+         (lambda: PointMass(None), "PointMass c must lie in [0,1], got None"),
+         (lambda: DiscreteOnUnit(["a", 1.0], [0.5, 0.5]), "DiscreteOnUnit point 'a' outside [0,1]"),
+         (lambda: UniformDensity("0.1", 0.5),
+          "support endpoints must satisfy 0 <= lo < hi <= 1, got ['0.1', 0.5]")],
+        ids=["bernoulli-str", "pointmass-none", "discrete-str", "uniform-str"],
+    )
+    def test_a_parameter_that_is_not_a_real_number_is_an_invalid_model(self, build, message):
+        with pytest.raises(InvalidModel) as refused:
+            build()
+        assert str(refused.value) == message
+
+    def test_reflected_parameters_stay_exact(self):
+        # a Fraction is compared as given: one just past 1 is refused, though
+        # it rounds to 1.0, and reflection keeps each value exact
+        with pytest.raises(InvalidModel):
+            Bernoulli(1 + Fraction(1, 10**400))
+        density = UniformDensity(0.2, 0.7).reflect()
+        assert (density.lo, density.hi) == (1 - Fraction(0.7), 1 - Fraction(0.2))
+        assert DiscreteOnUnit([0.0, 0.3], [0.5, 0.5]).reflect().points == (
+            1 - Fraction(0.3), Fraction(1))
+
     def test_param_mixture_support_ordering(self):
         with pytest.raises(InvalidModel):
             UniformDensity(lo=0.8, hi=0.2)

@@ -1025,8 +1025,10 @@ class TestRunSweep:
             ([("two_atom", TWO_ATOM)], [2], [0.1, 0.1], "t_grid repeats t=0.1"),
             ([("two_atom", TWO_ATOM), ("two_atom", ZERO_ONE)], [2], [0.1],
              "duplicate group model_id='two_atom' M=2 side=upper"),
+            ([("x" * 5000, TWO_ATOM)], [2, 2], [0.1],
+             "duplicate group model_id=a text of 5000 characters M=2 side=upper"),
         ],
-        ids=["M", "t", "model_id"],
+        ids=["M", "t", "model_id", "model_id-5000-characters"],
     )
     def test_duplicate_row_keys_rejected(self, monkeypatch, models, M_grid, t_grid, message):
         monkeypatch.setattr(
