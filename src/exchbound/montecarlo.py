@@ -10,8 +10,8 @@ their count vectors together, counting the batches that share one
 (``_counted_multinomial``); a one-point atom draws nothing, its sum
 being M times its point.  The count S of a Bernoulli parameter mixture
 is Beta-binomial: a law with many batches per sum takes the oracle's
-exact masses of S once and draws, block by block, how many reach each
-sum 0..M as one multinomial over them (``_counted_draw``), and a smaller
+exact masses of S once and draws how many reach each sum 0..M as one
+multinomial over them (``_counted_draw``), and a smaller
 law draws each batch's parameter p by ``quantile``, then its binomial sum.
 This is distributionally identical to materializing the M individual
 observations (the batch is conditionally i.i.d.), and it is what makes
@@ -19,8 +19,15 @@ observations (the batch is conditionally i.i.d.), and it is what makes
 per-observation sampler in :mod:`exchbound.sampler` remains the
 reference mechanism and the tests cross-validate the two.
 
-Replications are processed in fixed blocks of 2^16, one derived stream
-per (master_seed, block_index).  ``_block_stream`` is SFC64, seeded with
+A law's replications are drawn in blocks, one derived stream per
+(master_seed, block_index).  A counted law whose draws hold at most 2^16
+rows of count vectors, however many batches it has (``_one_block``), is
+one block of all its replications, on stream 0, so its stage chain runs
+once.  A law drawn batch by batch (a Beta atom, or a parameter mixture
+with few batches per sum), whose memory grows with its batches, is drawn
+in fixed blocks of 2^16, and so is a lattice atom that could hold more
+rows (a Bernoulli past M = 2^16 - 1, three points past M = 255).
+``_block_stream`` is SFC64, seeded with
 the first three words of the Philox stream ``sampler.derive_stream``
 gives the block: Beta draws, the bulk of a block's work, are bound by
 the generator, and SFC64 makes its words about four times faster;
@@ -80,7 +87,6 @@ import numpy as np
 from scipy import special
 
 from .bounds import (
-    ENGINE_M_LIMIT,
     Side,
     TailQuery,
     _shown,
@@ -104,7 +110,13 @@ from .model import (
 from .oracle import SumTable, _beta_binomial_terms, exact_tail, lattice_points, sum_threshold
 from .sampler import SeedSpec, _Words, check_master_seed, derive_stream, mix64
 
-BLOCK_SIZE = 1 << 16
+BLOCK_SIZE = 1 << 16  # batches per block of a blocked law; most rows a one-block law holds
+
+# replications and Clopper-Pearson n stay below this: each limit's distance
+# to k/n is within 1e-4 of the exact one below it, over k/n in [1e-4, 0.999]
+# (scipy 1.17.1's betaincinv: 6.8e-5 just below 2^44, 2.5e-3 at 2^45, 30% at
+# 2^50), and numpy's multinomial rounds its counts past 2^53
+REPLICATIONS_LIMIT = 1 << 44
 
 BETA_CHUNK = 1 << 17  # Beta draws held at once: 1 MB of float64
 
@@ -151,9 +163,10 @@ def clopper_pearson_interval(successes: int, n: int, level: float = DEFAULT_CI_L
     proportion lies below the lower limit with probability at most
     (1 - level)/2, whatever it is.  Wilson's score interval passes that
     rate several-fold near 0 (Brown, Cai and DasGupta, Statist. Sci. 2001),
-    where the bounds of large M lie.
+    where the bounds of large M lie.  n lies below REPLICATIONS_LIMIT, from
+    which scipy's limits come out measurably too narrow.
     """
-    n = check_int("n", n, 1)
+    n = check_int("n", n, 1, REPLICATIONS_LIMIT)
     successes = check_int("successes", successes, 0, n + 1)
     return _clopper_pearson(successes, n, _check_level(level))
 
@@ -389,11 +402,28 @@ def _draws_per_batch(m: MixingMeasure, M: int, replications: int) -> bool:
     """Whether a drawn law of ``replications`` batches of M draws draws every
     batch: a Beta atom's rows always, and a parameter mixture's parameters
     below PARAM_COUNT_FACTOR * (M + 1) replications.  Every other law is
-    counted, block by block, from exact masses (``_block_sums``)."""
+    counted from exact masses (``_block_sums``)."""
     if isinstance(m, BernoulliParamMixture):
         # below F*(M + 1); no product: M may be 2^63 - 1
         return replications // PARAM_COUNT_FACTOR <= M
     return any(isinstance(c, Beta) for c in m.components)
+
+
+def _one_block(m: MixingMeasure, M: int) -> bool:
+    """Whether a counted law holds at most BLOCK_SIZE rows, however many
+    batches it draws, and so is drawn as one block of them all.
+
+    A parameter mixture's rows are its sums 0..M, whose masses it holds in
+    any case.  A lattice atom's chain (``_counted_multinomial``) has one
+    stage per point of positive weight past the first, and each stage
+    splits a group into at most M + 1 rows, its drawn outcomes or its
+    batches, so (M + 1)^stages bounds the rows of every atom.
+    """
+    if isinstance(m, BernoulliParamMixture):
+        return True
+    stages = max(sum(w != 0 for w in c.discrete_law()[1][1:]) for c in m.components)
+    # M first: the power of an M near 2^63 over many stages is a huge int
+    return stages == 0 or (M < BLOCK_SIZE and (M + 1) ** stages <= BLOCK_SIZE)
 
 
 @functools.lru_cache(maxsize=16)  # a 10^5-replication Beta table holds 1.6 MB
@@ -407,8 +437,10 @@ def _empirical_law(
     row of M draws, so past BETA_MAX_M it raises DomainError before any draw.
     A parameter mixture's law that is not drawn batch by batch
     (``_draws_per_batch``) takes its exact masses of S = 0..M, the oracle's
-    Beta-binomial terms, here once, and every block is counted from them
-    (``_block_sums``).
+    Beta-binomial terms, here once, and is counted from them (``_block_sums``).
+    A counted law of at most BLOCK_SIZE rows (``_one_block``) is one block
+    of all its replications, on stream SeedSpec(seed, 0); every other law is
+    drawn in blocks of BLOCK_SIZE, block i on stream SeedSpec(seed, i).
     """
     per_batch = _draws_per_batch(m, M, replications)
     masses = None
@@ -417,10 +449,11 @@ def _empirical_law(
             masses = _beta_binomial_terms(m.density, M, 0, M + 1)
     elif per_batch and M > BETA_MAX_M:  # a Beta atom
         raise DomainError(f"M must be <= {BETA_MAX_M} for a Beta component, got {M}")
+    block = replications if not per_batch and _one_block(m, M) else BLOCK_SIZE
     parts: dict[Optional[int], list[tuple[np.ndarray, np.ndarray]]] = {}
-    for block_index, start in enumerate(range(0, replications, BLOCK_SIZE)):
+    for block_index, start in enumerate(range(0, replications, block)):
         gen = _block_stream(SeedSpec(master_seed=seed, replication_index=block_index))
-        size = min(BLOCK_SIZE, replications - start)
+        size = min(block, replications - start)
         for scale, keys, counts in _block_sums(m, M, size, gen, masses):
             parts.setdefault(scale, []).append((keys, counts))
     return tuple(SumTable(scale, *_add_by_key(*map(np.concatenate, zip(*pieces))))
@@ -460,7 +493,7 @@ def estimate_tail(
     with the same model, M, replications and seed share one drawn law
     (``_empirical_law``), whatever their t.
     """
-    replications = check_int("replications", replications, 1, ENGINE_M_LIMIT)
+    replications = check_int("replications", replications, 1, REPLICATIONS_LIMIT)
     master_seed = check_master_seed(master_seed)
     a = side_anchor(summarize(m), q.side)
     if q.side is Side.LOWER:
@@ -500,7 +533,7 @@ def sample_mean_histogram(
 ) -> HistogramResult:
     """Histogram of Xbar over replications, bins uniform on [0, 1]."""
     bins = check_int("bins", bins, 2, HISTOGRAM_MAX_BINS + 1)
-    replications = check_int("replications", replications, 1, ENGINE_M_LIMIT)
+    replications = check_int("replications", replications, 1, REPLICATIONS_LIMIT)
     M = check_engine_m(M)
     master_seed = check_master_seed(master_seed)
     edges = np.linspace(0.0, 1.0, bins + 1)
@@ -683,14 +716,14 @@ def run_sweep(
     its report column declares, so every report parses back to its rows:
     each M by ``bounds.check_engine_m``, each explicit t as the float
     ``bounds.check_t`` returns, the level as a float, and replications in
-    [1, 2^63).  A model id that is not a str, an unknown method, a level
-    that is not a real number in (0, 1), a ``t_grid`` that is neither an
-    integer in [0, T_GRID_MAX] nor a sequence, an explicit t repeated, a
-    side other than a Side, "upper" or "lower", a master seed outside [0,
-    2^64), a thread count outside [1, THREADS_LIMIT), or two groups with
-    one key (model_id, M, side), even of different models or t grids,
-    raise DomainError; a t that is not a real number, finite and > 0
-    raises InvalidT.
+    [1, REPLICATIONS_LIMIT).  A model id that is not a str, an unknown
+    method, a level that is not a real number in (0, 1), a ``t_grid``
+    that is neither an integer in [0, T_GRID_MAX] nor a sequence, an
+    explicit t repeated, a side other than a Side, "upper" or "lower", a
+    master seed outside [0, 2^64), a thread count outside [1,
+    THREADS_LIMIT), or two groups with one key (model_id, M, side), even
+    of different models or t grids, raise DomainError; a t that is not a
+    real number, finite and > 0 raises InvalidT.
 
     With ``threads`` > 1, a pool of that many threads takes the groups
     whose cells read a law drawn batch by batch (``_draws_per_batch``: a
@@ -722,7 +755,7 @@ def run_sweep(
     if not sides:
         raise EmptyGrid("sides list is empty")
     sides = [check_side(side) for side in sides]
-    replications = check_int("replications", replications, 1, ENGINE_M_LIMIT)
+    replications = check_int("replications", replications, 1, REPLICATIONS_LIMIT)
     if method not in METHODS:
         raise DomainError(f"unknown sweep method {_shown(method)}")
     level = _check_level(level)

@@ -696,6 +696,9 @@ class TestCliCommands:
             ("verify", ["--t-grid", "auto:1" + "0" * 5000], None),
             ("verify", ["--t-grid", "auto:" + "9" * 20], None),
             ("verify", ["--t-grid", "0" * 5000 + "x"], None),
+            ("verify", ["--reps", str(2**44)], None),
+            ("simulate", ["--reps", str(2**44)], None),
+            ("histogram", ["--reps", str(2**44)], None),
         ],
         ids=[
             "auto-abc", "auto-0", "inf", "nan", "abc", "level", "m-0", "threads-env",
@@ -710,7 +713,7 @@ class TestCliCommands:
             "ci-m-past-float", "bounds-m-past-float", "ci-t-past-float",
             "simulate-seed-2^64", "verify-seed-negative", "histogram-seed-2^64",
             "threads-env-5000-digits", "auto-5000-digits", "auto-20-digits",
-            "t-5000-characters",
+            "t-5000-characters", "verify-reps-2^44", "simulate-reps-2^44", "histogram-reps-2^44",
         ],
     )
     def test_verify_rejects_bad_arguments_before_any_cell(
@@ -1127,7 +1130,7 @@ GOLDEN_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}  # the versions CI pins
 GOLDEN_DIGESTS = {
     "auto": "f5c14115625b7975445b3a8555cec21d50b7f5965c2c0860ba110ee95662fb4f",
     "exact": "f5c14115625b7975445b3a8555cec21d50b7f5965c2c0860ba110ee95662fb4f",
-    "montecarlo": "4ff373e0222fcb384974ecfd76ae8712a7cb2b7e362d07764b804748a5a872e3",
+    "montecarlo": "8aea43cd75491e0c12a5742aa6fe853e12eda21332bfcb1620c49a858fc3f132",
 }
 
 

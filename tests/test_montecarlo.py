@@ -49,7 +49,7 @@ from exchbound import (
 )
 from exchbound import montecarlo, oracle
 from exchbound.bounds import side_anchor
-from exchbound.montecarlo import _block_stream, window_t_grid
+from exchbound.montecarlo import TailEstimate, _block_stream, window_t_grid
 from exchbound.oracle import _beta_binomial_terms, lattice_points
 from exchbound.reporting import HistogramReport, Report, to_json
 from exchbound.sampler import derive_stream, mix64
@@ -588,8 +588,9 @@ class TestCountedBinomial:
     """A Bernoulli atom with more batches than outcomes draws their counts as one multinomial."""
 
     def test_counted_law_fits_the_binomial_pmf(self):
-        # chi-square of 40 blocks of 2^16 against the exact rational pmf, outcomes
-        # pooled in order until each cell expects at least 5; accepted at 0.001
+        # chi-square of 40 * 2^16 counted draws, one block, against the exact
+        # rational pmf, outcomes pooled in order until each cell expects at least
+        # 5; accepted at 0.001
         M, p, reps = 50, 0.3, 40 * montecarlo.BLOCK_SIZE
         (table,) = montecarlo._empirical_law.__wrapped__(
             FiniteMixture([(1.0, Bernoulli(p))]), M, reps, 67
@@ -670,7 +671,7 @@ class TestCountedMultinomial:
 
     @pytest.mark.parametrize("M", [10, 50])
     def test_chain_fits_the_lattice_pmf(self, M):
-        # chi-square of 40 blocks of 2^16 against the exact rational pmf
+        # chi-square of 40 * 2^16 counted draws, one block, against the exact rational pmf
         weights, reps = (0.2, 0.3, 0.5), 40 * montecarlo.BLOCK_SIZE
         (table,) = montecarlo._empirical_law.__wrapped__(self.atom(weights), M, reps, 83)
         assert table.scale == 2
@@ -843,21 +844,22 @@ class TestParamMixtureBlocks:
         ids=["uniform", "tbeta"],
     )
     def test_a_law_is_counted_from_f_batches_per_sum(self, d, M, below):
-        # each block of a law of F*(M + 1) replications, however few batches it
-        # holds, draws one multinomial over the oracle's masses of 0..M, in
-        # ascending order of mass; a law of one fewer draws p, then S, per batch.
-        # At M = 4096 such a law passes one block, and its second holds 16 or 15
+        # a law of F*(M + 1) replications is counted: one multinomial of them all
+        # over the oracle's masses of 0..M, in ascending order of mass, on stream
+        # 0, however many blocks of 2^16 it would fill (at M = 4096, two); a law
+        # of one fewer draws p, then S, per batch, in blocks of 2^16
         reps = montecarlo.PARAM_COUNT_FACTOR * (M + 1) - below
         masses = _beta_binomial_terms(d, M, 0, M + 1)
         order = np.argsort(masses, kind="stable")
         drawn = np.zeros(M + 1, dtype=np.int64)
-        for block, start in enumerate(range(0, reps, montecarlo.BLOCK_SIZE)):
-            n = min(montecarlo.BLOCK_SIZE, reps - start)
-            reference = _block_stream(SeedSpec(master_seed=113, replication_index=block))
-            if below:
+        if below:
+            for block, start in enumerate(range(0, reps, montecarlo.BLOCK_SIZE)):
+                n = min(montecarlo.BLOCK_SIZE, reps - start)
+                reference = _block_stream(SeedSpec(master_seed=113, replication_index=block))
                 np.add.at(drawn, reference.binomial(M, d.quantile(reference.random(n))), 1)
-            else:
-                drawn[order] += reference.multinomial(n, masses[order] / masses[order].sum())
+        else:
+            reference = _block_stream(SeedSpec(master_seed=113, replication_index=0))
+            drawn[order] = reference.multinomial(reps, masses[order] / masses[order].sum())
         (table,) = montecarlo._empirical_law.__wrapped__(BernoulliParamMixture(d), M, reps, 113)
         keys = np.flatnonzero(drawn)
         assert table.scale == 1 and table.keys.tolist() == keys.tolist()
@@ -865,8 +867,9 @@ class TestParamMixtureBlocks:
 
     @pytest.mark.parametrize("reps,calls", [(100_000, 1), (16 * 11 - 1, 0)], ids=["counted", "raw"])
     def test_a_counted_law_computes_its_masses_once(self, monkeypatch, reps, calls):
-        # the per-law rule is taken once, where the law is drawn: a counted law of
-        # two blocks reads one table of masses, and a law drawn per batch none
+        # the per-law rule is taken once, where the law is drawn: a counted law,
+        # one block of 10^5 batches, reads one table of masses, and a law drawn
+        # per batch none
         made = []
 
         def recorded(d, M, start, stop):
@@ -889,24 +892,24 @@ class TestParamMixtureBlocks:
         assert all(850 < c < 1_150 for c in hist.counts)  # Xbar is uniform: 1000 +- 5 sd
 
     # digests of the drawn laws: a law of 10^5 replications is counted up to
-    # M = 6249, in both of its blocks, and draws p per batch at M = 8000;
+    # M = 6249, in one block, and draws p per batch, in two blocks, at M = 8000;
     # pieces of every law add up by key
     TBETA = BernoulliParamMixture(TruncatedBetaDensity(2.0, 5.0, 0.1, 0.9))
     UNIFORM = suite_model("uniform_param")
     PINNED = [
-        (TBETA, 10, 100_000, 7, "bc22b1767cac098d"),
-        (TBETA, 200, 100_000, 7, "6de829fe76346d8b"),
-        (flip_model(TBETA), 10, 100_000, 7, "154b07f6c0939606"),
+        (TBETA, 10, 100_000, 7, "7df8954fc8025ece"),
+        (TBETA, 200, 100_000, 7, "0c72b82466183fca"),
+        (flip_model(TBETA), 10, 100_000, 7, "d1989f358d105851"),
         (FiniteMixture([(0.6, Beta(2.0, 5.0)), (0.4, Bernoulli(0.7))]), 10, 200_000, 12345,
          "ce51b4e362cd5329"),
-        (UNIFORM, 1, 100_000, 7, "9952bd6220596691"),
-        (UNIFORM, 10, 100_000, 7, "48f8a307425e5637"),
-        (UNIFORM, 50, 100_000, 7, "09599022a3f06306"),
-        (UNIFORM, 200, 100_000, 7, "5131884255cdf0b6"),
-        (UNIFORM, 5000, 100_000, 7, "cb33181fb71799ab"),
+        (UNIFORM, 1, 100_000, 7, "51c92059500be91b"),
+        (UNIFORM, 10, 100_000, 7, "0c44b52585e01ffd"),
+        (UNIFORM, 50, 100_000, 7, "126da65afc461ec2"),
+        (UNIFORM, 200, 100_000, 7, "f3b79f9d8e1cb3a1"),
+        (UNIFORM, 5000, 100_000, 7, "2199d85df38bd990"),
         (UNIFORM, 8000, 100_000, 7, "495a215a4da7d0e1"),
         # [0.2, 0.8] reflects onto itself, so its lower law is its upper law
-        (flip_model(UNIFORM), 10, 100_000, 7, "48f8a307425e5637"),
+        (flip_model(UNIFORM), 10, 100_000, 7, "0c44b52585e01ffd"),
     ]
 
     @pytest.mark.parametrize(
@@ -916,6 +919,155 @@ class TestParamMixtureBlocks:
     )
     def test_pinned_laws(self, m, M, reps, seed, digest):
         assert law_digest(montecarlo._empirical_law.__wrapped__(m, M, reps, seed)) == digest
+
+
+class TestOneBlock:
+    """A counted law whose rows fit one block is one block of all its
+    replications, on stream 0; every other law keeps its blocks of 2^16."""
+
+    THREE_POINTS = DiscreteOnUnit(points=[0.0, 0.5, 1.0], weights=[0.2, 0.3, 0.5])
+    FOUR = (0.0, 0.25, 0.5, 1.0)
+
+    def test_a_lattice_law_past_one_block_is_one_draw(self):
+        # three_atom_discrete at 70,000 replications: the atoms' shares, then the
+        # Bernoulli's counted sums and the discrete atom's chain, all on stream 0;
+        # the point mass 0.5 lands on key M at scale 2, beside the discrete atom
+        m, M, reps, seed = suite_model("three_atom_discrete"), 10, 70_000, 7
+        assert reps > montecarlo.BLOCK_SIZE
+        reference = _block_stream(SeedSpec(master_seed=seed, replication_index=0))
+        w = np.array(m.weights)
+        n_bern, n_disc, n_point = reference.multinomial(reps, w / w.sum()).tolist()
+        bern = counted_binomial(reference, n_bern, M, 0.25)
+        disc = counted_multinomial(reference, n_disc, M, self.THREE_POINTS.weights)
+        disc_keys, disc_counts = lattice_counts(disc, [0, 1, 2])
+        halves = np.zeros(2 * M + 1, dtype=np.int64)
+        halves[disc_keys] += disc_counts
+        halves[M] += n_point
+        law = montecarlo._empirical_law.__wrapped__(m, M, reps, seed)
+        assert [table.scale for table in law] == [1, 2]
+        for table, counts in zip(law, (bern, halves)):
+            keys = np.flatnonzero(counts)
+            assert table.keys.tolist() == keys.tolist()
+            tails = np.append(np.cumsum(counts[keys][::-1])[::-1], 0)
+            assert table.at_least.tolist() == tails.tolist()
+
+    def test_a_law_of_more_rows_keeps_its_blocks(self):
+        # a Bernoulli at M = 2^16 could hold 2^16 + 1 rows: 2^16 + 10 batches
+        # draw their binomials in two blocks, one stream each
+        m, M, seed = FiniteMixture([(1.0, Bernoulli(0.3))]), montecarlo.BLOCK_SIZE, 11
+        reps = montecarlo.BLOCK_SIZE + 10
+        assert not montecarlo._one_block(m, M)
+        sums = [_block_stream(SeedSpec(seed, i)).binomial(M, 0.3, size=n)
+                for i, n in enumerate((montecarlo.BLOCK_SIZE, 10))]
+        keys, counts = np.unique(np.concatenate(sums), return_counts=True)
+        (table,) = montecarlo._empirical_law.__wrapped__(m, M, reps, seed)
+        assert table.keys.tolist() == keys.tolist()
+        assert table.at_least.tolist() == np.append(np.cumsum(counts[::-1])[::-1], 0).tolist()
+
+    @pytest.mark.parametrize(
+        "components,M,one",
+        [
+            ([Bernoulli(0.3)], montecarlo.BLOCK_SIZE - 1, True),
+            ([Bernoulli(0.3)], montecarlo.BLOCK_SIZE, False),
+            ([THREE_POINTS], 255, True),
+            ([THREE_POINTS], 256, False),
+            # a zero weight adds no stage
+            ([DiscreteOnUnit(points=FOUR, weights=[0.3, 0.0, 0.45, 0.25])], 255, True),
+            ([DiscreteOnUnit(points=FOUR, weights=[0.1, 0.2, 0.3, 0.4])], 39, True),
+            ([DiscreteOnUnit(points=FOUR, weights=[0.1, 0.2, 0.3, 0.4])], 40, False),
+            # the atom of most stages decides
+            ([Bernoulli(0.3), THREE_POINTS, PointMass(0.5)], 256, False),
+            # no stage, so one row, at any M
+            ([PointMass(0.0), PointMass(1.0), Bernoulli(0.0)], (1 << 63) - 1, True),
+        ],
+        ids=["bern-2^16-1", "bern-2^16", "three-255", "three-256", "four-zero-255", "four-39",
+             "four-40", "mixture-256", "no-stage"],
+    )
+    def test_a_counted_law_is_one_block_while_its_rows_fit_one(self, components, M, one):
+        m = FiniteMixture([(1 / len(components), c) for c in components])
+        assert montecarlo._one_block(m, M) is one
+        assert montecarlo._one_block(BernoulliParamMixture(UniformDensity(0.2, 0.8)), M)
+
+    @pytest.mark.parametrize("M,weights", [(255, (0.2, 0.3, 0.5)), (65_535, (0.7, 0.3))])
+    def test_a_chain_holds_at_most_one_block_of_rows_at_any_count(self, M, weights):
+        # 2^40 batches: each stage splits a group into at most M + 1 rows
+        gen = _block_stream(SeedSpec(master_seed=137, replication_index=0))
+        vectors, counts = montecarlo._counted_multinomial(gen, 1 << 40, M, weights)
+        assert len(vectors) <= montecarlo.BLOCK_SIZE and int(counts.sum()) == 1 << 40
+
+    # the parent's digests: a law of at most one block, and a Beta+Bernoulli
+    # law, drawn batch by batch past one block, keep their draws
+    @pytest.mark.parametrize(
+        "m,M,reps,seed,digest",
+        [
+            (suite_model("three_atom_discrete"), 10, montecarlo.BLOCK_SIZE, 7, "ef1eaf495c11502c"),
+            (FiniteMixture([(0.3, Beta(2.0, 5.0)), (0.7, Bernoulli(0.4))]), 10, 70_000, 43,
+             "0e3b06a4e65575da"),
+        ],
+        ids=["three-atom-2^16", "beta-bern-70000"],
+    )
+    def test_laws_the_rule_leaves_keep_their_draws(self, m, M, reps, seed, digest):
+        assert law_digest(montecarlo._empirical_law.__wrapped__(m, M, reps, seed)) == digest
+
+
+class TestReplicationsLimit:
+    """Replications, and a Clopper-Pearson n, lie below REPLICATIONS_LIMIT."""
+
+    LIMIT = montecarlo.REPLICATIONS_LIMIT
+
+    @staticmethod
+    def worst_distance_error(n, interval):
+        """The largest relative error of a limit's distance to k/n, over k/n in
+        [1e-4, 0.999], against the Cornish-Fisher quantile of Bin(n, p),
+        k -+ 1/2 = n p +- z sqrt(n p (1 - p)) + (z^2 - 1)(1 - 2 p)/6, whose next
+        term is O(1/(n p)) relative: below 1e-8 from n = 2^40."""
+        z = statistics.NormalDist().inv_cdf(1 - 0.0005)
+        worst = 0.0
+        for r in (1e-4, 1e-3, 0.01, 0.048, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999):
+            k = round(r * n)
+            p = k / n
+            lo, hi = interval(k, n, 0.999)
+            ref_lo = ref_hi = p
+            for _ in range(8):
+                ref_lo = (k - 0.5 - z * math.sqrt(n * ref_lo * (1 - ref_lo))
+                          - (z * z - 1) * (1 - 2 * ref_lo) / 6) / n
+                ref_hi = (k + 0.5 + z * math.sqrt(n * ref_hi * (1 - ref_hi))
+                          - (z * z - 1) * (1 - 2 * ref_hi) / 6) / n
+            worst = max(worst, abs((p - lo) / (p - ref_lo) - 1), abs((hi - p) / (ref_hi - p) - 1))
+        return worst
+
+    def test_limits_below_it_keep_their_width(self):
+        assert self.worst_distance_error(self.LIMIT - 1, clopper_pearson_interval) <= 1e-4
+
+    def test_scipy_limits_past_it_lose_their_width(self):
+        # why the limit lies where it does, measured under scipy 1.17.1: at 2^45
+        # scipy's betaincinv leaves a limit 0.25% short of its distance
+        import scipy
+
+        if scipy.__version__ != "1.17.1":
+            pytest.skip(f"measured under scipy 1.17.1, found {scipy.__version__}")
+        unchecked = montecarlo._clopper_pearson.__wrapped__
+        assert self.worst_distance_error(2 * self.LIMIT, unchecked) > 1e-3
+
+    @pytest.mark.parametrize(
+        "name,call",
+        [
+            ("n", lambda reps: clopper_pearson_interval(reps // 3, reps)),
+            ("replications",
+             lambda reps: estimate_tail(TWO_ATOM, TailQuery(M=3, t=0.1, side=Side.UPPER), reps, 1)),
+            ("replications", lambda reps: sample_mean_histogram(TWO_ATOM, 3, reps, 10, 1)),
+            ("replications", lambda reps: run_sweep([("two", TWO_ATOM)], [3], [0.1], [Side.UPPER],
+                                                    reps, 1, method="montecarlo")),
+        ],
+        ids=["clopper_pearson", "estimate_tail", "histogram", "run_sweep"],
+    )
+    def test_the_largest_count_runs_and_the_next_is_refused(self, name, call):
+        # a counted law draws the largest in one block, in milliseconds
+        result = call(self.LIMIT - 1)
+        if isinstance(result, TailEstimate):
+            assert result.ci_low < result.p_hat < result.ci_high
+        with pytest.raises(DomainError, match=rf"^{name} must lie in \[1, 2\^44\), got 2\^44$"):
+            call(self.LIMIT)
 
 
 class TestModelKeys:
@@ -1147,7 +1299,7 @@ class TestRunSweep:
              "t must be finite and > 0, got an integer of 16610 bits"),
             (dict(models=[("two_atom", TWO_ATOM), (5, TWO_ATOM)]), DomainError,
              "model_id must be a str, got 5"),
-            (dict(replications=2**63), DomainError, "replications must lie in [1, 2^63), got 2^63"),
+            (dict(replications=2**63), DomainError, "replications must lie in [1, 2^44), got 2^63"),
         ],
         ids=["M-2.5", "M-str", "M-0", "M-2^63", "M-inf", "M-float64", "M-5000-digits",
              "t-0", "t-negative", "t-inf", "t-nan", "t-1e400", "t-5000-digits",
