@@ -11,8 +11,10 @@ their count vectors together, counting the batches that share one
 being M times its point.  The count S of a Bernoulli parameter mixture
 is Beta-binomial: a law with many batches per sum takes the oracle's
 exact masses of S once and draws how many reach each sum 0..M as one
-multinomial over them (``_counted_draw``), and a smaller
-law draws each batch's parameter p by ``quantile``, then its binomial sum.
+multinomial over them, and a smaller law draws each batch's parameter p
+by ``quantile``, then its binomial sum.  Every counted draw, that one and
+each stage of a lattice atom's chain, is one routine,
+``_counted_outcomes``, with one group as its smallest case.
 This is distributionally identical to materializing the M individual
 observations (the batch is conditionally i.i.d.), and it is what makes
 10^5-replication sweeps over hundreds of cells affordable.  The
@@ -211,19 +213,21 @@ def _block_sums(
     parameter mixture's single batches).
     A one-point atom's sum is the constant M*D*x, so it yields that key
     with count ni and draws nothing.  A Bernoulli(p) atom's one stage is
-    ``_counted_draw`` over the Binomial(M, p) pmf when it has ni > M
-    batches, else the ni binomials.
+    the counted draw of one group over the Binomial(M, p) pmf when it has
+    ni > M batches, else the ni binomials.
 
     A parameter mixture, uniform or truncated Beta, yields its count S at
     scale 1.  Given ``masses``, the exact law of S over 0..M that its law
     is counted from (``_empirical_law`` decides that once per law), the
     block draws how many of its n batches reach each sum as one
-    multinomial over them (``_counted_draw``); without, at any M up to
-    2^63 - 1, it draws n parameters by ``quantile``, then n binomial sums.
+    multinomial over them (``_counted_outcomes`` of one group, whose row
+    of M + 1 masses it leaves as it is); without, at any M up to 2^63 - 1,
+    it draws n parameters by ``quantile``, then n binomial sums.
     """
     if isinstance(m, BernoulliParamMixture):
         if masses is not None:
-            yield 1, *_counted_draw(gen, n, masses)
+            _, sums, counts = _counted_outcomes(gen, np.array([n]), masses[None], np.array([[M]]))
+            yield 1, sums, counts
         else:
             p = m.density.quantile(gen.random(n))
             yield 1, *np.unique(gen.binomial(M, p), return_counts=True)
@@ -264,12 +268,11 @@ def _counted_multinomial(
     and splits by it; these draws go group by group, in one call
     (``_counted_outcomes``).  Then a group
     with r <= left splits into its r batches, and all of those draw their
-    binomials in one ``gen.binomial`` call, in row order.  A stage with one
-    group, such as the first, draws the same numbers with scalar arguments
-    (``_counted_draw`` over its pmf, or ``gen.binomial(left, q, size=r)``).
-    A group with nothing left, or a point of zero weight, draws nothing, so
-    a one-point atom draws nothing at all.  Two rows may hold one vector; with no
-    counted group, each row is one batch, in row order.
+    binomials in one ``gen.binomial`` call, in row order.  The first stage
+    is a stage of one group.  A group with nothing left, or a point of zero
+    weight, draws nothing, so a one-point atom draws nothing at all.  Two
+    rows may hold one vector; with no counted group, each row is one batch,
+    in row order.
     """
     w = np.asarray(weights, dtype=np.float64)
     below = np.cumsum(w)  # below[j] = w_1 + ... + w_j
@@ -279,15 +282,6 @@ def _counted_multinomial(
         if w[j] == 0:
             continue
         q = float(w[j] / below[j])
-        if len(reps) == 1:  # one group, as at the first stage: scalar draws, no bookkeeping
-            r, k = int(reps[0]), int(left[0])
-            sums, counts = _counted_draw(gen, r, _binomial_pmf(k, q)) if r > k else (
-                gen.binomial(k, q, size=r), np.ones(r, dtype=np.int64)
-            )
-            vectors = np.repeat(vectors, len(sums), axis=0)
-            vectors[:, j] = sums
-            reps, left = counts, k - sums
-            continue
         raw = reps <= left
         counted = ~raw & (left > 0)
         spawn = np.where(raw, reps, 1)  # the rows each group splits into
@@ -323,32 +317,15 @@ def _binomial_pmf(M, p: float) -> np.ndarray:
     return np.exp(log_choose + special.xlogy(k, p) + special.xlog1py(M - k, -p))
 
 
-def _counted_draw(
-    gen: np.random.Generator, n: int, pmf: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(outcomes, counts) of n i.i.d. draws over 0..len(pmf) - 1 with masses pmf,
-    drawn as one multinomial; pmf may be unnormalized.
-
-    The one-group case of ``_counted_outcomes``, bit for bit, in scalar
-    draws: numpy's array-argument ``multinomial`` costs about 12 us a call
-    more, which a Bernoulli atom would pay on every block.  Only outcomes
-    drawn at least once are returned, ascending.
-    """
-    order = np.argsort(pmf, kind="stable")
-    counts = np.empty(len(pmf), dtype=np.int64)
-    counts[order] = _multinomial(gen, n, pmf[order])
-    outcomes = np.flatnonzero(counts)
-    return outcomes, counts[outcomes]
-
-
 def _counted_outcomes(
     gen: np.random.Generator, n: np.ndarray, pmf: np.ndarray, M: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(group, outcomes, counts): for each group g, the outcomes 0..M[g] that n[g]
     i.i.d. draws with masses pmf[g] reached, ascending, and how many reached
     each; group by group.  ``M`` is a column, and ``pmf`` has one row per
-    group, max(M) + 1 wide, which this overwrites; pmf[g] past M[g] is
-    ignored.
+    group, max(M) + 1 wide; pmf[g] past M[g] is ignored and overwritten.
+    This is the one counted draw: each stage of ``_counted_multinomial``,
+    and a parameter mixture's law of S (``_block_sums``), one group.
 
     The counts of n i.i.d. draws are Multinomial(n, pmf), one multinomial
     per group, drawn in group order in one call.  numpy draws a

@@ -654,8 +654,11 @@ class TestCountedBinomial:
     def test_counts_fill_the_batches_on_outcomes_of_positive_mass(self, M, p):
         n = montecarlo.BLOCK_SIZE
         gen = _block_stream(SeedSpec(master_seed=79, replication_index=0))
-        sums, counts = montecarlo._counted_draw(gen, n, montecarlo._binomial_pmf(M, p))
-        assert int(counts.sum()) == n and (counts > 0).all()
+        column = np.array([[M]])
+        group, sums, counts = montecarlo._counted_outcomes(
+            gen, np.array([n]), montecarlo._binomial_pmf(column, p), column
+        )
+        assert (group == 0).all() and int(counts.sum()) == n and (counts > 0).all()
         assert (np.diff(sums) > 0).all()
         assert (montecarlo._binomial_pmf(M, p)[sums] > 0).all()
 
