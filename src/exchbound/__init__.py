@@ -9,8 +9,11 @@ harness, and a CLI that sweeps models against the bounds.
 
 Public names load lazily (PEP 562): a name's module is imported the first
 time the name is read.  The closed forms and their errors (``bounds``,
-``errors``) need only the standard library; numpy and scipy load the first
-time a model, oracle, sampler, Monte Carlo or suite name is used.
+``errors``) need only the standard library; numpy loads the first time a
+model, oracle, sampler, Monte Carlo or suite name is used.  scipy.special
+loads at the first special-function call (``_special``), such as a
+parameter density's support check or a Clopper-Pearson interval, not when
+a name is first read: a replay or a Beta or lattice histogram makes none.
 """
 
 import importlib

@@ -65,7 +65,7 @@ from .errors import (
     OutOfValidityRange,
 )
 
-if TYPE_CHECKING:  # only its attributes are read; importing model would load numpy and scipy
+if TYPE_CHECKING:  # only its attributes are read; importing model would load numpy
     from .model import ModelSummary
 
 ENGINE_M_LIMIT = 1 << 63  # Monte Carlo hands M to numpy as an int64

@@ -37,8 +37,8 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
-from scipy import special
 
+from . import _special as special
 from .bounds import _shown, as_float
 from .errors import DomainError, InvalidModel, KTooLarge, UnsupportedModel
 

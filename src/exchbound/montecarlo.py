@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -86,8 +87,8 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
-from scipy import special
 
+from . import _special as special
 from .bounds import (
     Side,
     TailQuery,
@@ -307,14 +308,41 @@ def _counted_multinomial(
 
 
 def _binomial_pmf(M, p: float) -> np.ndarray:
-    """The Binomial(M, p) masses of 0..M, each within about 1e-10 relative up to M = 2^16.
+    """The Binomial(M, p) masses of 0..M, as exp(log C(M, k) + k log p + (M - k) log(1 - p)).
 
     For a column of M, one row per M, as long as the largest; a row
-    repeats its mass at M past its M.
+    repeats its mass at M past its M.  The log-factorials of log C(M, k)
+    come from ``_log_factorials``.  Near M = 2^16 they are about 6.6e5,
+    whose ulp is 1.2e-10, so a mass is within about 2e-10 relative of the
+    exact one there, and within about 4e-13 up to M = 200.  Their last
+    bits order near-tied masses in a counted draw (``_counted_outcomes``),
+    so the draws read CPython's ``lgamma``, not scipy's ``gammaln``.
     """
-    k = np.minimum(np.arange(np.max(M) + 1, dtype=np.float64), M)
-    log_choose = special.gammaln(M + 1) - special.gammaln(k + 1) - special.gammaln(M - k + 1)
-    return np.exp(log_choose + special.xlogy(k, p) + special.xlog1py(M - k, -p))
+    top = np.max(M)
+    k = np.minimum(np.arange(top + 1), M)
+    if p == 1.0:  # a stage after points of weight 0; log(1 - p) is -inf
+        return (k == M).astype(np.float64)
+    lf = _log_factorials(top)
+    log_choose = lf[M] - lf[k] - lf[M - k]
+    return np.exp(log_choose + k * math.log(p) + (M - k) * math.log1p(-p))
+
+
+_LOG_FACTORIALS = np.zeros(1)  # log(n!) for n below its length; replaced whole, never written
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log(k!) for k = 0..n at least, by ``math.lgamma``.
+
+    The table grows to the largest n asked so far.  A longer one is built
+    whole before it replaces the module's, so a pool thread reads either
+    table, each complete.
+    """
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if len(table) <= n:
+        more = np.fromiter(map(math.lgamma, range(len(table) + 1, n + 2)), np.float64)
+        table = _LOG_FACTORIALS = np.concatenate((table, more))
+    return table
 
 
 def _counted_outcomes(
@@ -418,6 +446,10 @@ def _empirical_law(
     A counted law of at most BLOCK_SIZE rows (``_one_block``) is one block
     of all its replications, on stream SeedSpec(seed, 0); every other law is
     drawn in blocks of BLOCK_SIZE, block i on stream SeedSpec(seed, i).
+    Each lattice piece is added by key into its scale's running table as
+    it arrives, so a lattice law holds at most its distinct sums however
+    many blocks it has; a Beta atom's float sums, nearly all distinct,
+    are added once, at the end.
     """
     per_batch = _draws_per_batch(m, M, replications)
     masses = None
@@ -432,7 +464,10 @@ def _empirical_law(
         gen = _block_stream(SeedSpec(master_seed=seed, replication_index=block_index))
         size = min(block, replications - start)
         for scale, keys, counts in _block_sums(m, M, size, gen, masses):
-            parts.setdefault(scale, []).append((keys, counts))
+            pieces = parts.setdefault(scale, [])
+            pieces.append((keys, counts))
+            if scale is not None and len(pieces) > 1:  # lattice sums repeat: keep the distinct
+                pieces[:] = [_add_by_key(*map(np.concatenate, zip(*pieces)))]
     return tuple(SumTable(scale, *_add_by_key(*map(np.concatenate, zip(*pieces))))
                  for scale, pieces in parts.items())
 

@@ -69,8 +69,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import special
 
+from . import _special as special
 from .bounds import Side, TailQuery, check_engine_m, check_side, side_anchor
 from .errors import DomainError, MTooLarge
 from .model import (

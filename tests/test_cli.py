@@ -1130,7 +1130,7 @@ GOLDEN_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}  # the versions CI pins
 GOLDEN_DIGESTS = {
     "auto": "f5c14115625b7975445b3a8555cec21d50b7f5965c2c0860ba110ee95662fb4f",
     "exact": "f5c14115625b7975445b3a8555cec21d50b7f5965c2c0860ba110ee95662fb4f",
-    "montecarlo": "8aea43cd75491e0c12a5742aa6fe853e12eda21332bfcb1620c49a858fc3f132",
+    "montecarlo": "5292d7b8924b4ea5e87af5efe1d7a5e07d32f1851e3daa35c22345733719e1d8",
 }
 
 
@@ -1165,6 +1165,34 @@ def test_closed_forms_load_without_numpy_or_scipy():
         "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'scipy', 'exchbound.'))))"
     )
     assert fresh_interpreter(code) == "['exchbound.bounds', 'exchbound.errors']"
+
+
+def test_closed_forms_replays_and_histograms_leave_out_scipy_special(tmp_path):
+    # the CLI, the bounds and ci commands, a replay and a Beta or lattice
+    # histogram evaluate no special function, so scipy.special never loads;
+    # the models come from files, as suite_model builds uniform_param too
+    three_atom = {"type": "finite", "atoms": [
+        {"weight": 0.3, "component": {"kind": "bernoulli", "p": 0.25}},
+        {"weight": 0.3, "component": ARGUMENT_TEST_DOCS["disc"]["atoms"][0]["component"]},
+        {"weight": 0.4, "component": {"kind": "pointmass", "c": 0.5}}]}
+    assert model_from_obj(three_atom) == suite_model("three_atom_discrete")
+    three, mixture = (write_model(tmp_path, doc, f"{i}.json")
+                      for i, doc in enumerate((three_atom, BETA_BERN_DOC)))
+    code = f"""if True:
+        import contextlib, io, sys
+        from exchbound import cli, montecarlo, sampler
+        three = cli.load_model_file({three!r})
+        for i in range(300):
+            sampler.sample_sequence(three, 3, sampler.SeedSpec(7, i))
+        mixture = cli.load_model_file({mixture!r})
+        for M in (10, 200):
+            montecarlo.sample_mean_histogram(mixture, M, 20_000, 100, 7)
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(["bounds", *{COMMAND_ARGS["bounds"]!r}]),
+                     cli.main(["ci", *{COMMAND_ARGS["ci"]!r}])]
+        print(codes, "scipy.special" in sys.modules)
+    """
+    assert fresh_interpreter(code) == "[0, 0] False"
 
 
 SUBMODULES = ("bounds", "errors", "model", "montecarlo", "oracle", "sampler", "suite")

@@ -663,6 +663,65 @@ class TestCountedBinomial:
         assert (montecarlo._binomial_pmf(M, p)[sums] > 0).all()
 
 
+class TestBinomialPmf:
+    """The masses of a counted stage take their log-factorials from math.lgamma."""
+
+    @staticmethod
+    def gammaln_form(M, p):
+        """The masses as scipy's gammaln, xlogy and xlog1py give them."""
+        k = np.minimum(np.arange(M + 1, dtype=np.float64), M)
+        log_choose = special.gammaln(M + 1) - special.gammaln(k + 1) - special.gammaln(M - k + 1)
+        return np.exp(log_choose + special.xlogy(k, p) + special.xlog1py(M - k, -p))
+
+    # near M = 2^16 both forms round log-factorials of about 6.6e5, whose ulp
+    # is 1.2e-10, and differ by up to 3.5e-10 (each is within 1.6e-10 of the
+    # exact masses); up to M = 200 they differ by at most 4.6e-13
+    @pytest.mark.parametrize("p", [1e-300, 1e-3, 0.123456, 0.25, 0.5, 0.7, 0.999])
+    @pytest.mark.parametrize(
+        "Ms,rtol,sum_tol",
+        [(range(201), 1e-12, 1e-12), ((1_000, 10_000, 65_535), 1e-9, 1e-10)],
+        ids=["M<=200", "M<2^16"],
+    )
+    def test_masses_agree_with_the_gammaln_form(self, Ms, rtol, sum_tol, p):
+        for M in Ms:
+            got, want = montecarlo._binomial_pmf(M, p), self.gammaln_form(M, p)
+            normal = want > 1e-280  # a mass deeper than that may underflow either way
+            assert (np.abs(got - want)[normal] <= rtol * want[normal]).all(), M
+            assert (got[~normal] < 1e-270).all(), M
+            assert abs(got.sum() - 1.0) <= sum_tol, M
+
+    def test_a_stage_with_q_1_places_every_draw(self):
+        # points 0, 0.5, 1 with weights 0, 0.5, 0.5: point 1's stage has q = 0.5,
+        # point 0.5's q = 1, and point 0 takes nothing
+        column = np.array([[3], [10]])
+        assert montecarlo._binomial_pmf(column, 1.0).tolist() == [[0.0] * 3 + [1.0] * 8,
+                                                                 [0.0] * 10 + [1.0]]
+        gen = _block_stream(SeedSpec(master_seed=83, replication_index=0))
+        vectors, counts = montecarlo._counted_multinomial(gen, 1_000, 10, [0.0, 0.5, 0.5])
+        assert int(counts.sum()) == 1_000 and (vectors[:, 0] == 0).all()
+        assert (vectors.sum(axis=1) == 10).all()
+
+    def test_threads_growing_the_table_get_the_serial_masses(self, monkeypatch):
+        work = [[7 + 50 * i + j for j in range(0, 2_000, 211)] for i in range(4)]
+        monkeypatch.setattr(montecarlo, "_LOG_FACTORIALS", np.zeros(1))
+        serial = [[montecarlo._binomial_pmf(M, 0.3) for M in Ms] for Ms in work]
+        monkeypatch.setattr(montecarlo, "_LOG_FACTORIALS", np.zeros(1))
+        start = threading.Barrier(len(work))
+        found = [None] * len(work)
+
+        def run(i):
+            start.wait()
+            found[i] = [montecarlo._binomial_pmf(M, 0.3) for M in work[i]]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(work))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for got, want in zip(found, serial):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 class TestCountedMultinomial:
     """A lattice atom's share of a block is drawn stage by stage, one point per stage."""
 
@@ -904,7 +963,7 @@ class TestParamMixtureBlocks:
         (TBETA, 200, 100_000, 7, "0c72b82466183fca"),
         (flip_model(TBETA), 10, 100_000, 7, "d1989f358d105851"),
         (FiniteMixture([(0.6, Beta(2.0, 5.0)), (0.4, Bernoulli(0.7))]), 10, 200_000, 12345,
-         "ce51b4e362cd5329"),
+         "02bb76362bab933a"),
         (UNIFORM, 1, 100_000, 7, "51c92059500be91b"),
         (UNIFORM, 10, 100_000, 7, "0c44b52585e01ffd"),
         (UNIFORM, 50, 100_000, 7, "126da65afc461ec2"),
@@ -922,6 +981,20 @@ class TestParamMixtureBlocks:
     )
     def test_pinned_laws(self, m, M, reps, seed, digest):
         assert law_digest(montecarlo._empirical_law.__wrapped__(m, M, reps, seed)) == digest
+
+    def test_a_per_batch_law_holds_its_distinct_sums(self):
+        # 64 blocks of 2^16 batches, each reaching about 54,000 of the 2^18 + 1
+        # sums: kept until the end, every block's pieces would peak at 199 MB
+        m, M, reps = self.UNIFORM, 1 << 18, 1 << 22
+        assert montecarlo._draws_per_batch(m, M, reps)
+        tracemalloc.start()
+        try:
+            law = montecarlo._empirical_law.__wrapped__(m, M, reps, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        assert law_digest(law) == "ad9da2be3ca94e4a"  # as when all pieces are added at the end
 
 
 class TestOneBlock:
@@ -998,12 +1071,13 @@ class TestOneBlock:
         vectors, counts = montecarlo._counted_multinomial(gen, 1 << 40, M, weights)
         assert len(vectors) <= montecarlo.BLOCK_SIZE and int(counts.sum()) == 1 << 40
 
-    # the parent's digests: a law of at most one block, and a Beta+Bernoulli
-    # law, drawn batch by batch past one block, keep their draws
+    # a law of at most one block, and a Beta+Bernoulli law, drawn batch by
+    # batch past one block, keep their draws; a counted draw orders near-tied
+    # masses by the last bits of _binomial_pmf
     @pytest.mark.parametrize(
         "m,M,reps,seed,digest",
         [
-            (suite_model("three_atom_discrete"), 10, montecarlo.BLOCK_SIZE, 7, "ef1eaf495c11502c"),
+            (suite_model("three_atom_discrete"), 10, montecarlo.BLOCK_SIZE, 7, "cb80c79a7487bad1"),
             (FiniteMixture([(0.3, Beta(2.0, 5.0)), (0.7, Bernoulli(0.4))]), 10, 70_000, 43,
              "0e3b06a4e65575da"),
         ],
